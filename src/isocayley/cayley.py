@@ -1,8 +1,11 @@
 """Cayley multigraphs on subgroups of finite abelian groups.
 
-The adjacency operator of Cay(H, S) is diagonalized exactly by the characters
-of H (lambda_chi = sum of chi over S), and numerically by a dense symmetric
-eigensolver as a cross-check.  On top of that sit the expansion measure and
+:class:`StepGraph` is the graph core that walks, path certificates and the
+DOT/JSON exports run on; :class:`CayleyGraph` and the isogeny graph of
+:mod:`isocayley.ecgraph` both build it.  The adjacency operator of
+Cay(H, S) is diagonalized exactly by the characters of H (lambda_chi = sum
+of chi over S), and numerically by a dense symmetric eigensolver as a
+cross-check.  On top of that sit the expansion measure and
 the scan that finds the smallest prime-norm bound B making the class-group
 graph a two-sided delta-expander, with the scan table kept for the
 main-term/error-term study.
@@ -12,7 +15,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import dataclass
-from math import log, sqrt
+from math import log, prod, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +34,7 @@ from .ntheory import primes_below
 from .quadform import ClassGroup, generating_multiset
 
 __all__ = [
+    "StepGraph",
     "CayleyGraph",
     "Spectrum",
     "EstimateParams",
@@ -50,20 +54,39 @@ __all__ = [
 
 _IMAG_TOL = 1e-9
 _NUMERIC_LIMIT = 4096
+# step-table codes of ambient coordinates, and their sums, stay inside int64
+_MAX_AMBIENT_ORDER = 1 << 62
 
 SCAN_CSV_HEADER = "B,lambda_triv,c,delta2,li_over_index,error_envelope"
 
 
-class CayleyGraph:
-    """k-regular labeled multigraph Cay(H, S); immutable after build()."""
+class StepGraph:
+    """A k-regular labeled multigraph on named vertices, walked by slots.
 
-    def __init__(self, subgroup: Subgroup, generators: Sequence[tuple[str, GroupElement]]):
-        self.subgroup = subgroup
-        self.generators = tuple((str(lbl), g) for lbl, g in generators)
-        self.vertices = subgroup.elements  # sorted by coords
-        self._index = {v.coords: i for i, v in enumerate(self.vertices)}
-        self._step_table: Optional[np.ndarray] = None
-        self._inverse_slot: Optional[list[int]] = None
+    ``vertices`` are hashable and ``names`` spells each of them, in the same
+    order, for exports, certificates and vertex lookup by name.  The k slots
+    are ``(label, payload)`` pairs; stepping from vertex i through slot j
+    lands on ``step_table[j, i]``, and ``inverse_slot[j]`` is the slot that
+    steps back.  Subclasses supply ``step_table`` and ``inverse_slot``; walks,
+    path search, certificates and the DOT/JSON exports need nothing else.
+    """
+
+    step_table: np.ndarray
+    inverse_slot: Sequence[int]
+
+    def __init__(self, vertices: Sequence, names: Sequence[str], generators: Sequence[tuple]):
+        self.vertices = tuple(vertices)
+        self.names = tuple(names)
+        self.generators = tuple((str(lbl), x) for lbl, x in generators)
+        if len(self.names) != len(self.vertices):
+            raise InputError("vertex name list has the wrong length")
+        self._index = {v: i for i, v in enumerate(self.vertices)}
+        self._by_name = {name: i for i, name in enumerate(self.names)}
+        if len(self._by_name) != len(self.names):
+            raise InputError("vertex names are not distinct")
+        self._slot = {}
+        for j, (lbl, _) in enumerate(self.generators):
+            self._slot.setdefault(lbl, j)
 
     @property
     def order(self) -> int:
@@ -73,21 +96,62 @@ class CayleyGraph:
     def degree(self) -> int:
         return len(self.generators)
 
-    def vertex_index(self, v: GroupElement) -> int:
+    def vertex_index(self, v) -> int:
         try:
-            return self._index[v.coords]
+            return self._index[v]
         except KeyError:
             raise InputError(f"{v} is not a vertex of this graph") from None
+
+    def vertex_named(self, name: str):
+        try:
+            return self.vertices[self._by_name[name]]
+        except KeyError:
+            raise InputError(f"no vertex is named {name!r}") from None
+
+    def slot_of(self, label: str) -> int:
+        """The first slot carrying this label."""
+        try:
+            return self._slot[label]
+        except KeyError:
+            raise InputError(f"step label {label!r} is not a generator of the graph") from None
+
+    def adjacency(self) -> np.ndarray:
+        a = np.zeros((self.order, self.order), dtype=np.int64)
+        rows = np.tile(np.arange(self.order), self.degree)
+        np.add.at(a, (rows, self.step_table.ravel()), 1)
+        return a
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(order={self.order}, degree={self.degree})"
+
+
+class CayleyGraph(StepGraph):
+    """Cay(H, S) with vertices in coordinate order; immutable after build()."""
+
+    def __init__(
+        self,
+        subgroup: Subgroup,
+        generators: Sequence[tuple[str, GroupElement]],
+        names: Sequence[str],
+    ):
+        super().__init__(subgroup.elements, names, generators)
+        self.subgroup = subgroup
+        self._step_table: Optional[np.ndarray] = None
+        self._inverse_slot: Optional[list[int]] = None
 
     @property
     def step_table(self) -> np.ndarray:
         """(k, n) array: step_table[j, i] = index of s_j * v_i."""
         if self._step_table is None:
-            k, n = self.degree, self.order
-            table = np.empty((k, n), dtype=np.int64)
-            for j, (_, s) in enumerate(self.generators):
-                for i, v in enumerate(self.vertices):
-                    table[j, i] = self._index[(s * v).coords]
+            inv = self.subgroup.ambient.invariants
+            rank = len(inv)
+            radix = np.array([prod(inv[c + 1:]) for c in range(rank)], dtype=np.int64)
+            verts = np.array([v.coords for v in self.vertices], dtype=np.int64)
+            steps = np.array([s.coords for _, s in self.generators], dtype=np.int64)
+            verts = verts.reshape(self.order, rank)
+            moved = (verts + steps.reshape(self.degree, 1, rank)) % np.array(inv, dtype=np.int64)
+            # coordinate order is the order of the mixed-radix codes
+            table = np.searchsorted(verts @ radix, moved @ radix)
             table.setflags(write=False)
             self._step_table = table
         return self._step_table
@@ -117,20 +181,21 @@ class CayleyGraph:
             self._inverse_slot = pairing
         return self._inverse_slot
 
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.order, self.order), dtype=np.int64)
-        table = self.step_table
-        for j in range(self.degree):
-            for i in range(self.order):
-                a[i, table[j, i]] += 1
-        return a
 
-    def __repr__(self) -> str:
-        return f"CayleyGraph(order={self.order}, degree={self.degree})"
+def build(
+    subgroup: Subgroup,
+    generators: Sequence[tuple[str, GroupElement]],
+    names: Optional[Sequence[str]] = None,
+) -> CayleyGraph:
+    """Build Cay(H, S) from labeled generators; S must be inversion-closed.
 
-
-def build(subgroup: Subgroup, generators: Sequence[tuple[str, GroupElement]]) -> CayleyGraph:
-    """Build Cay(H, S) from labeled generators; S must be inversion-closed."""
+    ``names`` spells the vertices of H in coordinate order; by default a
+    vertex is named by its coordinates, ``c1:c2:...``.
+    """
+    if subgroup.ambient.order > _MAX_AMBIENT_ORDER:
+        raise PreconditionError(
+            f"ambient group order {subgroup.ambient.order} exceeds {_MAX_AMBIENT_ORDER}"
+        )
     gens = list(generators)
     for _, g in gens:
         if g not in subgroup:
@@ -139,7 +204,9 @@ def build(subgroup: Subgroup, generators: Sequence[tuple[str, GroupElement]]) ->
     inv = Counter(op_inv(g).coords for _, g in gens)
     if direct != inv:
         raise InputError("generator multiset is not closed under inversion")
-    return CayleyGraph(subgroup, gens)
+    if names is None:
+        names = [":".join(str(c) for c in v.coords) for v in subgroup.elements]
+    return CayleyGraph(subgroup, gens, names)
 
 
 @dataclass(frozen=True)
@@ -177,7 +244,7 @@ def spectrum_by_characters(graph: CayleyGraph) -> Spectrum:
     return Spectrum(tuple(entries), lambda_triv, c)
 
 
-def spectrum_numeric(graph: CayleyGraph) -> list[float]:
+def spectrum_numeric(graph: StepGraph) -> list[float]:
     """Eigenvalues of the explicit adjacency matrix, sorted descending."""
     if graph.order > _NUMERIC_LIMIT:
         raise PreconditionError(
@@ -187,32 +254,18 @@ def spectrum_numeric(graph: CayleyGraph) -> list[float]:
     return [float(x) for x in vals[::-1]]
 
 
-def expansion(graph: CayleyGraph) -> tuple[float, float, float]:
-    """(delta_one_sided, delta_two_sided, c) from the spectrum.
-
-    Character spectrum where available; any other regular graph carrying
-    the walk interface falls back to the numeric adjacency eigenvalues.
-    """
-    if graph.degree == 0:
+def expansion(spec: Spectrum) -> tuple[float, float, float]:
+    """(delta_one_sided, delta_two_sided, c) from a character spectrum."""
+    k = spec.lambda_triv
+    if k == 0:
         raise PreconditionError("expansion of an edgeless graph is undefined")
-    if hasattr(graph, "subgroup"):
-        spec = spectrum_by_characters(graph)
-        k = spec.lambda_triv
-        nontrivial = [lam for chi, lam in spec.entries if not chi.is_trivial]
-        if not nontrivial:
-            return 1.0, 1.0, 0.0
-        c = spec.c
-        return 1.0 - max(nontrivial) / k, 1.0 - c / k, c
-    values = spectrum_numeric(graph)
-    k = values[0]
-    rest = values[1:]
-    if not rest:
+    nontrivial = [lam for chi, lam in spec.entries if not chi.is_trivial]
+    if not nontrivial:
         return 1.0, 1.0, 0.0
-    c = max(abs(lam) for lam in rest)
-    return 1.0 - rest[0] / k, 1.0 - c / k, c
+    return 1.0 - max(nontrivial) / k, 1.0 - spec.c / k, spec.c
 
 
-def connected_components(graph: CayleyGraph) -> int:
+def connected_components(graph: StepGraph) -> int:
     """Component count by breadth-first traversal over the step table."""
     n = graph.order
     if n == 0:
@@ -373,24 +426,16 @@ def find_expander_bound(
 # Exports
 # ---------------------------------------------------------------------------
 
-def _vertex_name(graph: CayleyGraph, i: int, names: Optional[Sequence[str]]) -> str:
-    if names is not None:
-        return names[i]
-    return ",".join(str(c) for c in graph.vertices[i].coords)
-
-
-def to_dot(graph: CayleyGraph, names: Optional[Sequence[str]] = None, title: str = "cayley") -> str:
+def to_dot(graph: StepGraph, title: str = "cayley") -> str:
     """DOT text; one undirected edge per generator slot pair, loops kept.
 
     An edge {v, s*v} with v before s*v in vertex order is emitted for the
     slot of s; the paired slot of s^{-1} accounts for the reverse direction,
     so multiplicities come out right.  Loops are emitted once per slot.
     """
-    if names is not None and len(names) != graph.order:
-        raise InputError("vertex name list has the wrong length")
     out = [f"graph {json.dumps(title)} {{"]
-    for i in range(graph.order):
-        out.append(f'  v{i} [label="{_vertex_name(graph, i, names)}"];')
+    for i, name in enumerate(graph.names):
+        out.append(f'  v{i} [label="{name}"];')
     table = graph.step_table
     for j, (label, _) in enumerate(graph.generators):
         for i in range(graph.order):
@@ -401,7 +446,7 @@ def to_dot(graph: CayleyGraph, names: Optional[Sequence[str]] = None, title: str
     return "\n".join(out) + "\n"
 
 
-def to_json_adjacency(graph: CayleyGraph, names: Optional[Sequence[str]] = None) -> dict:
+def to_json_adjacency(graph: StepGraph) -> dict:
     """JSON-ready adjacency list with labeled directed slots per vertex."""
     table = graph.step_table
     adjacency = [
@@ -411,7 +456,7 @@ def to_json_adjacency(graph: CayleyGraph, names: Optional[Sequence[str]] = None)
     return {
         "order": graph.order,
         "degree": graph.degree,
-        "vertices": [_vertex_name(graph, i, names) for i in range(graph.order)],
+        "vertices": list(graph.names),
         "generators": [label for label, _ in graph.generators],
         "adjacency": adjacency,
     }

@@ -95,13 +95,11 @@ def _vector_items(text: str, what: str) -> list[tuple[int, ...]]:
 
 
 class _Graph:
-    """A built Cayley/isogeny-style graph plus its canonical vertex names."""
+    """A built Cayley graph plus where it came from."""
 
-    def __init__(self, graph, names, cls_group=None, subgroup=None, source=None):
+    def __init__(self, graph, cls_group=None, source=None):
         self.graph = graph
-        self.names = list(names)
         self.cls_group = cls_group
-        self.subgroup = subgroup
         self.source = source or {}
 
     def resolve(self, spec: str):
@@ -110,12 +108,6 @@ class _Graph:
             if self.cls_group is not None:
                 return self.cls_group.element_of(self.cls_group.identity)
             return self.graph.vertices[0].group.identity
-        try:
-            i = self.names.index(spec)
-        except ValueError:
-            pass
-        else:
-            return self.graph.vertices[i]
         coords = _vector_items(spec, "vertex")[0]
         if self.cls_group is not None:
             if len(coords) != 3:
@@ -170,12 +162,9 @@ def _build_graph(args) -> _Graph:
             raise PreconditionError(
                 f"no prime form below {args.bound} lands in the chosen subgroup"
             )
-        graph = cayley.build(sub, [(g.label, g.element) for g in s_b])
-        names = [
-            ":".join(str(x) for x in cls.from_element[v].triple())
-            for v in graph.vertices
-        ]
-        return _Graph(graph, names, cls_group=cls, subgroup=sub,
+        names = [":".join(str(x) for x in cls.from_element[v].triple()) for v in sub]
+        graph = cayley.build(sub, [(g.label, g.element) for g in s_b], names)
+        return _Graph(graph, cls_group=cls,
                       source={"discriminant": args.disc, "bound": args.bound})
     if getattr(args, "group_file", None):
         gf = abelian.load_group_file(args.group_file)
@@ -206,9 +195,7 @@ def _build_graph(args) -> _Graph:
         else:
             sub = abelian.subgroup_generated(gf.group, [e for _, e in labeled])
         graph = cayley.build(sub, _closed_under_inversion(labeled))
-        names = [":".join(str(x) for x in v.coords) for v in graph.vertices]
-        return _Graph(graph, names, subgroup=sub,
-                      source={"group_file": str(args.group_file)})
+        return _Graph(graph, source={"group_file": str(args.group_file)})
     raise InputError("pick a graph source: -D <disc> or --group-file <path>")
 
 
@@ -238,7 +225,7 @@ def cmd_spectrum(args):
     if graph.degree == 0:
         raise PreconditionError("the generating set is empty: nothing to measure")
     spec = cayley.spectrum_by_characters(graph)
-    d1, d2, c = cayley.expansion(graph)
+    d1, d2, c = cayley.expansion(spec)
     data = {
         "source": ctx.source,
         "order": graph.order,
@@ -249,12 +236,12 @@ def cmd_spectrum(args):
         "c": c,
         "delta1": d1,
         "delta2": d2,
-        "graph": cayley.to_json_adjacency(graph, ctx.names),
+        "graph": cayley.to_json_adjacency(graph),
     }
-    artifacts = {"graph.dot": cayley.to_dot(graph, ctx.names, title="spectrum")}
+    artifacts = {"graph.dot": cayley.to_dot(graph, title="spectrum")}
     if ctx.cls_group is not None:
         best, rows = cayley.find_expander_bound(
-            ctx.cls_group, ctx.subgroup, args.delta, args.bound
+            ctx.cls_group, graph.subgroup, args.delta, args.bound
         )
         data["expander_bound"] = best
         artifacts["scan.csv"] = cayley.scan_table_csv(rows)
@@ -275,7 +262,7 @@ def cmd_mix(args):
     )
     cfg = walks.WalkConfig(length=length, trials=args.trials, seed=args.seed, target=target)
     result = walks.mixing_experiment(ctx.graph, start, cfg)
-    names = [ctx.names[ctx.graph.vertex_index(v)] for v in target]
+    names = [ctx.graph.names[ctx.graph.vertex_index(v)] for v in target]
     params = _graph_params(args) | {
         "start": args.start,
         "target": args.target,
@@ -298,7 +285,7 @@ def cmd_path(args):
         )
     else:
         cert = pathfind.exhaustive_path(ctx.graph, a, b)
-    text = pathfind.certificate_to_json_text(cert, ctx.graph, ctx.names)
+    text = pathfind.certificate_to_json_text(cert, ctx.graph)
     params = _graph_params(args) | {"a": args.vertex_a, "b": args.vertex_b}
     return {"certificate.json": text}, params, EXIT_OK
 
@@ -313,7 +300,7 @@ def cmd_verify(args):
         data = json.loads(raw)
     except json.JSONDecodeError as e:
         raise InputError(f"certificate is not JSON: {e}") from None
-    cert = pathfind.certificate_from_json(data, ctx.graph, ctx.names)
+    cert = pathfind.certificate_from_json(data, ctx.graph)
     ok = pathfind.replay(ctx.graph, cert)
     out = {
         "valid": bool(ok),
@@ -332,7 +319,6 @@ def cmd_ecgraph(args):
     ells = _ints(args.ells, "-L")
     g = ecgraph.build_isogeny_graph(args.p, args.t, ells)
     rep = ecgraph.compare_to_cayley(g)
-    names = [str(j) for j in g.vertices]
     data = {
         "p": args.p,
         "t": args.t,
@@ -340,7 +326,7 @@ def cmd_ecgraph(args):
         "discriminant": g.disc,
         "class_number": g.order,
         "curves": [[j, g.curves[j].a, g.curves[j].b] for j in g.vertices],
-        "graph": cayley.to_json_adjacency(g, names),
+        "graph": cayley.to_json_adjacency(g),
         "edges": [
             {
                 "source_j": e.source_j,
@@ -355,7 +341,7 @@ def cmd_ecgraph(args):
     }
     artifacts = {
         "ecgraph.json": _dumps(data),
-        "graph.dot": cayley.to_dot(g, names, title=f"isogeny_p{args.p}_t{args.t}"),
+        "graph.dot": cayley.to_dot(g, title=f"isogeny_p{args.p}_t{args.t}"),
     }
     params = {"p": args.p, "t": args.t, "ells": args.ells}
     code = EXIT_OK if rep.verdict == "PASS" else EXIT_CHECK_FAILED

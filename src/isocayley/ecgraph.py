@@ -18,6 +18,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import fppoly as fp
+from .cayley import StepGraph
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .ntheory import (
     factorize,
@@ -509,48 +510,32 @@ def isogeny_eval(edge: IsogenyEdge, point):
     return (x1, y1)
 
 
-class IsogenyGraph:
-    """The ell-isogeny multigraph of one ordinary class, walk-ready.
+class IsogenyGraph(StepGraph):
+    """The ell-isogeny multigraph of one ordinary class, as a StepGraph.
 
-    Exposes the same interface the random-walk and path-finding code uses
-    for Cayley graphs: `vertices`, `vertex_index`, `step_table`,
-    `inverse_slot`, `generators`.  Slots are (ell, Frobenius eigenvalue)
-    pairs, which is exactly the ideal-class action, so stepping is globally
-    consistent and a slot's inverse is the conjugate eigenvalue.
+    Vertices are j-invariants, named ``str(j)``.  Slots are (ell, Frobenius
+    eigenvalue) pairs, which is exactly the ideal-class action, so stepping
+    is globally consistent and a slot's inverse is the conjugate eigenvalue:
+    walks, path search and certificates run on it as on the Cayley graph of
+    Cl(D) it realizes.
     """
 
     def __init__(self, p, t, disc, vertices, curves, edges, ells):
         self.p = p
         self.t = t
         self.disc = disc
-        self.vertices = list(vertices)
         self.curves = dict(curves)
         self.edges = list(edges)
         self.ells = tuple(sorted(ells))
-        self._index = {j: i for i, j in enumerate(self.vertices)}
         self._edge_by = {}
         for e in self.edges:
             key = (e.source_j, e.ell, e.eigenvalue)
             if key in self._edge_by:
                 raise InternalConsistencyError(f"duplicate edge slot {key}")
             self._edge_by[key] = e
-        self.generators = self._make_slots()
+        super().__init__(vertices, [str(j) for j in vertices], self._make_slots())
         self.step_table = self._make_table()
         self.inverse_slot = self._make_inverses()
-
-    @property
-    def order(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def degree(self) -> int:
-        return len(self.generators)
-
-    def vertex_index(self, j) -> int:
-        try:
-            return self._index[j]
-        except KeyError:
-            raise InputError(f"j = {j} is not a vertex of this graph") from None
 
     def edge_at(self, j: int, ell: int, eigenvalue: int) -> IsogenyEdge:
         try:
@@ -847,14 +832,10 @@ def transfer_dlp(path, point_p, point_q, n: int, source: Curve | None = None) ->
 
 def edges_along(graph: IsogenyGraph, cert) -> list[IsogenyEdge]:
     """Resolve a path certificate into the actual isogeny edges it crossed."""
-    slot_of = {label: s for s, (label, _) in enumerate(graph.generators)}
     idx = graph.vertex_index(cert.start)
     out = []
     for step in cert.steps:
-        try:
-            s = slot_of[step.label]
-        except KeyError:
-            raise InputError(f"unknown step label {step.label!r}") from None
+        s = graph.slot_of(step.label)
         if step.inverted:
             s = int(graph.inverse_slot[s])
         ell, lam = graph.generators[s][1]

@@ -5,11 +5,11 @@ each with its walk recorded; step 2 walks from the target until it lands on
 one of them; the two records concatenate (second half reversed, inversion
 flags flipped) into an explicit, replayable certificate.
 
-The functions accept any graph exposing the walk interface of
-:class:`~isocayley.cayley.CayleyGraph`: ``order``, ``degree``, ``vertices``,
-``vertex_index``, ``step_table``, ``inverse_slot`` and ``generators`` (label,
-element pairs).  Isogeny graphs provide the same surface, so certificates
-carry over unchanged.
+Every function takes a :class:`~isocayley.cayley.StepGraph`, the core that
+Cayley graphs and isogeny graphs both build.  A certificate names its end
+vertices by the graph's vertex names and its steps by slot labels, so it
+reads the same on either kind of graph and replays with nothing but the
+step table.
 
 Randomness follows the stream-splitting contract of :mod:`isocayley.walks`;
 step-2 trials draw from a disjoint index namespace so the two phases stay
@@ -21,8 +21,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log, sqrt
-from typing import Optional, Sequence
+from typing import Optional
 
+from .cayley import StepGraph
 from .errors import InputError, InternalConsistencyError, PreconditionError, TrialCapError
 from .walks import trial_rng
 
@@ -74,27 +75,20 @@ class SearchStats:
     h: int
 
 
-def _slot_of(graph, label: str) -> int:
-    for j, (lbl, _) in enumerate(graph.generators):
-        if lbl == label:
-            return j
-    raise InputError(f"certificate step label {label!r} is not a generator of the graph")
-
-
-def replay(graph, cert: PathCertificate) -> bool:
+def replay(graph: StepGraph, cert: PathCertificate) -> bool:
     """Fold the certificate's steps onto its start; True iff the end matches."""
     i = graph.vertex_index(cert.start)
     table = graph.step_table
     inverse = graph.inverse_slot
     for step in cert.steps:
-        j = _slot_of(graph, step.label)
+        j = graph.slot_of(step.label)
         if step.inverted:
             j = inverse[j]
         i = int(table[j, i])
     return graph.vertices[i] == cert.end
 
 
-def _walk_record(graph, start_idx: int, length: int, rng) -> tuple[int, list[PathStep]]:
+def _walk_record(graph: StepGraph, start_idx: int, length: int, rng) -> tuple[int, list[PathStep]]:
     i = start_idx
     steps: list[PathStep] = []
     table = graph.step_table
@@ -104,7 +98,7 @@ def _walk_record(graph, start_idx: int, length: int, rng) -> tuple[int, list[Pat
     return i, steps
 
 
-def collect_neighbors(graph, a, seed: int) -> tuple[dict, SearchStats]:
+def collect_neighbors(graph: StepGraph, a, seed: int) -> tuple[dict, SearchStats]:
     """Step 1: gather ceil(sqrt(h)) distinct endpoints of length-ceil(ln 2h)
     walks from a, each with its recorded path; repeats count as trials."""
     h = graph.order
@@ -136,7 +130,7 @@ def collect_neighbors(graph, a, seed: int) -> tuple[dict, SearchStats]:
 
 
 def meet_from_target(
-    graph, b, neighbors: dict, seed: int, length: Optional[int] = None
+    graph: StepGraph, b, neighbors: dict, seed: int, length: Optional[int] = None
 ) -> tuple[PathCertificate, SearchStats]:
     """Step 2: walk from b until an endpoint collected in step 1 is hit."""
     if not neighbors:
@@ -161,7 +155,7 @@ def meet_from_target(
     )
 
 
-def find_path(graph, a, b, seed: int) -> tuple[PathCertificate, SearchStats]:
+def find_path(graph: StepGraph, a, b, seed: int) -> tuple[PathCertificate, SearchStats]:
     """Explicit path a -> b: step-1 record to the meeting point, then the
     step-2 record reversed with flipped inversion flags.  Replay-checked."""
     h = graph.order
@@ -182,7 +176,7 @@ def find_path(graph, a, b, seed: int) -> tuple[PathCertificate, SearchStats]:
     return cert, stats
 
 
-def exhaustive_path(graph, a, b) -> PathCertificate:
+def exhaustive_path(graph: StepGraph, a, b) -> PathCertificate:
     """Shortest certificate by breadth-first search; for graphs of any size.
 
     This is the fallback the h < 9 rejection in :func:`collect_neighbors`
@@ -234,39 +228,21 @@ def expected_trials_bound(h: int, n: int) -> Fraction:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def certificate_to_json(
-    cert: PathCertificate, graph, names: Optional[Sequence[str]] = None
-) -> dict:
-    """JSON value naming start/end by canonical representative."""
-
-    def name_of(v) -> str:
-        i = graph.vertex_index(v)
-        if names is not None:
-            return names[i]
-        return ",".join(str(c) for c in v.coords) if hasattr(v, "coords") else str(v)
-
+def certificate_to_json(cert: PathCertificate, graph: StepGraph) -> dict:
+    """JSON value naming start/end by the graph's vertex names."""
     return {
-        "start": name_of(cert.start),
-        "end": name_of(cert.end),
+        "start": graph.names[graph.vertex_index(cert.start)],
+        "end": graph.names[graph.vertex_index(cert.end)],
         "length": cert.length,
         "steps": [[s.label, s.inverted] for s in cert.steps],
     }
 
 
-def certificate_from_json(
-    data: dict, graph, names: Optional[Sequence[str]] = None
-) -> PathCertificate:
-    """Rebuild a certificate against a graph; names must match the writer's."""
-    table = {}
-    for i, v in enumerate(graph.vertices):
-        if names is not None:
-            key = names[i]
-        else:
-            key = ",".join(str(c) for c in v.coords) if hasattr(v, "coords") else str(v)
-        table[key] = v
+def certificate_from_json(data: dict, graph: StepGraph) -> PathCertificate:
+    """Rebuild a certificate against the graph whose vertex names it uses."""
     try:
-        start = table[data["start"]]
-        end = table[data["end"]]
+        start = graph.vertex_named(data["start"])
+        end = graph.vertex_named(data["end"])
         steps = tuple(PathStep(str(lbl), bool(inv)) for lbl, inv in data["steps"])
         declared = int(data["length"])
     except (KeyError, TypeError, ValueError) as e:
@@ -278,7 +254,5 @@ def certificate_from_json(
     return PathCertificate(start, end, steps)
 
 
-def certificate_to_json_text(
-    cert: PathCertificate, graph, names: Optional[Sequence[str]] = None
-) -> str:
-    return json.dumps(certificate_to_json(cert, graph, names), indent=2, sort_keys=True) + "\n"
+def certificate_to_json_text(cert: PathCertificate, graph: StepGraph) -> str:
+    return json.dumps(certificate_to_json(cert, graph), indent=2, sort_keys=True) + "\n"

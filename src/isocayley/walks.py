@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cayley import CayleyGraph, expansion
+from .cayley import CayleyGraph, expansion, spectrum_by_characters
 from .errors import InputError, PreconditionError
 
 __all__ = [
@@ -61,7 +61,7 @@ def mixing_length(graph: CayleyGraph, w_size: int) -> int:
     """ceil( ln(2|H| / sqrt|W|) / ln(k/c) ), using the measured gap."""
     if not 1 <= w_size <= graph.order:
         raise InputError(f"target size {w_size} out of range for order {graph.order}")
-    _, _, c = expansion(graph)
+    _, _, c = expansion(spectrum_by_characters(graph))
     k = graph.degree
     if c >= k:
         raise PreconditionError(

@@ -150,12 +150,12 @@ def test_criterion_3_triangle_spectrum():
     graph = _class_graph(-23, bound=3)
     assert graph.order == 3 and graph.degree == 2
 
-    vals = np.sort(np.asarray(
-        cayley.spectrum_by_characters(graph).sorted_values(), dtype=np.float64))
+    spec = cayley.spectrum_by_characters(graph)
+    vals = np.sort(np.asarray(spec.sorted_values(), dtype=np.float64))
     # exact values {-1, -1, 2}; character sums leave ~1e-16 float residue
     assert np.max(np.abs(vals - np.array([-1.0, -1.0, 2.0]))) <= 1e-12
 
-    _, delta2, _ = cayley.expansion(graph)
+    _, delta2, _ = cayley.expansion(spec)
     assert abs(delta2 - 0.5) <= 1e-12
     print("criterion 3: PASS - spectrum {2, -1, -1} and two-sided delta 1/2 "
           "within 1e-12")

@@ -152,7 +152,7 @@ class TestExpansion:
     def test_triangle(self):
         g, h = cyclic(3)
         tri = build(h, [("1", g.element((1,))), ("2", g.element((2,)))])
-        d1, d2, c = expansion(tri)
+        d1, d2, c = expansion(spectrum_by_characters(tri))
         assert c == pytest.approx(1.0, abs=1e-9)
         assert d2 == pytest.approx(0.5, abs=1e-9)
         assert d1 == pytest.approx(1.5, abs=1e-9)
@@ -160,7 +160,7 @@ class TestExpansion:
     def test_bipartite_z2(self):
         g, h = cyclic(2)
         k2 = build(h, [("1", g.element((1,)))])
-        d1, d2, c = expansion(k2)
+        d1, d2, c = expansion(spectrum_by_characters(k2))
         assert d2 == pytest.approx(0.0, abs=1e-12)
         assert c == pytest.approx(1.0, abs=1e-12)
 
@@ -168,7 +168,7 @@ class TestExpansion:
         g, h = cyclic(3)
         empty = build(h, [])
         with pytest.raises(PreconditionError):
-            expansion(empty)
+            expansion(spectrum_by_characters(empty))
 
 
 def li_series(x):
@@ -287,12 +287,12 @@ class TestExports:
         cg = class_group(-23)
         h = full_subgroup(cg.group)
         s = generating_multiset(cg, 3, h)
-        cay = build(h, [(x.label, x.element) for x in s])
-        names = [str(cg.from_element[v].triple()) for v in cay.vertices]
-        dot = to_dot(cay, names=names)
+        gens = [(x.label, x.element) for x in s]
+        names = [str(cg.from_element[v].triple()) for v in h]
+        dot = to_dot(build(h, gens, names))
         assert "(1, 1, 6)" in dot
         with pytest.raises(InputError):
-            to_dot(cay, names=["just-one"])
+            build(h, gens, ["just-one"])
 
     def test_json_adjacency(self):
         g, h = cyclic(3)
