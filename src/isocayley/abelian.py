@@ -1,4 +1,4 @@
-"""Exact finite abelian groups: presentations, characters, subgroups, homomorphisms.
+"""Exact finite abelian groups: presentations, subgroups and their characters.
 
 Groups are kept in invariant-factor form ``Z/d_1 x ... x Z/d_k`` with
 ``d_1 | d_2 | ... | d_k``; elements are coordinate vectors reduced modulo the
@@ -11,14 +11,11 @@ Abstract groups can be loaded from a small text format::
     # comment lines and blank lines are ignored; '#' starts a comment anywhere
     invariants: 2 4
     subgroup H: 1,2 0,2
-    hom f -> 2: 1 0
 
 * the first significant line must be ``invariants: d_1 d_2 ... d_k``
   (an empty list after the colon denotes the trivial group);
 * ``subgroup NAME: v1 v2 ...`` lists generators, one coordinate vector each,
-  written as comma-separated integers with exactly k coordinates;
-* ``hom NAME -> e_1 ... e_m: v1 ... vk`` gives the target's invariants and
-  one image vector (m coordinates) per source invariant.
+  written as comma-separated integers with exactly k coordinates.
 
 Parse failures raise :class:`~isocayley.errors.GroupFileError` with the
 offending line number.
@@ -31,7 +28,7 @@ from cmath import exp as _cexp
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, pi
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GroupFileError, InputError, InternalConsistencyError
 
@@ -40,7 +37,6 @@ __all__ = [
     "GroupElement",
     "Character",
     "Subgroup",
-    "Homomorphism",
     "GroupFile",
     "group_from_relations",
     "op_mul",
@@ -49,18 +45,10 @@ __all__ = [
     "subgroup_generated",
     "full_subgroup",
     "characters_of",
-    "extend_character",
-    "hom_kernel_and_index",
-    "filter_sum_check",
     "smith_normal_form",
     "load_group_file",
     "parse_group_text",
 ]
-
-# Imaginary residue above which a "provably real" character sum is treated as
-# an internal bug rather than rounded away.
-_IMAG_TOL = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # Smith normal form
@@ -494,16 +482,16 @@ def full_subgroup(group: FiniteAbelianGroup) -> Subgroup:
 # ---------------------------------------------------------------------------
 
 class Character:
-    """A character of a group or of a subgroup, with exact rational angles.
+    """A character of a subgroup, with exact rational angles.
 
     ``angle(g)`` returns the fraction of a full turn in [0, 1); ``value(g)``
-    is the corresponding unit complex number.  For subgroup characters the
-    argument is an *ambient* element that must lie in the subgroup.
+    is the corresponding unit complex number.  The argument is an *ambient*
+    element that must lie in the subgroup.
     """
 
     def __init__(
         self,
-        domain: Union[FiniteAbelianGroup, Subgroup],
+        domain: Subgroup,
         invariants: tuple[int, ...],
         coords: tuple[int, ...],
     ):
@@ -516,10 +504,6 @@ class Character:
         return all(c == 0 for c in self.coords)
 
     def _domain_coords(self, g: GroupElement) -> tuple[int, ...]:
-        if isinstance(self.domain, FiniteAbelianGroup):
-            if g.group != self.domain:
-                raise InputError("element does not belong to the character's group")
-            return g.coords
         if g not in self.domain:
             raise InputError("element lies outside the character's subgroup")
         _, coords_map = self.domain.abstract_structure()
@@ -551,13 +535,6 @@ class Character:
         return f"Character{self.coords}"
 
 
-def _group_characters(group: FiniteAbelianGroup) -> Iterator[Character]:
-    """All characters of the group, lexicographic by coordinate vector."""
-    inv = group.invariants
-    for coords in itertools.product(*(range(d) for d in inv)):
-        yield Character(group, inv, coords)
-
-
 def characters_of(subgroup: Subgroup) -> list[Character]:
     """All |H| characters of the subgroup, lexicographic in abstract coordinates."""
     abstract, _ = subgroup.abstract_structure()
@@ -571,112 +548,6 @@ def characters_of(subgroup: Subgroup) -> list[Character]:
     return chars
 
 
-def extend_character(chi: Character, group: FiniteAbelianGroup) -> Character:
-    """Extend a subgroup character to the ambient group.
-
-    Among all valid extensions, the one with the lexicographically smallest
-    coordinate vector is returned (a fixed, deterministic choice).
-    """
-    if not isinstance(chi.domain, Subgroup):
-        raise InputError("extend_character expects a subgroup character")
-    sub = chi.domain
-    if sub.ambient != group:
-        raise InputError("subgroup does not sit inside the given group")
-    gens = sub.reduced_generators()
-    targets = [chi.angle(g) for g in gens]
-    for cand in _group_characters(group):
-        if all(cand.angle(g) == t for g, t in zip(gens, targets)):
-            return cand
-    raise InternalConsistencyError("no extension found; character machinery broken")
-
-
-# ---------------------------------------------------------------------------
-# Homomorphisms
-# ---------------------------------------------------------------------------
-
-class Homomorphism:
-    """Map between invariant-form groups, given by generator images."""
-
-    def __init__(
-        self,
-        source: FiniteAbelianGroup,
-        target: FiniteAbelianGroup,
-        images: Sequence[GroupElement],
-    ):
-        if len(images) != len(source.invariants):
-            raise InputError(
-                f"need {len(source.invariants)} images, got {len(images)}"
-            )
-        for d, img in zip(source.invariants, images):
-            if img.group != target:
-                raise InputError("image does not belong to the target group")
-            if d % img.order:
-                raise InputError(
-                    f"image of order {img.order} breaks well-definedness for Z/{d}"
-                )
-        self.source = source
-        self.target = target
-        self.images = tuple(images)
-
-    def __call__(self, g: GroupElement) -> GroupElement:
-        if g.group != self.source:
-            raise InputError("argument does not belong to the source group")
-        out = self.target.identity
-        for c, img in zip(g.coords, self.images):
-            out = op_mul(out, op_pow(img, c))
-        return out
-
-    def __repr__(self) -> str:
-        return f"Homomorphism({self.source} -> {self.target})"
-
-
-def hom_kernel_and_index(f: Homomorphism) -> tuple[Subgroup, int]:
-    """Kernel of f (as a Subgroup of the source) and the index of its image."""
-    image = subgroup_generated(f.target, list(f.images))
-    index = f.target.order // image.order
-    kernel_elems = [g for g in f.source.elements() if f(g).is_identity()]
-    kernel = Subgroup(f.source, kernel_elems, kernel_elems)
-    if kernel.order * image.order != f.source.order:
-        raise InternalConsistencyError("first isomorphism theorem violated")
-    return kernel, index
-
-
-# ---------------------------------------------------------------------------
-# Character filter
-# ---------------------------------------------------------------------------
-
-def filter_sum_check(
-    group: FiniteAbelianGroup, subgroup: Subgroup, g: GroupElement
-) -> int:
-    """Sum of quotient-character values at g: [G:H] if g in H, else 0.
-
-    The sum is evaluated in floating complex arithmetic and rounded, as a
-    self-test of the character machinery; a nonreal or nonintegral result
-    raises :class:`InternalConsistencyError`.
-    """
-    if subgroup.ambient != group:
-        raise InputError("subgroup does not sit inside the given group")
-    if g.group != group:
-        raise InputError("element does not belong to the given group")
-    gens = subgroup.reduced_generators()
-    total = 0j
-    matched = 0
-    for chi in _group_characters(group):
-        if all(chi.angle(h) == 0 for h in gens):
-            total += chi.value(g)
-            matched += 1
-    if matched != subgroup.index:
-        raise InternalConsistencyError(
-            f"{matched} quotient characters found, expected index {subgroup.index}"
-        )
-    if abs(total.imag) > _IMAG_TOL:
-        raise InternalConsistencyError(f"filter sum has imaginary part {total.imag}")
-    nearest = round(total.real)
-    if abs(total.real - nearest) > _IMAG_TOL:
-        raise InternalConsistencyError(f"filter sum {total.real} is not integral")
-    return nearest
-
-
 # ---------------------------------------------------------------------------
 # Text format
 # ---------------------------------------------------------------------------
@@ -685,7 +556,6 @@ def filter_sum_check(
 class GroupFile:
     group: FiniteAbelianGroup
     subgroups: dict[str, Subgroup]
-    homs: dict[str, Homomorphism]
 
 
 def _parse_vector(token: str, rank: int, lineno: int) -> tuple[int, ...]:
@@ -706,7 +576,6 @@ def _parse_vector(token: str, rank: int, lineno: int) -> tuple[int, ...]:
 def parse_group_text(text: str) -> GroupFile:
     group: FiniteAbelianGroup | None = None
     subgroups: dict[str, Subgroup] = {}
-    homs: dict[str, Homomorphism] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -743,48 +612,10 @@ def parse_group_text(text: str) -> GroupFile:
                 raise GroupFileError(lineno, str(e)) from None
             subgroups[name] = subgroup_generated(group, gens)
             continue
-        if line.startswith("hom "):
-            head, _, body = line.partition(":")
-            if not _:
-                raise GroupFileError(lineno, "hom line needs ':'")
-            sig = head[len("hom "):]
-            name, arrow, target_part = sig.partition("->")
-            if not arrow:
-                raise GroupFileError(lineno, "hom line needs '-> target invariants'")
-            name = name.strip()
-            if not name:
-                raise GroupFileError(lineno, "hom needs a name")
-            if name in homs:
-                raise GroupFileError(lineno, f"duplicate hom {name!r}")
-            try:
-                target_inv = [int(x) for x in target_part.split()]
-            except ValueError:
-                raise GroupFileError(
-                    lineno, f"bad target invariants {target_part!r}"
-                ) from None
-            try:
-                target = FiniteAbelianGroup(tuple(target_inv))
-            except InputError as e:
-                raise GroupFileError(lineno, str(e)) from None
-            toks = body.split()
-            if len(toks) != len(group.invariants):
-                raise GroupFileError(
-                    lineno,
-                    f"hom needs {len(group.invariants)} image vectors, got {len(toks)}",
-                )
-            try:
-                images = [
-                    target.element(_parse_vector(tok, len(target.invariants), lineno))
-                    for tok in toks
-                ]
-                homs[name] = Homomorphism(group, target, images)
-            except InputError as e:
-                raise GroupFileError(lineno, str(e)) from None
-            continue
         raise GroupFileError(lineno, f"unrecognized line {line!r}")
     if group is None:
         raise GroupFileError(1, "empty file: missing 'invariants:' line")
-    return GroupFile(group, subgroups, homs)
+    return GroupFile(group, subgroups)
 
 
 def load_group_file(path: str) -> GroupFile:

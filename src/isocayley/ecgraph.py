@@ -34,7 +34,6 @@ __all__ = [
     "curve",
     "point_count",
     "curve_with_j",
-    "curves_from_csv",
     "enumerate_isogeny_class",
     "division_polys",
     "IsogenyEdge",
@@ -159,26 +158,6 @@ def _twist_with_trace(p: int, j: int, t: int) -> Curve | None:
             if cand.t == t:
                 return cand
     return None
-
-
-def curves_from_csv(text: str) -> list[Curve]:
-    """Parse `p,a,b` lines (blank lines, comments, and a header row allowed)."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.replace(" ", "") == "p,a,b":
-            continue
-        parts = [part.strip() for part in line.split(",")]
-        if len(parts) != 3:
-            raise InputError(f"line {lineno}: expected p,a,b but got {raw!r}")
-        try:
-            p, a, b = (int(part) for part in parts)
-        except ValueError:
-            raise InputError(f"line {lineno}: non-integer field in {raw!r}") from None
-        out.append(curve(p, a, b))
-    return out
 
 
 def _frobenius_disc(p: int, t: int) -> int:

@@ -9,8 +9,6 @@ the probabilistic splitter takes an explicit seed so runs are repeatable.
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 from .errors import InputError, InternalConsistencyError
@@ -192,22 +190,6 @@ def distinct_degree_split(f, p, max_degree):
     return blocks, remaining
 
 
-def _brute_split(f, p, d):
-    out = []
-    remaining = f
-    for tail in product(range(p), repeat=d):
-        if degree(remaining) < d:
-            break
-        cand = trim(np.array(list(tail) + [1], dtype=np.int64))
-        q, r = poly_divmod(remaining, cand, p)
-        if len(r) == 0:
-            out.append(cand)
-            remaining = q
-    if degree(remaining) > 0:
-        out.append(remaining)
-    return out
-
-
 def equal_degree_factors(f, p, d, rng):
     """Cantor-Zassenhaus splitting of a product of degree-d irreducibles."""
     f = make_monic(f, p)
@@ -227,8 +209,6 @@ def equal_degree_factors(f, p, d, rng):
             left = equal_degree_factors(g, p, d, rng)
             right = equal_degree_factors(poly_divmod(f, g, p)[0], p, d, rng)
             return left + right
-    if p < 200 and p**d <= 10**6:
-        return _brute_split(f, p, d)
     raise InternalConsistencyError(
         f"equal-degree splitting stalled on a degree-{n} block (p = {p}, d = {d})"
     )

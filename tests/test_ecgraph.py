@@ -74,17 +74,6 @@ def test_curve_with_j_round_trip():
         assert eg.curve(31, a, b).j == j % 31
 
 
-def test_curves_from_csv():
-    text = "p,a,b\n31,1,3\n# comment\n\n31,0,4\n"
-    cs = eg.curves_from_csv(text)
-    assert [(c.p, c.a, c.b) for c in cs] == [(31, 1, 3), (31, 0, 4)]
-    with pytest.raises(InputError) as ei:
-        eg.curves_from_csv("31,1\n")
-    assert "line 1" in str(ei.value)
-    with pytest.raises(InputError):
-        eg.curves_from_csv("31,1,x\n")
-
-
 # ------------------------------------------------- isogeny class enumeration
 
 

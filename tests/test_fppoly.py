@@ -115,10 +115,3 @@ def test_distinct_degree_respects_cap():
     blocks, rest = fp.distinct_degree_split(f, p, 1)
     assert all(d == 1 for d, _ in blocks)
     assert fp.degree(rest) > 0  # the quadratic part stays unsplit
-
-
-def test_brute_split_agrees():
-    p = 7
-    f = fp.poly_mul(fp.poly([6, 1], p), fp.poly([4, 1], p), p)
-    parts = fp._brute_split(f, p, 1)
-    assert sorted(tuple(int(c) for c in g) for g in parts) == [(4, 1), (6, 1)]
