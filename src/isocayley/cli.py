@@ -7,8 +7,8 @@ byte-identical artifacts.  Primary outputs go to stdout, or into the
 ``--out`` directory next to ``manifest.json``; diagnostics go to stderr.
 
 Exit codes: 0 success, 1 a requested check failed (certificate invalid,
-comparison FAIL), 2 malformed input, 3 violated precondition, 4 internal
-consistency failure.
+comparison FAIL), 2 malformed input or an unreadable file, 3 violated
+precondition, 4 internal consistency failure or any other unexpected error.
 """
 from __future__ import annotations
 
@@ -491,6 +491,12 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except InternalConsistencyError as e:
         print(f"error (internal-consistency): {e}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except OSError as e:
+        print(f"error (input): {e}", file=sys.stderr)
+        return EXIT_INPUT
+    except Exception as e:  # every failure maps to an exit code, never a traceback
+        print(f"error (internal): {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     return code
 

@@ -245,6 +245,14 @@ def test_unsupported_format_combination(capsys):
     assert "does not produce" in err
 
 
+def test_missing_group_file_is_an_input_error(capsys, tmp_path):
+    missing = str(tmp_path / "nonexistent.grp")
+    rc, out, err = run(capsys, ["spectrum", "--group-file", missing, "--gens", "1"])
+    assert rc == 2
+    assert "Traceback" not in out + err
+    assert err.startswith("error (input):") and err.count("\n") == 1
+
+
 def test_both_sources_rejected(capsys, z9):
     rc, _, err = run(capsys, ["spectrum", "-D", "-23", "--bound", "3",
                               "--group-file", z9, "--gens", "1"])
