@@ -16,7 +16,8 @@ from isocayley import abelian, cayley, pathfind, quadform
 cls = quadform.class_group(-99551)
 sub = abelian.full_subgroup(cls.group)
 gens = quadform.generating_multiset(cls, 20, sub)
-graph = cayley.build(sub, [(g.label, g.element) for g in gens])
+names = [":".join(map(str, cls.from_element[v].triple())) for v in sub]
+graph = cayley.build(sub, [(g.label, g.element) for g in gens], names)
 h = graph.order
 print(f"h = {h}, degree {graph.degree}, "
       f"length cap 2*ceil(ln 2h) = {2 * math.ceil(math.log(2 * h))}")
@@ -29,10 +30,9 @@ print(f"path length {cert.length}:")
 for s in cert.steps:
     print(f"  {s.label}{'^-1' if s.inverted else ''}")
 
-name = lambda v: ":".join(map(str, cls.from_element[v].triple()))
 print()
 print("certificate JSON:")
-print(pathfind.certificate_to_json_text(cert, name))
+print(pathfind.certificate_to_json_text(cert, graph))
 
 ok = pathfind.replay(graph, cert)
 print(f"replay: {'valid' if ok else 'INVALID'}")

@@ -18,7 +18,7 @@ cls = quadform.class_group(-8011)
 sub = abelian.full_subgroup(cls.group)
 gens = quadform.generating_multiset(cls, 20, sub)
 graph = cayley.build(sub, [(g.label, g.element) for g in gens])
-_, delta2, c = cayley.expansion(graph)
+_, delta2, c = cayley.expansion(cayley.spectrum_by_characters(graph))
 print(f"graph: h = {graph.order}, degree {graph.degree}, "
       f"two-sided delta_2 = {delta2:.3f}")
 
