@@ -88,6 +88,25 @@ class TestBuild:
         with pytest.raises(InputError):
             build(h, [("1", g.element((1,)))])
 
+    def test_step_table_matches_group_products(self):
+        rng = random.Random(5)
+        graphs = [random_graph(rng) for _ in range(20)]
+        g = FiniteAbelianGroup((4, 12))
+        h = subgroup_generated(g, [g.element((1, 2)), g.element((0, 3))])
+        graphs.append(build(h, pair_gens(g, (1, 2), (0, 3))))
+        trivial = FiniteAbelianGroup(())
+        graphs.append(build(full_subgroup(trivial), [("e", trivial.identity)]))
+        for graph in graphs:
+            for j, (_, s) in enumerate(graph.generators):
+                for i, v in enumerate(graph.vertices):
+                    assert graph.step_table[j, i] == graph.vertex_index(s * v)
+
+    def test_ambient_order_beyond_int64_codes_rejected(self):
+        g = FiniteAbelianGroup((2**32, 2**32))
+        h = subgroup_generated(g, [g.element((2**31, 0))])
+        with pytest.raises(PreconditionError):
+            build(h, pair_gens(g, (2**31, 0)))
+
     def test_inverse_slot_is_a_correct_involution(self):
         rng = random.Random(77)
         for _ in range(20):
@@ -293,6 +312,8 @@ class TestExports:
         assert "(1, 1, 6)" in dot
         with pytest.raises(InputError):
             build(h, gens, ["just-one"])
+        with pytest.raises(InputError):
+            build(h, gens, ["same"] * 3)
 
     def test_json_adjacency(self):
         g, h = cyclic(3)
