@@ -88,7 +88,7 @@ def replay(graph: StepGraph, cert: PathCertificate) -> bool:
     return graph.vertices[i] == cert.end
 
 
-def _walk_record(graph: StepGraph, start_idx: int, length: int, rng) -> tuple[int, list[PathStep]]:
+def _walk_record(graph, start_idx: int, length: int, rng) -> tuple[int, list[PathStep]]:
     i = start_idx
     steps: list[PathStep] = []
     table = graph.step_table
@@ -98,7 +98,7 @@ def _walk_record(graph: StepGraph, start_idx: int, length: int, rng) -> tuple[in
     return i, steps
 
 
-def collect_neighbors(graph: StepGraph, a, seed: int) -> tuple[dict, SearchStats]:
+def collect_neighbors(graph, a, seed: int) -> tuple[dict, SearchStats]:
     """Step 1: gather ceil(sqrt(h)) distinct endpoints of length-ceil(ln 2h)
     walks from a, each with its recorded path; repeats count as trials."""
     h = graph.order
@@ -130,7 +130,7 @@ def collect_neighbors(graph: StepGraph, a, seed: int) -> tuple[dict, SearchStats
 
 
 def meet_from_target(
-    graph: StepGraph, b, neighbors: dict, seed: int, length: Optional[int] = None
+    graph, b, neighbors: dict, seed: int, length: Optional[int] = None
 ) -> tuple[PathCertificate, SearchStats]:
     """Step 2: walk from b until an endpoint collected in step 1 is hit."""
     if not neighbors:
@@ -155,7 +155,7 @@ def meet_from_target(
     )
 
 
-def find_path(graph: StepGraph, a, b, seed: int) -> tuple[PathCertificate, SearchStats]:
+def find_path(graph, a, b, seed: int) -> tuple[PathCertificate, SearchStats]:
     """Explicit path a -> b: step-1 record to the meeting point, then the
     step-2 record reversed with flipped inversion flags.  Replay-checked."""
     h = graph.order
@@ -176,7 +176,7 @@ def find_path(graph: StepGraph, a, b, seed: int) -> tuple[PathCertificate, Searc
     return cert, stats
 
 
-def exhaustive_path(graph: StepGraph, a, b) -> PathCertificate:
+def exhaustive_path(graph, a, b) -> PathCertificate:
     """Shortest certificate by breadth-first search; for graphs of any size.
 
     This is the fallback the h < 9 rejection in :func:`collect_neighbors`
