@@ -18,7 +18,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import fppoly as fp
-from .cayley import StepGraph
+from .cayley import StepGraph, build as build_cayley
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .ntheory import (
     factorize,
@@ -627,7 +627,6 @@ def compare_to_cayley(graph: IsogenyGraph, tol: float = 1e-6) -> ComparisonRepor
     together with dual-edge symmetry.
     """
     from .abelian import full_subgroup
-    from .cayley import build as build_cayley
     from .quadform import Discriminant, class_group, prime_form
 
     disc = Discriminant.of(graph.disc)
