@@ -100,8 +100,14 @@ def _endpoints(graph: CayleyGraph, start_idx: int, length: int, trials: int, see
         return np.full(trials, start_idx, dtype=np.int64)
     k = graph.degree
     draws = np.empty((trials, length), dtype=np.int64)
+    # one Philox re-keyed per trial draws exactly what trial_rng(seed, t)
+    # would, without building a generator (most of a trial's cost) each time
+    rng = trial_rng(seed, 0)
+    state = rng.bit_generator.state
     for t in range(trials):
-        draws[t] = trial_rng(seed, t).integers(0, k, size=length)
+        state["state"]["key"][0] = t & _MASK64
+        rng.bit_generator.state = state
+        draws[t] = rng.integers(0, k, size=length)
     table = graph.step_table
     pos = np.full(trials, start_idx, dtype=np.int64)
     for step in range(length):

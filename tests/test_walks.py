@@ -3,6 +3,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from isocayley import walks
 from isocayley.abelian import FiniteAbelianGroup, full_subgroup
 from isocayley.cayley import build
 from isocayley.errors import InputError, PreconditionError
@@ -135,6 +136,23 @@ def test_experiment_deterministic():
     a = mixing_experiment(g, g.vertices[0], cfg)
     b = mixing_experiment(g, g.vertices[0], cfg)
     assert a.frequency == b.frequency and a.interval == b.interval
+
+
+def test_bulk_endpoints_match_per_trial_streams():
+    # reference: one fresh trial_rng per trial, folded through the step table
+    z12 = FiniteAbelianGroup((12,))
+    for steps in ((1,), (1, 5), (2, 3, 6)):
+        gens = [(f"{s}{sign}", z12.element((s * int(sign + "1"),)))
+                for s in steps for sign in "+-"]
+        g = build(full_subgroup(z12), gens)  # degree 2, 4 and 6
+        for seed, length in ((0, 1), (2**64 - 1, 7), (987654321, 30)):
+            want = []
+            for t in range(200):
+                i = 3
+                for j in trial_rng(seed, t).integers(0, g.degree, size=length):
+                    i = int(g.step_table[j, i])
+                want.append(i)
+            assert walks._endpoints(g, 3, length, 200, seed).tolist() == want
 
 
 def test_exact_distribution_is_stochastic():
