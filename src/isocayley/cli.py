@@ -257,10 +257,9 @@ def cmd_mix(args):
     target_specs = [t.strip() for t in args.target.split(",") if t.strip()]
     target = tuple(ctx.resolve(t) for t in target_specs)
     start = ctx.resolve(args.start)
-    length = args.length if args.length is not None else walks.mixing_length(
-        ctx.graph, len(set(target))
+    cfg = walks.WalkConfig(
+        length=args.length, trials=args.trials, seed=args.seed, target=target
     )
-    cfg = walks.WalkConfig(length=length, trials=args.trials, seed=args.seed, target=target)
     result = walks.mixing_experiment(ctx.graph, start, cfg)
     names = [ctx.graph.names[ctx.graph.vertex_index(v)] for v in target]
     params = _graph_params(args) | {

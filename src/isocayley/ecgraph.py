@@ -30,6 +30,7 @@ from .ntheory import (
 
 __all__ = [
     "FIELD_CAP",
+    "DEGREE_CAP",
     "Curve",
     "curve",
     "point_count",
@@ -55,6 +56,23 @@ __all__ = [
 ]
 
 FIELD_CAP = 10**4
+DEGREE_CAP = 31
+
+
+def _check_degree(ell: int, p: int) -> None:
+    """Reject an isogeny degree before anything is built for it.
+
+    The kernel search factors psi_ell, of degree n = (ell^2 - 1) / 2, and
+    each powmod of that factoring keeps an (n - 1) x n int64 reduction
+    table, so memory grows like ell^4 and time faster still.  The cap 31
+    (n = 480, a 1.8 MB table) sits far above every degree the demos use.
+    """
+    if ell > DEGREE_CAP:
+        raise PreconditionError(f"degree {ell} exceeds the isogeny-degree cap {DEGREE_CAP}")
+    if ell == 2 or not is_prime(ell):
+        raise PreconditionError(f"degree {ell} is not an odd prime")
+    if ell == p:
+        raise PreconditionError(f"degree {ell} equals the field characteristic")
 
 
 def _check_field(p: int) -> None:
@@ -65,19 +83,18 @@ def _check_field(p: int) -> None:
 
 
 @functools.lru_cache(maxsize=16)
-def _square_table(p: int) -> np.ndarray:
+def _count_tables(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x, x^3 mod p, and the Legendre symbol of every residue, as int64."""
     xs = np.arange(p, dtype=np.int64)
-    table = np.zeros(p, dtype=bool)
-    table[(xs * xs) % p] = True
-    return table
+    legendre = np.full(p, -1, dtype=np.int64)
+    legendre[(xs * xs) % p] = 1
+    legendre[0] = 0
+    return xs, (xs * xs % p) * xs % p, legendre
 
 
 def _count(p: int, a: int, b: int) -> tuple[int, int]:
-    xs = np.arange(p, dtype=np.int64)
-    rhs = ((xs * xs % p) * xs + a * xs + b) % p
-    sq = _square_table(p)
-    chi = np.where(rhs == 0, 0, np.where(sq[rhs], 1, -1))
-    order = int(p + 1 + chi.sum())
+    xs, cubes, legendre = _count_tables(p)
+    order = p + 1 + int(legendre[(cubes + a * xs + b) % p].sum())
     t = p + 1 - order
     if t * t > 4 * p:
         raise InternalConsistencyError(f"trace {t} violates the Hasse bound at p = {p}")
@@ -178,12 +195,22 @@ def _frobenius_disc(p: int, t: int) -> int:
 
 
 def enumerate_isogeny_class(p: int, t: int) -> list[int]:
-    """All j-invariants over F_p admitting a twist with trace exactly t."""
+    """All j-invariants over F_p admitting a twist with trace exactly t.
+
+    j = 0 and j = 1728 carry CM by Z[zeta_3] and Z[i], so with a fundamental
+    Frobenius discriminant D they belong to the class only when D = -3 and
+    D = -4 respectively; their twist fibers are scanned only then.
+    """
     _check_field(p)
     if p < 5:
         raise InputError("isogeny classes need p >= 5")
-    _frobenius_disc(p, t)
-    return [j for j in range(p) if _twist_with_trace(p, j, t) is not None]
+    disc = _frobenius_disc(p, t)
+    skip = {0: disc != -3, 1728 % p: disc != -4}
+    return [
+        j
+        for j in range(p)
+        if not skip.get(j, False) and _twist_with_trace(p, j, t) is not None
+    ]
 
 
 def _cube(u, p):
@@ -364,10 +391,7 @@ def _splitter_seed(p: int, a: int, b: int, ell: int) -> int:
 
 def rational_l_isogenies(c: Curve, ell: int) -> list[IsogenyEdge]:
     """All F_p-rational cyclic ell-isogenies from c (0, 1, or 2 of them)."""
-    if ell == 2 or not is_prime(ell):
-        raise PreconditionError(f"degree {ell} is not an odd prime")
-    if ell == c.p:
-        raise PreconditionError(f"degree {ell} equals the field characteristic")
+    _check_degree(ell, c.p)
     if not c.ordinary:
         raise PreconditionError("supersingular curves are out of scope")
     p, a, b, t = c.p, c.a, c.b, c.t
@@ -571,6 +595,8 @@ class IsogenyGraph(StepGraph):
 
 def build_isogeny_graph(p: int, t: int, ells) -> IsogenyGraph:
     ells = tuple(sorted(set(int(x) for x in ells)))
+    for ell in ells:
+        _check_degree(ell, p)
     disc = _frobenius_disc(p, t)
     js = enumerate_isogeny_class(p, t)
     if not js:

@@ -143,17 +143,61 @@ def poly_xgcd(u, v, p):
     )
 
 
+def _reduction_rows(g, p):
+    """(n-1) x n table whose row k is x^(n+k) mod g, for n = deg g >= 1.
+
+    Built by shift-and-subtract: x^n = -(g[:n] / lead) mod g, and each next
+    row is x times the previous one with its x^n term folded back in.
+    """
+    n = len(g) - 1
+    rows = np.zeros((max(n - 1, 0), n), dtype=np.int64)
+    if n < 2:
+        return rows
+    top = (-g[:n]) * pow(int(g[-1]), -1, p) % p
+    rows[0] = top
+    for k in range(1, n - 1):
+        prev = rows[k - 1]
+        rows[k, 1:] = prev[:-1]
+        rows[k] = (rows[k] + int(prev[-1]) * top) % p
+    return rows
+
+
 def poly_powmod(u, e: int, g, p):
+    """u^e mod g by square-and-multiply, reducing by a fixed table.
+
+    Each product of two residues (degree < n = deg g) has degree <= 2n - 2;
+    its high coefficients are folded back with one matrix product against
+    the rows x^(n..2n-2) mod g.  Every entry of the convolution and of the
+    matrix product is a sum of at most n terms below p^2, so n * p^2 < 2^63
+    keeps the int64 arithmetic exact (n = 480, p = 10^4 at the caps of
+    ``ecgraph``).  e = 0 gives ONE whatever g is, as repeated multiplication
+    from ONE would.
+    """
     if e < 0:
         raise InputError("negative polynomial exponent")
     result = ONE
     base = poly_mod(u, g, p)
-    while e:
+    if e == 0:
+        return result
+    g = trim(g)
+    n = len(g) - 1
+    rows = _reduction_rows(g, p)
+
+    def mulmod(v, w):
+        if len(v) == 0 or len(w) == 0:
+            return _ZERO
+        prod = np.convolve(v, w) % p
+        if len(prod) <= n:
+            return trim(prod)
+        return trim((prod[:n] + prod[n:] @ rows[: len(prod) - n]) % p)
+
+    while True:
         if e & 1:
-            result = poly_mod(poly_mul(result, base, p), g, p)
-        base = poly_mod(poly_mul(base, base, p), g, p)
+            result = mulmod(result, base)
         e >>= 1
-    return result
+        if not e:
+            return result
+        base = mulmod(base, base)
 
 
 def poly_deriv(u, p):

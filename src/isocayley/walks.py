@@ -10,7 +10,7 @@ multiplicity included, matching the adjacency operator.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil, log, sqrt
 from typing import Optional, Sequence
 
@@ -80,13 +80,13 @@ def theorem_length(graph: CayleyGraph, w_size: int) -> int:
 
 @dataclass(frozen=True)
 class WalkConfig:
-    length: int
+    length: Optional[int]  # None: the mixing length for |W|
     trials: int
     seed: int
     target: tuple  # vertices
 
     def __post_init__(self) -> None:
-        if self.length < 0:
+        if self.length is not None and self.length < 0:
             raise InputError("length must be >= 0")
         if self.trials < 1:
             raise InputError("trials must be >= 1")
@@ -152,11 +152,14 @@ def mixing_experiment(graph: CayleyGraph, start, cfg: WalkConfig) -> ExperimentR
 
     Walks of cfg.length from start; PASS iff the Wilson 99% interval for the
     landing frequency intersects [|W|/(2|H|), 3|W|/(2|H|)].  Requires
-    cfg.length >= mixing_length(graph, |W|).
+    cfg.length >= mixing_length(graph, |W|); a length of None walks exactly
+    that far, and the result's config carries the resolved length.
     """
     w_idx = sorted({graph.vertex_index(v) for v in cfg.target})
     need = mixing_length(graph, len(w_idx))
-    if cfg.length < need:
+    if cfg.length is None:
+        cfg = replace(cfg, length=need)
+    elif cfg.length < need:
         raise PreconditionError(
             f"walk length {cfg.length} below the mixing length {need}"
         )

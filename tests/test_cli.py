@@ -8,6 +8,7 @@ import sys
 import jsonschema
 import pytest
 
+from isocayley import ecgraph, walks
 from isocayley.cli import ARTIFACT_SCHEMAS, main, schema_for
 
 Z9 = "invariants: 9\n"
@@ -109,6 +110,19 @@ def test_mix_report(capsys, z9):
     assert data["exact_probability"] is not None  # |H| = 9 <= 64
 
 
+def test_mix_makes_one_character_pass(capsys, monkeypatch, z9):
+    passes = []
+    real = walks.spectrum_by_characters
+    monkeypatch.setattr(walks, "spectrum_by_characters",
+                        lambda graph: passes.append(1) or real(graph))
+    rc, out, _ = run(capsys, ["mix", "--group-file", z9, "--gens", "1,2",
+                              "--target", "3", "--trials", "200"])
+    assert rc == 0
+    assert len(passes) == 1
+    data = json.loads(out)
+    assert data["config"]["length"] == data["length_lemma"]
+
+
 def test_path_then_verify_round_trip(capsys, tmp_path, z9):
     outdir = tmp_path / "run"
     rc, _, _ = run(
@@ -189,6 +203,19 @@ def test_ecgraph_even_degree_rejected(capsys):
     rc, _, err = run(capsys, ["ecgraph", "-p", "31", "-t", "3", "-L", "2"])
     assert rc == 3
     assert "odd prime" in err
+
+
+def test_degree_cap_checked_before_any_work(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the degree cap was checked")
+
+    monkeypatch.setattr(ecgraph, "enumerate_isogeny_class", unreachable)
+    monkeypatch.setattr(ecgraph, "division_polys", unreachable)
+    too_big = ecgraph.DEGREE_CAP + 6  # 37, an odd prime
+    for cmd in ("ecgraph", "dlpdemo"):
+        rc, _, err = run(capsys, [cmd, "-p", "9973", "-t", "1", "-L", f"5,{too_big}"])
+        assert rc == 3
+        assert "cap" in err
 
 
 def test_dlpdemo_transcript(capsys):

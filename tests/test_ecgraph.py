@@ -1,6 +1,7 @@
 """Ordinary isogeny graphs: construction, the class-group comparison, and DLP transfer."""
 
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import sympy
 
 from isocayley import ecgraph as eg
 from isocayley import pathfind, quadform
+from isocayley.ntheory import fundamental_discriminant
 from isocayley.errors import (
     InputError,
     InternalConsistencyError,
@@ -108,6 +110,51 @@ def test_class_size_equals_class_number(p, t, h):
     assert quadform.class_group(d).order == h
 
 
+def full_fiber_traces(p):
+    """{(j, t)} over every nonsingular model y^2 = x^3 + ax + b over F_p.
+
+    Counts all p^2 models, so no twist theory (quadratic, quartic or
+    sextic) is assumed: every fiber is scanned in full.
+    """
+    xs = np.arange(p)
+    legendre = np.full(p, -1)
+    legendre[xs * xs % p] = 1
+    legendre[0] = 0
+    inverse = np.array([pow(int(v), -1, p) if v else 0 for v in xs])
+    a, b = np.meshgrid(xs, xs, indexing="ij")
+    four_a3 = 4 * a**3 % p
+    disc = (four_a3 + 27 * b * b) % p
+    traces = np.empty((p, p), dtype=np.int64)
+    for ai in range(p):
+        rhs = (xs**3 + ai * xs)[None, :] + xs[:, None]  # rows are b
+        traces[ai] = -legendre[rhs % p].sum(axis=1)
+    js = 1728 * four_a3 % p * inverse[disc] % p
+    ok = disc != 0
+    return set(zip(js[ok].tolist(), traces[ok].tolist()))
+
+
+def fundamental_traces(p):
+    for t in range(-isqrt(4 * p), isqrt(4 * p) + 1):
+        d = t * t - 4 * p
+        if t % p and d < 0 and fundamental_discriminant(d)[1] == 1:
+            yield t
+
+
+def test_enumeration_matches_full_fiber_scan():
+    """Every class with p < 200, including the D = -3 and D = -4 classes
+    whose j = 0 and j = 1728 fibers the enumeration alone scans."""
+    checked = set()
+    for p in sympy.primerange(5, 200):
+        pairs = full_fiber_traces(p)
+        for t in fundamental_traces(p):
+            want = sorted(j for j in range(p) if (j, t) in pairs)
+            assert eg.enumerate_isogeny_class(p, t) == want, (p, t)
+            checked.add((p, t))
+    assert len(checked) == 964
+    assert (7, 5) in checked and eg.enumerate_isogeny_class(7, 5) == [0]
+    assert (5, 4) in checked and eg.enumerate_isogeny_class(5, 4) == [1728 % 5]
+
+
 # ---------------------------------------------------------- division polys
 
 
@@ -196,6 +243,9 @@ def test_isogeny_rejects_bad_degree():
     assert "characteristic" in str(ei.value)
     with pytest.raises(PreconditionError):
         eg.rational_l_isogenies(c, 9)
+    with pytest.raises(PreconditionError) as ei:
+        eg.rational_l_isogenies(c, 37)
+    assert "cap" in str(ei.value)
 
 
 # ------------------------------------------------------------- whole graphs

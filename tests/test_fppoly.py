@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_pow_mod
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isocayley import fppoly as fp
@@ -65,6 +67,49 @@ def test_powmod_matches_repeated_multiplication():
     for e in range(40):
         assert np.array_equal(acc, fp.poly_powmod(u, e, g, p))
         acc = fp.poly_mod(fp.poly_mul(acc, u, p), g, p)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=200), min_size=0, max_size=12),
+    st.integers(min_value=0, max_value=24),
+    st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=8),
+    st.sampled_from(PRIMES),
+)
+@example([], 0, [5], 13)  # zero base, e = 0, constant modulus
+@example([], 5, [3, 7], 13)  # zero base, linear modulus
+@example([4, 1], 9, [2, 0, 0, 7], 13)  # non-monic modulus
+@settings(max_examples=300, deadline=None)
+def test_powmod_matches_repeated_mulmod(u_c, e, g_c, p):
+    """Zero bases, e = 0, constant and linear moduli, and non-monic moduli
+    all agree with multiplying e times from ONE."""
+    u, g = fp.poly(u_c, p), fp.poly(g_c, p)
+    if len(g) == 0:
+        with pytest.raises(InputError):
+            fp.poly_powmod(u, e, g, p)
+        return
+    acc = fp.ONE
+    for _ in range(e):
+        acc = fp.poly_mod(fp.poly_mul(acc, u, p), g, p)
+    got = fp.poly_powmod(u, e, g, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, acc)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=10**4), min_size=0, max_size=40),
+    st.lists(st.integers(min_value=0, max_value=10**4), min_size=2, max_size=40),
+    st.integers(min_value=0, max_value=10**12),
+)
+@settings(max_examples=60, deadline=None)
+def test_powmod_large_exponent_matches_sympy(u_c, g_c, e):
+    p = 9973
+    u, g = fp.poly(u_c, p), fp.poly(g_c, p)
+    if len(g) == 0:
+        return
+    want = gf_pow_mod(
+        [int(c) for c in reversed(u)], e, [int(c) for c in reversed(g)], p, ZZ
+    )
+    assert [int(c) for c in reversed(fp.poly_powmod(u, e, g, p))] == want
 
 
 def test_eval_and_derivative():

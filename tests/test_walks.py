@@ -107,6 +107,21 @@ def test_experiment_documented_triangle():
     assert res.length_lemma == 3
 
 
+def test_experiment_defaults_to_the_mixing_length(monkeypatch):
+    g = cycle_graph(9)
+    passes = []
+    real = walks.spectrum_by_characters
+    monkeypatch.setattr(walks, "spectrum_by_characters",
+                        lambda graph: passes.append(1) or real(graph))
+    cfg = WalkConfig(length=None, trials=2000, seed=123, target=(g.vertices[3],))
+    res = mixing_experiment(g, g.vertices[0], cfg)
+    assert len(passes) == 1
+    assert res.config.length == res.length_lemma == mixing_length(g, 1)
+    explicit = WalkConfig(length=res.length_lemma, trials=2000, seed=123,
+                          target=(g.vertices[3],))
+    assert mixing_experiment(g, g.vertices[0], explicit) == res
+
+
 def test_experiment_whole_vertex_set():
     tri = triangle()
     cfg = WalkConfig(length=3, trials=500, seed=1, target=tuple(tri.vertices))
