@@ -2,9 +2,12 @@
 
 Groups are kept in invariant-factor form ``Z/d_1 x ... x Z/d_k`` with
 ``d_1 | d_2 | ... | d_k``; elements are coordinate vectors reduced modulo the
-invariants.  Characters carry exact rational angles (fractions of a full
-turn), so orthogonality and restriction checks are exact; complex values only
-appear when sums are actually evaluated.
+invariants.  A character's angle at an element is an integer numerator
+modulo the exponent e of the subgroup (a full turn is e), so orthogonality
+and restriction checks are exact; complex values only appear when sums are
+actually evaluated.  :func:`character_angles` gives the whole table of
+numerators at once, and ``Fraction`` appears only in :meth:`Character.angle`,
+the per-element reference it is checked against.
 
 Abstract groups can be loaded from a small text format::
 
@@ -30,6 +33,8 @@ from fractions import Fraction
 from math import gcd, lcm, pi
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import GroupFileError, InputError, InternalConsistencyError
 
 __all__ = [
@@ -45,6 +50,7 @@ __all__ = [
     "subgroup_generated",
     "full_subgroup",
     "characters_of",
+    "character_angles",
     "smith_normal_form",
     "load_group_file",
     "parse_group_text",
@@ -380,7 +386,7 @@ class Subgroup:
                 if g.coords in closure:
                     continue
                 kept.append(g)
-                closure = _close_under(self.ambient, closure, kept)
+                closure = _close_under(self.ambient, closure, [g])
             self._reduced_gens = kept
         return self._reduced_gens
 
@@ -441,22 +447,28 @@ def _close_under(
     seed: set[tuple[int, ...]],
     gens: Sequence[GroupElement],
 ) -> set[tuple[int, ...]]:
+    """The subgroup generated by the subgroup ``seed`` (a set of coordinate
+    tuples) and ``gens``, grown one coset at a time: for g outside the
+    current closure H, <H, g> is H, H + g, ..., H + (m-1)g with m the least
+    power of g in H, so a generator already in H costs one lookup."""
     inv = group.invariants
+
+    def add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple((a + b) % d for a, b, d in zip(x, y, inv))
+
     closure = set(seed)
-    frontier = list(seed)
-    while frontier:
-        nxt = []
-        for coords in frontier:
-            for g in gens:
-                prod = tuple((x + y) % d for x, y, d in zip(coords, g.coords, inv))
-                if prod not in closure:
-                    closure.add(prod)
-                    nxt.append(prod)
-                    if len(closure) > _MAX_SUBGROUP_ORDER:
-                        raise InputError(
-                            f"subgroup closure exceeds {_MAX_SUBGROUP_ORDER} elements"
-                        )
-        frontier = nxt
+    for g in gens:
+        if g.coords in closure:
+            continue
+        base = list(closure)
+        shift = g.coords
+        while shift not in closure:
+            if len(closure) + len(base) > _MAX_SUBGROUP_ORDER:
+                raise InputError(
+                    f"subgroup closure exceeds {_MAX_SUBGROUP_ORDER} elements"
+                )
+            closure.update([add(x, shift) for x in base])
+            shift = add(shift, g.coords)
     return closure
 
 
@@ -546,6 +558,35 @@ def characters_of(subgroup: Subgroup) -> list[Character]:
     if len(chars) != subgroup.order:
         raise InternalConsistencyError("character count != subgroup order")
     return chars
+
+
+def character_angles(
+    subgroup: Subgroup, elements: Sequence[GroupElement]
+) -> tuple[int, np.ndarray]:
+    """Integer angle numerators of every character of ``subgroup``.
+
+    Returns ``(e, table)`` with e the exponent of the subgroup and ``table``
+    an int64 (|H|, len(elements)) array whose entry [i, j] is
+    e * ``chi_i.angle(elements[j])``, an integer in [0, e); the characters
+    come in :func:`characters_of` order.
+    """
+    abstract, coords_map = subgroup.abstract_structure()
+    cols = []
+    for g in elements:
+        c = coords_map.get(g.coords) if g.group == subgroup.ambient else None
+        if c is None:
+            raise InputError("element lies outside the character's subgroup")
+        cols.append(c)
+    inv = abstract.invariants
+    if not inv:
+        return 1, np.zeros((1, len(cols)), dtype=np.int64)
+    e = inv[-1]
+    # chi_i has abstract coordinates np.indices(inv)[:, i] (lexicographic, as in
+    # characters_of); each entry stays below rank * e**2 <= 20 * 10**12
+    chars = np.indices(inv, dtype=np.int64).reshape(len(inv), -1).T
+    scaled = chars * np.array([e // d for d in inv], dtype=np.int64)
+    coords = np.array(cols, dtype=np.int64).reshape(len(cols), len(inv))
+    return e, (scaled @ coords.T) % e
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ main-term/error-term study.
 from __future__ import annotations
 
 import json
+from cmath import exp as _cexp
 from collections import Counter, deque
 from dataclasses import dataclass
-from math import log, prod, sqrt
+from math import log, pi, prod, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ from .abelian import (
     Character,
     GroupElement,
     Subgroup,
+    character_angles,
     characters_of,
     op_inv,
     subgroup_generated,
@@ -219,29 +221,34 @@ class Spectrum:
         return sorted((lam for _, lam in self.entries), reverse=True)
 
 
+def _roots_of_unity(e: int) -> np.ndarray:
+    """roots[a] = exp(2 pi i a/e), each bit-identical to ``Character.value``
+    at angle a/e (a / e rounds the rational correctly, as float(Fraction))."""
+    return np.array([_cexp(2j * pi * (a / e)) for a in range(e)], dtype=np.complex128)
+
+
 def spectrum_by_characters(graph: CayleyGraph) -> Spectrum:
-    """One exact eigenvalue per character: lambda_chi = sum over S of chi(s)."""
+    """One exact eigenvalue per character: lambda_chi = sum over S of chi(s).
+
+    The sum runs over S in slot order, one column of the angle table at a
+    time, so every eigenvalue is the float that summing ``chi.value(s)``
+    gives.
+    """
     chars = characters_of(graph.subgroup)
-    entries = []
-    lambda_triv = None
-    c = 0.0
-    for chi in chars:
-        total = 0j
-        for _, s in graph.generators:
-            total += chi.value(s)
-        if abs(total.imag) > _IMAG_TOL:
-            raise InternalConsistencyError(
-                f"character eigenvalue has imaginary residue {total.imag:.3e}"
-            )
-        lam = total.real
-        entries.append((chi, lam))
-        if chi.is_trivial:
-            lambda_triv = lam
-        else:
-            c = max(c, abs(lam))
-    if lambda_triv is None:
-        raise InternalConsistencyError("no trivial character found")
-    return Spectrum(tuple(entries), lambda_triv, c)
+    e, angles = character_angles(graph.subgroup, [s for _, s in graph.generators])
+    roots = _roots_of_unity(e)
+    total = np.zeros(len(chars), dtype=np.complex128)
+    for j in range(graph.degree):
+        total += roots[angles[:, j]]
+    bad = np.flatnonzero(np.abs(total.imag) > _IMAG_TOL)
+    if bad.size:
+        raise InternalConsistencyError(
+            f"character eigenvalue has imaginary residue {total.imag[bad[0]]:.3e}"
+        )
+    lam = total.real.tolist()
+    # characters_of lists the trivial character first
+    c = max(map(abs, lam[1:]), default=0.0)
+    return Spectrum(tuple(zip(chars, lam)), lam[0], c)
 
 
 def spectrum_numeric(graph: StepGraph) -> list[float]:
@@ -377,13 +384,11 @@ def find_expander_bound(
             f"{generated.order}, not the requested {subgroup.order}"
         )
 
-    by_prime: dict[int, list] = {}
-    for g in s_all:
-        by_prime.setdefault(g.ell, []).append(g)
-
-    chars = characters_of(subgroup)
-    triv_pos = next(i for i, chi in enumerate(chars) if chi.is_trivial)
-    acc = [0j] * len(chars)
+    # the columns of the angle table follow s_all, which is in prime order
+    e, angles = character_angles(subgroup, [g.element for g in s_all])
+    roots = _roots_of_unity(e)
+    per_prime = Counter(g.ell for g in s_all)
+    acc = np.zeros(subgroup.order, dtype=np.complex128)
     k = 0
 
     disc = cls_group.discriminant
@@ -393,22 +398,18 @@ def find_expander_bound(
     rows: list[ScanRow] = []
     best: Optional[int] = None
     for p in primes_below(b_max):
-        for g in by_prime.get(p, ()):
+        for _ in range(per_prime[p]):
+            acc += roots[angles[:, k]]
             k += 1
-            for i, chi in enumerate(chars):
-                acc[i] += chi.value(g.element)
         b = p + 1
         if k == 0:
             c = 0.0
             delta2 = 0.0
         else:
-            c = 0.0
-            for i, chi in enumerate(chars):
-                if i == triv_pos:
-                    continue
-                if abs(acc[i].imag) > _IMAG_TOL * max(1, k):
-                    raise InternalConsistencyError("imaginary residue in scan eigenvalue")
-                c = max(c, abs(acc[i].real))
+            # row 0 is the trivial character (characters_of order)
+            if np.any(np.abs(acc.imag[1:]) > _IMAG_TOL * max(1, k)):
+                raise InternalConsistencyError("imaginary residue in scan eigenvalue")
+            c = float(np.abs(acc.real[1:]).max())
             delta2 = 1.0 - c / k
         params = EstimateParams(n=2, d_k=abs(disc.fundamental), nfm=nfm, index=index, b=b)
         main, envelope = eigenvalue_prediction(params, trivial=True)

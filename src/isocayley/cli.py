@@ -148,6 +148,9 @@ def _build_graph(args) -> _Graph:
     if getattr(args, "disc", None) is not None and getattr(args, "group_file", None):
         raise InputError("give either -D or --group-file, not both")
     if getattr(args, "disc", None) is not None:
+        if args.bound is None:
+            raise InputError("-D graphs need --bound to pick the prime-form generators")
+        quadform.check_prime_bound(args.bound)
         cls = quadform.class_group(args.disc)
         if args.gens:
             sub = abelian.subgroup_generated(
@@ -155,8 +158,6 @@ def _build_graph(args) -> _Graph:
             )
         else:
             sub = abelian.full_subgroup(cls.group)
-        if args.bound is None:
-            raise InputError("-D graphs need --bound to pick the prime-form generators")
         s_b = quadform.generating_multiset(cls, args.bound, sub)
         if not s_b:
             raise PreconditionError(

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .abelian import (
     FiniteAbelianGroup,
     GroupElement,
@@ -42,9 +44,13 @@ __all__ = [
     "narrow_class_group",
     "prime_form",
     "generating_multiset",
+    "check_prime_bound",
 ]
 
 DEFAULT_DISC_BOUND = 10**7
+# primes_below(B) sieves B bytes, so a prime-norm bound is checked against
+# this cap before anything is allocated
+PRIME_BOUND_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -278,23 +284,18 @@ def inverse(x: FormClass) -> FormClass:
 # ---------------------------------------------------------------------------
 
 def _reduced_definite_forms(d: int) -> Iterator[QuadForm]:
-    """All primitive reduced forms of discriminant d < 0 (ascending a)."""
+    """All primitive reduced forms of discriminant d < 0 (ascending a, then b)."""
     bound = isqrt(-d // 3)
     for a in range(1, bound + 1):
-        for b in range(-a + 1, a + 1):
-            if (b - d) % 2:
-                continue
-            num = b * b - d
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (-b == a or a == c):
-                continue
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            yield QuadForm(a, b, c)
+        # every -a < b <= a with b = d (mod 2) at once; b*b - d <= 4|d|/3
+        b = np.arange(-a + 1 + (a + 1 + d) % 2, a + 1, 2, dtype=np.int64)
+        b = b[(b * b - d) % (4 * a) == 0]
+        c = (b * b - d) // (4 * a)
+        # b > -a already, so the boundary sign rule only bites when a == c
+        keep = (c >= a) & ((b >= 0) | (c > a))
+        keep &= np.gcd(np.gcd(b, a), c) == 1
+        for bb, cc in zip(b[keep].tolist(), c[keep].tolist()):
+            yield QuadForm(a, bb, cc)
 
 
 def _divisors(n: int) -> Iterator[int]:
@@ -516,6 +517,12 @@ def prime_form(disc: "Discriminant | int", ell: int) -> Optional[tuple[FormClass
     return cls, inverse(cls), b
 
 
+def check_prime_bound(bound: int) -> None:
+    """Reject a prime-norm bound above PRIME_BOUND_CAP."""
+    if bound > PRIME_BOUND_CAP:
+        raise PreconditionError(f"prime bound {bound} exceeds the cap {PRIME_BOUND_CAP}")
+
+
 @dataclass(frozen=True)
 class SBGenerator:
     """One labeled member of the generating multiset S_B."""
@@ -543,6 +550,7 @@ def generating_multiset(
     """
     if subgroup.ambient != cls_group.group:
         raise InputError("subgroup does not live in the given class group")
+    check_prime_bound(bound)
     avoid_set = set(avoid)
     disc = cls_group.discriminant
     out: list[SBGenerator] = []

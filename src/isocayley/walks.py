@@ -37,6 +37,8 @@ _MASK64 = (1 << 64) - 1
 _Z99 = 2.5758293035489004
 
 _EXACT_LIMIT = 64
+# the step draws of an experiment form one int64 trials x length matrix
+MAX_DRAWS = 10**7
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -162,6 +164,11 @@ def mixing_experiment(graph: CayleyGraph, start, cfg: WalkConfig) -> ExperimentR
     elif cfg.length < need:
         raise PreconditionError(
             f"walk length {cfg.length} below the mixing length {need}"
+        )
+    if cfg.trials * cfg.length > MAX_DRAWS:
+        raise PreconditionError(
+            f"{cfg.trials} trials of length {cfg.length} exceed the cap of "
+            f"{MAX_DRAWS} step draws"
         )
     start_idx = graph.vertex_index(start)
     pos = _endpoints(graph, start_idx, cfg.length, cfg.trials, cfg.seed)

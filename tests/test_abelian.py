@@ -8,6 +8,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from isocayley.abelian import (
     FiniteAbelianGroup,
     GroupFileError,
+    character_angles,
     characters_of,
     full_subgroup,
     group_from_relations,
@@ -157,8 +158,61 @@ class SubgroupTest(unittest.TestCase):
             self.assertEqual(abstract.order, h.order)
             self.assertEqual(len(coords_map), h.order)
 
+    def test_closure_matches_breadth_first_search(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            g = random_group(rng)
+            gens = [random_element(rng, g) for _ in range(rng.randint(0, 4))]
+            gens += gens[: rng.randint(0, len(gens))]  # repeats change nothing
+            seen = {g.identity.coords}
+            frontier = [g.identity]
+            while frontier:
+                step = {op_mul(x, s) for x in frontier for s in gens}
+                frontier = [x for x in step if x.coords not in seen]
+                seen.update(x.coords for x in frontier)
+            h = subgroup_generated(g, gens)
+            self.assertEqual({x.coords for x in h}, seen)
+            self.assertEqual(h.generators, tuple(gens))
+            self.assertEqual(subgroup_generated(g, h.reduced_generators()), h)
+
+
+def random_group(rng, max_rank=4):
+    """Z/d_1 x ... x Z/d_k with d_i | d_(i+1), k <= max_rank, order <= 768."""
+    inv, d = [], 1
+    for _ in range(rng.randint(0, max_rank)):
+        d *= rng.choice((1, 2, 2, 3, 4))
+        inv.append(d)
+    return FiniteAbelianGroup(tuple(inv))
+
+
+def random_element(rng, g):
+    return g.element(tuple(rng.randrange(d) for d in g.invariants))
+
 
 class CharacterTest(unittest.TestCase):
+    def test_angle_table_matches_fraction_angles(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            g = random_group(rng)
+            h = subgroup_generated(g, [random_element(rng, g) for _ in range(rng.randint(0, 3))])
+            elems = [rng.choice(h.elements) for _ in range(rng.randint(0, 6))]
+            e, table = character_angles(h, elems)
+            chars = characters_of(h)
+            self.assertEqual(table.shape, (len(chars), len(elems)))
+            for i, chi in enumerate(chars):
+                for j, x in enumerate(elems):
+                    self.assertEqual(Fraction(int(table[i, j]), e), chi.angle(x))
+            self.assertTrue(all(x.order <= e and e % x.order == 0 for x in h))
+
+    def test_angle_table_rejects_outsiders(self):
+        g = FiniteAbelianGroup((6,))
+        h = subgroup_generated(g, [g.element((2,))])
+        with self.assertRaises(InputError):
+            character_angles(h, [g.element((2,)), g.element((3,))])
+        other = FiniteAbelianGroup((2, 6))
+        with self.assertRaises(InputError):
+            character_angles(full_subgroup(g), [other.element((0, 2))])
+
     def test_full_character_count_and_orthogonality(self):
         g = FiniteAbelianGroup((6,))
         chars = characters_of(full_subgroup(g))

@@ -4,7 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from isocayley.abelian import FiniteAbelianGroup, full_subgroup, op_inv, subgroup_generated
+from isocayley.abelian import (
+    FiniteAbelianGroup,
+    characters_of,
+    full_subgroup,
+    op_inv,
+    op_pow,
+    subgroup_generated,
+)
 from isocayley.cayley import (
     SCAN_CSV_HEADER,
     EstimateParams,
@@ -21,6 +28,7 @@ from isocayley.cayley import (
     to_json_adjacency,
 )
 from isocayley.errors import InputError, PreconditionError
+from isocayley.ntheory import primes_below
 from isocayley.quadform import class_group, generating_multiset
 
 
@@ -231,6 +239,83 @@ class TestPrediction:
     def test_nonpositive_params_rejected(self):
         with pytest.raises(InputError):
             EstimateParams(n=0, d_k=3, nfm=1, index=1, b=10)
+
+
+def reference_eigenvalues(graph):
+    """lambda_chi summed from Character.value over the slots, in slot order."""
+    out = []
+    for chi in characters_of(graph.subgroup):
+        total = 0j
+        for _, s in graph.generators:
+            total += chi.value(s)
+        out.append(total.real)
+    return out
+
+
+def reference_scan(cg, sub, b_max):
+    """(B, k, c, delta2) per grid point, by Character.value as primes enter."""
+    s_all = generating_multiset(cg, b_max, sub)
+    chars = characters_of(sub)
+    acc = [0j] * len(chars)
+    k = 0
+    rows = []
+    for p in primes_below(b_max):
+        for g in (g for g in s_all if g.ell == p):
+            k += 1
+            for i, chi in enumerate(chars):
+                acc[i] += chi.value(g.element)
+        c = 0.0
+        for chi, a in zip(chars, acc):
+            if k and not chi.is_trivial:
+                c = max(c, abs(a.real))
+        rows.append((p + 1, k, c, 1.0 - c / k if k else 0.0))
+    return rows
+
+
+class TestCharacterSums:
+    """The angle-table sums are the very floats Character.value sums give."""
+
+    def test_random_groups_and_subgroups(self):
+        rng = random.Random(2024)
+        for _ in range(60):
+            inv = [rng.choice((1, 2, 3, 4, 5))]
+            for _ in range(rng.randint(0, 3)):
+                inv.append(inv[-1] * rng.choice((1, 1, 2, 3)))
+            group = FiniteAbelianGroup(tuple(inv))
+            some = [group.element([rng.randrange(d) for d in group.invariants])
+                    for _ in range(rng.randint(0, 3))]
+            sub = subgroup_generated(group, some)
+            gens = []
+            for _ in range(rng.randint(1, 4)):
+                e = rng.choice(sub.elements)
+                gens += [(str(e.coords), e), (f"{e.coords}^-1", op_inv(e))]
+            gens += gens[: 2 * rng.randint(0, len(gens) // 2)]  # repeated pairs
+            graph = build(sub, gens)
+            spec = spectrum_by_characters(graph)
+            ref = reference_eigenvalues(graph)
+            assert [lam for _, lam in spec.entries] == ref
+            assert [chi for chi, _ in spec.entries] == characters_of(sub)
+            assert spec.lambda_triv == ref[0] == len(gens)
+            assert spec.c == max(map(abs, ref[1:]), default=0.0)
+
+    def test_trivial_subgroup(self):
+        group = FiniteAbelianGroup((2, 6))
+        triv = subgroup_generated(group, [])
+        graph = build(triv, [("e", group.identity)] * 3)
+        spec = spectrum_by_characters(graph)
+        assert [lam for _, lam in spec.entries] == reference_eigenvalues(graph) == [3.0]
+        assert spec.c == 0.0
+
+    @pytest.mark.parametrize("d, b_max, index", [(-1760, 300, 1), (-1760, 400, 2), (-9999960, 60, 1)])
+    def test_scan_matches_reference_loop(self, d, b_max, index):
+        cg = class_group(d)
+        assert cg.group.rank >= 3
+        sub = full_subgroup(cg.group)
+        if index > 1:
+            sub = subgroup_generated(cg.group, [op_pow(x, index) for x in cg.group.generators()])
+            assert sub.index > 1
+        _, rows = find_expander_bound(cg, sub, 0.0, b_max)
+        assert [(r.b, r.lambda_triv, r.c, r.delta2) for r in rows] == reference_scan(cg, sub, b_max)
 
 
 class TestExpanderScan:

@@ -1,14 +1,18 @@
 """End-to-end exercises of the command-line front end."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isocayley import ecgraph, walks
+from isocayley import cayley, ecgraph, ntheory, quadform, walks
 from isocayley.cli import ARTIFACT_SCHEMAS, main, schema_for
 
 Z9 = "invariants: 9\n"
@@ -218,6 +222,40 @@ def test_degree_cap_checked_before_any_work(capsys, monkeypatch):
         assert "cap" in err
 
 
+def test_prime_bound_cap_checked_before_any_work(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the prime-bound cap was checked")
+
+    for mod in (ntheory, quadform, cayley):
+        monkeypatch.setattr(mod, "primes_below", unreachable)
+    monkeypatch.setattr(quadform, "class_group", unreachable)
+    too_big = str(quadform.PRIME_BOUND_CAP + 1)
+    for argv in (
+        ["spectrum", "-D", "-23", "--bound", too_big],
+        ["spectrum", "-D", "-23", "--bound", str(10**10)],
+        ["mix", "-D", "-23", "--bound", too_big, "--target", "id"],
+        ["path", "-D", "-23", "--bound", too_big, "-A", "id", "-B", "id"],
+    ):
+        rc, _, err = run(capsys, argv)
+        assert rc == 3
+        assert "cap" in err
+
+
+def test_draws_cap_checked_before_walking(capsys, monkeypatch, z9):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("walks were drawn before the draws cap was checked")
+
+    monkeypatch.setattr(walks, "_endpoints", unreachable)
+    over = str(walks.MAX_DRAWS + 1)
+    for extra in (["--trials", str(walks.MAX_DRAWS // 5 + 1), "--length", "5"],
+                  ["--trials", "1", "--length", over],
+                  ["--trials", over]):  # at the resolved mixing length
+        rc, _, err = run(capsys, ["mix", "--group-file", z9, "--gens", "1,2",
+                                  "--target", "3", *extra])
+        assert rc == 3
+        assert "cap" in err
+
+
 def test_dlpdemo_transcript(capsys):
     rc, out, _ = run(capsys, ["dlpdemo", "-p", "31", "-t", "3", "-L", "7", "--seed", "5"])
     assert rc == 0
@@ -304,3 +342,76 @@ def test_version_flag():
     )
     assert r.returncode == 0
     assert r.stdout.startswith("isocayley ")
+
+
+# valid spellings are listed more than once so that most draws get past
+# argument parsing
+_DISCS = st.sampled_from(["-23", "-23", "-47", "-47", "-20", "-3", "-4", "-13", "0", "5",
+                          "12", "-100000007", "x"])
+_BOUNDS = st.sampled_from(["3", "30", "30", "300", None, "-5", "0", "2",
+                           str(quadform.PRIME_BOUND_CAP + 1), str(10**10), str(10**30)])
+_VERTICES = st.sampled_from(["id", "id", "1:1:6", "2:1:3", "2:-1:3", "3", "3", "9:9:9",
+                             "1:2", "x", ""])
+_COUNTS = st.sampled_from([None, None, "40", "40", "-1", "0", "1", str(10**12), "y"])
+
+
+@st.composite
+def _argv(draw, group_file, garbage_file, missing_file):
+    cmd = draw(st.sampled_from(
+        ["classgroup", "spectrum", "mix", "path", "verify", "ecgraph", "dlpdemo"]))
+    argv = [cmd]
+
+    def maybe(flag, strategy):
+        value = draw(strategy)
+        if value is not None:
+            argv.extend([flag, value])
+
+    if cmd == "classgroup":
+        maybe("-D", _DISCS)
+    elif cmd in ("ecgraph", "dlpdemo"):
+        maybe("-p", st.sampled_from(["31", "31", "37", "4", "-7", "10007", "z"]))
+        maybe("-t", st.sampled_from(["3", "3", "1", "0", "99", "-12"]))
+        maybe("-L", st.sampled_from(["7", "7", "5,7", "3", "2", "3,37", "", "a,b", "31"]))
+    else:
+        if draw(st.booleans()):
+            maybe("-D", _DISCS)
+            maybe("--bound", _BOUNDS)
+        else:
+            maybe("--group-file",
+                  st.sampled_from([group_file, group_file, missing_file, garbage_file]))
+            maybe("--gens", st.sampled_from(["1", "1,2", "1,2", "2", "2:0", "1:1:6", "x"]))
+            maybe("--subgroup", st.sampled_from([None, None, "even", "odd"]))
+        if cmd == "mix":
+            maybe("--target", _VERTICES)
+            maybe("--trials", _COUNTS)
+            maybe("--length", _COUNTS)
+        elif cmd == "path":
+            maybe("-A", _VERTICES)
+            maybe("-B", _VERTICES)
+        elif cmd == "verify":
+            argv.append(draw(st.sampled_from([missing_file, garbage_file, group_file])))
+    maybe("--seed", st.sampled_from([None, None, "7", "-1", str(2**64)]))
+    maybe("--format", st.sampled_from([None, None, "json", "csv", "dot", "xml"]))
+    return argv
+
+
+def test_random_argv_exits_cleanly(tmp_path_factory):
+    """Any argv maps to exit 0-3, and no traceback reaches stderr."""
+    root = tmp_path_factory.mktemp("argv")
+    (root / "z12.grp").write_text(Z12_WITH_SUB)
+    (root / "garbage.json").write_text("{not json")
+    files = [str(root / name) for name in ("z12.grp", "garbage.json", "missing.grp")]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_argv(*files))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as e:  # argparse rejects the argv
+                rc = e.code
+        assert rc in (0, 1, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
+
+    check()

@@ -1,16 +1,19 @@
 import json
 import random
 from collections import Counter, deque
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import legendre_symbol
 
+from isocayley import quadform
 from isocayley.abelian import full_subgroup, op_mul, subgroup_generated
 from isocayley.errors import InputError, PreconditionError
 from isocayley.ntheory import is_prime, kronecker, primes_below
 from isocayley.quadform import (
+    PRIME_BOUND_CAP,
     ClassGroup,
     Discriminant,
     QuadForm,
@@ -23,6 +26,7 @@ from isocayley.quadform import (
     prime_form,
     principal_form,
     reduce_form,
+    _reduced_definite_forms,
 )
 
 # class numbers from the Dirichlet formula h = |sum kron(D,a)*a| / |D|
@@ -153,6 +157,28 @@ class TestCompose:
     def test_discriminant_mismatch(self):
         with pytest.raises(InputError):
             compose(form_class(QuadForm(1, 1, 6)), form_class(QuadForm(1, 0, 5)))
+
+
+def scalar_reduced_forms(d):
+    """Primitive reduced forms of d < 0, one (a, b) pair at a time."""
+    out = []
+    for a in range(1, isqrt(-d // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            if (b - d) % 2 or (b * b - d) % (4 * a):
+                continue
+            c = (b * b - d) // (4 * a)
+            if c < a or (b < 0 and (-b == a or a == c)) or gcd(gcd(a, b), c) != 1:
+                continue
+            out.append(QuadForm(a, b, c))
+    return out
+
+
+def test_enumeration_matches_scalar_loop():
+    discs = [d for d in range(-3000, -2) if d % 4 in (0, 1)] + [-9999991, -9999960]
+    for d in discs:
+        got = list(_reduced_definite_forms(d))
+        assert got == scalar_reduced_forms(d), f"D={d}"
+        assert all(type(x) is int for f in got for x in f.triple())
 
 
 class TestClassGroup:
@@ -327,6 +353,15 @@ class TestGeneratingMultiset:
         cg115 = class_group(-115)
         with pytest.raises(InputError):
             generating_multiset(cg23, 10, full_subgroup(cg115.group))
+
+    def test_bound_cap(self, monkeypatch):
+        def unreachable(n):
+            raise AssertionError("sieved past the prime-bound cap")
+
+        cg = class_group(-23)
+        monkeypatch.setattr(quadform, "primes_below", unreachable)
+        with pytest.raises(PreconditionError):
+            generating_multiset(cg, PRIME_BOUND_CAP + 1, full_subgroup(cg.group))
 
 
 @settings(max_examples=40, deadline=None)
