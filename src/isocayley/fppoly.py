@@ -162,7 +162,7 @@ def _reduction_rows(g, p):
     return rows
 
 
-def poly_powmod(u, e: int, g, p):
+def poly_powmod(u, e: int, g, p, rows=None):
     """u^e mod g by square-and-multiply, reducing by a fixed table.
 
     Each product of two residues (degree < n = deg g) has degree <= 2n - 2;
@@ -171,7 +171,8 @@ def poly_powmod(u, e: int, g, p):
     matrix product is a sum of at most n terms below p^2, so n * p^2 < 2^63
     keeps the int64 arithmetic exact (n = 480, p = 10^4 at the caps of
     ``ecgraph``).  e = 0 gives ONE whatever g is, as repeated multiplication
-    from ONE would.
+    from ONE would.  A caller that powers many residues mod one g passes
+    ``rows = _reduction_rows(g, p)`` so the table is built once.
     """
     if e < 0:
         raise InputError("negative polynomial exponent")
@@ -181,7 +182,8 @@ def poly_powmod(u, e: int, g, p):
         return result
     g = trim(g)
     n = len(g) - 1
-    rows = _reduction_rows(g, p)
+    if rows is None:
+        rows = _reduction_rows(g, p)
 
     def mulmod(v, w):
         if len(v) == 0 or len(w) == 0:
@@ -220,13 +222,14 @@ def distinct_degree_split(f, p, max_degree):
     larger) is returned as the second element.
     """
     f = make_monic(f, p)
+    rows = _reduction_rows(f, p)
     blocks = []
     r = X
     remaining = f
     for d in range(1, max_degree + 1):
         if degree(remaining) <= 0:
             break
-        r = poly_powmod(r, p, f, p)
+        r = poly_powmod(r, p, f, p, rows)
         block = poly_gcd(poly_sub(r, X, p), remaining, p)
         if degree(block) > 0:
             blocks.append((d, block))
@@ -243,11 +246,12 @@ def equal_degree_factors(f, p, d, rng):
     if n % d:
         raise InputError(f"degree {n} is not a multiple of the block degree {d}")
     exp = (p**d - 1) // 2
+    rows = _reduction_rows(f, p)
     for _ in range(128):
         r = trim(rng.integers(0, p, size=n, dtype=np.int64))
         if degree(r) < 1:
             continue
-        s = poly_sub(poly_powmod(r, exp, f, p), ONE, p)
+        s = poly_sub(poly_powmod(r, exp, f, p, rows), ONE, p)
         g = poly_gcd(s, f, p)
         if 0 < degree(g) < n:
             left = equal_degree_factors(g, p, d, rng)

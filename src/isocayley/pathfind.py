@@ -25,7 +25,7 @@ from typing import Optional
 
 from .cayley import StepGraph
 from .errors import InputError, InternalConsistencyError, PreconditionError, TrialCapError
-from .walks import trial_rng
+from .walks import trial_steps
 
 __all__ = [
     "PathStep",
@@ -88,13 +88,13 @@ def replay(graph: StepGraph, cert: PathCertificate) -> bool:
     return graph.vertices[i] == cert.end
 
 
-def _walk_record(graph, start_idx: int, length: int, rng) -> tuple[int, list[PathStep]]:
+def _walk_record(graph, start_idx: int, draws) -> tuple[int, list[PathStep]]:
     i = start_idx
     steps: list[PathStep] = []
     table = graph.step_table
-    for j in rng.integers(0, graph.degree, size=length) if length else ():
-        steps.append(PathStep(graph.generators[int(j)][0], False))
-        i = int(table[int(j), i])
+    for j in draws.tolist():
+        steps.append(PathStep(graph.generators[j][0], False))
+        i = int(table[j, i])
     return i, steps
 
 
@@ -114,13 +114,14 @@ def collect_neighbors(graph, a, seed: int) -> tuple[dict, SearchStats]:
     a_idx = graph.vertex_index(a)
     neighbors: dict = {}
     trials = 0
+    draws = trial_steps(seed, 0, graph.degree, length)
     while len(neighbors) < n_target:
         if trials >= cap:
             raise TrialCapError(
                 f"step 1 exceeded {cap} trials with {len(neighbors)} of "
                 f"{n_target} endpoints; the graph may not be a connected expander"
             )
-        end_idx, steps = _walk_record(graph, a_idx, length, trial_rng(seed, trials))
+        end_idx, steps = _walk_record(graph, a_idx, next(draws))
         trials += 1
         end_v = graph.vertices[end_idx]
         if end_v not in neighbors:
@@ -141,9 +142,9 @@ def meet_from_target(
     cap = TRIAL_CAP_FACTOR * h
     b_idx = graph.vertex_index(b)
     trials = 0
+    draws = trial_steps(seed, _STEP2_STREAM_OFFSET, graph.degree, length)
     while trials < cap:
-        rng = trial_rng(seed, _STEP2_STREAM_OFFSET + trials)
-        end_idx, steps = _walk_record(graph, b_idx, length, rng)
+        end_idx, steps = _walk_record(graph, b_idx, next(draws))
         trials += 1
         end_v = graph.vertices[end_idx]
         if end_v in neighbors:

@@ -6,6 +6,21 @@ t of an experiment with master seed s draws from the stream keyed by the
 of (seed, trial index): any execution order, or a parallel run, produces the
 same statistics.  Walk steps pick uniformly among the k generator slots,
 multiplicity included, matching the adjacency operator.
+
+The step draws of trial t are exactly
+``trial_rng(seed, t).integers(0, k, size=length)``; :func:`walk_steps`
+replays numpy's Philox4x64-10 for many trials at once (Salmon et al.,
+SC'11), bit for bit:
+
+* the key words are (t, seed), and the first 4 x 64-bit block of a trial
+  uses counter 1, because numpy increments the counter before it fills its
+  buffer;
+* each 64-bit word gives two 32-bit draws, its low half first;
+* draw j is (u32 * k) >> 32, numpy's Lemire multiply-shift for k < 2^32
+  (Lemire, ACM TOMACS 2019).  A draw whose low product word is below
+  (2^32 - k) mod k is rejected by numpy and replaced by the next 32 bits,
+  which shifts the rest of the trial, so any trial with a rejection, and
+  every trial when k >= 2^32, is drawn again by the scalar ``trial_rng``.
 """
 from __future__ import annotations
 
@@ -23,6 +38,8 @@ __all__ = [
     "WalkConfig",
     "ExperimentResult",
     "trial_rng",
+    "walk_steps",
+    "trial_steps",
     "random_walk",
     "mixing_length",
     "theorem_length",
@@ -37,14 +54,101 @@ _MASK64 = (1 << 64) - 1
 _Z99 = 2.5758293035489004
 
 _EXACT_LIMIT = 64
-# the step draws of an experiment form one int64 trials x length matrix
+# work cap of one experiment: trials x length step draws and table lookups
 MAX_DRAWS = 10**7
+# _endpoints walks this many trials at a time, drawing about _CHUNK_DRAWS
+# steps at once
+_CHUNK_TRIALS = 4096
+_CHUNK_DRAWS = 1 << 15
+# trial_steps draws this many trials ahead of the caller
+_BATCH_TRIALS = 64
+
+# Philox4x64 round multipliers and key bumps
+_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
+_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+_PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
+_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """The Philox stream for one trial: key = (seed << 64) | trial."""
     key = ((seed & _MASK64) << 64) | (trial & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of a * m; the high word from 32-bit limbs
+    (Warren, Hacker's Delight, mulhu)."""
+    a0, a1 = a & _LO32, a >> _U32
+    m0, m1 = m & _LO32, m >> _U32
+    t = a1 * m0
+    t += (a0 * m0) >> _U32
+    w = t & _LO32
+    w += a0 * m1
+    hi = a1 * m1
+    hi += t >> _U32
+    hi += w >> _U32
+    return hi, a * m
+
+
+def _philox_words(seed: int, first: int, trials: int, b0: int, b1: int) -> np.ndarray:
+    """(trials, 8 * (b1 - b0)) uint64 array: the 32-bit draws of the blocks
+    with counters b0 + 1 .. b1 under the keys (first + i, seed), in numpy's
+    draw order."""
+    k0 = (np.uint64(first & _MASK64) + np.arange(trials, dtype=np.uint64))[:, None]
+    k1 = np.full((1, 1), seed & _MASK64, dtype=np.uint64)
+    x0 = np.arange(b0 + 1, b1 + 1, dtype=np.uint64)[None, :]
+    x1 = x2 = x3 = np.zeros((1, 1), dtype=np.uint64)
+    # the words broadcast to (trials, blocks) as the rounds mix key and
+    # counter: the first two rounds run mostly on one row or one column
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = k0 + _PHILOX_W0
+            k1 = k1 + _PHILOX_W1
+        hi0, lo0 = _mulhilo(x0, _PHILOX_M0)
+        hi1, lo1 = _mulhilo(x2, _PHILOX_M1)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    out = np.empty((trials, b1 - b0, 4, 2), dtype=np.uint64)
+    for w, x in enumerate((x0, x1, x2, x3)):
+        out[:, :, w, 0] = x & _LO32
+        out[:, :, w, 1] = x >> _U32
+    return out.reshape(trials, 8 * (b1 - b0))
+
+
+def _draws(seed: int, first: int, trials: int, k: int, start: int, stop: int):
+    """Draws start .. stop - 1 of the trials first .. first + trials - 1 as
+    an int64 (trials, stop - start) array, and a per-trial flag that is
+    True where numpy draws them otherwise (a Lemire rejection, or k outside
+    [1, 2^32)); the draws of a flagged trial are meaningless."""
+    if stop == start:
+        return np.empty((trials, 0), dtype=np.int64), np.zeros(trials, dtype=bool)
+    if not 1 <= k < 1 << 32:
+        return np.zeros((trials, stop - start), dtype=np.int64), np.ones(trials, dtype=bool)
+    b0 = start // 8
+    words = _philox_words(seed, first, trials, b0, -(-stop // 8))
+    prod = words[:, start - 8 * b0 : stop - 8 * b0] * np.uint64(k)
+    rejected = ((prod & _LO32) < ((1 << 32) - k) % k).any(axis=1)
+    return (prod >> _U32).astype(np.int64), rejected
+
+
+def walk_steps(seed: int, first: int, trials: int, k: int, length: int) -> np.ndarray:
+    """(trials, length) int64 slot draws; row i is exactly
+    trial_rng(seed, first + i).integers(0, k, size=length)."""
+    steps, redo = _draws(seed, first, trials, k, 0, length)
+    for i in np.flatnonzero(redo):
+        steps[i] = trial_rng(seed, first + int(i)).integers(0, k, size=length)
+    return steps
+
+
+def trial_steps(seed: int, first: int, k: int, length: int):
+    """Slot draws of the trials first, first + 1, ... in order, one int64
+    row each, drawn _BATCH_TRIALS trials at a time."""
+    while True:
+        yield from walk_steps(seed, first, _BATCH_TRIALS, k, length)
+        first += _BATCH_TRIALS
 
 
 def random_walk(graph: CayleyGraph, start, length: int, rng: np.random.Generator):
@@ -60,7 +164,10 @@ def random_walk(graph: CayleyGraph, start, length: int, rng: np.random.Generator
 
 
 def mixing_length(graph: CayleyGraph, w_size: int) -> int:
-    """ceil( ln(2|H| / sqrt|W|) / ln(k/c) ), using the measured gap."""
+    """ceil( ln(2|H| / sqrt|W|) / ln(k/c) ), using the measured gap.
+
+    c = 0 makes one step exactly uniform; the bound tends to 1 as c -> 0.
+    """
     if not 1 <= w_size <= graph.order:
         raise InputError(f"target size {w_size} out of range for order {graph.order}")
     _, _, c = expansion(spectrum_by_characters(graph))
@@ -69,6 +176,8 @@ def mixing_length(graph: CayleyGraph, w_size: int) -> int:
         raise PreconditionError(
             f"not a two-sided expander (c = {c:.6g}, k = {k}); mixing length diverges"
         )
+    if c == 0:
+        return 1
     return ceil(log(2 * graph.order / sqrt(w_size)) / log(k / c))
 
 
@@ -97,23 +206,25 @@ class WalkConfig:
 
 
 def _endpoints(graph: CayleyGraph, start_idx: int, length: int, trials: int, seed: int) -> np.ndarray:
-    """End-vertex indices of `trials` independent walks (vectorized fold)."""
-    if length == 0:
-        return np.full(trials, start_idx, dtype=np.int64)
-    k = graph.degree
-    draws = np.empty((trials, length), dtype=np.int64)
-    # one Philox re-keyed per trial draws exactly what trial_rng(seed, t)
-    # would, without building a generator (most of a trial's cost) each time
-    rng = trial_rng(seed, 0)
-    state = rng.bit_generator.state
-    for t in range(trials):
-        state["state"]["key"][0] = t & _MASK64
-        rng.bit_generator.state = state
-        draws[t] = rng.integers(0, k, size=length)
-    table = graph.step_table
+    """End-vertex indices of `trials` independent walks.  Walks advance
+    _CHUNK_TRIALS at a time through windows of about _CHUNK_DRAWS draws, so
+    memory stays bounded whatever the trial count and length."""
     pos = np.full(trials, start_idx, dtype=np.int64)
-    for step in range(length):
-        pos = table[draws[:, step], pos]
+    table = graph.step_table
+    for first in range(0, trials, _CHUNK_TRIALS):
+        at = pos[first : first + _CHUNK_TRIALS]
+        n = len(at)
+        width = max(8, _CHUNK_DRAWS // n // 8 * 8)  # whole Philox blocks
+        redo = np.zeros(n, dtype=bool)
+        for start in range(0, length, width):
+            steps, rejected = _draws(seed, first, n, graph.degree, start, min(length, start + width))
+            redo |= rejected
+            for column in steps.T:
+                at = table[column, at]
+        for i in np.flatnonzero(redo):
+            end = random_walk(graph, graph.vertices[start_idx], length, trial_rng(seed, first + int(i)))
+            at[i] = graph.vertex_index(end)
+        pos[first : first + n] = at
     return pos
 
 

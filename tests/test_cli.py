@@ -127,6 +127,24 @@ def test_mix_makes_one_character_pass(capsys, monkeypatch, z9):
     assert data["config"]["length"] == data["length_lemma"]
 
 
+def test_mix_when_one_step_is_uniform(capsys, tmp_path):
+    # the spectral gap is complete (c = 0), so the mixing length is 1
+    z2 = tmp_path / "z2.grp"
+    z2.write_text("invariants: 2\n")
+    z4x12 = tmp_path / "z4x12.grp"
+    z4x12.write_text("invariants: 4 12\n")
+    for argv in (["mix", "--group-file", str(z2), "--gens", "0,1", "--target", "1"],
+                 ["mix", "--group-file", str(z4x12), "--gens", "0:0", "--target", "0:0"]):
+        rc, out, err = run(capsys, argv + ["--trials", "200"])
+        assert rc == 0, err
+        data = json.loads(out)
+        assert data["length_lemma"] == 1 and data["config"]["length"] == 1
+    rc, _, err = run(capsys, ["mix", "--group-file", str(z2), "--gens", "0,1",
+                              "--target", "1", "--length", "0"])
+    assert rc == 3
+    assert "error (precondition)" in err
+
+
 def test_path_then_verify_round_trip(capsys, tmp_path, z9):
     outdir = tmp_path / "run"
     rc, _, _ = run(

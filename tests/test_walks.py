@@ -2,11 +2,14 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isocayley import walks
-from isocayley.abelian import FiniteAbelianGroup, full_subgroup
+from isocayley.abelian import FiniteAbelianGroup, full_subgroup, subgroup_generated
 from isocayley.cayley import build
 from isocayley.errors import InputError, PreconditionError
+from isocayley.pathfind import _STEP2_STREAM_OFFSET
 from isocayley.walks import (
     WalkConfig,
     exact_distribution,
@@ -16,6 +19,7 @@ from isocayley.walks import (
     report_json,
     theorem_length,
     trial_rng,
+    walk_steps,
     wilson_interval,
 )
 
@@ -51,6 +55,17 @@ def test_mixing_length_rejects_bipartite_and_disconnected():
     dis = build(full_subgroup(g4), [("2", g4.element((2,))), ("2", g4.element((2,)))])
     with pytest.raises(PreconditionError):
         mixing_length(dis, 1)
+
+
+def test_mixing_length_is_one_when_one_step_is_uniform():
+    # c = 0: the identity loop and the generator of Z/2 cancel on the sign
+    # character; a trivial subgroup has no nontrivial character at all
+    g2 = FiniteAbelianGroup((2,))
+    z2 = build(full_subgroup(g2), [("0", g2.identity), ("1", g2.element((1,)))])
+    assert mixing_length(z2, 1) == 1
+    g = FiniteAbelianGroup((4, 12))
+    trivial = build(subgroup_generated(g, [g.identity]), [("0:0", g.identity)])
+    assert mixing_length(trivial, 1) == 1
 
 
 def test_theorem_length_drops_spectral_factor():
@@ -168,6 +183,72 @@ def test_bulk_endpoints_match_per_trial_streams():
                     i = int(g.step_table[j, i])
                 want.append(i)
             assert walks._endpoints(g, 3, length, 200, seed).tolist() == want
+
+
+def _scalar_steps(seed, first, trials, k, length):
+    return [trial_rng(seed, first + t).integers(0, k, size=length).tolist()
+            for t in range(trials)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**63, 2**64 - 1),
+                   st.just(2**64 - 1)),
+    first=st.one_of(st.integers(0, 2**20),
+                    st.integers(_STEP2_STREAM_OFFSET, _STEP2_STREAM_OFFSET + 2**20)),
+    k=st.sampled_from([1, 2, 3, 6, 16, 2**32 - 1]),
+    length=st.integers(0, 70),
+    trials=st.integers(1, 12),
+)
+def test_walk_steps_match_trial_rng(seed, first, k, length, trials):
+    got = walk_steps(seed, first, trials, k, length)
+    assert got.dtype == np.int64 and got.shape == (trials, length)
+    assert got.tolist() == _scalar_steps(seed, first, trials, k, length)
+
+
+@pytest.mark.parametrize("k", [3 * 2**30, 2**32, 2**40])
+def test_walk_steps_fall_back_to_the_scalar_stream(monkeypatch, k):
+    # at k = 3 * 2^30 numpy rejects a quarter of the 32-bit draws; k >= 2^32
+    # is not drawn from 32-bit halves at all
+    calls = []
+
+    def counted(seed, trial):
+        calls.append(trial)
+        return trial_rng(seed, trial)
+
+    monkeypatch.setattr(walks, "trial_rng", counted)
+    seed, first, trials, length = 2**63 + 12345, _STEP2_STREAM_OFFSET, 40, 9
+    got = walk_steps(seed, first, trials, k, length).tolist()
+    redrawn = len(calls)
+    assert got == _scalar_steps(seed, first, trials, k, length)
+    if k < 2**32:
+        assert 0 < redrawn < trials  # both paths ran
+    else:
+        assert redrawn == trials
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_endpoints_across_chunks_match_random_walk(monkeypatch, forced):
+    if forced:  # flag every fifth trial as rejected and spoil its draws
+        real = walks._draws
+
+        def flagging(seed, first, trials, k, start, stop):
+            steps, rejected = real(seed, first, trials, k, start, stop)
+            spoil = (first + np.arange(trials)) % 5 == 0
+            steps[spoil] = 0
+            return steps, rejected | spoil
+
+        monkeypatch.setattr(walks, "_draws", flagging)
+    z12 = FiniteAbelianGroup((12,))
+    g = build(full_subgroup(z12), [(f"{s}", z12.element((s,))) for s in (1, 11, 5, 7, 6)])
+    # two full chunks of trials and a partial one; an odd length spread over
+    # several draw windows, the last of them ending inside a Philox block
+    trials = 2 * walks._CHUNK_TRIALS + 17
+    length = 2 * (walks._CHUNK_DRAWS // walks._CHUNK_TRIALS) + 5
+    start = g.vertices[3]
+    want = [g.vertex_index(random_walk(g, start, length, trial_rng(77, t)))
+            for t in range(trials)]
+    assert walks._endpoints(g, 3, length, trials, 77).tolist() == want
 
 
 def test_exact_distribution_is_stochastic():
