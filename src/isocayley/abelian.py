@@ -9,6 +9,12 @@ actually evaluated.  :func:`character_angles` gives the whole table of
 numerators at once, and ``Fraction`` appears only in :meth:`Character.angle`,
 the per-element reference it is checked against.
 
+:func:`structure_of` is the one structure walk of the package: given the
+elements of a finite abelian group and its operation, it finds the
+invariant factors and every element's coordinates.  Class groups run it on
+form classes under composition, and :meth:`Subgroup.abstract_structure` on
+coordinate tuples under addition.
+
 Abstract groups can be loaded from a small text format::
 
     # comment lines and blank lines are ignored; '#' starts a comment anywhere
@@ -31,11 +37,13 @@ from cmath import exp as _cexp
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, pi
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import GroupFileError, InputError, InternalConsistencyError
+
+_T = TypeVar("_T")
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -44,6 +52,7 @@ __all__ = [
     "Subgroup",
     "GroupFile",
     "group_from_relations",
+    "structure_of",
     "op_mul",
     "op_inv",
     "op_pow",
@@ -163,13 +172,6 @@ def smith_normal_form(
     return diag, u, v
 
 
-def _integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Basis of {x : x @ A == 0} for the matrix with the given rows."""
-    diag, u, _ = smith_normal_form(rows, ncols)
-    rank = sum(1 for d in diag if d)
-    return [u[i] for i in range(rank, len(rows))]
-
-
 # ---------------------------------------------------------------------------
 # Groups and elements
 # ---------------------------------------------------------------------------
@@ -244,15 +246,6 @@ class GroupElement:
             if not 0 <= c < d:
                 raise InputError(f"coordinate {c} out of range for invariant {d}")
 
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return op_mul(self, other)
-
-    def inverse(self) -> "GroupElement":
-        return op_inv(self)
-
-    def __pow__(self, e: int) -> "GroupElement":
-        return op_pow(self, e)
-
     @property
     def order(self) -> int:
         return lcm(1, *(d // gcd(d, c) for c, d in zip(self.coords, self.group.invariants)))
@@ -317,6 +310,53 @@ def group_from_relations(
     return group, images
 
 
+def structure_of(
+    elements: Iterable[_T], identity: _T, op: Callable[[_T, _T], _T]
+) -> tuple[FiniteAbelianGroup, dict[_T, tuple[int, ...]]]:
+    """Invariant-factor structure of the finite abelian group generated by
+    ``elements`` under ``op``, plus the coordinates of every group element.
+
+    Greedy structure walk (Cohen, GTM 138, 5.2-5.4; Buchmann and Schmidt,
+    Math. Comp. 2005): each element not yet expressed becomes the next
+    generator g.  With k the least power of g in the subgroup H built so
+    far, the cosets g^i H for 0 < i < k are all new, and g^k = h in H gives
+    the triangular relation row k e_g - vec(h).  SNF turns the rows into
+    invariants and generator images; every element's coordinates are its
+    exponent vector times the images, modulo the invariants.
+    """
+    reps: dict[_T, list[int]] = {identity: []}  # element -> exponents of the generators
+    rows: list[list[int]] = []
+    for g in elements:
+        if g in reps:
+            continue
+        r = len(rows)
+        known = [(base, vec + [0] * (r - len(vec))) for base, vec in reps.items()]
+        power, k = g, 1
+        while power not in reps:
+            # power = g^k lies outside H, so the whole coset power * H is new
+            for base, vec in known:
+                prod = op(power, base)
+                if prod in reps:
+                    raise InternalConsistencyError("coset overlap during structure walk")
+                reps[prod] = vec + [k]
+            power = op(power, g)
+            k += 1
+        vec = reps[power]
+        rows.append([-x for x in vec] + [0] * (r - len(vec)) + [k])
+    n = len(rows)
+    group, images = group_from_relations(n, [row + [0] * (n - len(row)) for row in rows])
+    keys = list(reps)
+    coeffs = np.array([vec + [0] * (n - len(vec)) for vec in reps.values()], dtype=np.int64)
+    del reps  # frees the exponent lists before the coordinate tuples are built
+    # exponents stay below |G| and images below the invariants, so each
+    # entry of the product is below n * |G|**2, far inside int64
+    gens = np.array([e.coords for e in images], dtype=np.int64)
+    coords = (coeffs.reshape(len(keys), n) @ gens.reshape(n, group.rank)) % np.array(
+        group.invariants, dtype=np.int64
+    )
+    return group, dict(zip(keys, map(tuple, coords.tolist())))
+
+
 # ---------------------------------------------------------------------------
 # Subgroups
 # ---------------------------------------------------------------------------
@@ -342,7 +382,6 @@ class Subgroup:
         self.generators = tuple(generators)
         self._sorted_coords = [g.coords for g in self.elements]
         self._abstract: tuple[FiniteAbelianGroup, dict[tuple[int, ...], tuple[int, ...]]] | None = None
-        self._reduced_gens: list[GroupElement] | None = None
 
     @property
     def order(self) -> int:
@@ -377,19 +416,6 @@ class Subgroup:
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.ambient})"
 
-    def reduced_generators(self) -> list[GroupElement]:
-        """A small generating sublist of ``generators`` (greedy closure)."""
-        if self._reduced_gens is None:
-            kept: list[GroupElement] = []
-            closure = {self.ambient.identity.coords}
-            for g in self.generators:
-                if g.coords in closure:
-                    continue
-                kept.append(g)
-                closure = _close_under(self.ambient, closure, [g])
-            self._reduced_gens = kept
-        return self._reduced_gens
-
     def abstract_structure(
         self,
     ) -> tuple[FiniteAbelianGroup, dict[tuple[int, ...], tuple[int, ...]]]:
@@ -398,48 +424,22 @@ class Subgroup:
         The map is a group isomorphism onto the returned group; it is what
         lets characters of the subgroup be evaluated on ambient elements.
         """
-        if self._abstract is not None:
-            return self._abstract
-        gens = self.reduced_generators()
-        amb_inv = self.ambient.invariants
-        k, r = len(amb_inv), len(gens)
-        if r == 0:
-            trivial = FiniteAbelianGroup(())
-            self._abstract = (trivial, {self.ambient.identity.coords: ()})
-            return self._abstract
-        # relation lattice of the generator map Z^r -> ambient: project the
-        # integer kernel of  (z, w) |-> M z + diag(d) w  onto the z block
-        a_rows = [
-            [(gens[j].coords[i] if j < r else amb_inv[i] * (j - r == i)) for j in range(r + k)]
-            for i in range(k)
-        ]
-        transpose = [[a_rows[i][j] for i in range(k)] for j in range(r + k)]
-        kernel = _integer_kernel(transpose, k)
-        relations = [row[:r] for row in kernel]
-        abstract, images = group_from_relations(r, relations)
-        if abstract.order != self.order:
-            raise InternalConsistencyError(
-                f"subgroup presentation of order {abstract.order} != {self.order}"
+        if self._abstract is None:
+            identity = self.ambient.identity.coords
+            abstract, coords_map = structure_of(
+                self._sorted_coords, identity, _adder(self.ambient.invariants)
             )
-        # BFS over the closure, tracking abstract coordinates additively
-        coords_map = {self.ambient.identity.coords: abstract.identity.coords}
-        frontier = [self.ambient.identity]
-        abs_of = {self.ambient.identity.coords: abstract.identity}
-        while frontier:
-            nxt = []
-            for elem in frontier:
-                for g, img in zip(gens, images):
-                    prod = op_mul(elem, g)
-                    if prod.coords not in coords_map:
-                        a = op_mul(abs_of[elem.coords], img)
-                        coords_map[prod.coords] = a.coords
-                        abs_of[prod.coords] = a
-                        nxt.append(prod)
-            frontier = nxt
-        if len(coords_map) != self.order:
-            raise InternalConsistencyError("closure walk missed subgroup elements")
-        self._abstract = (abstract, coords_map)
+            if abstract.order != self.order:
+                raise InternalConsistencyError(
+                    f"subgroup presentation of order {abstract.order} != {self.order}"
+                )
+            self._abstract = (abstract, coords_map)
         return self._abstract
+
+
+def _adder(inv: tuple[int, ...]) -> Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]:
+    """Addition of coordinate tuples modulo the invariants ``inv``."""
+    return lambda x, y: tuple((a + b) % d for a, b, d in zip(x, y, inv))
 
 
 def _close_under(
@@ -451,11 +451,7 @@ def _close_under(
     tuples) and ``gens``, grown one coset at a time: for g outside the
     current closure H, <H, g> is H, H + g, ..., H + (m-1)g with m the least
     power of g in H, so a generator already in H costs one lookup."""
-    inv = group.invariants
-
-    def add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((a + b) % d for a, b, d in zip(x, y, inv))
-
+    add = _adder(group.invariants)
     closure = set(seed)
     for g in gens:
         if g.coords in closure:

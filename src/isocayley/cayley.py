@@ -12,6 +12,7 @@ main-term/error-term study.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from cmath import exp as _cexp
 from collections import Counter, deque
@@ -20,7 +21,6 @@ from math import log, pi, prod, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expi
 
 from .abelian import (
     Character,
@@ -317,13 +317,27 @@ class EstimateParams:
             raise InputError("estimate parameters must all be positive")
 
 
+def _ei(x: float) -> float:
+    """Exponential integral Ei(x) for x > 0, by the power series of the
+    specfun routine EIX (Zhang and Jin, *Computation of Special Functions*,
+    1996): Ei(x) = gamma + ln x + x * sum_k r_k with r_0 = 1 and
+    r_k = r_(k-1) * k x / (k + 1)^2.  The terms are positive and their ratio
+    tends to 0, so the sum stops once a term is below 1e-15 of the total."""
+    total = r = 1.0
+    for k in itertools.count(1):
+        r = r * k * x / (k + 1.0) ** 2
+        total += r
+        if abs(r / total) <= 1e-15:
+            return 0.5772156649015328 + log(x) + x * total  # Euler's gamma
+
+
 def log_integral(b: float) -> float:
     """Integral of 1/ln t from 2 to b, evaluated exactly as Ei(ln b) - Ei(ln 2)."""
     if b < 2:
         raise InputError(f"li is taken from 2; got upper limit {b}")
     if b == 2:
         return 0.0
-    return float(expi(log(float(b))) - expi(log(2.0)))
+    return _ei(log(float(b))) - _ei(log(2.0))
 
 
 def eigenvalue_prediction(params: EstimateParams, trivial: bool) -> tuple[float, float]:

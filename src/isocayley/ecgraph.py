@@ -586,12 +586,6 @@ class IsogenyGraph(StepGraph):
                 raise InternalConsistencyError("dual edges do not invert each step")
         return inv
 
-    def adjacency(self) -> np.ndarray:
-        mat = np.zeros((self.order, self.order), dtype=np.int64)
-        for e in self.edges:
-            mat[self._index[e.source_j], self._index[e.target_j]] += 1
-        return mat
-
 
 def build_isogeny_graph(p: int, t: int, ells) -> IsogenyGraph:
     ells = tuple(sorted(set(int(x) for x in ells)))

@@ -7,7 +7,9 @@ composition; nothing here is asymptotically clever, everything is exact.
 
 A class group is carried together with its invariant-factor structure and a
 bijective dictionary between form classes and group elements, so that Cayley
-graphs can be built on (subgroups of) it.
+graphs can be built on (subgroups of) it; both come from the structure walk
+:func:`isocayley.abelian.structure_of`, run over the classes under
+:func:`compose`.
 """
 from __future__ import annotations
 
@@ -18,14 +20,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .abelian import (
-    FiniteAbelianGroup,
-    GroupElement,
-    Subgroup,
-    group_from_relations,
-    op_mul,
-    op_pow,
-)
+from .abelian import FiniteAbelianGroup, GroupElement, Subgroup, structure_of
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .ntheory import fundamental_discriminant, is_prime, kronecker, primes_below, sqrt_mod_prime
 
@@ -354,57 +349,15 @@ class ClassGroup:
         return len(self.classes)
 
     def _structure(self) -> tuple[FiniteAbelianGroup, dict[FormClass, GroupElement]]:
-        # Greedy generator hunt: each class not yet expressible adds a
-        # generator; the minimal power landing in the known subgroup gives a
-        # triangular relation row.  SNF turns the rows into invariants.
-        gens: list[FormClass] = []
-        reps: dict[FormClass, list[int]] = {self.identity: []}
-        rows: list[list[int]] = []
-        for cl in self.classes:
-            if cl in reps:
-                continue
-            for vec in reps.values():
-                vec.append(0)
-            known = list(reps.items())
-            gens.append(cl)
-            r = len(gens)
-            power = cl
-            k = 1
-            while power not in reps:
-                # power = cl^k sits outside the subgroup built so far, so the
-                # whole coset power * <old> is new.
-                for base, vec in known:
-                    prod = compose(power, base)
-                    if prod in reps:
-                        raise InternalConsistencyError("coset overlap during structure walk")
-                    coeffs = list(vec)
-                    coeffs[r - 1] = k
-                    reps[prod] = coeffs
-                k += 1
-                power = compose(power, cl)
-            base_vec = reps[power]
-            row = [-x for x in base_vec] + [0] * (r - len(base_vec))
-            row[r - 1] += k
-            for existing in rows:
-                existing.extend([0] * (r - len(existing)))
-            rows.append(row)
-        r = len(gens)
-        for row in rows:
-            row.extend([0] * (r - len(row)))
-        group, images = group_from_relations(r, rows)
+        # the classes are sorted by triple, so the walk and the coordinates depend on D alone
+        group, coords = structure_of(self.classes, self.identity, compose)
         if group.order != len(self.classes):
             raise InternalConsistencyError(
                 f"structure of order {group.order} for {len(self.classes)} classes"
             )
-        to_elem: dict[FormClass, GroupElement] = {}
-        for cl, vec in reps.items():
-            e = group.identity
-            for c, img in zip(vec, images):
-                e = op_mul(e, op_pow(img, c))
-            to_elem[cl] = e
-        if len(to_elem) != len(self.classes):
+        if len(coords) != len(self.classes):
             raise InternalConsistencyError("structure walk missed classes")
-        return group, to_elem
+        return group, {cl: GroupElement(group, c) for cl, c in coords.items()}
 
     def element_of(self, cl: FormClass) -> GroupElement:
         try:

@@ -298,6 +298,23 @@ def test_adjacency_is_symmetric():
     assert np.array_equal(mat, mat.T)
 
 
+# the (p, t) instances of acceptance criterion 7
+CRITERION_7 = [
+    (31, 3), (31, 1), (23, 3), (23, 1), (37, 3), (41, 3), (43, 3),
+    (47, 1), (53, 5), (59, 5), (61, 7), (71, 5), (83, 5), (101, 3),
+]
+
+
+@pytest.mark.parametrize("p, t", CRITERION_7)
+def test_adjacency_counts_the_edge_list(p, t):
+    # the step table yields adjacency(); every isogeny edge must fill one slot
+    g = graph(p, t, tuple(ell for ell in (3, 5, 7, 11, 13) if ell != p))
+    mat = np.zeros((g.order, g.order), dtype=np.int64)
+    for e in g.edges:
+        mat[g.vertex_index(e.source_j), g.vertex_index(e.target_j)] += 1
+    assert np.array_equal(g.adjacency(), mat)
+
+
 # ------------------------------------------------------------- comparison
 
 
