@@ -7,6 +7,8 @@ JSON export the CLI would emit.
 Run:  python3 demos/class_group_tour.py
 """
 
+import json
+
 from isocayley import abelian, quadform
 
 D = -47
@@ -39,4 +41,4 @@ for chi in abelian.characters_of(sub):
 print()
 
 print("JSON export:")
-print(cls.to_json_text())
+print(json.dumps(cls.to_json(), indent=2, sort_keys=True))

@@ -9,6 +9,7 @@ Run:  python3 demos/path_certificates.py
 """
 
 import dataclasses
+import json
 import math
 
 from isocayley import abelian, cayley, pathfind, quadform
@@ -32,7 +33,7 @@ for s in cert.steps:
 
 print()
 print("certificate JSON:")
-print(pathfind.certificate_to_json_text(cert, graph))
+print(json.dumps(pathfind.certificate_to_json(cert, graph), indent=2, sort_keys=True))
 
 ok = pathfind.replay(graph, cert)
 print(f"replay: {'valid' if ok else 'INVALID'}")

@@ -8,6 +8,7 @@ runs 20000 seeded walks.  The landing frequency should sit inside the band
 Run:  python3 demos/walk_mixing.py [seed]
 """
 
+import json
 import sys
 
 from isocayley import abelian, cayley, quadform, walks
@@ -37,7 +38,7 @@ result = walks.mixing_experiment(graph, graph.vertices[0], cfg)
 
 names = [":".join(map(str, cls.from_element[v].triple())) for v in target]
 print()
-print(walks.report_json_text(result, target_names=names))
+print(json.dumps(walks.report_json(result, target_names=names), indent=2, sort_keys=True))
 print(f"verdict: {result.verdict} "
       f"(frequency {result.frequency:.4f}, band {result.band[0]:.4f}"
       f"..{result.band[1]:.4f}, exact {result.exact:.4f})")

@@ -71,26 +71,21 @@ __all__ = [
 
 def smith_normal_form(
     rows: Sequence[Sequence[int]], ncols: int
-) -> tuple[list[int], list[list[int]], list[list[int]]]:
+) -> tuple[list[int], list[list[int]]]:
     """Diagonalize an integer matrix by elementary row/column operations.
 
-    Returns ``(diag, u, v)`` where ``diag`` has ``ncols`` nonnegative entries
-    with ``diag[i]`` dividing ``diag[i+1]`` (zeros trailing), ``u`` is the
-    unimodular row transform (``len(rows)`` square) and ``v`` the unimodular
-    column transform (``ncols`` square), so that ``u @ A @ v`` is the diagonal
-    matrix.  Plain Python integers throughout; no modular shortcuts.
+    Returns ``(diag, v)`` where ``diag`` has ``ncols`` nonnegative entries
+    with ``diag[i]`` dividing ``diag[i+1]`` (zeros trailing) and ``v`` is the
+    unimodular column transform (``ncols`` square): ``u @ A @ v`` is the
+    diagonal matrix for some unimodular row transform ``u``, which is not
+    kept.  Plain Python integers throughout; no modular shortcuts.
     """
     m = len(rows)
     a = [list(map(int, r)) for r in rows]
     for r in a:
         if len(r) != ncols:
             raise InputError(f"relation row has {len(r)} entries, expected {ncols}")
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i: int, j: int) -> None:
         for r in a:
@@ -102,9 +97,6 @@ def smith_normal_form(
         asrc, adst = a[src], a[dst]
         for t in range(ncols):
             adst[t] += q * asrc[t]
-        usrc, udst = u[src], u[dst]
-        for t in range(m):
-            udst[t] += q * usrc[t]
 
     def add_col(src: int, dst: int, q: int) -> None:
         for r in a:
@@ -127,7 +119,7 @@ def smith_normal_form(
         if piv is None:
             break
         if piv[0] != t:
-            swap_rows(t, piv[0])
+            a[t], a[piv[0]] = a[piv[0]], a[t]
         if piv[1] != t:
             swap_cols(t, piv[1])
 
@@ -162,14 +154,13 @@ def smith_normal_form(
         if a[t][t] < 0:
             # row negation keeps the row lattice and leaves v untouched
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
 
     diag = [a[i][i] if i < limit else 0 for i in range(ncols)]
     for i in range(len(diag) - 1):
         if diag[i + 1] and diag[i] and diag[i + 1] % diag[i]:
             raise InternalConsistencyError("SNF divisibility chain violated")
-    return diag, u, v
+    return diag, v
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +286,7 @@ def group_from_relations(
     """
     if num_generators < 0:
         raise InputError("num_generators must be nonnegative")
-    diag, _, v = smith_normal_form(relations, num_generators)
+    diag, v = smith_normal_form(relations, num_generators)
     if any(d == 0 for d in diag):
         raise InputError(
             "infinite quotient: relation lattice has rank "

@@ -375,7 +375,6 @@ def find_expander_bound(
     subgroup: Subgroup,
     delta: float,
     b_max: int,
-    avoid: Sequence[int] = (),
 ) -> tuple[int, list[ScanRow]]:
     """Smallest B on the prime+1 grid making Cay(H, S_B) a two-sided
     delta-expander, plus the full scan table up to b_max.
@@ -390,7 +389,7 @@ def find_expander_bound(
         # single vertex: every bound works vacuously
         return 2, []
 
-    s_all = generating_multiset(cls_group, b_max, subgroup, avoid)
+    s_all = generating_multiset(cls_group, b_max, subgroup)
     generated = subgroup_generated(cls_group.group, [g.element for g in s_all])
     if generated != subgroup:
         raise PreconditionError(

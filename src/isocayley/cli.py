@@ -108,11 +108,14 @@ class _Graph:
             if self.cls_group is not None:
                 return self.cls_group.element_of(self.cls_group.identity)
             return self.graph.vertices[0].group.identity
-        coords = _vector_items(spec, "vertex")[0]
+        items = _vector_items(spec, "vertex")
+        if len(items) != 1:
+            raise InputError(f"vertex {spec!r}: expected one vertex, got {len(items)}")
+        coords = items[0]
         if self.cls_group is not None:
             if len(coords) != 3:
                 raise InputError(f"vertex {spec!r}: expected a form triple a:b:c")
-            cl = quadform.form_class(quadform.QuadForm(*coords))
+            cl = quadform.reduce_form(quadform.QuadForm(*coords))
             return self.cls_group.element_of(cl)
         return self.graph.vertices[0].group.element(coords)
 
@@ -128,7 +131,7 @@ def _form_generators(cls_group, text: str) -> list:
             raise InputError(
                 f"--gens: form {triple} has discriminant {f.discriminant}, expected {d}"
             )
-        gens.append(quadform.form_class(f))
+        gens.append(quadform.reduce_form(f))
     return gens
 
 
@@ -145,9 +148,9 @@ def _closed_under_inversion(gens):
 
 
 def _build_graph(args) -> _Graph:
-    if getattr(args, "disc", None) is not None and getattr(args, "group_file", None):
+    if args.disc is not None and args.group_file:
         raise InputError("give either -D or --group-file, not both")
-    if getattr(args, "disc", None) is not None:
+    if args.disc is not None:
         if args.bound is None:
             raise InputError("-D graphs need --bound to pick the prime-form generators")
         quadform.check_prime_bound(args.bound)
@@ -167,7 +170,7 @@ def _build_graph(args) -> _Graph:
         graph = cayley.build(sub, [(g.label, g.element) for g in s_b], names)
         return _Graph(graph, cls_group=cls,
                       source={"discriminant": args.disc, "bound": args.bound})
-    if getattr(args, "group_file", None):
+    if args.group_file:
         gf = abelian.load_group_file(args.group_file)
         if args.gens:
             rank = len(gf.group.invariants)
@@ -202,11 +205,11 @@ def _build_graph(args) -> _Graph:
 
 def _graph_params(args) -> dict:
     return {
-        "disc": getattr(args, "disc", None),
-        "group_file": getattr(args, "group_file", None),
-        "gens": getattr(args, "gens", None),
-        "subgroup": getattr(args, "subgroup", None),
-        "bound": getattr(args, "bound", None),
+        "disc": args.disc,
+        "group_file": args.group_file,
+        "gens": args.gens,
+        "subgroup": args.subgroup,
+        "bound": args.bound,
     }
 
 
@@ -217,7 +220,7 @@ def _graph_params(args) -> dict:
 
 def cmd_classgroup(args):
     cls = quadform.class_group(args.disc)
-    return {"classgroup.json": cls.to_json_text()}, {"disc": args.disc}, EXIT_OK
+    return {"classgroup.json": _dumps(cls.to_json())}, {"disc": args.disc}, EXIT_OK
 
 
 def cmd_spectrum(args):
@@ -269,7 +272,7 @@ def cmd_mix(args):
         "trials": args.trials,
         "length": args.length,
     }
-    return {"mix.json": walks.report_json_text(result, names)}, params, EXIT_OK
+    return {"mix.json": _dumps(walks.report_json(result, names))}, params, EXIT_OK
 
 
 def cmd_path(args):
@@ -285,7 +288,7 @@ def cmd_path(args):
         )
     else:
         cert = pathfind.exhaustive_path(ctx.graph, a, b)
-    text = pathfind.certificate_to_json_text(cert, ctx.graph)
+    text = _dumps(pathfind.certificate_to_json(cert, ctx.graph))
     params = _graph_params(args) | {"a": args.vertex_a, "b": args.vertex_b}
     return {"certificate.json": text}, params, EXIT_OK
 
@@ -377,7 +380,7 @@ def _add_common(sp):
     )
 
 
-def _add_graph_source(sp, with_bound=True):
+def _add_graph_source(sp):
     sp.add_argument("-D", "--disc", type=int, default=None,
                     help="build the graph on the class group of this discriminant")
     sp.add_argument("--group-file", default=None,
@@ -387,9 +390,8 @@ def _add_graph_source(sp, with_bound=True):
                          "coordinate vectors c1:c2:... (with --group-file)")
     sp.add_argument("--subgroup", default=None,
                     help="named subgroup from the group file to walk on")
-    if with_bound:
-        sp.add_argument("--bound", type=int, default=None,
-                        help="prime bound B for the generating set S_B (with -D)")
+    sp.add_argument("--bound", type=int, default=None,
+                    help="prime bound B for the generating set S_B (with -D)")
 
 
 def build_parser() -> argparse.ArgumentParser:

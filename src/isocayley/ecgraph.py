@@ -57,6 +57,8 @@ __all__ = [
 
 FIELD_CAP = 10**4
 DEGREE_CAP = 31
+# largest gap between the sorted isogeny and Cayley spectra that compare_to_cayley accepts
+SPECTRUM_TOL = 1e-6
 
 
 def _check_degree(ell: int, p: int) -> None:
@@ -639,32 +641,24 @@ class ComparisonReport:
     spectrum_gap: float
 
 
-def compare_to_cayley(graph: IsogenyGraph, tol: float = 1e-6) -> ComparisonReport:
+def compare_to_cayley(graph: IsogenyGraph) -> ComparisonReport:
     """Check the isogeny graph against Cay(Cl(D), prime forms above L).
 
     Three checks: equal vertex counts, equal sorted adjacency spectra
-    (within tol), and the per-ell local degree law 1 + Kronecker(D, ell)
-    together with dual-edge symmetry.
+    (within SPECTRUM_TOL), and the per-ell local degree law
+    1 + Kronecker(D, ell) together with dual-edge symmetry.
     """
     from .abelian import full_subgroup
-    from .quadform import Discriminant, class_group, prime_form
+    from .quadform import class_group, generating_multiset
 
-    disc = Discriminant.of(graph.disc)
-    cl = class_group(disc)
-    gens = []
-    for ell in graph.ells:
-        found = prime_form(disc, ell)
-        if found is None:
-            continue
-        cls_a, cls_b, b = found
-        if graph.disc % ell == 0:
-            gens.append((str(ell), cl.element_of(cls_a)))
-        else:
-            gens.append((f"{ell}:{b}", cl.element_of(cls_a)))
-            gens.append((f"{ell}:{2 * ell - b}", cl.element_of(cls_b)))
+    cl = class_group(graph.disc)
+    full = full_subgroup(cl.group)
+    gens = [(g.label, g.element)
+            for g in generating_multiset(cl, max(graph.ells, default=1) + 1, full)
+            if g.ell in graph.ells]
     cayley_order = cl.order
     if gens:
-        cg = build_cayley(full_subgroup(cl.group), gens)
+        cg = build_cayley(full, gens)
         cayley_spec = np.sort(np.linalg.eigvalsh(cg.adjacency().astype(float)))
     else:
         cayley_spec = np.zeros(cayley_order)
@@ -681,7 +675,7 @@ def compare_to_cayley(graph: IsogenyGraph, tol: float = 1e-6) -> ComparisonRepor
         gap = float(np.max(np.abs(iso_spec - cayley_spec))) if graph.order else 0.0
     else:
         gap = float("inf")
-    spectrum_ok = gap <= tol
+    spectrum_ok = gap <= SPECTRUM_TOL
     if not spectrum_ok:
         failed.append("spectrum")
 

@@ -17,7 +17,6 @@ independent under a shared master seed.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log, sqrt
@@ -254,6 +253,3 @@ def certificate_from_json(data: dict, graph: StepGraph) -> PathCertificate:
         )
     return PathCertificate(start, end, steps)
 
-
-def certificate_to_json_text(cert: PathCertificate, graph: StepGraph) -> str:
-    return json.dumps(certificate_to_json(cert, graph), indent=2, sort_keys=True) + "\n"

@@ -5,18 +5,22 @@ representatives; positive (real) discriminants give the narrow class group
 via reduction cycles of indefinite forms.  Composition is classical Gauss
 composition; nothing here is asymptotically clever, everything is exact.
 
+A form class is its canonical reduced form: :func:`reduce_form` is the one
+way to get one, and :func:`compose`, :func:`inverse`, :func:`prime_form` and
+:class:`ClassGroup` take and return reduced :class:`QuadForm` objects.
+
 A class group is carried together with its invariant-factor structure and a
-bijective dictionary between form classes and group elements, so that Cayley
+bijective dictionary between classes and group elements, so that Cayley
 graphs can be built on (subgroups of) it; both come from the structure walk
 :func:`isocayley.abelian.structure_of`, run over the classes under
-:func:`compose`.
+:func:`compose`.  :func:`generating_multiset` is the one builder of the
+prime-form generators S_B, labeled "ell:b" (split) or "ell" (ramified).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,11 +31,9 @@ from .ntheory import fundamental_discriminant, is_prime, kronecker, primes_below
 __all__ = [
     "Discriminant",
     "QuadForm",
-    "FormClass",
     "ClassGroup",
     "SBGenerator",
     "reduce_form",
-    "form_class",
     "compose",
     "inverse",
     "principal_form",
@@ -199,27 +201,6 @@ def reduce_form(f: QuadForm) -> QuadForm:
     return min(_cycle_of(start), key=lambda g: g.triple())
 
 
-@dataclass(frozen=True)
-class FormClass:
-    """A proper equivalence class, held by its canonical reduced representative."""
-
-    rep: QuadForm
-
-    @property
-    def discriminant(self) -> int:
-        return self.rep.discriminant
-
-    def triple(self) -> tuple[int, int, int]:
-        return self.rep.triple()
-
-    def __repr__(self) -> str:
-        return f"FormClass{self.rep.triple()}"
-
-
-def form_class(f: QuadForm) -> FormClass:
-    return FormClass(reduce_form(f))
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
     x0, y0, x1, y1 = 1, 0, 0, 1
@@ -232,14 +213,17 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def compose(x: FormClass, y: FormClass) -> FormClass:
-    """Gauss composition of form classes (classical algorithm, no shortcuts)."""
+def compose(x: QuadForm, y: QuadForm) -> QuadForm:
+    """Gauss composition of form classes (classical algorithm, no shortcuts).
+
+    Returns the reduced form of the product class.
+    """
     if x.discriminant != y.discriminant:
         raise InputError(
             f"discriminant mismatch: {x.discriminant} vs {y.discriminant}"
         )
-    a1, b1, c1 = x.rep.triple()
-    a2, b2, c2 = y.rep.triple()
+    a1, b1, c1 = x.triple()
+    a2, b2, c2 = y.triple()
     if a1 > a2:
         a1, b1, c1, a2, b2, c2 = a2, b2, c2, a1, b1, c1
     s = (b1 + b2) // 2
@@ -266,12 +250,12 @@ def compose(x: FormClass, y: FormClass) -> FormClass:
     out = QuadForm(a3, b3, c3)
     if out.discriminant != x.discriminant:
         raise InternalConsistencyError(f"composition broke the discriminant on {x} * {y}")
-    return form_class(out)
+    return reduce_form(out)
 
 
-def inverse(x: FormClass) -> FormClass:
-    a, b, c = x.rep.triple()
-    return form_class(QuadForm(a, -b, c))
+def inverse(x: QuadForm) -> QuadForm:
+    a, b, c = x.triple()
+    return reduce_form(QuadForm(a, -b, c))
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +311,16 @@ def _reduced_indefinite_forms(d: int) -> Iterator[QuadForm]:
 class ClassGroup:
     """A (narrow, when D > 0) form class group with explicit abelian structure.
 
-    ``classes`` is sorted by representative triple; ``to_element`` /
+    ``classes`` holds the reduced forms, sorted by triple; ``to_element`` /
     ``from_element`` form the bijective dictionary with the invariant-factor
     group.  Construction checks bijectivity and the order; the exhaustive
     homomorphism check lives in the test suite.
     """
 
-    def __init__(self, disc: Discriminant, classes: Sequence[FormClass]):
+    def __init__(self, disc: Discriminant, classes: Sequence[QuadForm]):
         self.discriminant = disc
         self.classes = tuple(sorted(classes, key=lambda c: c.triple()))
-        self.identity = form_class(principal_form(disc))
+        self.identity = reduce_form(principal_form(disc))
         group, to_elem = self._structure()
         self.group = group
         self.to_element = to_elem
@@ -348,7 +332,7 @@ class ClassGroup:
     def order(self) -> int:
         return len(self.classes)
 
-    def _structure(self) -> tuple[FiniteAbelianGroup, dict[FormClass, GroupElement]]:
+    def _structure(self) -> tuple[FiniteAbelianGroup, dict[QuadForm, GroupElement]]:
         # the classes are sorted by triple, so the walk and the coordinates depend on D alone
         group, coords = structure_of(self.classes, self.identity, compose)
         if group.order != len(self.classes):
@@ -359,13 +343,15 @@ class ClassGroup:
             raise InternalConsistencyError("structure walk missed classes")
         return group, {cl: GroupElement(group, c) for cl, c in coords.items()}
 
-    def element_of(self, cl: FormClass) -> GroupElement:
+    def element_of(self, cl: QuadForm) -> GroupElement:
         try:
             return self.to_element[cl]
         except KeyError:
-            raise InputError(f"{cl} is not a class of discriminant {self.discriminant.value}") from None
+            raise InputError(
+                f"{cl} is not a reduced form of discriminant {self.discriminant.value}"
+            ) from None
 
-    def class_of(self, e: GroupElement) -> FormClass:
+    def class_of(self, e: GroupElement) -> QuadForm:
         try:
             return self.from_element[e]
         except KeyError:
@@ -384,9 +370,6 @@ class ClassGroup:
             ],
         }
 
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
-
     def __repr__(self) -> str:
         return (
             f"ClassGroup(D={self.discriminant.value}, h={self.order}, "
@@ -394,24 +377,23 @@ class ClassGroup:
         )
 
 
-def class_group(disc: "Discriminant | int", bound: int = DEFAULT_DISC_BOUND) -> ClassGroup:
+def class_group(disc: "Discriminant | int") -> ClassGroup:
     """Class group for D < 0; delegates to narrow_class_group for D > 0."""
     d = _as_disc(disc)
-    if abs(d.value) > bound:
-        raise PreconditionError(f"|{d.value}| exceeds the configured bound {bound}")
+    if abs(d.value) > DEFAULT_DISC_BOUND:
+        raise PreconditionError(f"|{d.value}| exceeds the configured bound {DEFAULT_DISC_BOUND}")
     if d.value > 0:
-        return narrow_class_group(d, bound)
-    classes = [FormClass(f) for f in _reduced_definite_forms(d.value)]
-    return ClassGroup(d, classes)
+        return narrow_class_group(d)
+    return ClassGroup(d, list(_reduced_definite_forms(d.value)))
 
 
-def narrow_class_group(disc: "Discriminant | int", bound: int = DEFAULT_DISC_BOUND) -> ClassGroup:
+def narrow_class_group(disc: "Discriminant | int") -> ClassGroup:
     """Narrow class group of a real quadratic discriminant via form cycles."""
     d = _as_disc(disc)
     if d.value < 0:
         raise InputError("narrow_class_group expects a positive discriminant")
-    if d.value > bound:
-        raise PreconditionError(f"{d.value} exceeds the configured bound {bound}")
+    if d.value > DEFAULT_DISC_BOUND:
+        raise PreconditionError(f"{d.value} exceeds the configured bound {DEFAULT_DISC_BOUND}")
     forms = {f.triple(): f for f in _reduced_indefinite_forms(d.value)}
     seen: set[tuple[int, int, int]] = set()
     classes = []
@@ -423,7 +405,7 @@ def narrow_class_group(disc: "Discriminant | int", bound: int = DEFAULT_DISC_BOU
             if g.triple() not in forms:
                 raise InternalConsistencyError(f"cycle left the reduced set at {g}")
             seen.add(g.triple())
-        classes.append(FormClass(min(cycle, key=lambda g: g.triple())))
+        classes.append(min(cycle, key=lambda g: g.triple()))
     return ClassGroup(d, classes)
 
 
@@ -431,8 +413,8 @@ def narrow_class_group(disc: "Discriminant | int", bound: int = DEFAULT_DISC_BOU
 # Prime forms and S_B
 # ---------------------------------------------------------------------------
 
-def prime_form(disc: "Discriminant | int", ell: int) -> Optional[tuple[FormClass, FormClass, int]]:
-    """The form class(es) above the rational prime ell, if any.
+def prime_form(disc: "Discriminant | int", ell: int) -> Optional[tuple[QuadForm, QuadForm, int]]:
+    """The reduced form class(es) above the rational prime ell, if any.
 
     Returns None when ell is inert.  Otherwise returns (cls, cls_inverse, b)
     where (ell, b, .) is the prime form with 0 <= b < 2*ell; for ramified
@@ -465,8 +447,7 @@ def prime_form(disc: "Discriminant | int", ell: int) -> Optional[tuple[FormClass
     num = b * b - ds
     if num % (4 * ell):
         raise InternalConsistencyError(f"prime form above {ell}: 4l does not divide b^2-D")
-    f = QuadForm(ell, b, num // (4 * ell))
-    cls = form_class(f)
+    cls = reduce_form(QuadForm(ell, b, num // (4 * ell)))
     return cls, inverse(cls), b
 
 
@@ -483,32 +464,26 @@ class SBGenerator:
     label: str
     ell: int
     b: int
-    form_class: FormClass
+    form_class: QuadForm
     element: GroupElement
 
 
-def generating_multiset(
-    cls_group: ClassGroup,
-    bound: int,
-    subgroup: Subgroup,
-    avoid: Iterable[int] = (),
-) -> list[SBGenerator]:
+def generating_multiset(cls_group: ClassGroup, bound: int, subgroup: Subgroup) -> list[SBGenerator]:
     """Labeled prime-form generators with prime norm below ``bound``.
 
-    For each prime ell < bound, not in ``avoid`` and coprime to the
-    conductor, every prime form above ell whose class lies in ``subgroup``
-    enters the multiset: both conjugates when ell splits (labels "ell:b" and
-    "ell:2*ell-b"), one entry labeled "ell" when ell ramifies.  The result
-    is closed under inversion as a multiset.
+    For each prime ell < bound coprime to the conductor, every prime form
+    above ell whose class lies in ``subgroup`` enters the multiset: both
+    conjugates when ell splits (labels "ell:b" and "ell:2*ell-b"), one entry
+    labeled "ell" when ell ramifies.  The result is closed under inversion
+    as a multiset.  Callers that want a subset of the primes filter it.
     """
     if subgroup.ambient != cls_group.group:
         raise InputError("subgroup does not live in the given class group")
     check_prime_bound(bound)
-    avoid_set = set(avoid)
     disc = cls_group.discriminant
     out: list[SBGenerator] = []
     for ell in primes_below(bound):
-        if ell in avoid_set or disc.conductor % ell == 0:
+        if disc.conductor % ell == 0:
             continue
         hit = prime_form(disc, ell)
         if hit is None:

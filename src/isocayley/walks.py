@@ -24,7 +24,6 @@ SC'11), bit for bit:
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from math import ceil, log, sqrt
 from typing import Optional, Sequence
@@ -324,6 +323,3 @@ def report_json(result: ExperimentResult, target_names: Optional[Sequence[str]] 
         "length_theorem": result.length_theorem,
     }
 
-
-def report_json_text(result: ExperimentResult, target_names: Optional[Sequence[str]] = None) -> str:
-    return json.dumps(report_json(result, target_names), indent=2, sort_keys=True) + "\n"

@@ -203,6 +203,38 @@ def test_named_subgroup_membership_enforced(capsys, tmp_path):
     assert "outside subgroup" in err
 
 
+CL_8011 = ["-D", "-8011", "--bound", "20", "--seed", "3"]
+TWO_VERTICES = "5:3:401,7:5:287"
+
+
+@pytest.mark.parametrize("argv", [
+    ["path", *CL_8011, "-A", "id", "-B", TWO_VERTICES],
+    ["path", *CL_8011, "-A", TWO_VERTICES, "-B", "id"],
+    ["mix", *CL_8011, "--start", TWO_VERTICES, "--target", "id", "--trials", "10"],
+], ids=["-B", "-A", "--start"])
+def test_vertex_spec_names_one_vertex(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2, out
+    assert "expected one vertex" in err
+
+
+@pytest.mark.parametrize("spelling", ["5:13:409", "401:-3:5"])
+def test_unreduced_vertex_gives_the_reduced_certificate(capsys, spelling):
+    rc, want, _ = run(capsys, ["path", *CL_8011, "-A", "id", "-B", "5:3:401"])
+    assert rc == 0
+    rc, got, _ = run(capsys, ["path", *CL_8011, "-A", "id", "-B", spelling])
+    assert rc == 0
+    assert got == want
+
+
+def test_unreduced_generator_gives_the_reduced_spectrum(capsys):
+    rc, want, _ = run(capsys, ["spectrum", *CL_8011, "--gens", "5:3:401"])
+    assert rc == 0
+    rc, got, _ = run(capsys, ["spectrum", *CL_8011, "--gens", "5:13:409"])
+    assert rc == 0
+    assert got == want
+
+
 def test_ecgraph_comparison(capsys):
     rc, out, _ = run(capsys, ["ecgraph", "-p", "31", "-t", "3", "-L", "5,7"])
     assert rc == 0

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 from statistics import mean, stdev
 
@@ -11,7 +10,6 @@ from isocayley.pathfind import (
     PathStep,
     certificate_from_json,
     certificate_to_json,
-    certificate_to_json_text,
     collect_neighbors,
     expected_trials_bound,
     find_path,
@@ -181,9 +179,6 @@ def test_certificate_json_round_trip():
     again = certificate_from_json(blob, g)
     assert again == cert
     assert replay(g, again)
-    text = certificate_to_json_text(cert, g)
-    assert json.loads(text) == blob
-    assert text.endswith("\n")
 
 
 def test_certificate_json_custom_names():
