@@ -7,11 +7,20 @@ Vertices are j-invariants; for each j the unique twist with Frobenius
 trace exactly +t is the working model.  Only fundamental Frobenius
 discriminants t^2 - 4p are accepted, so the whole class sits at the
 maximal order and every computed isogeny is horizontal.
+
+The class has exactly h(D) j-invariants, and Cl(D) acts on it through
+those horizontal isogenies (Galbraith's algorithm), so the graph is grown
+by breadth-first search over the computed edges instead of by counting a
+model for every j.  Seeds come from a scan of j in increasing order that
+skips what a search has already reached and stops once h(D) vertices are
+known.  A degree ell inert in Q(sqrt(D)) has no rational kernel, so its
+division polynomial is never built.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import dataclass, replace
 from math import gcd, isqrt
 
@@ -196,23 +205,49 @@ def _frobenius_disc(p: int, t: int) -> int:
     return d
 
 
-def enumerate_isogeny_class(p: int, t: int) -> list[int]:
-    """All j-invariants over F_p admitting a twist with trace exactly t.
+def _class_scan(p: int, t: int, disc: int, reached=()):
+    """Trace-t models over F_p in j order, skipping the j's in ``reached``.
 
-    j = 0 and j = 1728 carry CM by Z[zeta_3] and Z[i], so with a fundamental
-    Frobenius discriminant D they belong to the class only when D = -3 and
-    D = -4 respectively; their twist fibers are scanned only then.
+    ``reached`` is read afresh at every j, so a caller that grows it while
+    consuming the scan skips what it has found in the meantime.  j = 0 and
+    j = 1728 carry CM by Z[zeta_3] and Z[i], so with a fundamental Frobenius
+    discriminant D they belong to the class only when D = -3 and D = -4
+    respectively; their twist fibers are scanned only then.
     """
+    skip = {0: disc != -3, 1728 % p: disc != -4}
+    for j in range(p):
+        if j in reached or skip.get(j, False):
+            continue
+        c = _twist_with_trace(p, j, t)
+        if c is not None:
+            yield c
+
+
+def _checked_class(p: int, t: int) -> tuple[int, int]:
+    """(D, h(D)) for the trace-t class over F_p, once p and t are checked."""
+    from .quadform import class_group
+
     _check_field(p)
     if p < 5:
         raise InputError("isogeny classes need p >= 5")
     disc = _frobenius_disc(p, t)
-    skip = {0: disc != -3, 1728 % p: disc != -4}
-    return [
-        j
-        for j in range(p)
-        if not skip.get(j, False) and _twist_with_trace(p, j, t) is not None
-    ]
+    return disc, class_group(disc).order
+
+
+def enumerate_isogeny_class(p: int, t: int) -> list[int]:
+    """All j-invariants over F_p admitting a twist with trace exactly t.
+
+    The class of a fundamental discriminant D = t^2 - 4p has exactly h(D)
+    j-invariants, so the scan over j in increasing order stops at the
+    h(D)-th one instead of running on to p.
+    """
+    disc, h = _checked_class(p, t)
+    js = []
+    for c in _class_scan(p, t, disc):
+        js.append(c.j)
+        if len(js) == h:
+            break
+    return js
 
 
 def _cube(u, p):
@@ -391,13 +426,16 @@ def _splitter_seed(p: int, a: int, b: int, ell: int) -> int:
     return ((p * FIELD_CAP + a) * FIELD_CAP + b) * 10**6 + ell
 
 
-def rational_l_isogenies(c: Curve, ell: int) -> list[IsogenyEdge]:
-    """All F_p-rational cyclic ell-isogenies from c (0, 1, or 2 of them)."""
-    _check_degree(ell, c.p)
-    if not c.ordinary:
-        raise PreconditionError("supersingular curves are out of scope")
+def _psi_kernel_search(c: Curve, ell: int) -> list[IsogenyEdge]:
+    """Every rational ell-kernel of c, found by factoring psi_ell.
+
+    No degree law is assumed: each degree-(ell-1)/2 factor of psi_ell that
+    spans a rational subgroup gives one edge, whose Velu codomain is
+    re-counted.  ``rational_l_isogenies`` calls this only for split and
+    ramified ell; the tests also run it for inert ell, where it must find
+    nothing.
+    """
     p, a, b, t = c.p, c.a, c.b, c.t
-    disc = t * t - 4 * p
     d = (ell - 1) // 2
     w = division_polys(p, a, b, max(ell, 2 * d))
     psi = fp.make_monic(w[ell], p)
@@ -437,7 +475,23 @@ def rational_l_isogenies(c: Curve, ell: int) -> list[IsogenyEdge]:
                 scale=1,
             )
         )
-    expected = 1 + kronecker(disc, ell)
+    return edges
+
+
+def rational_l_isogenies(c: Curve, ell: int) -> list[IsogenyEdge]:
+    """All F_p-rational cyclic ell-isogenies from c (0, 1, or 2 of them).
+
+    A rational ell-kernel is an eigenspace of Frobenius on E[ell], so when
+    x^2 - t x + p has no root mod ell (ell inert in Q(sqrt(t^2 - 4p))) there
+    is none, and psi_ell is not built at all.
+    """
+    _check_degree(ell, c.p)
+    if not c.ordinary:
+        raise PreconditionError("supersingular curves are out of scope")
+    expected = 1 + kronecker(c.t * c.t - 4 * c.p, ell)
+    if expected == 0:
+        return []
+    edges = _psi_kernel_search(c, ell)
     if len(edges) != expected:
         raise InternalConsistencyError(
             f"found {len(edges)} rational {ell}-kernels, splitting predicts {expected}"
@@ -590,32 +644,44 @@ class IsogenyGraph(StepGraph):
 
 
 def build_isogeny_graph(p: int, t: int, ells) -> IsogenyGraph:
+    """The ell-isogeny graph of the trace-t class over F_p, for ell in ells.
+
+    The class is grown by breadth-first search over the computed horizontal
+    isogenies, seeded by the j-order class scan: each j the scan finds that
+    no search has reached seeds a new component, and the scan stops once
+    all h(D) vertices are known.  When the ells generate Cl(D) one seed
+    suffices; an edgeless or non-generating L costs at most the full scan.
+    """
     ells = tuple(sorted(set(int(x) for x in ells)))
     for ell in ells:
         _check_degree(ell, p)
-    disc = _frobenius_disc(p, t)
-    js = enumerate_isogeny_class(p, t)
-    if not js:
-        raise InternalConsistencyError(f"empty isogeny class for p = {p}, t = {t}")
-    curves = {}
-    for j in js:
-        c = _twist_with_trace(p, j, t)
-        if c is None or c.j != j:
-            raise InternalConsistencyError(f"lost the trace-{t} twist at j = {j}")
-        curves[j] = c
+    disc, h = _checked_class(p, t)
+    curves: dict[int, Curve] = {}
     edges = []
-    for j in js:
-        for ell in ells:
-            for e in rational_l_isogenies(curves[j], ell):
-                if e.target_j not in curves:
-                    raise InternalConsistencyError(
-                        f"edge from j = {j} leaves the class (target {e.target_j})"
+    for seed in _class_scan(p, t, disc, curves):
+        curves[seed.j] = seed
+        queue = deque([seed])
+        while queue:
+            c = queue.popleft()
+            for ell in ells:
+                for e in rational_l_isogenies(c, ell):
+                    target = curves.get(e.target_j)
+                    if target is None:
+                        target = _twist_with_trace(p, e.target_j, t)
+                        if target is None or target.j != e.target_j:
+                            raise InternalConsistencyError(
+                                f"edge from j = {c.j} leaves the class (target {e.target_j})"
+                            )
+                        curves[e.target_j] = target
+                        queue.append(target)
+                    u = _model_scale(p, e.velu_model, (target.a, target.b))
+                    edges.append(
+                        replace(e, target_model=(target.a, target.b), scale=u)
                     )
-                target = curves[e.target_j]
-                u = _model_scale(p, e.velu_model, (target.a, target.b))
-                edges.append(
-                    replace(e, target_model=(target.a, target.b), scale=u)
-                )
+        if len(curves) >= h:
+            break
+    if not curves:
+        raise InternalConsistencyError(f"empty isogeny class for p = {p}, t = {t}")
     directed = {}
     for e in edges:
         key = (e.source_j, e.target_j, e.ell)
@@ -626,7 +692,7 @@ def build_isogeny_graph(p: int, t: int, ells) -> IsogenyGraph:
                 f"missing dual of the {ell}-isogeny {src} -> {tgt}"
             )
     edges.sort(key=lambda e: (e.source_j, e.ell, e.target_j, e.kernel))
-    return IsogenyGraph(p, t, disc, js, curves, edges, ells)
+    return IsogenyGraph(p, t, disc, sorted(curves), curves, edges, ells)
 
 
 @dataclass(frozen=True)

@@ -116,11 +116,36 @@ def poly_mod(u, g, p):
     return poly_divmod(u, g, p)[1]
 
 
+def _int_coeffs(u, p) -> list[int]:
+    out = [int(c) % p for c in u]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def poly_gcd(u, v, p):
-    u, v = trim(u), trim(v)
-    while len(v):
-        u, v = v, poly_mod(u, v, p)
-    return make_monic(u, p)
+    """Monic gcd by one Euclid loop over Python-int coefficient lists.
+
+    Most remainder steps of the kernel search have a quotient of one or two
+    terms, so per-step numpy overhead would dominate; here a step costs
+    one pass over the divisor's coefficients per quotient term.
+    """
+    a, b = _int_coeffs(u, p), _int_coeffs(v, p)
+    while b:
+        inv_lead = pow(b[-1], -1, p)
+        db = len(b) - 1
+        low = b[:db]
+        while len(a) > db:
+            c = a.pop() * inv_lead % p
+            shift = len(a) - db
+            a[shift:] = [(x - c * y) % p for x, y in zip(a[shift:], low)]
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    if not a:
+        return _ZERO
+    inv_lead = pow(a[-1], -1, p)
+    return np.array([c * inv_lead % p for c in a], dtype=np.int64)
 
 
 def poly_xgcd(u, v, p):

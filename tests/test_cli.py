@@ -265,6 +265,7 @@ def test_degree_cap_checked_before_any_work(capsys, monkeypatch):
 
     monkeypatch.setattr(ecgraph, "enumerate_isogeny_class", unreachable)
     monkeypatch.setattr(ecgraph, "division_polys", unreachable)
+    monkeypatch.setattr(ecgraph, "_count", unreachable)  # no curve is counted either
     too_big = ecgraph.DEGREE_CAP + 6  # 37, an odd prime
     for cmd in ("ecgraph", "dlpdemo"):
         rc, _, err = run(capsys, [cmd, "-p", "9973", "-t", "1", "-L", f"5,{too_big}"])

@@ -9,7 +9,8 @@ import sympy
 
 from isocayley import ecgraph as eg
 from isocayley import pathfind, quadform
-from isocayley.ntheory import fundamental_discriminant
+from isocayley.abelian import subgroup_generated
+from isocayley.ntheory import fundamental_discriminant, kronecker
 from isocayley.errors import (
     InputError,
     InternalConsistencyError,
@@ -281,6 +282,21 @@ def test_graph_inert_prime_is_edgeless():
     assert g.order == 2 and g.degree == 0 and g.edges == []
 
 
+@pytest.mark.parametrize(
+    "p, error, message",
+    [
+        (3, InputError, "p >= 5"),
+        (-7, InputError, "odd prime"),
+        (9, InputError, "odd prime"),
+        (10007, PreconditionError, "cap"),
+    ],
+)
+def test_graph_checks_the_field_first(p, error, message):
+    with pytest.raises(error) as ei:
+        eg.build_isogeny_graph(p, 1, (5,))
+    assert message in str(ei.value)
+
+
 def test_graph_empty_ell_list():
     g = graph(31, 3, ())
     assert g.degree == 0 and g.order == 2
@@ -313,6 +329,82 @@ def test_adjacency_counts_the_edge_list(p, t):
     for e in g.edges:
         mat[g.vertex_index(e.source_j), g.vertex_index(e.target_j)] += 1
     assert np.array_equal(g.adjacency(), mat)
+
+
+def test_psi_search_finds_no_kernel_for_inert_degrees():
+    """The full division-polynomial search, which rational_l_isogenies skips
+    for inert ell, finds no rational kernel on any criterion-7 curve."""
+    checked = 0
+    for p, t in CRITERION_7:
+        d = t * t - 4 * p
+        inert = [ell for ell in (3, 5, 7, 11, 13) if ell != p and kronecker(d, ell) == -1]
+        for j in eg.enumerate_isogeny_class(p, t):
+            c = eg._twist_with_trace(p, j, t)
+            for ell in inert:
+                assert eg._psi_kernel_search(c, ell) == [], (p, t, j, ell)
+                checked += 1
+    assert checked == 77  # (curve, ell) pairs; (61, 7) has no inert degree
+
+
+def test_inert_degree_builds_no_division_polynomial(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("psi_ell built for an inert ell")
+
+    c = eg._twist_with_trace(31, 8, 3)  # 11 is inert for -115
+    monkeypatch.setattr(eg, "division_polys", unreachable)
+    assert eg.rational_l_isogenies(c, 11) == []
+
+
+def reference_edges(p, t, ells):
+    """rational_l_isogenies from every vertex of the enumerated class."""
+    out = []
+    for j in eg.enumerate_isogeny_class(p, t):
+        c = eg._twist_with_trace(p, j, t)
+        for ell in ells:
+            out.extend(eg.rational_l_isogenies(c, ell))
+    return sorted(
+        (e.source_j, e.ell, e.target_j, e.kernel, e.eigenvalue, e.source_model, e.velu_model)
+        for e in out
+    )
+
+
+@pytest.mark.parametrize(
+    "p, t, ells, generated",
+    [
+        (67, 2, (3, 11), 4),  # both ramified; h = 8
+        (131, 6, (5, 13), 1),  # both inert; h = 10
+        (139, 2, (3, 5, 7), 4),  # ramified, inert and split; h = 8
+        (67, 2, (3, 5, 7, 11, 13), 8),  # generates Cl(D); h = 8
+    ],
+)
+def test_isogeny_search_reaches_the_enumerated_class(p, t, ells, generated):
+    d = t * t - 4 * p
+    cl = quadform.class_group(d)
+    forms = [quadform.prime_form(d, ell) for ell in ells]
+    gens = [cl.element_of(f[0]) for f in forms if f is not None]
+    assert subgroup_generated(cl.group, gens).order == generated
+    g = eg.build_isogeny_graph(p, t, ells)
+    assert list(g.vertices) == eg.enumerate_isogeny_class(p, t)
+    assert len(g.vertices) == cl.order
+    got = [(e.source_j, e.ell, e.target_j, e.kernel, e.eigenvalue, e.source_model, e.velu_model)
+           for e in g.edges]
+    assert got == reference_edges(p, t, ells)
+    for e in g.edges:
+        assert e.target_model == (g.curves[e.target_j].a, g.curves[e.target_j].b)
+
+
+def test_isogeny_search_stops_early(monkeypatch):
+    calls = []
+    count = eg._count
+
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(eg, "_count", counted)
+    g = eg.build_isogeny_graph(2003, 1, (5, 7))
+    assert g.order == 25
+    assert len(calls) < 2003 // 4
 
 
 # ------------------------------------------------------------- comparison

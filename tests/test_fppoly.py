@@ -48,6 +48,28 @@ def test_gcd_matches_sympy(u_c, v_c, p):
         assert [int(c) for c in ours] == want
 
 
+@pytest.mark.parametrize(
+    "u_c, v_c, p",
+    [
+        ([], [], 5),  # both zero: the gcd is zero
+        ([], [2, 4], 7),  # u = 0: the gcd is v made monic
+        ([3, 0, 6], [], 11),  # v = 0
+        ([3], [5], 7),  # two constants
+        ([4], [2, 3, 5], 13),  # a constant against a quadratic
+        ([3, 3], [1, 1, 5, 5], 7),  # deg u < deg v; 3(x + 1) and 5(x + 1)(x^2 + 3)
+        ([0, 4, 6, 2], [0, 4, 5, 7], 11),  # non-monic, common factor x(x + 2)
+        ([2, 2, 2, 2], [0, 2, 0, 2], 3),  # p = 3; 2(x^2 + 1)(x + 1) and 2x(x^2 + 1)
+    ],
+)
+def test_gcd_pinned_cases_match_sympy(u_c, v_c, p):
+    u, v = fp.poly(u_c, p), fp.poly(v_c, p)
+    theirs = sympy.gcd(to_sympy(u, p), to_sympy(v, p))
+    want = [] if theirs.is_zero else [c % p for c in reversed(theirs.monic().all_coeffs())]
+    got = fp.poly_gcd(u, v, p)
+    assert got.dtype == np.int64
+    assert [int(c) for c in got] == want
+
+
 @given(coeff_lists, coeff_lists, st.sampled_from(PRIMES))
 @settings(max_examples=100, deadline=None)
 def test_xgcd_bezout_identity(u_c, v_c, p):
