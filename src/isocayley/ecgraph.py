@@ -1,8 +1,9 @@
 """Ordinary elliptic-curve isogeny graphs over small prime fields.
 
 Everything here is desk scale on purpose: point counts are naive O(p)
-Legendre sums, kernels come from factoring division polynomials, and the
-codomain of every computed isogeny is re-counted as a consistency check.
+Legendre sums, each kernel polynomial is one gcd with a division
+polynomial per Frobenius eigenvalue, and the codomain of every computed
+isogeny is re-counted as a consistency check.
 Vertices are j-invariants; for each j the unique twist with Frobenius
 trace exactly +t is the working model.  Only fundamental Frobenius
 discriminants t^2 - 4p are accepted, so the whole class sits at the
@@ -73,10 +74,11 @@ SPECTRUM_TOL = 1e-6
 def _check_degree(ell: int, p: int) -> None:
     """Reject an isogeny degree before anything is built for it.
 
-    The kernel search factors psi_ell, of degree n = (ell^2 - 1) / 2, and
-    each powmod of that factoring keeps an (n - 1) x n int64 reduction
-    table, so memory grows like ell^4 and time faster still.  The cap 31
-    (n = 480, a 1.8 MB table) sits far above every degree the demos use.
+    The kernel search works modulo psi_ell, of degree n = (ell^2 - 1) / 2,
+    through one (n - 1) x n int64 reduction table per psi_ell, so memory
+    grows like ell^4 and time faster still.  The cap 31 (n = 480, a 1.8 MB
+    table) sits far above every degree the demos use, and keeps the
+    table's sums exact: n * p^2 < 2^63 at the field cap.
     """
     if ell > DEGREE_CAP:
         raise PreconditionError(f"degree {ell} exceeds the isogeny-degree cap {DEGREE_CAP}")
@@ -89,7 +91,7 @@ def _check_degree(ell: int, p: int) -> None:
 def _check_field(p: int) -> None:
     if p > FIELD_CAP:
         raise PreconditionError(f"p = {p} exceeds the naive-counting cap {FIELD_CAP}")
-    if p < 3 or not is_prime(p) or p == 2:
+    if p < 3 or not is_prime(p):
         raise InputError(f"p = {p} is not an odd prime")
 
 
@@ -312,101 +314,6 @@ class IsogenyEdge:
     scale: int  # u with (x, y) -> (u^2 x, u^3 y) : velu model -> target model
 
 
-class _Fq:
-    """F_p[x] modulo a fixed irreducible g: just enough field arithmetic."""
-
-    def __init__(self, g: np.ndarray, p: int):
-        self.g = g
-        self.p = p
-        self.alpha = fp.poly_mod(fp.X, g, p)
-        self.one = fp.ONE
-
-    def red(self, u):
-        return fp.poly_mod(u, self.g, self.p)
-
-    def mul(self, u, v):
-        return fp.poly_mod(fp.poly_mul(u, v, self.p), self.g, self.p)
-
-    def inv(self, u):
-        gg, s, _ = fp.poly_xgcd(u, self.g, self.p)
-        if fp.degree(gg) != 0:
-            raise InternalConsistencyError("non-invertible element in F_q arithmetic")
-        return self.red(fp.poly_scale(s, pow(int(gg[0]), -1, self.p), self.p))
-
-    def pow(self, u, e):
-        return fp.poly_powmod(u, e, self.g, self.p)
-
-    def neg(self, u):
-        return fp.poly_scale(u, -1, self.p)
-
-    def eq(self, u, v):
-        return np.array_equal(fp.trim(u), fp.trim(v))
-
-
-def _x_of_multiple(field: _Fq, wa: list[np.ndarray], f_alpha, m: int):
-    """x([m]P) where x(P) is the residue class alpha, as an F_q element."""
-    if m == 1:
-        return field.alpha
-    num = field.mul(wa[m - 1], wa[m + 1])
-    den = field.mul(wa[m], wa[m])
-    if m % 2:
-        num = field.mul(f_alpha, num)
-    else:
-        den = field.mul(f_alpha, den)
-    return fp.poly_sub(field.alpha, field.mul(num, field.inv(den)), field.p)
-
-
-def _y_factor_of_multiple(field: _Fq, wa: list[np.ndarray], f_alpha, m: int):
-    """G_m with y([m]P) = y * G_m, as an F_q element."""
-    if m == 1:
-        return field.one
-    den = field.mul(wa[m], wa[m])
-    den = fp.poly_scale(field.mul(den, den), 2, field.p)
-    if m % 2 == 0:
-        den = field.mul(den, field.mul(f_alpha, f_alpha))
-    return field.mul(wa[2 * m], field.inv(den))
-
-
-def _eigenvalue_of_kernel(field: _Fq, wa, f_alpha, ell: int, p: int, t: int) -> int:
-    roots = [z for z in range(1, ell) if (z * z - t * z + p) % ell == 0]
-    if not roots:
-        raise InternalConsistencyError(
-            f"rational kernel found although x^2 - {t}x + {p} has no root mod {ell}"
-        )
-    frob_x = field.pow(field.alpha, p)
-    frob_y = field.pow(f_alpha, (p - 1) // 2)
-    for lam in roots:
-        m = min(lam, ell - lam)
-        if not field.eq(frob_x, _x_of_multiple(field, wa, f_alpha, m)):
-            continue
-        g_m = _y_factor_of_multiple(field, wa, f_alpha, m)
-        if lam != m:
-            g_m = field.neg(g_m)
-        if field.eq(frob_y, g_m):
-            return lam
-    raise InternalConsistencyError("no Frobenius eigenvalue matched the kernel")
-
-
-def _kernel_from_factor(field: _Fq, wa, f_alpha, ell: int) -> np.ndarray | None:
-    """The kernel polynomial over F_p if the subgroup through alpha is rational."""
-    d = (ell - 1) // 2
-    p = field.p
-    coeffs = [field.one]  # monic polynomial over F_q, built up linear factor by factor
-    for m in range(1, d + 1):
-        xi = _x_of_multiple(field, wa, f_alpha, m)
-        nxt = [fp.poly([], p) for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = fp.poly_add(nxt[i + 1], c, p)
-            nxt[i] = fp.poly_sub(nxt[i], field.mul(xi, c), p)
-        coeffs = nxt
-    flat = []
-    for c in coeffs:
-        if fp.degree(c) > 0:
-            return None
-        flat.append(int(c[0]) if len(c) else 0)
-    return fp.poly(flat, p)
-
-
 def velu_codomain(c: Curve, kernel: np.ndarray) -> tuple[int, int]:
     """Codomain model of the isogeny with the given odd kernel polynomial."""
     p = c.p
@@ -422,39 +329,59 @@ def velu_codomain(c: Curve, kernel: np.ndarray) -> tuple[int, int]:
     return (c.a - 5 * t_tot) % p, (c.b - 7 * w_tot) % p
 
 
-def _splitter_seed(p: int, a: int, b: int, ell: int) -> int:
-    return ((p * FIELD_CAP + a) * FIELD_CAP + b) * 10**6 + ell
+def _psi_kernel_search(c: Curve, ell: int, eigenvalues) -> list[IsogenyEdge]:
+    """The rational ell-kernel of c on which Frobenius acts as lam, per lam.
 
+    That kernel is E[ell] meet ker(pi - lam), and pi(P) = (x^p, y^p) with
+    y^p = y * f^((p-1)/2) for f = x^3 + ax + b.  For m = min(lam, ell - lam),
+    [lam]P = +-[m]P, the sign - when lam = ell - m, and at every P = (x, y)
+    of order ell
 
-def _psi_kernel_search(c: Curve, ell: int) -> list[IsogenyEdge]:
-    """Every rational ell-kernel of c, found by factoring psi_ell.
+        [m]P = (x - num/den, y * w_2m / (2 den^2)),
 
-    No degree law is assumed: each degree-(ell-1)/2 factor of psi_ell that
-    spans a rational subgroup gives one edge, whose Velu codomain is
-    re-counted.  ``rational_l_isogenies`` calls this only for split and
-    ramified ell; the tests also run it for inert ell, where it must find
-    nothing.
+    where num = w_(m-1) w_(m+1) and den = w_m^2, f multiplying num for odd m
+    and den for even m; den does not vanish there.  So pi(P) = [lam]P is two
+    polynomial conditions on x, and the kernel polynomial is one gcd of
+    them with psi_ell, as in the Elkies step of Schoof's algorithm.  No
+    degree law is assumed: a lam that is no eigenvalue gives gcd 1, and the
+    Velu codomain of each kernel found is re-counted.
+    ``rational_l_isogenies`` passes the roots of x^2 - t x + p mod ell.
     """
     p, a, b, t = c.p, c.a, c.b, c.t
     d = (ell - 1) // 2
-    w = division_polys(p, a, b, max(ell, 2 * d))
+    w = division_polys(p, a, b, ell)
     psi = fp.make_monic(w[ell], p)
-    factors = fp.low_degree_factors(psi, p, d, _splitter_seed(p, a, b, ell))
+    rows = fp._reduction_rows(psi, p)
+
+    def mul(u, v):
+        return fp.poly_mulmod(u, v, p, rows)
+
+    f = fp.poly([b, a, 0, 1], p)
+    x_shift = fp.poly_sub(fp.X, fp.poly_powmod(fp.X, p, psi, p, rows), p)  # x - x^p
+    frob_y = fp.poly_powmod(f, (p - 1) // 2, psi, p, rows)  # y^p / y
     edges = []
-    seen_kernels: set[tuple[int, ...]] = set()
-    for g in factors:
-        if any(
-            len(fp.poly_mod(fp.poly(known, p), g, p)) == 0 for known in seen_kernels
-        ):
-            continue  # factor already accounted for by a found kernel
-        field = _Fq(g, p)
-        f_alpha = field.red(fp.poly([b, a, 0, 1], p))
-        wa = [field.red(poly) for poly in w]
-        kernel = _kernel_from_factor(field, wa, f_alpha, ell)
-        if kernel is None:
-            continue
-        seen_kernels.add(tuple(int(x) for x in kernel))
-        lam = _eigenvalue_of_kernel(field, wa, f_alpha, ell, p, t)
+    for lam in eigenvalues:
+        m = min(lam, ell - lam)
+        num, den = mul(w[m - 1], w[m + 1]), mul(w[m], w[m])
+        if m % 2:
+            num = mul(f, num)
+        else:
+            den = mul(f, den)
+        sign = 1 if lam == m else -1
+        x_cond = fp.poly_sub(mul(x_shift, den), num, p)
+        y_cond = fp.poly_sub(
+            fp.poly_scale(mul(frob_y, mul(den, den)), 2, p),
+            fp.poly_scale(w[2 * m], sign, p),
+            p,
+        )
+        kernel = fp.poly_gcd(fp.poly_gcd(psi, x_cond, p), y_cond, p)
+        if fp.degree(kernel) == 0:
+            continue  # lam is not an eigenvalue of Frobenius on E[ell]
+        if fp.degree(kernel) != d:
+            raise InternalConsistencyError(
+                f"eigenvalue {lam} cuts out a degree-{fp.degree(kernel)} factor of "
+                f"psi_{ell}, expected {d}"
+            )
         va, vb = velu_codomain(c, kernel)
         _, vt = _count(p, va, vb)
         if vt != t:
@@ -491,7 +418,8 @@ def rational_l_isogenies(c: Curve, ell: int) -> list[IsogenyEdge]:
     expected = 1 + kronecker(c.t * c.t - 4 * c.p, ell)
     if expected == 0:
         return []
-    edges = _psi_kernel_search(c, ell)
+    roots = [z for z in range(1, ell) if (z * z - c.t * z + c.p) % ell == 0]
+    edges = _psi_kernel_search(c, ell, roots)
     if len(edges) != expected:
         raise InternalConsistencyError(
             f"found {len(edges)} rational {ell}-kernels, splitting predicts {expected}"

@@ -1,10 +1,12 @@
 """Dense univariate polynomial arithmetic over a prime field F_p.
 
 Coefficients are numpy int64 vectors, lowest degree first, reduced into
-[0, p).  The zero polynomial is the empty vector.  Factorisation here is
-deliberately partial: it only splits off irreducible factors up to a
-caller-chosen degree, which is all the isogeny-kernel search needs, and
-the probabilistic splitter takes an explicit seed so runs are repeatable.
+[0, p).  The zero polynomial is the empty vector.  Arithmetic modulo a
+fixed g goes through one reduction table per g (``_reduction_rows``),
+which ``poly_mulmod`` and ``poly_powmod`` share.  The isogeny-kernel
+search needs no factoring; the partial factoring routines below
+(distinct-degree, seeded equal-degree, and their combination) are kept
+only while ``bench/tracer.py`` names them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ __all__ = [
     "poly_divmod",
     "poly_mod",
     "poly_gcd",
-    "poly_xgcd",
+    "poly_mulmod",
     "poly_powmod",
     "poly_deriv",
     "poly_eval",
@@ -148,26 +150,6 @@ def poly_gcd(u, v, p):
     return np.array([c * inv_lead % p for c in a], dtype=np.int64)
 
 
-def poly_xgcd(u, v, p):
-    """Monic g = gcd(u, v) together with s, t satisfying s*u + t*v = g."""
-    r0, r1 = trim(u), trim(v)
-    s0, s1 = ONE.copy(), _ZERO
-    t0, t1 = _ZERO, ONE.copy()
-    while len(r1):
-        q, r = poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, p), p)
-        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1, p), p)
-    if len(r0) == 0:
-        return r0, s0, t0
-    scale = pow(int(r0[-1]), -1, p)
-    return (
-        poly_scale(r0, scale, p),
-        poly_scale(s0, scale, p),
-        poly_scale(t0, scale, p),
-    )
-
-
 def _reduction_rows(g, p):
     """(n-1) x n table whose row k is x^(n+k) mod g, for n = deg g >= 1.
 
@@ -187,16 +169,29 @@ def _reduction_rows(g, p):
     return rows
 
 
-def poly_powmod(u, e: int, g, p, rows=None):
-    """u^e mod g by square-and-multiply, reducing by a fixed table.
+def poly_mulmod(u, v, p, rows):
+    """u * v mod g for residues u, v mod g, given rows = _reduction_rows(g, p).
 
-    Each product of two residues (degree < n = deg g) has degree <= 2n - 2;
-    its high coefficients are folded back with one matrix product against
-    the rows x^(n..2n-2) mod g.  Every entry of the convolution and of the
-    matrix product is a sum of at most n terms below p^2, so n * p^2 < 2^63
-    keeps the int64 arithmetic exact (n = 480, p = 10^4 at the caps of
-    ``ecgraph``).  e = 0 gives ONE whatever g is, as repeated multiplication
-    from ONE would.  A caller that powers many residues mod one g passes
+    The product has degree <= 2n - 2 for n = deg g; its high coefficients
+    are folded back with one matrix product against the rows x^(n..2n-2)
+    mod g.  Every entry of the convolution and of the matrix product is a
+    sum of at most n terms below p^2, so n * p^2 < 2^63 keeps the int64
+    arithmetic exact (n = 480, p = 10^4 at the caps of ``ecgraph``).
+    """
+    if len(u) == 0 or len(v) == 0:
+        return _ZERO
+    n = rows.shape[1]
+    prod = np.convolve(u, v) % p
+    if len(prod) <= n:
+        return trim(prod)
+    return trim((prod[:n] + prod[n:] @ rows[: len(prod) - n]) % p)
+
+
+def poly_powmod(u, e: int, g, p, rows=None):
+    """u^e mod g by square-and-multiply with ``poly_mulmod``.
+
+    e = 0 gives ONE whatever g is, as repeated multiplication from ONE
+    would.  A caller that works modulo one g many times passes
     ``rows = _reduction_rows(g, p)`` so the table is built once.
     """
     if e < 0:
@@ -205,26 +200,15 @@ def poly_powmod(u, e: int, g, p, rows=None):
     base = poly_mod(u, g, p)
     if e == 0:
         return result
-    g = trim(g)
-    n = len(g) - 1
     if rows is None:
-        rows = _reduction_rows(g, p)
-
-    def mulmod(v, w):
-        if len(v) == 0 or len(w) == 0:
-            return _ZERO
-        prod = np.convolve(v, w) % p
-        if len(prod) <= n:
-            return trim(prod)
-        return trim((prod[:n] + prod[n:] @ rows[: len(prod) - n]) % p)
-
+        rows = _reduction_rows(trim(g), p)
     while True:
         if e & 1:
-            result = mulmod(result, base)
+            result = poly_mulmod(result, base, p, rows)
         e >>= 1
         if not e:
             return result
-        base = mulmod(base, base)
+        base = poly_mulmod(base, base, p, rows)
 
 
 def poly_deriv(u, p):

@@ -10,7 +10,7 @@ import sympy
 from isocayley import ecgraph as eg
 from isocayley import pathfind, quadform
 from isocayley.abelian import subgroup_generated
-from isocayley.ntheory import fundamental_discriminant, kronecker
+from isocayley.ntheory import fundamental_discriminant
 from isocayley.errors import (
     InputError,
     InternalConsistencyError,
@@ -331,19 +331,34 @@ def test_adjacency_counts_the_edge_list(p, t):
     assert np.array_equal(g.adjacency(), mat)
 
 
-def test_psi_search_finds_no_kernel_for_inert_degrees():
-    """The full division-polynomial search, which rational_l_isogenies skips
-    for inert ell, finds no rational kernel on any criterion-7 curve."""
-    checked = 0
+def test_psi_search_finds_exactly_the_frobenius_eigenvalues():
+    """Searching every lam in F_ell^* on every criterion-7 curve finds a
+    kernel exactly for the roots of x^2 - t x + p mod ell, so none for an
+    inert ell.  Every rational kernel is a Frobenius eigenspace for some
+    lam, so this checks the degree law that rational_l_isogenies assumes."""
+    searches = kernels = 0
+    cases = set()
     for p, t in CRITERION_7:
-        d = t * t - 4 * p
-        inert = [ell for ell in (3, 5, 7, 11, 13) if ell != p and kronecker(d, ell) == -1]
         for j in eg.enumerate_isogeny_class(p, t):
             c = eg._twist_with_trace(p, j, t)
-            for ell in inert:
-                assert eg._psi_kernel_search(c, ell) == [], (p, t, j, ell)
-                checked += 1
-    assert checked == 77  # (curve, ell) pairs; (61, 7) has no inert degree
+            for ell in (3, 5, 7, 11, 13):
+                if ell == p:
+                    continue
+                roots = [z for z in range(1, ell) if (z * z - t * z + p) % ell == 0]
+                edges = eg._psi_kernel_search(c, ell, range(1, ell))
+                assert [e.eigenvalue for e in edges] == roots, (p, t, j, ell)
+                assert all(len(e.kernel) == (ell + 1) // 2 for e in edges)
+                searches += 1
+                kernels += len(edges)
+                for lam in roots:
+                    m = min(lam, ell - lam)
+                    cases.add("lam = +-1" if m == 1 else ("odd m > 1" if m % 2 else "even m"))
+                if len(roots) == 1:
+                    cases.add("ramified")
+                if len(roots) == 2 and t % ell == 0:
+                    cases.add("split, t = 0 mod ell")
+    assert cases == {"lam = +-1", "odd m > 1", "even m", "ramified", "split, t = 0 mod ell"}
+    assert (searches, kernels) == (215, 236)
 
 
 def test_inert_degree_builds_no_division_polynomial(monkeypatch):

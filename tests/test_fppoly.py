@@ -70,17 +70,6 @@ def test_gcd_pinned_cases_match_sympy(u_c, v_c, p):
     assert [int(c) for c in got] == want
 
 
-@given(coeff_lists, coeff_lists, st.sampled_from(PRIMES))
-@settings(max_examples=100, deadline=None)
-def test_xgcd_bezout_identity(u_c, v_c, p):
-    u, v = fp.poly(u_c, p), fp.poly(v_c, p)
-    g, s, t = fp.poly_xgcd(u, v, p)
-    lhs = fp.poly_add(fp.poly_mul(s, u, p), fp.poly_mul(t, v, p), p)
-    assert np.array_equal(lhs, g)
-    if len(g):
-        assert int(g[-1]) == 1
-
-
 def test_powmod_matches_repeated_multiplication():
     p = 101
     g = fp.poly([2, 0, 1], p)
