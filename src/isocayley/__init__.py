@@ -3,7 +3,7 @@
 Subpackages:
 
 * :mod:`isocayley.abelian` -- exact finite abelian groups and characters
-* :mod:`isocayley.quadform` -- binary quadratic forms and (narrow) class groups
+* :mod:`isocayley.quadform` -- binary quadratic forms and class groups
 * :mod:`isocayley.cayley` -- Cayley multigraphs, exact and numeric spectra
 * :mod:`isocayley.walks` -- seeded random walks and mixing experiments
 * :mod:`isocayley.pathfind` -- two-step meet-in-the-middle path search

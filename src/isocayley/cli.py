@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("classgroup", help="class group structure as JSON")
-    p.add_argument("-D", "--disc", type=int, required=True, help="discriminant (signed)")
+    p.add_argument("-D", "--disc", type=int, required=True, help="negative discriminant D")
     _add_common(p)
     p.set_defaults(func=cmd_classgroup)
 

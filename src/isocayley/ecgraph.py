@@ -43,7 +43,6 @@ __all__ = [
     "DEGREE_CAP",
     "Curve",
     "curve",
-    "point_count",
     "curve_with_j",
     "enumerate_isogeny_class",
     "division_polys",
@@ -149,11 +148,6 @@ def curve(p: int, a: int, b: int) -> Curve:
         raise InputError(f"singular model a = {a}, b = {b} over F_{p}")
     _, t = _count(p, a, b)
     return Curve(p, a, b, _j_invariant(p, a, b), t)
-
-
-def point_count(c: Curve) -> tuple[int, int]:
-    """Recount |E(F_p)| and the trace directly from the model."""
-    return _count(c.p, c.a, c.b)
 
 
 def curve_with_j(p: int, j: int) -> tuple[int, int]:

@@ -1,9 +1,9 @@
-"""Binary quadratic forms and exact class groups of quadratic orders.
+"""Binary quadratic forms and exact class groups of imaginary quadratic orders.
 
-Imaginary discriminants give the ordinary class group via unique reduced
-representatives; positive (real) discriminants give the narrow class group
-via reduction cycles of indefinite forms.  Composition is classical Gauss
-composition; nothing here is asymptotically clever, everything is exact.
+Only negative discriminants are served: the endomorphism ring of an ordinary
+elliptic curve over F_p is an imaginary quadratic order, and its classes have
+unique reduced representatives.  Composition is classical Gauss composition;
+nothing here is asymptotically clever, everything is exact.
 
 A form class is its canonical reduced form: :func:`reduce_form` is the one
 way to get one, and :func:`compose`, :func:`inverse`, :func:`prime_form` and
@@ -19,7 +19,7 @@ prime-form generators S_B, labeled "ell:b" (split) or "ell" (ramified).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
     "inverse",
     "principal_form",
     "class_group",
-    "narrow_class_group",
     "prime_form",
     "generating_multiset",
     "check_prime_bound",
@@ -62,10 +61,6 @@ class Discriminant:
     def of(cls, value: int) -> "Discriminant":
         d_k, f = fundamental_discriminant(value)
         return cls(value, d_k, f)
-
-    @property
-    def is_imaginary(self) -> bool:
-        return self.value < 0
 
     def __int__(self) -> int:
         return self.value
@@ -116,9 +111,12 @@ def _normalize_definite(a: int, b: int, c: int) -> tuple[int, int, int]:
     return a, r, c
 
 
-def _reduce_definite(f: QuadForm) -> QuadForm:
-    a, b, c = f.triple()
-    a, b, c = _normalize_definite(a, b, c)
+def reduce_form(f: QuadForm) -> QuadForm:
+    """The unique reduced form equivalent to f: |b| <= a <= c, b >= 0 on ties."""
+    d = f.discriminant
+    if d >= 0 or d % 4 not in (0, 1):
+        raise InputError(f"form {f.triple()} has discriminant {d}, not a negative discriminant")
+    a, b, c = _normalize_definite(*f.triple())
     while a > c or b <= -a:
         if a > c:
             a, b, c = c, -b, a
@@ -126,79 +124,6 @@ def _reduce_definite(f: QuadForm) -> QuadForm:
     if (b < 0) and (-b == a or a == c):
         b = -b
     return QuadForm(a, b, c)
-
-
-def _is_reduced_indefinite(a: int, b: int, c: int, d: int) -> bool:
-    # 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b, all exact
-    if b <= 0 or b * b >= d:
-        return False
-    t = 2 * abs(a)
-    if (t - b >= 0 and (t - b) * (t - b) >= d):  # 2|a| >= sqrt(D) + b fails
-        return False
-    if (t + b) * (t + b) <= d:  # 2|a| <= sqrt(D) - b fails
-        return False
-    return True
-
-
-def _rho_indefinite(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
-    """One reduction step (a,b,c) -> (c, b', c') for indefinite forms."""
-    s = isqrt(d)
-    m = 2 * abs(c)
-    if abs(c) * abs(c) > d:
-        # |c| beyond sqrt(D): center b' in (-|c|, |c|]
-        bp = (-b) % m
-        if bp > abs(c):
-            bp -= m
-    else:
-        # largest b' = -b (mod 2|c|) below sqrt(D)
-        bp = s - ((s + b) % m)
-    cp = (bp * bp - d) // (4 * c)
-    return c, bp, cp
-
-
-def _reduce_indefinite_once(f: QuadForm) -> QuadForm:
-    """Walk rho-steps until a reduced indefinite form is reached."""
-    d = f.discriminant
-    a, b, c = f.triple()
-    guard = 0
-    while not _is_reduced_indefinite(a, b, c, d):
-        a, b, c = _rho_indefinite(a, b, c, d)
-        guard += 1
-        if guard > 10_000:
-            raise InternalConsistencyError(f"reduction of {f} did not terminate")
-    return QuadForm(a, b, c)
-
-
-def _cycle_of(f: QuadForm) -> list[QuadForm]:
-    """The full rho-cycle through a reduced indefinite form."""
-    d = f.discriminant
-    cycle = [f]
-    a, b, c = _rho_indefinite(*f.triple(), d)
-    while (a, b, c) != f.triple():
-        g = QuadForm(a, b, c)
-        if not _is_reduced_indefinite(a, b, c, d):
-            raise InternalConsistencyError(f"rho left the reduced set at {g}")
-        cycle.append(g)
-        a, b, c = _rho_indefinite(a, b, c, d)
-        if len(cycle) > 100_000:
-            raise InternalConsistencyError("rho-cycle did not close")
-    return cycle
-
-
-def reduce_form(f: QuadForm) -> QuadForm:
-    """The canonical reduced representative equivalent to f.
-
-    For D < 0 this is the unique reduced form (|b| <= a <= c, b >= 0 on
-    ties); for D > 0 it is the lexicographically least (a, b, c) on the
-    reduction cycle of f.
-    """
-    d = f.discriminant
-    if d == 0 or d % 4 not in (0, 1) or (d > 0 and isqrt(d) ** 2 == d):
-        raise InputError(f"form {f.triple()} has degenerate discriminant {d}")
-    if d < 0:
-        return _reduce_definite(f)
-    start = _reduce_indefinite_once(f)
-    return min(_cycle_of(start), key=lambda g: g.triple())
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -277,39 +202,12 @@ def _reduced_definite_forms(d: int) -> Iterator[QuadForm]:
             yield QuadForm(a, bb, cc)
 
 
-def _divisors(n: int) -> Iterator[int]:
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            yield i
-            if i != n // i:
-                yield n // i
-        i += 1
-
-
-def _reduced_indefinite_forms(d: int) -> Iterator[QuadForm]:
-    """All primitive reduced indefinite forms of discriminant d > 0."""
-    s = isqrt(d)
-    for b in range(1, s + 1):
-        if (b - d) % 2:
-            continue
-        m = (d - b * b) // 4
-        for u in _divisors(m):
-            if not _is_reduced_indefinite(u, b, -(m // u), d):
-                continue
-            cc = m // u
-            if gcd(gcd(u, b), cc) != 1:
-                continue
-            yield QuadForm(u, b, -cc)
-            yield QuadForm(-u, b, cc)
-
-
 # ---------------------------------------------------------------------------
 # Class groups
 # ---------------------------------------------------------------------------
 
 class ClassGroup:
-    """A (narrow, when D > 0) form class group with explicit abelian structure.
+    """A form class group with explicit abelian structure.
 
     ``classes`` holds the reduced forms, sorted by triple; ``to_element`` /
     ``from_element`` form the bijective dictionary with the invariant-factor
@@ -378,35 +276,13 @@ class ClassGroup:
 
 
 def class_group(disc: "Discriminant | int") -> ClassGroup:
-    """Class group for D < 0; delegates to narrow_class_group for D > 0."""
+    """The class group of a negative discriminant D with |D| <= DEFAULT_DISC_BOUND."""
     d = _as_disc(disc)
-    if abs(d.value) > DEFAULT_DISC_BOUND:
-        raise PreconditionError(f"|{d.value}| exceeds the configured bound {DEFAULT_DISC_BOUND}")
     if d.value > 0:
-        return narrow_class_group(d)
+        raise PreconditionError(f"class groups need a negative discriminant, got {d.value}")
+    if d.value < -DEFAULT_DISC_BOUND:
+        raise PreconditionError(f"|{d.value}| exceeds the configured bound {DEFAULT_DISC_BOUND}")
     return ClassGroup(d, list(_reduced_definite_forms(d.value)))
-
-
-def narrow_class_group(disc: "Discriminant | int") -> ClassGroup:
-    """Narrow class group of a real quadratic discriminant via form cycles."""
-    d = _as_disc(disc)
-    if d.value < 0:
-        raise InputError("narrow_class_group expects a positive discriminant")
-    if d.value > DEFAULT_DISC_BOUND:
-        raise PreconditionError(f"{d.value} exceeds the configured bound {DEFAULT_DISC_BOUND}")
-    forms = {f.triple(): f for f in _reduced_indefinite_forms(d.value)}
-    seen: set[tuple[int, int, int]] = set()
-    classes = []
-    for triple in sorted(forms):
-        if triple in seen:
-            continue
-        cycle = _cycle_of(forms[triple])
-        for g in cycle:
-            if g.triple() not in forms:
-                raise InternalConsistencyError(f"cycle left the reduced set at {g}")
-            seen.add(g.triple())
-        classes.append(min(cycle, key=lambda g: g.triple()))
-    return ClassGroup(d, classes)
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,8 @@ class WalkConfig:
             raise InputError("trials must be >= 1")
         if not self.target:
             raise InputError("target set W must be nonempty")
+        if len(set(self.target)) != len(self.target):
+            raise InputError("target set W lists a vertex twice")
 
 
 def _endpoints(graph: CayleyGraph, start_idx: int, length: int, trials: int, seed: int) -> np.ndarray:
@@ -267,7 +269,7 @@ def mixing_experiment(graph: CayleyGraph, start, cfg: WalkConfig) -> ExperimentR
     cfg.length >= mixing_length(graph, |W|); a length of None walks exactly
     that far, and the result's config carries the resolved length.
     """
-    w_idx = sorted({graph.vertex_index(v) for v in cfg.target})
+    w_idx = sorted(graph.vertex_index(v) for v in cfg.target)
     need = mixing_length(graph, len(w_idx))
     if cfg.length is None:
         cfg = replace(cfg, length=need)

@@ -61,6 +61,17 @@ def test_classgroup_bound_is_a_precondition(capsys):
     assert "error (precondition)" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classgroup", "-D", "60"],
+    ["spectrum", "-D", "1229", "--bound", "50"],
+])
+def test_positive_discriminant_is_a_precondition(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 3
+    assert "Traceback" not in out + err
+    assert err.startswith("error (precondition):") and err.count("\n") == 1
+
+
 def test_spectrum_triangle(capsys):
     rc, out, _ = run(capsys, ["spectrum", "-D", "-23", "--bound", "3"])
     assert rc == 0
@@ -112,6 +123,16 @@ def test_mix_report(capsys, z9):
     assert data["verdict"] == "PASS"
     assert data["config"]["target"] == ["3", "4"]
     assert data["exact_probability"] is not None  # |H| = 9 <= 64
+
+
+@pytest.mark.parametrize("target", ["2:1:9,2:1:9", "2:1:9,2:5:12"])
+def test_mix_rejects_a_repeated_target_vertex(capsys, target):
+    # 2:5:12 is another spelling of the class 2:1:9
+    rc, out, err = run(capsys, ["mix", "-D", "-71", "--bound", "30", "--target", target,
+                                "--trials", "2000", "--seed", "1"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error (input):") and err.count("\n") == 1
 
 
 def test_mix_makes_one_character_pass(capsys, monkeypatch, z9):

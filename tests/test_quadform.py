@@ -20,7 +20,6 @@ from isocayley.quadform import (
     compose,
     generating_multiset,
     inverse,
-    narrow_class_group,
     prime_form,
     principal_form,
     reduce_form,
@@ -39,13 +38,6 @@ KNOWN_H = {
     -1003: 4,
     -10007: 77,
 }
-
-# narrow class numbers h+ = h * (2 if the fundamental unit has norm +1 else 1)
-# for real fundamental discriminants, from unit norms checked by hand:
-# norm(1+sqrt2)=-1, norm(2+sqrt3)=+1, norm golden=-1, norm((3+sqrt13)/2)=-1,
-# norm(4+sqrt17)=-1, norm((5+sqrt21)/2)=+1, norm(5+2*sqrt6)=+1,
-# norm(23+4*sqrt33)=+1, norm(3+sqrt10)=-1
-KNOWN_NARROW = {5: 1, 8: 1, 12: 2, 13: 1, 17: 1, 21: 2, 24: 2, 33: 2, 40: 2}
 
 
 def dirichlet_h(d):
@@ -101,19 +93,13 @@ class TestReduce:
             assert reduce_form(red) == red
             assert red.discriminant == f.discriminant
 
-    def test_indefinite_canonical_on_cycle(self):
-        # every member of a cycle reduces to the same canonical form
-        from isocayley.quadform import _cycle_of, _reduce_indefinite_once
-
-        f = _reduce_indefinite_once(QuadForm(1, 8, -3))  # D = 76
-        cycle = _cycle_of(f)
-        canon = {reduce_form(g).triple() for g in cycle}
-        assert len(canon) == 1
-        assert min(g.triple() for g in cycle) in canon
-
     def test_degenerate_disc_rejected(self):
         with pytest.raises(InputError):
             reduce_form(QuadForm(1, 3, 2))  # disc 1, a square
+
+    def test_positive_discriminant_rejected(self):
+        with pytest.raises(InputError):
+            reduce_form(QuadForm(1, 8, -3))  # disc 76
 
 
 class TestCompose:
@@ -142,15 +128,6 @@ class TestCompose:
             for y in cs:
                 for z in cs:
                     assert compose(compose(x, y), z) == compose(x, compose(y, z))
-
-    def test_group_laws_real_quadratic(self):
-        cg = narrow_class_group(60)
-        cs = cg.classes
-        assert cg.order == 4
-        for x in cs:
-            assert compose(x, inverse(x)) == cg.identity
-            for y in cs:
-                assert compose(x, y) == compose(y, x)
 
     def test_discriminant_mismatch(self):
         with pytest.raises(InputError):
@@ -228,6 +205,14 @@ class TestClassGroup:
         with pytest.raises(PreconditionError):
             class_group(-10**7 - 111)
 
+    def test_positive_discriminant_rejected(self, monkeypatch):
+        def unreachable(d):
+            raise AssertionError("enumerated forms of a positive discriminant")
+
+        monkeypatch.setattr(quadform, "_reduced_definite_forms", unreachable)
+        with pytest.raises(PreconditionError):
+            class_group(60)
+
     def test_bad_discriminant(self):
         with pytest.raises(InputError):
             Discriminant.of(-5)  # 3 mod 4
@@ -235,24 +220,6 @@ class TestClassGroup:
             Discriminant.of(16)  # square
         with pytest.raises(InputError):
             Discriminant.of(0)
-
-
-class TestNarrow:
-    def test_documented_orders(self):
-        assert narrow_class_group(8).order == 1
-        assert narrow_class_group(12).order == 2
-        assert narrow_class_group(5).order == 1
-
-    def test_known_narrow_numbers(self):
-        for d, h in KNOWN_NARROW.items():
-            assert narrow_class_group(d).order == h, f"h+({d})"
-
-    def test_positive_delegation(self):
-        assert class_group(12).order == narrow_class_group(12).order
-
-    def test_negative_rejected(self):
-        with pytest.raises(InputError):
-            narrow_class_group(-23)
 
 
 class TestPrimeForm:
@@ -380,22 +347,3 @@ def test_reduction_reaches_unique_representative(d):
         shifted = QuadForm(a, b + 2 * a * k, a * k * k + b * k + c)
         assert reduce_form(shifted) == cl
         assert reduce_form(QuadForm(c, -b, a)).triple() == cl.triple()
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=5, max_value=1500))
-def test_narrow_group_laws(d):
-    if d % 4 not in (0, 1):
-        return
-    try:
-        disc = Discriminant.of(d)
-    except InputError:
-        return
-    cg = narrow_class_group(disc)
-    rng = random.Random(d)
-    cls = list(cg.classes)
-    for _ in range(min(6, len(cls))):
-        x, y = rng.choice(cls), rng.choice(cls)
-        assert compose(x, y) == compose(y, x)
-        assert compose(x, inverse(x)) == cg.identity
-        assert cg.element_of(compose(x, y)) == op_mul(cg.element_of(x), cg.element_of(y))

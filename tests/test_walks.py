@@ -108,6 +108,8 @@ def test_config_validation():
         WalkConfig(length=3, trials=0, seed=0, target=(tri.vertices[0],))
     with pytest.raises(InputError):
         WalkConfig(length=3, trials=10, seed=0, target=())
+    with pytest.raises(InputError):
+        WalkConfig(length=3, trials=10, seed=0, target=(tri.vertices[1], tri.vertices[1]))
 
 
 def test_experiment_documented_triangle():
