@@ -9,11 +9,12 @@ actually evaluated.  :func:`character_angles` gives the whole table of
 numerators at once, and ``Fraction`` appears only in :meth:`Character.angle`,
 the per-element reference it is checked against.
 
-:func:`structure_of` is the one structure walk of the package: given the
-elements of a finite abelian group and its operation, it finds the
-invariant factors and every element's coordinates.  Class groups run it on
-form classes under composition, and :meth:`Subgroup.abstract_structure` on
-coordinate tuples under addition.
+:func:`structure_of` is the one structure walk of the package: given
+generators of a finite abelian group and its operation, it lists every
+element with its coordinates and finds the invariant factors.  Class groups
+run it on form classes under composition, and :func:`subgroup_generated` on
+the generators' coordinate tuples under addition, once
+:func:`generated_order` has sized the subgroup by one Smith normal form.
 
 Abstract groups can be loaded from a small text format::
 
@@ -32,7 +33,6 @@ offending line number.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from cmath import exp as _cexp
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import GroupFileError, InputError, InternalConsistencyError
+from .errors import GroupFileError, InputError, InternalConsistencyError, PreconditionError
 
 _T = TypeVar("_T")
 
@@ -56,6 +56,7 @@ __all__ = [
     "op_mul",
     "op_inv",
     "op_pow",
+    "generated_order",
     "subgroup_generated",
     "full_subgroup",
     "characters_of",
@@ -315,37 +316,34 @@ def structure_of(
     invariants and generator images; every element's coordinates are its
     exponent vector times the images, modulo the invariants.
     """
-    reps: dict[_T, list[int]] = {identity: []}  # element -> exponents of the generators
+    index: dict[_T, int] = {identity: 0}  # element -> its row of ``exps``
+    exps = np.zeros((1, 0), dtype=np.int64)  # row i: generator exponents of element i
     rows: list[list[int]] = []
     for g in elements:
-        if g in reps:
+        if g in index:
             continue
-        r = len(rows)
-        known = [(base, vec + [0] * (r - len(vec))) for base, vec in reps.items()]
+        known = list(index)
         power, k = g, 1
-        while power not in reps:
+        while power not in index:
             # power = g^k lies outside H, so the whole coset power * H is new
-            for base, vec in known:
+            for base in known:
                 prod = op(power, base)
-                if prod in reps:
+                if prod in index:
                     raise InternalConsistencyError("coset overlap during structure walk")
-                reps[prod] = vec + [k]
+                index[prod] = len(index)
             power = op(power, g)
             k += 1
-        vec = reps[power]
-        rows.append([-x for x in vec] + [0] * (r - len(vec)) + [k])
+        # g^k lies in H (k is minimal), so its exponents are an old row
+        rows.append([-x for x in exps[index[power]].tolist()] + [k])
+        # coset g^i H repeats the rows of H with exponent i for g
+        exps = np.column_stack([np.tile(exps, (k, 1)), np.repeat(np.arange(k), len(known))])
     n = len(rows)
     group, images = group_from_relations(n, [row + [0] * (n - len(row)) for row in rows])
-    keys = list(reps)
-    coeffs = np.array([vec + [0] * (n - len(vec)) for vec in reps.values()], dtype=np.int64)
-    del reps  # frees the exponent lists before the coordinate tuples are built
     # exponents stay below |G| and images below the invariants, so each
     # entry of the product is below n * |G|**2, far inside int64
-    gens = np.array([e.coords for e in images], dtype=np.int64)
-    coords = (coeffs.reshape(len(keys), n) @ gens.reshape(n, group.rank)) % np.array(
-        group.invariants, dtype=np.int64
-    )
-    return group, dict(zip(keys, map(tuple, coords.tolist())))
+    gens = np.array([e.coords for e in images], dtype=np.int64).reshape(n, group.rank)
+    coords = (exps @ gens) % np.array(group.invariants, dtype=np.int64)
+    return group, dict(zip(index, map(tuple, coords.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +354,20 @@ _MAX_SUBGROUP_ORDER = 10**6
 
 
 class Subgroup:
-    """A subgroup with an explicit sorted element list.
-
-    Membership is a binary search over coordinate tuples.  The abstract
-    invariant structure (needed for characters) is computed lazily and cached.
-    """
+    """A subgroup with its elements in coordinate order and its abstract
+    structure, which maps each element to its coordinates in the subgroup's
+    own invariant-factor presentation; membership is a lookup in that map."""
 
     def __init__(
         self,
         ambient: FiniteAbelianGroup,
-        elements: Sequence[GroupElement],
         generators: Sequence[GroupElement],
+        structure: tuple[FiniteAbelianGroup, dict[tuple[int, ...], tuple[int, ...]]],
     ):
         self.ambient = ambient
-        self.elements = tuple(sorted(elements, key=lambda g: g.coords))
         self.generators = tuple(generators)
-        self._sorted_coords = [g.coords for g in self.elements]
-        self._abstract: tuple[FiniteAbelianGroup, dict[tuple[int, ...], tuple[int, ...]]] | None = None
+        self._structure = structure
+        self.elements = tuple(GroupElement(ambient, c) for c in sorted(structure[1]))
 
     @property
     def order(self) -> int:
@@ -383,10 +378,8 @@ class Subgroup:
         return self.ambient.order // self.order
 
     def __contains__(self, g: GroupElement) -> bool:
-        if not isinstance(g, GroupElement) or g.group != self.ambient:
-            return False
-        i = bisect_left(self._sorted_coords, g.coords)
-        return i < len(self._sorted_coords) and self._sorted_coords[i] == g.coords
+        in_ambient = isinstance(g, GroupElement) and g.group == self.ambient
+        return in_ambient and g.coords in self._structure[1]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -398,11 +391,11 @@ class Subgroup:
         return (
             isinstance(other, Subgroup)
             and self.ambient == other.ambient
-            and self._sorted_coords == other._sorted_coords
+            and self._structure[1].keys() == other._structure[1].keys()
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient, tuple(self._sorted_coords)))
+        return hash((self.ambient, self.order))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.ambient})"
@@ -415,60 +408,44 @@ class Subgroup:
         The map is a group isomorphism onto the returned group; it is what
         lets characters of the subgroup be evaluated on ambient elements.
         """
-        if self._abstract is None:
-            identity = self.ambient.identity.coords
-            abstract, coords_map = structure_of(
-                self._sorted_coords, identity, _adder(self.ambient.invariants)
-            )
-            if abstract.order != self.order:
-                raise InternalConsistencyError(
-                    f"subgroup presentation of order {abstract.order} != {self.order}"
-                )
-            self._abstract = (abstract, coords_map)
-        return self._abstract
+        return self._structure
 
 
-def _adder(inv: tuple[int, ...]) -> Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]:
-    """Addition of coordinate tuples modulo the invariants ``inv``."""
-    return lambda x, y: tuple((a + b) % d for a, b, d in zip(x, y, inv))
+def generated_order(group: FiniteAbelianGroup, gens: Sequence[GroupElement]) -> int:
+    """|<gens>| = |G| / |G/<gens>|, without building any element.
 
-
-def _close_under(
-    group: FiniteAbelianGroup,
-    seed: set[tuple[int, ...]],
-    gens: Sequence[GroupElement],
-) -> set[tuple[int, ...]]:
-    """The subgroup generated by the subgroup ``seed`` (a set of coordinate
-    tuples) and ``gens``, grown one coset at a time: for g outside the
-    current closure H, <H, g> is H, H + g, ..., H + (m-1)g with m the least
-    power of g in H, so a generator already in H costs one lookup."""
-    add = _adder(group.invariants)
-    closure = set(seed)
+    G/<gens> is Z^k modulo the rows diag(d) and the generators' coordinate
+    vectors, so its order is one Smith normal form away.
+    """
     for g in gens:
-        if g.coords in closure:
-            continue
-        base = list(closure)
-        shift = g.coords
-        while shift not in closure:
-            if len(closure) + len(base) > _MAX_SUBGROUP_ORDER:
-                raise InputError(
-                    f"subgroup closure exceeds {_MAX_SUBGROUP_ORDER} elements"
-                )
-            closure.update([add(x, shift) for x in base])
-            shift = add(shift, g.coords)
-    return closure
+        if g.group != group:
+            raise InputError("generator does not belong to the ambient group")
+    k = group.rank
+    rows = [[d * (i == j) for j in range(k)] for i, d in enumerate(group.invariants)]
+    rows += map(list, dict.fromkeys(g.coords for g in gens))  # a repeat adds nothing
+    return group.order // group_from_relations(k, rows)[0].order
 
 
 def subgroup_generated(
     group: FiniteAbelianGroup, gens: Sequence[GroupElement]
 ) -> Subgroup:
-    """Closure of ``gens`` inside ``group`` (empty list gives the trivial subgroup)."""
-    for g in gens:
-        if g.group != group:
-            raise InputError("generator does not belong to the ambient group")
-    closure = _close_under(group, {group.identity.coords}, list(gens))
-    elements = [GroupElement(group, c) for c in closure]
-    return Subgroup(group, elements, gens)
+    """The subgroup generated by ``gens`` (an empty list gives the trivial subgroup).
+
+    A subgroup above ``_MAX_SUBGROUP_ORDER`` is refused before any element
+    is built; otherwise one structure walk over the generators lists every
+    element with its abstract coordinates.
+    """
+    order = generated_order(group, gens)
+    if order > _MAX_SUBGROUP_ORDER:
+        raise PreconditionError(f"subgroup order {order} exceeds the cap {_MAX_SUBGROUP_ORDER}")
+    inv = group.invariants
+    sub = Subgroup(group, gens, structure_of(
+        [g.coords for g in gens], group.identity.coords,
+        lambda x, y: tuple((a + b) % d for a, b, d in zip(x, y, inv)),
+    ))
+    if sub.order != order:
+        raise InternalConsistencyError(f"structure walk found {sub.order} elements, not {order}")
+    return sub
 
 
 def full_subgroup(group: FiniteAbelianGroup) -> Subgroup:

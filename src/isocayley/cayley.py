@@ -28,8 +28,8 @@ from .abelian import (
     Subgroup,
     character_angles,
     characters_of,
+    generated_order,
     op_inv,
-    subgroup_generated,
 )
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .ntheory import primes_below
@@ -390,11 +390,12 @@ def find_expander_bound(
         return 2, []
 
     s_all = generating_multiset(cls_group, b_max, subgroup)
-    generated = subgroup_generated(cls_group.group, [g.element for g in s_all])
-    if generated != subgroup:
+    # S_B lies in the subgroup, so it generates the subgroup iff the orders agree
+    generated = generated_order(cls_group.group, [g.element for g in s_all])
+    if generated != subgroup.order:
         raise PreconditionError(
             f"prime forms below {b_max} generate a subgroup of order "
-            f"{generated.order}, not the requested {subgroup.order}"
+            f"{generated}, not the requested {subgroup.order}"
         )
 
     # the columns of the angle table follow s_all, which is in prime order

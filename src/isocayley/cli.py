@@ -151,6 +151,8 @@ def _build_graph(args) -> _Graph:
     if args.disc is not None and args.group_file:
         raise InputError("give either -D or --group-file, not both")
     if args.disc is not None:
+        if args.subgroup is not None:
+            raise InputError("--subgroup needs --group-file; with -D, --gens picks the subgroup")
         if args.bound is None:
             raise InputError("-D graphs need --bound to pick the prime-form generators")
         quadform.check_prime_bound(args.bound)
@@ -171,6 +173,8 @@ def _build_graph(args) -> _Graph:
         return _Graph(graph, cls_group=cls,
                       source={"discriminant": args.disc, "bound": args.bound})
     if args.group_file:
+        if args.bound is not None:
+            raise InputError("--bound needs -D; group-file graphs take their edges from --gens")
         gf = abelian.load_group_file(args.group_file)
         if args.gens:
             rank = len(gf.group.invariants)

@@ -14,6 +14,7 @@ from isocayley.abelian import (
     character_angles,
     characters_of,
     full_subgroup,
+    generated_order,
     group_from_relations,
     op_inv,
     op_mul,
@@ -208,6 +209,7 @@ class SubgroupTest(unittest.TestCase):
                 step = {op_mul(x, s) for x in frontier for s in gens}
                 frontier = [x for x in step if x.coords not in seen]
                 seen.update(x.coords for x in frontier)
+            self.assertEqual(generated_order(g, gens), len(seen))
             h = subgroup_generated(g, gens)
             self.assertEqual({x.coords for x in h}, seen)
             self.assertEqual(h.generators, tuple(gens))

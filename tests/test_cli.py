@@ -6,13 +6,14 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocayley import cayley, ecgraph, ntheory, quadform, walks
+from isocayley import abelian, cayley, ecgraph, ntheory, quadform, walks
 from isocayley.cli import ARTIFACT_SCHEMAS, main, schema_for
 
 Z9 = "invariants: 9\n"
@@ -390,6 +391,36 @@ def test_missing_group_file_is_an_input_error(capsys, tmp_path):
     assert err.startswith("error (input):") and err.count("\n") == 1
 
 
+def test_option_of_the_other_source_rejected(capsys, z9):
+    too_big = str(quadform.PRIME_BOUND_CAP + 1)
+    for argv in (["spectrum", "-D", "-23", "--bound", "5", "--subgroup", "foo"],
+                 ["spectrum", "--group-file", z9, "--gens", "1", "--bound", "5"],
+                 ["spectrum", "--group-file", z9, "--gens", "1", "--bound", too_big]):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2, argv
+        assert out == ""
+        assert err.startswith("error (input):") and err.count("\n") == 1
+
+
+def test_subgroup_cap_checked_before_any_element(capsys, monkeypatch, tmp_path):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("elements were built before the subgroup cap was checked")
+
+    monkeypatch.setattr(abelian, "structure_of", unreachable)
+    big = tmp_path / "big.grp"
+    big.write_text("invariants: 10 100 10000\n")  # order 10^7
+    named = tmp_path / "named.grp"
+    named.write_text("invariants: 10 100 10000\nsubgroup H: 1,0,0 0,1,0 0,0,1\n")
+    for argv in (["spectrum", "--group-file", str(big), "--gens", "1:0:0,0:1:0,0:0:1"],
+                 ["spectrum", "--group-file", str(named), "--gens", "1:0:0", "--subgroup", "H"]):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 3
+        assert "Traceback" not in out + err
+        assert err.startswith("error (precondition):") and err.count("\n") == 1
+
+
 def test_both_sources_rejected(capsys, z9):
     rc, _, err = run(capsys, ["spectrum", "-D", "-23", "--bound", "3",
                               "--group-file", z9, "--gens", "1"])
@@ -445,14 +476,17 @@ def _argv(draw, group_file, garbage_file, missing_file):
         maybe("-t", st.sampled_from(["3", "3", "1", "0", "99", "-12"]))
         maybe("-L", st.sampled_from(["7", "7", "5,7", "3", "2", "3,37", "", "a,b", "31"]))
     else:
+        # each source sometimes draws the other source's option too
         if draw(st.booleans()):
             maybe("-D", _DISCS)
             maybe("--bound", _BOUNDS)
+            maybe("--subgroup", st.sampled_from([None, None, None, "even"]))
         else:
             maybe("--group-file",
                   st.sampled_from([group_file, group_file, missing_file, garbage_file]))
             maybe("--gens", st.sampled_from(["1", "1,2", "1,2", "2", "2:0", "1:1:6", "x"]))
             maybe("--subgroup", st.sampled_from([None, None, "even", "odd"]))
+            maybe("--bound", st.sampled_from([None, None, None, "30"]))
         if cmd == "mix":
             maybe("--target", _VERTICES)
             maybe("--trials", _COUNTS)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter, deque
 from math import gcd, isqrt
@@ -9,6 +10,7 @@ from sympy import legendre_symbol
 
 from isocayley import quadform
 from isocayley.abelian import full_subgroup, op_mul, subgroup_generated
+from isocayley.cli import _dumps
 from isocayley.errors import InputError, PreconditionError
 from isocayley.ntheory import is_prime, kronecker, primes_below
 from isocayley.quadform import (
@@ -200,6 +202,16 @@ class TestClassGroup:
         assert data["invariants"] == [3]
         forms = [tuple(entry["form"]) for entry in data["classes"]]
         assert forms == sorted(forms)
+
+    def test_coordinates_pinned_below_4000(self):
+        """One digest over the JSON of every Cl(D) with -4000 < D <= -3: the
+        structure walk may change how it works, not where a class lands."""
+        h = hashlib.sha256()
+        discs = [d for d in range(-3, -4000, -1) if d % 4 in (0, 1)]
+        assert len(discs) == 1999
+        for d in discs:
+            h.update(_dumps(class_group(d).to_json()).encode())
+        assert h.hexdigest() == "fc175dc7eeb1e273c1c6c86a00f776c674d2fe8ede281ad98b947bff6ec7da0c"
 
     def test_bound_enforced(self):
         with pytest.raises(PreconditionError):
