@@ -9,6 +9,11 @@ cross-check.  On top of that sit the expansion measure and
 the scan that finds the smallest prime-norm bound B making the class-group
 graph a two-sided delta-expander, with the scan table kept for the
 main-term/error-term study.
+
+The exports read the step table directly: ``to_dot`` fills one
+``%``-template per generator slot, and ``to_json_adjacency`` hands out an
+:class:`AdjacencyRows` view that ``cli._dumps`` writes with one row template,
+so no per-edge Python object is built at the cap.
 """
 from __future__ import annotations
 
@@ -50,6 +55,7 @@ __all__ = [
     "log_integral",
     "connected_components",
     "to_dot",
+    "AdjacencyRows",
     "to_json_adjacency",
     "scan_table_csv",
 ]
@@ -447,31 +453,63 @@ def to_dot(graph: StepGraph, title: str = "cayley") -> str:
     An edge {v, s*v} with v before s*v in vertex order is emitted for the
     slot of s; the paired slot of s^{-1} accounts for the reverse direction,
     so multiplicities come out right.  Loops are emitted once per slot.
+    Each slot's edge lines are one ``%``-template, repeated over the
+    ``i <= t`` mask of its step-table row and filled once; vertex 0 is in
+    every mask, so no slot's block is empty.
     """
     out = [f"graph {json.dumps(title)} {{"]
     for i, name in enumerate(graph.names):
         out.append(f'  v{i} [label="{name}"];')
     table = graph.step_table
+    index = np.arange(graph.order)
     for j, (label, _) in enumerate(graph.generators):
-        for i in range(graph.order):
-            t = int(table[j, i])
-            if i <= t:  # the paired inverse slot emits the other direction
-                out.append(f'  v{i} -- v{t} [label="{label}"];')
+        keep = index <= table[j]  # the paired inverse slot emits the other direction
+        ends = np.stack((index[keep], table[j, keep]), axis=1).ravel().tolist()
+        line = '  v%d -- v%d [label="' + label.replace("%", "%%") + '"];'
+        out.append("\n".join([line] * (len(ends) // 2)) % tuple(ends))
     out.append("}")
     return "\n".join(out) + "\n"
 
 
+class AdjacencyRows:
+    """Read-only view of a step table as JSON adjacency rows.
+
+    Row i is ``[[t, label], ...]`` over the slots, with t = table[j, i];
+    a row is built only when it is indexed or iterated.  ``cli._dumps``
+    writes the whole view from ``table`` and ``labels`` with one row
+    template, so no h x k pair list is ever built.
+    """
+
+    __slots__ = ("table", "labels")
+
+    def __init__(self, table: np.ndarray, labels: Sequence[str]):
+        self.table = table
+        self.labels = tuple(labels)
+
+    def __len__(self) -> int:
+        return self.table.shape[1]
+
+    def _row(self, targets: list[int]) -> list[list]:
+        return [[t, label] for t, label in zip(targets, self.labels)]
+
+    def __getitem__(self, i: int) -> list[list]:
+        return self._row(self.table[:, i].tolist())
+
+    def __iter__(self):
+        return map(self._row, self.table.T.tolist())
+
+
 def to_json_adjacency(graph: StepGraph) -> dict:
-    """JSON-ready adjacency list with labeled directed slots per vertex."""
-    table = graph.step_table
-    adjacency = [
-        [[int(table[j, i]), graph.generators[j][0]] for j in range(graph.degree)]
-        for i in range(graph.order)
-    ]
+    """JSON-ready adjacency list with labeled directed slots per vertex.
+
+    ``"adjacency"`` is an :class:`AdjacencyRows` view over the step table:
+    row i lists ``[target, label]`` per slot, built only when read.
+    """
+    labels = [label for label, _ in graph.generators]
     return {
         "order": graph.order,
         "degree": graph.degree,
         "vertices": list(graph.names),
-        "generators": [label for label, _ in graph.generators],
-        "adjacency": adjacency,
+        "generators": labels,
+        "adjacency": AdjacencyRows(graph.step_table, labels),
     }

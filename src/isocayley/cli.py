@@ -24,6 +24,10 @@ from .errors import InputError, InternalConsistencyError, PreconditionError
 
 __all__ = ["main", "schema_for", "ARTIFACT_SCHEMAS"]
 
+_encode_str = json.encoder.encode_basestring_ascii
+# what _dumps lays out itself; every other value is a leaf for the stdlib
+_NESTED = (dict, list, tuple, cayley.AdjacencyRows)
+
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
@@ -64,7 +68,76 @@ def schema_for(name: str) -> dict:
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, written directly.
+
+    The recursion lays out dicts, lists and tuples as the stdlib's indented
+    encoder does.  Keys and scalar leaves still go through the stdlib, so its
+    float, bool and escaping rules hold: every leaf of the document is
+    encoded by one compact ``json.dumps`` call.  A
+    :class:`cayley.AdjacencyRows` view is written as the list of its rows
+    from one row template per graph: each label JSON-encoded once, the indent
+    taken from the view's depth, and each row of ``table.T.tolist()`` filled
+    in with one ``%``.
+    """
+    out: list[str | None] = []
+    leaves: list = []
+    _write(obj, "\n", out, leaves)
+    # ensure_ascii escapes every newline inside a string, so "\n" splits the leaves exactly
+    texts = iter(json.dumps(leaves, separators=("\n", ":"))[1:-1].split("\n"))
+    return "".join([next(texts) if part is None else part for part in out]) + "\n"
+
+
+def _key(key) -> str:
+    """A dict key as the stdlib writes it: int, float, bool and None as their JSON text."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return _encode_str(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write(obj, nl: str, out: list[str | None], leaves: list) -> None:
+    """Append the JSON text of obj to ``out``, with ``None`` holding the place
+    of each scalar leaf, which goes to ``leaves``; ``nl`` is a newline plus the
+    indent of obj's line."""
+    if not isinstance(obj, _NESTED):
+        out.append(None)
+        leaves.append(obj)
+        return
+    inner = nl + "  "
+    if isinstance(obj, cayley.AdjacencyRows):
+        pair_nl = inner + "  "
+        leaf_nl = pair_nl + "  "
+        slots = [
+            "[" + leaf_nl + "%d," + leaf_nl + _encode_str(label).replace("%", "%%") + pair_nl + "]"
+            for label in obj.labels
+        ]
+        row = "[" + pair_nl + ("," + pair_nl).join(slots) + inner + "]" if slots else "[]"
+        filled = [row % tuple(targets) for targets in obj.table.T.tolist()]
+        out.append("[" + inner + ("," + inner).join(filled) + nl + "]" if filled else "[]")
+        return
+    if not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    comma = "," + inner
+    if isinstance(obj, dict):
+        out.append("{" + inner)
+        for key, value in sorted(obj.items()):
+            out += (_key(key), ": ")
+            _write(value, inner, out, leaves)
+            out.append(comma)
+        out[-1] = nl + "}"
+    elif any(isinstance(value, _NESTED) for value in obj):
+        out.append("[" + inner)
+        for value in obj:
+            _write(value, inner, out, leaves)
+            out.append(comma)
+        out[-1] = nl + "]"
+    else:  # a list of leaves, laid out in bulk
+        out.append("[" + inner)
+        out += [None, comma] * len(obj)
+        out[-1] = nl + "]"
+        leaves += obj
 
 
 def _digest(text: str) -> str:

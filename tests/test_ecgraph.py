@@ -1,5 +1,6 @@
 """Ordinary isogeny graphs: construction, the class-group comparison, and DLP transfer."""
 
+import hashlib
 from functools import lru_cache
 from math import isqrt
 
@@ -679,3 +680,38 @@ def test_isogeny_graph_expansion():
     k, c = values[0], max(abs(lam) for lam in values[1:])
     assert 1 - c / k > 0.1  # wide two-sided gap; the instance was chosen for this
     assert c < 4
+
+
+# ---------------------------------------------------------------- edge oracle
+
+# sha256 over every edge of every class with 5 <= p < 100, L = {3, 5, 7} \ {p}:
+# 346 graphs and 2,490 edges, each spelled (p, t, source j, target j, ell,
+# eigenvalue, kernel).  Refactors of fppoly and ecgraph must keep it.
+EDGE_DIGEST = "6c0cb22c730c2ee072d4505231646b093581f808ad03ca7f8535296367645c0b"
+
+
+def test_every_edge_below_100_is_pinned():
+    h = hashlib.sha256()
+    graphs = edges = 0
+    for p in range(5, 100):
+        if not sympy.isprime(p):
+            continue
+        ells = [ell for ell in (3, 5, 7) if ell != p]
+        r = isqrt(4 * p)
+        for t in range(-r, r + 1):
+            if t % p == 0:
+                continue
+            try:
+                g = eg.build_isogeny_graph(p, t, ells)
+            except (PreconditionError, InputError):
+                continue
+            graphs += 1
+            for e in g.edges:
+                edges += 1
+                kernel = ",".join(str(int(c)) for c in e.kernel)
+                h.update(
+                    f"{p} {t} {e.source_j} {e.target_j} {e.ell} {e.eigenvalue} {kernel}\n"
+                    .encode()
+                )
+    assert (graphs, edges) == (346, 2490)
+    assert h.hexdigest() == EDGE_DIGEST

@@ -1,10 +1,21 @@
-"""Every name a module lists in ``__all__`` exists in that module."""
+"""Exports: every name in ``__all__`` resolves, and the artifact writers match
+their oracles: ``cli._dumps`` against ``json.dumps(indent=2, sort_keys=True)``,
+``to_dot`` and the adjacency rows against the per-edge loops they replaced,
+and the bench-scale ``spectrum`` artifacts against pinned digests."""
+import hashlib
 import importlib
+import json
+import math
 import pkgutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isocayley
+from isocayley import cayley
+from isocayley.abelian import FiniteAbelianGroup, full_subgroup
+from isocayley.cli import _dumps, main
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(isocayley.__path__, "isocayley."))
 
@@ -14,3 +25,140 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ lists missing names {missing}"
+
+
+# ---------------------------------------------------------------- writer oracles
+
+
+def per_edge_dot(graph, title="cayley"):
+    """``to_dot`` as it was written before the slot templates: one f-string per edge."""
+    out = [f"graph {json.dumps(title)} {{"]
+    for i, name in enumerate(graph.names):
+        out.append(f'  v{i} [label="{name}"];')
+    table = graph.step_table
+    for j, (label, _) in enumerate(graph.generators):
+        for i in range(graph.order):
+            t = int(table[j, i])
+            if i <= t:  # the paired inverse slot emits the other direction
+                out.append(f'  v{i} -- v{t} [label="{label}"];')
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
+def pair_lists(graph):
+    """The h x k ``[target, label]`` lists ``to_json_adjacency`` used to build."""
+    table = graph.step_table
+    return [
+        [[int(table[j, i]), graph.generators[j][0]] for j in range(graph.degree)]
+        for i in range(graph.order)
+    ]
+
+
+# label pieces that break naive templating or escaping
+PIECES = ['"', "\\", "%", "%d", "%s", "{}", "{0}", "é", "☃", "\n", "\x00", "a", "1", ":", ",", " "]
+texts = st.one_of(st.lists(st.sampled_from(PIECES), max_size=4).map("".join), st.text(max_size=4))
+# h = 1 (both trivial presentations), cyclic, and rank 2
+INVARIANTS = [(), (1,), (2,), (3,), (5,), (2, 2), (2, 4)]
+
+
+@st.composite
+def graphs(draw):
+    group = FiniteAbelianGroup(draw(st.sampled_from(INVARIANTS)))
+    h = full_subgroup(group)
+    gens = []
+    for _ in range(draw(st.integers(0, 2))):  # 0 draws gives k = 0
+        s = group.element([draw(st.integers(0, d - 1)) for d in group.invariants])
+        gens.append((draw(texts), s))
+        inv = group.element([-c for c in s.coords])
+        if inv != s:
+            gens.append((draw(texts), inv))
+    names = draw(st.lists(texts, min_size=h.order, max_size=h.order, unique=True))
+    return cayley.build(h, gens, names)
+
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, math.nan, math.inf, -math.inf]),
+    texts,
+)
+leaves = scalars | graphs().map(lambda g: cayley.to_json_adjacency(g)["adjacency"])
+documents = st.recursive(
+    leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(texts, kids, max_size=3),
+        # non-str keys of one comparable kind each, as sort_keys needs
+        st.dictionaries(st.integers() | st.booleans() | st.floats(allow_nan=False), kids,
+                        max_size=2),
+        st.dictionaries(st.none(), kids, max_size=1),
+    ),
+    max_leaves=8,
+)
+
+
+def materialized(doc):
+    if isinstance(doc, cayley.AdjacencyRows):
+        return list(doc)
+    if isinstance(doc, dict):
+        return {key: materialized(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [materialized(value) for value in doc]
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents)
+def test_dumps_matches_stdlib_indented_encoder(doc):
+    assert _dumps(doc) == json.dumps(materialized(doc), indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), texts)
+def test_templates_match_per_edge_loops(graph, title):
+    assert cayley.to_dot(graph, title) == per_edge_dot(graph, title)
+    rows = cayley.to_json_adjacency(graph)["adjacency"]
+    assert len(rows) == graph.order
+    assert list(rows) == [rows[i] for i in range(len(rows))] == pair_lists(graph)
+    doc = {"graph": cayley.to_json_adjacency(graph)}
+    assert _dumps(doc) == json.dumps({"graph": {**doc["graph"], "adjacency": list(rows)}},
+                                     indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_rejects_what_the_stdlib_rejects():
+    for doc in ({(1, 2): 0}, {"a": {1, 2}}, [object()]):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _dumps(doc)
+
+
+# ---------------------------------------------------------------- bench-scale pins
+
+# spectrum -D D --bound 200 for the two bench discriminants (h = 1715, k = 42
+# and h = 1536, k = 56); no artifact depends on --seed
+BENCH_SCALE = {
+    "-9999991": {
+        "spectrum.json": "fbc95eb57477ad49f9fb9843f83eebade53f61d4d65919ba0f8b95d4e6f31642",
+        "graph.dot": "7f1b5a7cdb72e76007f5b4d4900bc596791e8221977b088643220c646829814d",
+    },
+    "-9999960": {
+        "spectrum.json": "a233d85e19b435a7d8535cfd1362f8125ee05c87fc410ecb5d1857c9e6fe8283",
+        "graph.dot": "9a79516020bbc92c3bf5a75b4e9fb3ee1e1cfbba161b3468690fd6177051662e",
+    },
+}
+
+
+def test_bench_scale_spectrum_artifacts(tmp_path, capsys):
+    got = {}
+    for disc, pinned in BENCH_SCALE.items():
+        out = tmp_path / disc
+        assert main(["spectrum", "-D", disc, "--bound", "200", "--out", str(out)]) == 0, (
+            capsys.readouterr().err
+        )
+        got[disc] = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                     for name in pinned}
+    assert got == BENCH_SCALE
