@@ -322,10 +322,11 @@ def structure_of(
     for g in elements:
         if g in index:
             continue
-        known = list(index)
+        known = list(index)[1:]  # H minus the identity: power * identity is power
         power, k = g, 1
         while power not in index:
             # power = g^k lies outside H, so the whole coset power * H is new
+            index[power] = len(index)
             for base in known:
                 prod = op(power, base)
                 if prod in index:
@@ -336,7 +337,7 @@ def structure_of(
         # g^k lies in H (k is minimal), so its exponents are an old row
         rows.append([-x for x in exps[index[power]].tolist()] + [k])
         # coset g^i H repeats the rows of H with exponent i for g
-        exps = np.column_stack([np.tile(exps, (k, 1)), np.repeat(np.arange(k), len(known))])
+        exps = np.column_stack([np.tile(exps, (k, 1)), np.repeat(np.arange(k), len(exps))])
     n = len(rows)
     group, images = group_from_relations(n, [row + [0] * (n - len(row)) for row in rows])
     # exponents stay below |G| and images below the invariants, so each
@@ -449,8 +450,19 @@ def subgroup_generated(
 
 
 def full_subgroup(group: FiniteAbelianGroup) -> Subgroup:
-    """The whole group, as a Subgroup (handy for Cayley graphs on all of G)."""
-    return subgroup_generated(group, group.generators())
+    """The whole group, as a Subgroup (handy for Cayley graphs on all of G).
+
+    This is ``subgroup_generated(group, group.generators())`` without the
+    walk: the standard generators already give the invariant-factor form,
+    so every element is its own abstract coordinate vector.
+    """
+    if group.order > _MAX_SUBGROUP_ORDER:
+        raise PreconditionError(
+            f"subgroup order {group.order} exceeds the cap {_MAX_SUBGROUP_ORDER}"
+        )
+    # the walk's order: the first coordinate runs fastest
+    coords = [c[::-1] for c in itertools.product(*(range(d) for d in group.invariants[::-1]))]
+    return Subgroup(group, group.generators(), (group, dict(zip(coords, coords))))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ __all__ = [
     "Spectrum",
     "EstimateParams",
     "ScanRow",
+    "MAX_SLOTS",
+    "check_slots",
     "build",
     "spectrum_by_characters",
     "spectrum_numeric",
@@ -64,6 +66,10 @@ _IMAG_TOL = 1e-9
 _NUMERIC_LIMIT = 4096
 # step-table codes of ambient coordinates, and their sums, stay inside int64
 _MAX_AMBIENT_ORDER = 1 << 62
+
+# adjacency slots (order x degree) of one graph: the step table, the
+# character table and the artifacts all grow with this product
+MAX_SLOTS = 4 * 10**6
 
 SCAN_CSV_HEADER = "B,lambda_triv,c,delta2,li_over_index,error_envelope"
 
@@ -190,6 +196,15 @@ class CayleyGraph(StepGraph):
         return self._inverse_slot
 
 
+def check_slots(order: int, degree: int) -> None:
+    """Reject a graph with more than MAX_SLOTS adjacency slots, order x degree."""
+    if order * degree > MAX_SLOTS:
+        raise PreconditionError(
+            f"{order} vertices x {degree} generators = {order * degree} adjacency slots "
+            f"exceeds the cap {MAX_SLOTS}"
+        )
+
+
 def build(
     subgroup: Subgroup,
     generators: Sequence[tuple[str, GroupElement]],
@@ -205,6 +220,7 @@ def build(
             f"ambient group order {subgroup.ambient.order} exceeds {_MAX_AMBIENT_ORDER}"
         )
     gens = list(generators)
+    check_slots(subgroup.order, len(gens))
     for _, g in gens:
         if g not in subgroup:
             raise InputError(f"generator {g} lies outside the subgroup")

@@ -241,7 +241,7 @@ def _build_graph(args) -> _Graph:
             raise PreconditionError(
                 f"no prime form below {args.bound} lands in the chosen subgroup"
             )
-        names = [":".join(str(x) for x in cls.from_element[v].triple()) for v in sub]
+        names = ["%d:%d:%d" % cls.from_element[v].triple() for v in sub]
         graph = cayley.build(sub, [(g.label, g.element) for g in s_b], names)
         return _Graph(graph, cls_group=cls,
                       source={"discriminant": args.disc, "bound": args.bound})
@@ -263,6 +263,7 @@ def _build_graph(args) -> _Graph:
             raise InputError("group-file graphs still need --gens for the edge set")
         else:
             raise InputError("group-file graphs need --gens")
+        gens = _closed_under_inversion(labeled)
         if args.subgroup:
             try:
                 sub = gf.subgroups[args.subgroup]
@@ -274,8 +275,11 @@ def _build_graph(args) -> _Graph:
                 if e not in sub:
                     raise InputError(f"generator {lbl} lies outside subgroup {args.subgroup!r}")
         else:
-            sub = abelian.subgroup_generated(gf.group, [e for _, e in labeled])
-        graph = cayley.build(sub, _closed_under_inversion(labeled))
+            elems = [e for _, e in labeled]
+            # the slot cap is checked before the subgroup's elements are built
+            cayley.check_slots(abelian.generated_order(gf.group, elems), len(gens))
+            sub = abelian.subgroup_generated(gf.group, elems)
+        graph = cayley.build(sub, gens)
         return _Graph(graph, source={"group_file": str(args.group_file)})
     raise InputError("pick a graph source: -D <disc> or --group-file <path>")
 

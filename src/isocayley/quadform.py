@@ -77,7 +77,7 @@ class QuadForm:
     c: int
 
     def __post_init__(self) -> None:
-        if self.discriminant < 0 and self.a <= 0:
+        if self.a <= 0 and self.discriminant < 0:
             raise InputError(f"form {self.triple()} is not positive definite")
 
     @property
@@ -113,10 +113,11 @@ def _normalize_definite(a: int, b: int, c: int) -> tuple[int, int, int]:
 
 def reduce_form(f: QuadForm) -> QuadForm:
     """The unique reduced form equivalent to f: |b| <= a <= c, b >= 0 on ties."""
-    d = f.discriminant
+    a, b, c = f.a, f.b, f.c
+    d = b * b - 4 * a * c
     if d >= 0 or d % 4 not in (0, 1):
         raise InputError(f"form {f.triple()} has discriminant {d}, not a negative discriminant")
-    a, b, c = _normalize_definite(*f.triple())
+    a, b, c = _normalize_definite(a, b, c)
     while a > c or b <= -a:
         if a > c:
             a, b, c = c, -b, a
@@ -143,12 +144,11 @@ def compose(x: QuadForm, y: QuadForm) -> QuadForm:
 
     Returns the reduced form of the product class.
     """
-    if x.discriminant != y.discriminant:
-        raise InputError(
-            f"discriminant mismatch: {x.discriminant} vs {y.discriminant}"
-        )
-    a1, b1, c1 = x.triple()
-    a2, b2, c2 = y.triple()
+    a1, b1, c1 = x.a, x.b, x.c
+    a2, b2, c2 = y.a, y.b, y.c
+    disc = b1 * b1 - 4 * a1 * c1
+    if b2 * b2 - 4 * a2 * c2 != disc:
+        raise InputError(f"discriminant mismatch: {disc} vs {y.discriminant}")
     if a1 > a2:
         a1, b1, c1, a2, b2, c2 = a2, b2, c2, a1, b1, c1
     s = (b1 + b2) // 2
@@ -172,10 +172,9 @@ def compose(x: QuadForm, y: QuadForm) -> QuadForm:
     if num % v1:
         raise InternalConsistencyError(f"composition failed on {x} * {y}")
     c3 = num // v1
-    out = QuadForm(a3, b3, c3)
-    if out.discriminant != x.discriminant:
+    if b3 * b3 - 4 * a3 * c3 != disc:
         raise InternalConsistencyError(f"composition broke the discriminant on {x} * {y}")
-    return reduce_form(out)
+    return reduce_form(QuadForm(a3, b3, c3))
 
 
 def inverse(x: QuadForm) -> QuadForm:
@@ -188,9 +187,18 @@ def inverse(x: QuadForm) -> QuadForm:
 # ---------------------------------------------------------------------------
 
 def _reduced_definite_forms(d: int) -> Iterator[QuadForm]:
-    """All primitive reduced forms of discriminant d < 0 (ascending a, then b)."""
+    """All primitive reduced forms of discriminant d < 0 (ascending a, then b).
+
+    A leading coefficient a with an inert prime factor p is skipped: b^2 = d
+    has no root mod p (mod 8 when p = 2), so it has none mod 4a either.
+    """
     bound = isqrt(-d // 3)
-    for a in range(1, bound + 1):
+    sieve = np.ones(bound + 1, dtype=bool)
+    sieve[0] = False
+    for p in primes_below(bound + 1):
+        if kronecker(d, p) == -1:
+            sieve[p::p] = False
+    for a in np.flatnonzero(sieve).tolist():
         # every -a < b <= a with b = d (mod 2) at once; b*b - d <= 4|d|/3
         b = np.arange(-a + 1 + (a + 1 + d) % 2, a + 1, 2, dtype=np.int64)
         b = b[(b * b - d) % (4 * a) == 0]

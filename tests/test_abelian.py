@@ -1,5 +1,6 @@
 import random
 import unittest
+import unittest.mock
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -8,6 +9,7 @@ import numpy as np
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from isocayley import abelian
 from isocayley.abelian import (
     FiniteAbelianGroup,
     GroupFileError,
@@ -23,7 +25,8 @@ from isocayley.abelian import (
     smith_normal_form,
     subgroup_generated,
 )
-from isocayley.errors import InputError
+from isocayley.errors import InputError, PreconditionError
+from isocayley.quadform import class_group
 
 
 def snf_oracle(rows, ncols):
@@ -213,6 +216,28 @@ class SubgroupTest(unittest.TestCase):
             h = subgroup_generated(g, gens)
             self.assertEqual({x.coords for x in h}, seen)
             self.assertEqual(h.generators, tuple(gens))
+
+    def test_full_subgroup_is_the_walk_over_the_standard_generators(self):
+        groups = [class_group(-9999991).group, class_group(-9999960).group,
+                  parse_group_text("invariants: 4 12\n").group,
+                  FiniteAbelianGroup(()), FiniteAbelianGroup((1, 6))]
+        for g in groups:
+            got, want = full_subgroup(g), subgroup_generated(g, g.generators())
+            self.assertEqual(got.elements, want.elements)
+            self.assertEqual(got.generators, want.generators)
+            self.assertEqual(got.abstract_structure()[0], want.abstract_structure()[0])
+            # the same map, in the same order
+            self.assertEqual(list(got.abstract_structure()[1].items()),
+                             list(want.abstract_structure()[1].items()))
+            self.assertEqual(got, want)
+
+    def test_full_subgroup_cap_checked_before_any_element(self):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a subgroup was built before the order cap was checked")
+
+        with unittest.mock.patch.object(abelian.Subgroup, "__init__", unreachable):
+            with self.assertRaises(PreconditionError):
+                full_subgroup(FiniteAbelianGroup((10, 100, 10000)))  # order 10^7
 
 
 def random_group(rng, max_rank=4):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocayley import abelian, cayley, ecgraph, ntheory, quadform, walks
+from isocayley import abelian, cayley, cli, ecgraph, ntheory, quadform, walks
 from isocayley.cli import ARTIFACT_SCHEMAS, main, schema_for
 
 Z9 = "invariants: 9\n"
@@ -419,6 +419,49 @@ def test_subgroup_cap_checked_before_any_element(capsys, monkeypatch, tmp_path):
         assert rc == 3
         assert "Traceback" not in out + err
         assert err.startswith("error (precondition):") and err.count("\n") == 1
+
+
+def test_slot_cap_checked_before_any_work(capsys, monkeypatch, tmp_path):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the slot cap was checked")
+
+    def refused(argv):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 3
+        assert "Traceback" not in out + err
+        assert err.startswith("error (precondition):") and err.count("\n") == 1
+        assert "adjacency slots" in err
+
+    monkeypatch.setattr(cayley.CayleyGraph, "step_table", property(unreachable))
+    monkeypatch.setattr(cayley, "character_angles", unreachable)
+    big = tmp_path / "big.grp"
+    big.write_text("invariants: 10 100 1000\n")  # order 10^6, under the order cap
+    gens = ["--group-file", str(big), "--gens", "1:0:0,0:1:0,0:0:1"]  # 6 slots a vertex
+    with monkeypatch.context() as m:
+        m.setattr(abelian, "structure_of", unreachable)  # no subgroup element either
+        for argv in (["spectrum", *gens], ["mix", *gens, "--target", "id"],
+                     ["path", *gens, "-A", "id", "-B", "1:2:3"]):
+            refused(argv)
+    # a -D graph meets the same cap: h = 1715 vertices x 9,672 prime forms
+    refused(["spectrum", "-D", "-9999991", "--bound", "100000"])
+
+
+def test_d_graph_runs_one_structure_walk(monkeypatch):
+    calls = []
+    walk = abelian.structure_of
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(abelian, "structure_of", counted)
+    monkeypatch.setattr(quadform, "structure_of", counted)
+    args = cli.build_parser().parse_args(["spectrum", "-D", "-9999991", "--bound", "50"])
+    graph = cli._build_graph(args).graph
+    assert graph.order == 1715
+    assert len(calls) == 1
 
 
 def test_both_sources_rejected(capsys, z9):

@@ -151,7 +151,9 @@ def scalar_reduced_forms(d):
 
 
 def test_enumeration_matches_scalar_loop():
-    discs = [d for d in range(-3000, -2) if d % 4 in (0, 1)] + [-9999991, -9999960]
+    # -9999995 = 5 (mod 8) makes 2 inert; -9999999 has conductor 3
+    discs = [d for d in range(-3000, -2) if d % 4 in (0, 1)]
+    discs += [-9999991, -9999960, -9999995, -9999999]
     for d in discs:
         got = list(_reduced_definite_forms(d))
         assert got == scalar_reduced_forms(d), f"D={d}"
