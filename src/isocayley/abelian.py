@@ -37,7 +37,7 @@ from cmath import exp as _cexp
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, pi
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -249,6 +249,16 @@ class GroupElement:
         return f"GroupElement{self.coords}"
 
 
+def _reduced_element(group: FiniteAbelianGroup, coords: tuple[int, ...]) -> GroupElement:
+    """``GroupElement(group, coords)`` for coordinates that a walk or a
+    table has already reduced modulo the invariants, without the range
+    check; coordinates that come from input still get it."""
+    e = object.__new__(GroupElement)
+    object.__setattr__(e, "group", group)  # the frozen dataclass's own __init__ does this
+    object.__setattr__(e, "coords", coords)
+    return e
+
+
 def _same_group(g: GroupElement, h: GroupElement) -> FiniteAbelianGroup:
     if g.group != h.group:
         raise InputError(f"elements of mismatched groups: {g.group} vs {h.group}")
@@ -368,7 +378,7 @@ class Subgroup:
         self.ambient = ambient
         self.generators = tuple(generators)
         self._structure = structure
-        self.elements = tuple(GroupElement(ambient, c) for c in sorted(structure[1]))
+        self.elements = tuple([_reduced_element(ambient, c) for c in sorted(structure[1])])
 
     @property
     def order(self) -> int:
@@ -569,10 +579,38 @@ def character_angles(
 # Text format
 # ---------------------------------------------------------------------------
 
+class _NamedSubgroups(Mapping):
+    """Subgroups by name, each built from its generators on first lookup."""
+
+    def __init__(self, group: FiniteAbelianGroup, generators: dict[str, list[GroupElement]]):
+        self._group = group
+        self._generators = generators
+        self._built: dict[str, Subgroup] = {}
+
+    def __getitem__(self, name: str) -> Subgroup:
+        if name not in self._built:
+            self._built[name] = subgroup_generated(self._group, self._generators[name])
+        return self._built[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._generators)
+
+    def __len__(self) -> int:
+        return len(self._generators)
+
+
 @dataclass
 class GroupFile:
+    """A loaded group file.  Each ``subgroup NAME:`` line's generators are
+    parsed and checked at load time; ``subgroups[NAME]`` builds the subgroup
+    only when it is looked up, so a caller can size it first with
+    :func:`generated_order` on ``generators[NAME]``."""
+
     group: FiniteAbelianGroup
-    subgroups: dict[str, Subgroup]
+    generators: dict[str, list[GroupElement]]
+
+    def __post_init__(self) -> None:
+        self.subgroups: Mapping[str, Subgroup] = _NamedSubgroups(self.group, self.generators)
 
 
 def _parse_vector(token: str, rank: int, lineno: int) -> tuple[int, ...]:
@@ -592,7 +630,7 @@ def _parse_vector(token: str, rank: int, lineno: int) -> tuple[int, ...]:
 
 def parse_group_text(text: str) -> GroupFile:
     group: FiniteAbelianGroup | None = None
-    subgroups: dict[str, Subgroup] = {}
+    generators: dict[str, list[GroupElement]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -617,22 +655,21 @@ def parse_group_text(text: str) -> GroupFile:
             name = head[len("subgroup "):].strip()
             if not name:
                 raise GroupFileError(lineno, "subgroup needs a name")
-            if name in subgroups:
+            if name in generators:
                 raise GroupFileError(lineno, f"duplicate subgroup {name!r}")
             rank = len(group.invariants)
             try:
-                gens = [
+                generators[name] = [
                     group.element(_parse_vector(tok, rank, lineno))
                     for tok in body.split()
                 ]
             except InputError as e:
                 raise GroupFileError(lineno, str(e)) from None
-            subgroups[name] = subgroup_generated(group, gens)
             continue
         raise GroupFileError(lineno, f"unrecognized line {line!r}")
     if group is None:
         raise GroupFileError(1, "empty file: missing 'invariants:' line")
-    return GroupFile(group, subgroups)
+    return GroupFile(group, generators)
 
 
 def load_group_file(path: str) -> GroupFile:

@@ -77,7 +77,9 @@ def _dumps(obj) -> str:
     :class:`cayley.AdjacencyRows` view is written as the list of its rows
     from one row template per graph: each label JSON-encoded once, the indent
     taken from the view's depth, and each row of ``table.T.tolist()`` filled
-    in with one ``%``.
+    in with one ``%``.  A list of flat dicts, such as the classes of
+    ``classgroup.json`` or the edges of ``ecgraph.json``, is laid out by
+    :func:`_write_rows` from one template per row shape.
     """
     out: list[str | None] = []
     leaves: list = []
@@ -128,6 +130,8 @@ def _write(obj, nl: str, out: list[str | None], leaves: list) -> None:
             out.append(comma)
         out[-1] = nl + "}"
     elif any(isinstance(value, _NESTED) for value in obj):
+        if _write_rows(obj, nl, out, leaves):
+            return
         out.append("[" + inner)
         for value in obj:
             _write(value, inner, out, leaves)
@@ -138,6 +142,46 @@ def _write(obj, nl: str, out: list[str | None], leaves: list) -> None:
         out += [None, comma] * len(obj)
         out[-1] = nl + "]"
         leaves += obj
+
+
+def _write_rows(rows, nl: str, out: list[str | None], leaves: list) -> bool:
+    """Lay out a non-empty list of flat dicts with one key set, as ``_write``
+    would, from one row template per shape.  A row is flat when each value
+    is a leaf or a list of leaves, and its shape is the length of each list.
+    Returns False, having written nothing, for any other list."""
+    if set(map(type, rows)) != {dict}:
+        return False
+    first = rows[0].keys()
+    keys = sorted(first)
+    inner = nl + "  "
+    templates: dict[tuple[int, ...], list[str | None]] = {}
+    body: list[str | None] = []
+    flat: list = []
+    for row in rows:
+        if row.keys() != first:
+            return False
+        shape = []
+        for key in keys:
+            value = row[key]
+            if type(value) is list or type(value) is tuple:
+                shape.append(len(value))
+                flat += value
+            else:
+                shape.append(-1)
+                flat.append(value)
+        template = templates.get(shape := tuple(shape))
+        if template is None:
+            template = templates[shape] = []
+            _write(row, inner, template, [])
+        body += template
+        body.append("," + inner)
+    if any(issubclass(kind, _NESTED) for kind in set(map(type, flat))):
+        return False
+    body[-1] = nl + "]"
+    out.append("[" + inner)
+    out += body
+    leaves += flat
+    return True
 
 
 def _digest(text: str) -> str:
@@ -235,7 +279,7 @@ def _build_graph(args) -> _Graph:
                 cls.group, [cls.element_of(c) for c in _form_generators(cls, args.gens)]
             )
         else:
-            sub = abelian.full_subgroup(cls.group)
+            sub = cls.whole
         s_b = quadform.generating_multiset(cls, args.bound, sub)
         if not s_b:
             raise PreconditionError(
@@ -264,20 +308,17 @@ def _build_graph(args) -> _Graph:
         else:
             raise InputError("group-file graphs need --gens")
         gens = _closed_under_inversion(labeled)
+        if args.subgroup and args.subgroup not in gf.generators:
+            raise InputError(f"the group file defines no subgroup named {args.subgroup!r}")
+        elems = gf.generators[args.subgroup] if args.subgroup else [e for _, e in labeled]
+        # the slot cap is checked before the subgroup's elements are built
+        cayley.check_slots(abelian.generated_order(gf.group, elems), len(gens))
         if args.subgroup:
-            try:
-                sub = gf.subgroups[args.subgroup]
-            except KeyError:
-                raise InputError(
-                    f"the group file defines no subgroup named {args.subgroup!r}"
-                ) from None
+            sub = gf.subgroups[args.subgroup]
             for lbl, e in labeled:
                 if e not in sub:
                     raise InputError(f"generator {lbl} lies outside subgroup {args.subgroup!r}")
         else:
-            elems = [e for _, e in labeled]
-            # the slot cap is checked before the subgroup's elements are built
-            cayley.check_slots(abelian.generated_order(gf.group, elems), len(gens))
             sub = abelian.subgroup_generated(gf.group, elems)
         graph = cayley.build(sub, gens)
         return _Graph(graph, source={"group_file": str(args.group_file)})

@@ -335,11 +335,14 @@ def _psi_kernel_search(c: Curve, ell: int, eigenvalues) -> list[IsogenyEdge]:
 
     where num = w_(m-1) w_(m+1) and den = w_m^2, f multiplying num for odd m
     and den for even m; den does not vanish there.  So pi(P) = [lam]P is two
-    polynomial conditions on x, and the kernel polynomial is one gcd of
-    them with psi_ell, as in the Elkies step of Schoof's algorithm.  No
-    degree law is assumed: a lam that is no eigenvalue gives gcd 1, and the
-    Velu codomain of each kernel found is re-counted.
-    ``rational_l_isogenies`` passes the roots of x^2 - t x + p mod ell.
+    polynomial conditions on x, and the kernel polynomial is their gcd with
+    psi_ell, as in the Elkies step of Schoof's algorithm.  The x-condition
+    alone says pi(P) = +-[lam]P, so the y-condition (and f^((p-1)/2)) is
+    needed only when -lam is a root of x^2 - t x + p too, which for a root
+    lam means t = 0 (mod ell).  No degree law is assumed: a lam that is no
+    eigenvalue gives gcd 1, and the Velu codomain of each kernel found is
+    re-counted.  ``rational_l_isogenies`` passes the roots of
+    x^2 - t x + p mod ell.
     """
     p, a, b, t = c.p, c.a, c.b, c.t
     d = (ell - 1) // 2
@@ -352,7 +355,7 @@ def _psi_kernel_search(c: Curve, ell: int, eigenvalues) -> list[IsogenyEdge]:
 
     f = fp.poly([b, a, 0, 1], p)
     x_shift = fp.poly_sub(fp.X, fp.poly_powmod(fp.X, p, psi, p, rows), p)  # x - x^p
-    frob_y = fp.poly_powmod(f, (p - 1) // 2, psi, p, rows)  # y^p / y
+    frob_y = None  # y^p / y, built on first need
     edges = []
     for lam in eigenvalues:
         m = min(lam, ell - lam)
@@ -361,14 +364,17 @@ def _psi_kernel_search(c: Curve, ell: int, eigenvalues) -> list[IsogenyEdge]:
             num = mul(f, num)
         else:
             den = mul(f, den)
-        sign = 1 if lam == m else -1
         x_cond = fp.poly_sub(mul(x_shift, den), num, p)
-        y_cond = fp.poly_sub(
-            fp.poly_scale(mul(frob_y, mul(den, den)), 2, p),
-            fp.poly_scale(w[2 * m], sign, p),
-            p,
-        )
-        kernel = fp.poly_gcd(fp.poly_gcd(psi, x_cond, p), y_cond, p)
+        kernel = fp.poly_gcd(psi, x_cond, p)
+        if (lam * lam + t * lam + p) % ell == 0:  # -lam is an eigenvalue as well
+            if frob_y is None:
+                frob_y = fp.poly_powmod(f, (p - 1) // 2, psi, p, rows)
+            y_cond = fp.poly_sub(
+                fp.poly_scale(mul(frob_y, mul(den, den)), 2, p),
+                fp.poly_scale(w[2 * m], 1 if lam == m else -1, p),
+                p,
+            )
+            kernel = fp.poly_gcd(kernel, y_cond, p)
         if fp.degree(kernel) == 0:
             continue  # lam is not an eigenvalue of Frobenius on E[ell]
         if fp.degree(kernel) != d:

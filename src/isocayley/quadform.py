@@ -2,29 +2,34 @@
 
 Only negative discriminants are served: the endomorphism ring of an ordinary
 elliptic curve over F_p is an imaginary quadratic order, and its classes have
-unique reduced representatives.  Composition is classical Gauss composition;
-nothing here is asymptotically clever, everything is exact.
+unique reduced representatives.  Everything is exact.
 
 A form class is its canonical reduced form: :func:`reduce_form` is the one
 way to get one, and :func:`compose`, :func:`inverse`, :func:`prime_form` and
 :class:`ClassGroup` take and return reduced :class:`QuadForm` objects.
+Reduction and classical Gauss composition run on int triples, and
+:func:`reduce_form` and :func:`compose` are their ``QuadForm`` wrappers.
+
+The reduced forms of D are enumerated from the square roots of D modulo 4a,
+one leading coefficient a <= sqrt(|D|/3) at a time, so the enumeration
+costs a few Python steps per root rather than one test per candidate b.
 
 A class group is carried together with its invariant-factor structure and a
 bijective dictionary between classes and group elements, so that Cayley
 graphs can be built on (subgroups of) it; both come from the structure walk
-:func:`isocayley.abelian.structure_of`, run over the classes under
-:func:`compose`.  :func:`generating_multiset` is the one builder of the
-prime-form generators S_B, labeled "ell:b" (split) or "ell" (ramified).
+:func:`isocayley.abelian.structure_of`, run over the classes' triples under
+the triple composition.  :func:`generating_multiset` is the one builder of
+the prime-form generators S_B, labeled "ell:b" (split) or "ell" (ramified).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .abelian import FiniteAbelianGroup, GroupElement, Subgroup, structure_of
+from .abelian import FiniteAbelianGroup, GroupElement, Subgroup, full_subgroup, structure_of
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .ntheory import fundamental_discriminant, is_prime, kronecker, primes_below, sqrt_mod_prime
 
@@ -99,16 +104,21 @@ def principal_form(disc: "Discriminant | int") -> QuadForm:
 
 
 # ---------------------------------------------------------------------------
-# Reduction
+# Reduction and composition, on int triples
 # ---------------------------------------------------------------------------
 
-def _normalize_definite(a: int, b: int, c: int) -> tuple[int, int, int]:
-    # shift b into (-a, a]
-    r = b % (2 * a)
-    if r > a:
-        r -= 2 * a
-    c = c + (r * r - b * b) // (4 * a)
-    return a, r, c
+def _reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The reduced triple of the positive definite form (a, b, c)."""
+    while True:
+        if not -a < b <= a:  # shift b into (-a, a]
+            k = (a - b) // (2 * a)
+            b, c = b + 2 * a * k, (a * k + b) * k + c
+        if a > c:
+            a, b, c = c, -b, a
+        elif a == c and b < 0:
+            return a, -b, c
+        else:
+            return a, b, c
 
 
 def reduce_form(f: QuadForm) -> QuadForm:
@@ -117,14 +127,7 @@ def reduce_form(f: QuadForm) -> QuadForm:
     d = b * b - 4 * a * c
     if d >= 0 or d % 4 not in (0, 1):
         raise InputError(f"form {f.triple()} has discriminant {d}, not a negative discriminant")
-    a, b, c = _normalize_definite(a, b, c)
-    while a > c or b <= -a:
-        if a > c:
-            a, b, c = c, -b, a
-        a, b, c = _normalize_definite(a, b, c)
-    if (b < 0) and (-b == a or a == c):
-        b = -b
-    return QuadForm(a, b, c)
+    return QuadForm(*_reduce(a, b, c))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -139,16 +142,16 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def compose(x: QuadForm, y: QuadForm) -> QuadForm:
-    """Gauss composition of form classes (classical algorithm, no shortcuts).
-
-    Returns the reduced form of the product class.
-    """
-    a1, b1, c1 = x.a, x.b, x.c
-    a2, b2, c2 = y.a, y.b, y.c
+def _compose(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Gauss composition of two triples of one negative discriminant,
+    returned reduced (the classical algorithm, Cohen, GTM 138, section 5.4)."""
+    a1, b1, c1 = x
+    a2, b2, c2 = y
     disc = b1 * b1 - 4 * a1 * c1
     if b2 * b2 - 4 * a2 * c2 != disc:
-        raise InputError(f"discriminant mismatch: {disc} vs {y.discriminant}")
+        raise InputError(f"discriminant mismatch: {disc} vs {b2 * b2 - 4 * a2 * c2}")
+    if disc >= 0:
+        raise InputError(f"forms {x}, {y} have discriminant {disc}, not a negative discriminant")
     if a1 > a2:
         a1, b1, c1, a2, b2, c2 = a2, b2, c2, a1, b1, c1
     s = (b1 + b2) // 2
@@ -156,13 +159,12 @@ def compose(x: QuadForm, y: QuadForm) -> QuadForm:
     if a2 % a1 == 0:
         y1, d = 0, a1
     else:
-        d, u, _ = _xgcd(a2, a1)
-        y1 = u
+        d, y1, _ = _xgcd(a2, a1)
     if s % d == 0:
         y2, x2, d1 = -1, 0, d
     else:
-        d1, u, v = _xgcd(s, d)
-        x2, y2 = u, -v
+        d1, x2, v = _xgcd(s, d)
+        y2 = -v
     v1 = a1 // d1
     v2 = a2 // d1
     r = (y1 * y2 * n - x2 * c2) % v1
@@ -174,7 +176,12 @@ def compose(x: QuadForm, y: QuadForm) -> QuadForm:
     c3 = num // v1
     if b3 * b3 - 4 * a3 * c3 != disc:
         raise InternalConsistencyError(f"composition broke the discriminant on {x} * {y}")
-    return reduce_form(QuadForm(a3, b3, c3))
+    return _reduce(a3, b3, c3)
+
+
+def compose(x: QuadForm, y: QuadForm) -> QuadForm:
+    """Gauss composition of form classes: the reduced form of the product class."""
+    return QuadForm(*_compose(x.triple(), y.triple()))
 
 
 def inverse(x: QuadForm) -> QuadForm:
@@ -189,25 +196,64 @@ def inverse(x: QuadForm) -> QuadForm:
 def _reduced_definite_forms(d: int) -> Iterator[QuadForm]:
     """All primitive reduced forms of discriminant d < 0 (ascending a, then b).
 
-    A leading coefficient a with an inert prime factor p is skipped: b^2 = d
-    has no root mod p (mod 8 when p = 2), so it has none mod 4a either.
+    For each leading coefficient a, the middle coefficients b are the square
+    roots of d mod 4a, one in (-a, a] per root mod 2a (Cohen, GTM 138, 1.5
+    and 5.3).  They come by CRT from the roots modulo the prime powers of
+    4a: mod an odd p not dividing d, ``sqrt_mod_prime`` lifted by Hensel;
+    mod a power of 2 or of a p dividing d, a direct search.  A leading
+    coefficient with an inert prime factor p is skipped: b^2 = d has no
+    root mod p (mod 8 when p = 2), so it has none mod 4a either.
     """
     bound = isqrt(-d // 3)
     sieve = np.ones(bound + 1, dtype=bool)
     sieve[0] = False
-    for p in primes_below(bound + 1):
+    spf = np.zeros(bound + 1, dtype=np.int64)  # smallest prime factor
+    for p in reversed(primes_below(bound + 1)):
+        spf[p::p] = p
         if kronecker(d, p) == -1:
             sieve[p::p] = False
+    spf = spf.tolist()
+
+    def crt(m1: int, r1: list[int], m2: int, r2: list[int]) -> list[int]:
+        u = pow(m1, -1, m2)
+        return [x + m1 * ((y - x) * u % m2) for x in r1 for y in r2]
+
+    # roots mod m of b^2 = d (mod m), m odd; then mod 2^(e+1) of b^2 = d (mod 2^(e+2))
+    odd: dict[int, list[int]] = {1: [0]}
+    two: dict[int, list[int]] = {}
+
+    def odd_roots(m: int) -> list[int]:
+        if m not in odd:
+            p = q = spf[m]
+            while m // q % p == 0:
+                q *= p
+            if q < m:
+                odd[m] = crt(q, odd_roots(q), m // q, odd_roots(m // q))
+            elif d % p:
+                r = sqrt_mod_prime(d, p)
+                if not r:
+                    raise InternalConsistencyError(f"split prime {p} has no sqrt of {d}")
+                k = p
+                while k < q:
+                    k *= p
+                    r = (r - (r * r - d) * pow(2 * r, -1, k)) % k
+                odd[m] = [r, q - r]
+            else:
+                odd[m] = [x for x in range(q) if (x * x - d) % q == 0]
+        return odd[m]
+
     for a in np.flatnonzero(sieve).tolist():
-        # every -a < b <= a with b = d (mod 2) at once; b*b - d <= 4|d|/3
-        b = np.arange(-a + 1 + (a + 1 + d) % 2, a + 1, 2, dtype=np.int64)
-        b = b[(b * b - d) % (4 * a) == 0]
-        c = (b * b - d) // (4 * a)
-        # b > -a already, so the boundary sign rule only bites when a == c
-        keep = (c >= a) & ((b >= 0) | (c > a))
-        keep &= np.gcd(np.gcd(b, a), c) == 1
-        for bb, cc in zip(b[keep].tolist(), c[keep].tolist()):
-            yield QuadForm(a, bb, cc)
+        e = (a & -a).bit_length() - 1
+        if e not in two:
+            two[e] = [x for x in range(2 << e) if (x * x - d) % (4 << e) == 0]
+        a2 = 2 * a
+        roots = crt(2 << e, two[e], a >> e, odd_roots(a >> e))
+        for b in sorted(r - a2 if r > a else r for r in roots):
+            c = (b * b - d) // (4 * a)
+            # b > -a already, so the boundary sign rule only bites when a == c
+            if c > a or (c == a and b >= 0):
+                if gcd(a, b, c) == 1:
+                    yield QuadForm(a, b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +265,22 @@ class ClassGroup:
 
     ``classes`` holds the reduced forms, sorted by triple; ``to_element`` /
     ``from_element`` form the bijective dictionary with the invariant-factor
-    group.  Construction checks bijectivity and the order; the exhaustive
-    homomorphism check lives in the test suite.
+    group, whose elements are those of ``whole``, the whole group as a
+    :class:`Subgroup`, so each class has one element object.  Construction
+    checks bijectivity and the order; the exhaustive homomorphism check
+    lives in the test suite.
     """
 
     def __init__(self, disc: Discriminant, classes: Sequence[QuadForm]):
         self.discriminant = disc
         self.classes = tuple(sorted(classes, key=lambda c: c.triple()))
         self.identity = reduce_form(principal_form(disc))
-        group, to_elem = self._structure()
-        self.group = group
-        self.to_element = to_elem
-        self.from_element = {e: c for c, e in to_elem.items()}
+        self.group, coords = self._structure()
+        # each class's GroupElement is the whole group's own element object
+        self.whole = full_subgroup(self.group)
+        at = {e.coords: e for e in self.whole.elements}
+        self.to_element = {cl: at[c] for cl, c in coords.items()}
+        self.from_element = {e: cl for cl, e in self.to_element.items()}
         if len(self.from_element) != len(self.classes):
             raise InternalConsistencyError("class -> element dictionary not bijective")
 
@@ -238,16 +288,17 @@ class ClassGroup:
     def order(self) -> int:
         return len(self.classes)
 
-    def _structure(self) -> tuple[FiniteAbelianGroup, dict[QuadForm, GroupElement]]:
+    def _structure(self) -> tuple[FiniteAbelianGroup, dict[QuadForm, tuple[int, ...]]]:
         # the classes are sorted by triple, so the walk and the coordinates depend on D alone
-        group, coords = structure_of(self.classes, self.identity, compose)
+        by_triple = {cl.triple(): cl for cl in self.classes}
+        group, coords = structure_of(by_triple, self.identity.triple(), _compose)
         if group.order != len(self.classes):
             raise InternalConsistencyError(
                 f"structure of order {group.order} for {len(self.classes)} classes"
             )
         if len(coords) != len(self.classes):
             raise InternalConsistencyError("structure walk missed classes")
-        return group, {cl: GroupElement(group, c) for cl, c in coords.items()}
+        return group, {by_triple[t]: c for t, c in coords.items()}
 
     def element_of(self, cl: QuadForm) -> GroupElement:
         try:

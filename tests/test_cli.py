@@ -448,6 +448,27 @@ def test_slot_cap_checked_before_any_work(capsys, monkeypatch, tmp_path):
     refused(["spectrum", "-D", "-9999991", "--bound", "100000"])
 
 
+def test_named_subgroup_built_only_after_the_slot_cap(capsys, monkeypatch, tmp_path):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a named subgroup was built before the slot cap was checked")
+
+    monkeypatch.setattr(abelian, "structure_of", unreachable)
+    named = tmp_path / "named.grp"
+    # order 10^6, under the order cap; H is the whole group, and the unused
+    # K would be a walk of its own if it were built at load time
+    named.write_text("invariants: 10 100 1000\nsubgroup H: 1,0,0 0,1,0 0,0,1\n"
+                     "subgroup K: 0,1,0 0,0,1\n")
+    gf = abelian.load_group_file(str(named))
+    assert list(gf.subgroups) == ["H", "K"] and len(gf.generators["K"]) == 2
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, ["spectrum", "--group-file", str(named),
+                                "--gens", "1:0:0,0:1:0,0:0:1", "--subgroup", "H"])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 3
+    assert "Traceback" not in out + err
+    assert err.startswith("error (precondition):") and "adjacency slots" in err
+
+
 def test_d_graph_runs_one_structure_walk(monkeypatch):
     calls = []
     walk = abelian.structure_of

@@ -362,6 +362,29 @@ def test_psi_search_finds_exactly_the_frobenius_eigenvalues():
     assert (searches, kernels) == (215, 236)
 
 
+@pytest.mark.parametrize("p, t, ell", [(41, 3, 3), (41, 5, 5), (41, 7, 7), (41, 5, 7)])
+def test_y_condition_exactly_when_ell_divides_the_trace(monkeypatch, p, t, ell):
+    """The x-condition alone holds on the eigenspaces of lam and -lam, and
+    -lam is an eigenvalue too exactly when t = 0 (mod ell).  Then each kernel
+    needs the y-condition, and its f^((p-1)/2) is the search's second
+    poly_powmod; otherwise x^p is the only one."""
+    powmods = []
+    powmod = eg.fp.poly_powmod
+    monkeypatch.setattr(eg.fp, "poly_powmod", lambda *a: powmods.append(1) or powmod(*a))
+    divides = t % ell == 0
+    for j in eg.enumerate_isogeny_class(p, t):
+        c = eg._twist_with_trace(p, j, t)
+        roots = [z for z in range(1, ell) if (z * z - t * z + p) % ell == 0]
+        assert len(roots) == 2
+        powmods.clear()
+        edges = eg._psi_kernel_search(c, ell, roots)
+        assert len(powmods) == (2 if divides else 1)
+        assert [e.eigenvalue for e in edges] == roots
+        assert (roots[0] + roots[1]) % ell == (0 if divides else t % ell)
+        assert all(len(e.kernel) == (ell + 1) // 2 for e in edges)
+        assert edges[0].kernel != edges[1].kernel
+
+
 def test_inert_degree_builds_no_division_polynomial(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("psi_ell built for an inert ell")

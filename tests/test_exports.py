@@ -84,10 +84,24 @@ scalars = st.one_of(
     st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, math.nan, math.inf, -math.inf]),
     texts,
 )
-leaves = scalars | graphs().map(lambda g: cayley.to_json_adjacency(g)["adjacency"])
+
+
+def row_lists(values):
+    """Non-empty lists of dicts on one key set, the lists ``_dumps`` lays out
+    from row templates when every value is flat."""
+    return st.lists(texts, unique=True, max_size=3).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({k: values for k in keys}),
+                              min_size=1, max_size=4))
+
+
+# flat values of varying shape: leaves, and lists or tuples of leaves
+flat_values = scalars | st.lists(scalars, max_size=2) | st.lists(scalars, max_size=2).map(tuple)
+leaves = (scalars | graphs().map(lambda g: cayley.to_json_adjacency(g)["adjacency"])
+          | row_lists(flat_values))
 documents = st.recursive(
     leaves,
     lambda kids: st.one_of(
+        row_lists(flat_values | kids),  # rows that are not all flat
         st.lists(kids, max_size=3),
         st.lists(kids, max_size=3).map(tuple),
         st.dictionaries(texts, kids, max_size=3),
@@ -114,6 +128,24 @@ def materialized(doc):
 @given(documents)
 def test_dumps_matches_stdlib_indented_encoder(doc):
     assert _dumps(doc) == json.dumps(materialized(doc), indent=2, sort_keys=True) + "\n"
+
+
+def test_row_templates_cover_the_artifact_rows():
+    """The classes of classgroup.json and the edges of ecgraph.json, whose
+    kernels differ in length with ell, go through the row templates."""
+    from isocayley import cli, ecgraph, quadform
+
+    edges = [{"ell": e.ell, "kernel": list(e.kernel), "source_j": e.source_j}
+             for e in ecgraph.build_isogeny_graph(101, 3, [3, 5, 7]).edges]
+    assert len({len(e["kernel"]) for e in edges}) == 3
+    for rows in (quadform.class_group(-9999991).to_json()["classes"], edges):
+        out, leaves = [], []
+        assert cli._write_rows(rows, "\n", out, leaves)
+        assert _dumps(rows) == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    for rows in ([{"a": 1}, {"b": 1}], [{"a": [1]}, {"a": [[1]]}], [{"a": {}}], [{"a": 1}, [1]]):
+        out, leaves = [], []
+        assert not cli._write_rows(rows, "\n", out, leaves) and out == leaves == []
+        assert _dumps(rows) == json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections import Counter, deque
+from functools import lru_cache
 from math import gcd, isqrt
 
 import pytest
@@ -12,7 +13,7 @@ from isocayley import quadform
 from isocayley.abelian import full_subgroup, op_mul, subgroup_generated
 from isocayley.cli import _dumps
 from isocayley.errors import InputError, PreconditionError
-from isocayley.ntheory import is_prime, kronecker, primes_below
+from isocayley.ntheory import factorize, is_prime, kronecker, primes_below
 from isocayley.quadform import (
     PRIME_BOUND_CAP,
     ClassGroup,
@@ -154,10 +155,43 @@ def test_enumeration_matches_scalar_loop():
     # -9999995 = 5 (mod 8) makes 2 inert; -9999999 has conductor 3
     discs = [d for d in range(-3000, -2) if d % 4 in (0, 1)]
     discs += [-9999991, -9999960, -9999995, -9999999]
-    for d in discs:
+    # -1021020 = 2^2 * -255255 (seven ramified primes), -999900 = 30^2 * -1111
+    sample = [-1021020, -999900]
+    rng = random.Random(14)
+    while len(sample) < 12:  # log-uniform in |D| down to -10^7
+        d = -int(10 ** rng.uniform(3.5, 7))
+        if d % 4 in (0, 1):
+            sample.append(d)
+    assert min(sample) < -4 * 10**6
+    assert any(d % 2 == 0 and Discriminant.of(d).conductor == 1 for d in sample)
+    assert sum(Discriminant.of(d).conductor > 1 for d in sample) >= 5
+    assert max(len(factorize(-d)) for d in sample) == 7  # primes dividing D
+    for d in discs + sample:
         got = list(_reduced_definite_forms(d))
         assert got == scalar_reduced_forms(d), f"D={d}"
         assert all(type(x) is int for f in got for x in f.triple())
+
+
+@lru_cache(maxsize=None)
+def cached_class_group(d):
+    return class_group(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([-9999991, -9999960, -1021020, -999900, -3299]), st.data())
+def test_compose_is_the_triple_composition_and_a_group_law(d, data):
+    cg = cached_class_group(d)
+    x, y, z = (data.draw(st.sampled_from(cg.classes)) for _ in range(3))
+    k = data.draw(st.integers(-5, 5))
+    # a translate of x, not reduced: the product depends on the classes alone
+    moved = QuadForm(x.a, x.b + 2 * x.a * k, x.a * k * k + x.b * k + x.c)
+    xy = compose(moved, y)
+    assert xy.triple() == quadform._compose(x.triple(), y.triple())
+    assert xy == compose(y, x) == reduce_form(xy)
+    assert compose(xy, z) == compose(x, compose(y, z))
+    assert compose(x, cg.identity) == x
+    assert compose(x, inverse(x)) == cg.identity
+    assert cg.element_of(xy) == op_mul(cg.element_of(x), cg.element_of(y))
 
 
 class TestClassGroup:
