@@ -8,9 +8,10 @@ same statistics.  Walk steps pick uniformly among the k generator slots,
 multiplicity included, matching the adjacency operator.
 
 The step draws of trial t are exactly
-``trial_rng(seed, t).integers(0, k, size=length)``; :func:`walk_steps`
-replays numpy's Philox4x64-10 for many trials at once (Salmon et al.,
-SC'11), bit for bit:
+``trial_rng(seed, t).integers(0, k, size=length)``.  One vectorised core,
+``_philox_words``, replays numpy's Philox4x64-10 for many trials and blocks
+at once (Salmon et al., SC'11), bit for bit, and both :func:`walk_steps`
+and the bulk walks of :func:`mixing_experiment` draw from it:
 
 * the key words are (t, seed), and the first 4 x 64-bit block of a trial
   uses counter 1, because numpy increments the counter before it fills its
@@ -21,6 +22,13 @@ SC'11), bit for bit:
   (2^32 - k) mod k is rejected by numpy and replaced by the next 32 bits,
   which shifts the rest of the trial, so any trial with a rejection, and
   every trial when k >= 2^32, is drawn again by the scalar ``trial_rng``.
+
+The bulk walks stream through one window of about 2^13 Philox blocks: all
+the trials, up to 2^13, by as many blocks as fit.  Each draw column,
+pre-scaled by the group order, moves every position of the window with one
+1-D gather on the flattened step table, and a trial's rejection flag is the
+running minimum of its low product words.  Memory stays at about a megabyte
+above the end positions, whatever the trial count and length.
 """
 from __future__ import annotations
 
@@ -55,10 +63,8 @@ _Z99 = 2.5758293035489004
 _EXACT_LIMIT = 64
 # work cap of one experiment: trials x length step draws and table lookups
 MAX_DRAWS = 10**7
-# _endpoints walks this many trials at a time, drawing about _CHUNK_DRAWS
-# steps at once
-_CHUNK_TRIALS = 4096
-_CHUNK_DRAWS = 1 << 15
+# _endpoints draws about this many Philox blocks (8 draws each) at a time
+_WINDOW = 1 << 13
 # trial_steps draws this many trials ahead of the caller
 _BATCH_TRIALS = 64
 
@@ -93,10 +99,11 @@ def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
     return hi, a * m
 
 
-def _philox_words(seed: int, first: int, trials: int, b0: int, b1: int) -> np.ndarray:
-    """(trials, 8 * (b1 - b0)) uint64 array: the 32-bit draws of the blocks
-    with counters b0 + 1 .. b1 under the keys (first + i, seed), in numpy's
-    draw order."""
+def _philox_words(seed: int, first: int, trials: int, b0: int, b1: int):
+    """The four output words of the Philox blocks with counters b0 + 1 .. b1
+    under the keys (first + i, seed), each a (trials, b1 - b0) uint64 array:
+    block b of trial i is the 8 draws of words[0][i, b] .. words[3][i, b],
+    low half first."""
     k0 = (np.uint64(first & _MASK64) + np.arange(trials, dtype=np.uint64))[:, None]
     k1 = np.full((1, 1), seed & _MASK64, dtype=np.uint64)
     x0 = np.arange(b0 + 1, b1 + 1, dtype=np.uint64)[None, :]
@@ -110,34 +117,34 @@ def _philox_words(seed: int, first: int, trials: int, b0: int, b1: int) -> np.nd
         hi0, lo0 = _mulhilo(x0, _PHILOX_M0)
         hi1, lo1 = _mulhilo(x2, _PHILOX_M1)
         x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    out = np.empty((trials, b1 - b0, 4, 2), dtype=np.uint64)
-    for w, x in enumerate((x0, x1, x2, x3)):
-        out[:, :, w, 0] = x & _LO32
-        out[:, :, w, 1] = x >> _U32
-    return out.reshape(trials, 8 * (b1 - b0))
+    return x0, x1, x2, x3
 
 
-def _draws(seed: int, first: int, trials: int, k: int, start: int, stop: int):
-    """Draws start .. stop - 1 of the trials first .. first + trials - 1 as
-    an int64 (trials, stop - start) array, and a per-trial flag that is
-    True where numpy draws them otherwise (a Lemire rejection, or k outside
-    [1, 2^32)); the draws of a flagged trial are meaningless."""
-    if stop == start:
-        return np.empty((trials, 0), dtype=np.int64), np.zeros(trials, dtype=bool)
-    if not 1 <= k < 1 << 32:
-        return np.zeros((trials, stop - start), dtype=np.int64), np.ones(trials, dtype=bool)
-    b0 = start // 8
-    words = _philox_words(seed, first, trials, b0, -(-stop // 8))
-    prod = words[:, start - 8 * b0 : stop - 8 * b0] * np.uint64(k)
-    rejected = ((prod & _LO32) < ((1 << 32) - k) % k).any(axis=1)
-    return (prod >> _U32).astype(np.int64), rejected
+def _products(words, k: int):
+    """The Lemire products u * k of the 8 draws of each block, in draw
+    order: draw j of the block is products[j] >> 32, and numpy rejects it
+    when its low 32 bits are below (2^32 - k) mod k."""
+    kk = np.uint64(k)
+    for x in words:
+        yield (x & _LO32) * kk
+        yield (x >> _U32) * kk
 
 
 def walk_steps(seed: int, first: int, trials: int, k: int, length: int) -> np.ndarray:
     """(trials, length) int64 slot draws; row i is exactly
     trial_rng(seed, first + i).integers(0, k, size=length)."""
-    steps, redo = _draws(seed, first, trials, k, 0, length)
-    for i in np.flatnonzero(redo):
+    blocks = -(-length // 8)
+    prod = np.empty((trials, blocks, 8), dtype=np.uint64)
+    if 1 <= k < 1 << 32:
+        for j, p in enumerate(_products(_philox_words(seed, first, trials, 0, blocks), k)):
+            prod[:, :, j] = p
+        prod = prod.reshape(trials, 8 * blocks)[:, :length]
+        redo = np.flatnonzero((prod & _LO32).min(axis=1, initial=_LO32) < ((1 << 32) - k) % k)
+    else:
+        prod = prod.reshape(trials, 8 * blocks)[:, :length]
+        redo = range(trials)
+    steps = (prod >> _U32).view(np.int64)
+    for i in redo:
         steps[i] = trial_rng(seed, first + int(i)).integers(0, k, size=length)
     return steps
 
@@ -207,25 +214,48 @@ class WalkConfig:
 
 
 def _endpoints(graph: CayleyGraph, start_idx: int, length: int, trials: int, seed: int) -> np.ndarray:
-    """End-vertex indices of `trials` independent walks.  Walks advance
-    _CHUNK_TRIALS at a time through windows of about _CHUNK_DRAWS draws, so
-    memory stays bounded whatever the trial count and length."""
+    """End-vertex indices of `trials` independent walks.
+
+    The walks are drawn one window of about _WINDOW Philox blocks at a time,
+    n = min(trials, _WINDOW) trials by _WINDOW // n blocks, so memory stays
+    bounded whatever the trial count and length.  Each draw, pre-scaled by
+    the order, moves the n positions with one gather on the flattened step
+    table.  The running minimum of each trial's low product words flags its
+    Lemire rejections (none when (2^32 - k) mod k = 0); a flagged trial, and
+    every trial when k is outside [1, 2^32), is redone by random_walk."""
     pos = np.full(trials, start_idx, dtype=np.int64)
-    table = graph.step_table
-    for first in range(0, trials, _CHUNK_TRIALS):
-        at = pos[first : first + _CHUNK_TRIALS]
-        n = len(at)
-        width = max(8, _CHUNK_DRAWS // n // 8 * 8)  # whole Philox blocks
-        redo = np.zeros(n, dtype=bool)
-        for start in range(0, length, width):
-            steps, rejected = _draws(seed, first, n, graph.degree, start, min(length, start + width))
-            redo |= rejected
-            for column in steps.T:
-                at = table[column, at]
-        for i in np.flatnonzero(redo):
-            end = random_walk(graph, graph.vertices[start_idx], length, trial_rng(seed, first + int(i)))
-            at[i] = graph.vertex_index(end)
-        pos[first : first + n] = at
+    k = graph.degree
+    if not 1 <= k < 1 << 32:
+        redo = range(trials)
+    else:
+        flat = graph.step_table.ravel()
+        threshold = np.uint64(((1 << 32) - k) % k)
+        blocks = -(-length // 8)
+        n = min(trials, _WINDOW)
+        nb = _WINDOW // n
+        redo = []
+        for first in range(0, trials, n):
+            m = min(n, trials - first)
+            at = pos[first : first + m]
+            low = np.full(m, _LO32)
+            for b0 in range(0, blocks, nb):
+                left = length - 8 * b0  # draws still to make
+                b1 = min(blocks, b0 + nb)
+                cols = []
+                for j, prod in enumerate(_products(_philox_words(seed, first, m, b0, b1), k)):
+                    if threshold:  # only the draws the walk makes count
+                        used = prod[:, : -(-(left - j) // 8)] & _LO32
+                        np.minimum(low, used.min(axis=1, initial=_LO32), out=low)
+                    cols.append((prod >> _U32).view(np.int64) * graph.order)
+                for b in range(b1 - b0):
+                    for col in cols[: left - 8 * b]:
+                        at = flat[col[:, b] + at]
+                del cols  # free the window before the next one is drawn
+            pos[first : first + m] = at
+            redo.extend(first + np.flatnonzero(low < threshold))
+    start = graph.vertices[start_idx]
+    for t in redo:
+        pos[t] = graph.vertex_index(random_walk(graph, start, length, trial_rng(seed, int(t))))
     return pos
 
 

@@ -1,7 +1,8 @@
 """Exports: every name in ``__all__`` resolves, and the artifact writers match
 their oracles: ``cli._dumps`` against ``json.dumps(indent=2, sort_keys=True)``,
 ``to_dot`` and the adjacency rows against the per-edge loops they replaced,
-and the bench-scale ``spectrum`` artifacts against pinned digests."""
+and the bench-scale ``spectrum`` and ``mix`` artifacts against pinned
+digests."""
 import hashlib
 import importlib
 import json
@@ -194,3 +195,30 @@ def test_bench_scale_spectrum_artifacts(tmp_path, capsys):
         got[disc] = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                      for name in pinned}
     assert got == BENCH_SCALE
+
+
+# the two walk-streams mix ops at 10^5 trials, argvs as the bench makes them
+# at workload seed 1: the -D graph has k = 16 and 8 targets, the group-file
+# graph on Z/4 x Z/12 has k = 6
+BENCH_SCALE_MIX = {
+    ("mix", "-D", "-9999991", "--bound", "50", "--trials", "100000",
+     "--target", "178:7:14045,1696:1597:1850,106:99:23608,1600:1597:1961,"
+     "520:-307:4853,8:3:312500,251:-241:10018,625:-3:4000",
+     "--seed", "6257749171486541836"):
+        "9fe4d965d504d3f430d64f6dc42734b112234c8d991f2713b303317c40534265",
+    ("mix", "--group-file", "group48.txt", "--gens", "1:0,0:1,1:5",
+     "--trials", "100000", "--target", "1:9,0:4,1:4",
+     "--seed", "2992820390107800472"):
+        "291d0bf3a6180d66703af1e1c5fec10833c8cd6da9a7107aa421dd4a1e20743d",
+}
+
+
+def test_bench_scale_mix_artifacts(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "group48.txt").write_text("invariants: 4 12\n", encoding="utf-8")
+    got = {}
+    for i, argv in enumerate(BENCH_SCALE_MIX):
+        out = f"mix{i}"
+        assert main([*argv, "--out", out]) == 0, capsys.readouterr().err
+        got[argv] = hashlib.sha256((tmp_path / out / "mix.json").read_bytes()).hexdigest()
+    assert got == BENCH_SCALE_MIX

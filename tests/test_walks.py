@@ -1,3 +1,5 @@
+import tracemalloc
+from functools import cache
 from math import sqrt
 
 import numpy as np
@@ -229,28 +231,121 @@ def test_walk_steps_fall_back_to_the_scalar_stream(monkeypatch, k):
         assert redrawn == trials
 
 
+# a spoiled half holds 2^31: at k = 6 its draw is slot 3 with a low product
+# word of 0, below numpy's rejection threshold (2^32 - 6) mod 6 = 4, though
+# the full product is not
+_SPOILED = np.uint64(0x8000000080000000)
+_HALF = (np.uint64(0xFFFFFFFF), np.uint64(0xFFFFFFFF << 32))
+
+
+def _spoil(x, i, b, half):
+    x[i, b] = x[i, b] & _HALF[1 - half] | _SPOILED & _HALF[half]
+
+
 @pytest.mark.parametrize("forced", [False, True])
 def test_endpoints_across_chunks_match_random_walk(monkeypatch, forced):
-    if forced:  # flag every fifth trial as rejected and spoil its draws
-        real = walks._draws
-
-        def flagging(seed, first, trials, k, start, stop):
-            steps, rejected = real(seed, first, trials, k, start, stop)
-            spoil = (first + np.arange(trials)) % 5 == 0
-            steps[spoil] = 0
-            return steps, rejected | spoil
-
-        monkeypatch.setattr(walks, "_draws", flagging)
+    # forced: trials 0 mod 5 are spoiled in every draw, and trials 2 mod 5 in
+    # the one draw (t // 5) mod length; both must be redone by random_walk.
+    # Trials 1 mod 5 are spoiled only in draws 5..7 of their last block,
+    # which the walks below never make, and must not be redone.
     z12 = FiniteAbelianGroup((12,))
-    g = build(full_subgroup(z12), [(f"{s}", z12.element((s,))) for s in (1, 11, 5, 7, 6)])
-    # two full chunks of trials and a partial one; an odd length spread over
-    # several draw windows, the last of them ending inside a Philox block
-    trials = 2 * walks._CHUNK_TRIALS + 17
-    length = 2 * (walks._CHUNK_DRAWS // walks._CHUNK_TRIALS) + 5
-    start = g.vertices[3]
-    want = [g.vertex_index(random_walk(g, start, length, trial_rng(77, t)))
+    g = build(full_subgroup(z12), [(f"{s}", z12.element((s,))) for s in (1, 11, 5, 7, 2, 10)])
+    assert g.degree == 6
+    redrawn = []
+    length = None
+    if forced:
+        real = walks._philox_words
+
+        def spoiling(seed, first, trials, b0, b1):
+            words = real(seed, first, trials, b0, b1)
+            t = first + np.arange(trials)
+            for x in words:
+                x[t % 5 == 0] = _SPOILED
+            for i in np.flatnonzero(t % 5 == 2):
+                d = t[i] // 5 % length
+                if b0 <= d // 8 < b1:
+                    _spoil(words[d % 8 // 2], i, d // 8 - b0, d % 2)
+            if 8 * b1 >= length:  # draw 4 of the last block ends the walk
+                for i in np.flatnonzero(t % 5 == 1):
+                    _spoil(words[2], i, -1, 1)
+                    words[3][i, -1] = _SPOILED
+            return words
+
+        def counted(seed, trial):
+            redrawn.append(trial)
+            return trial_rng(seed, trial)
+
+        monkeypatch.setattr(walks, "_philox_words", spoiling)
+        monkeypatch.setattr(walks, "trial_rng", counted)
+    window = walks._WINDOW
+    # two full chunks of trials and a partial one, one block per window; and
+    # fewer trials than the window, eight blocks per window.  Each walk
+    # spans several windows and ends after draw 4 of a Philox block.
+    for trials, length in ((2 * window + 17, 3 * 8 + 5), (window // 8 - 3, 2 * 64 + 13)):
+        assert length % 8 == 5
+        start = g.vertices[3]
+        want = [g.vertex_index(random_walk(g, start, length, trial_rng(77, t)))
+                for t in range(trials)]
+        redrawn.clear()
+        assert walks._endpoints(g, 3, length, trials, 77).tolist() == want
+        assert redrawn == ([t for t in range(trials) if t % 5 in (0, 2)] if forced else [])
+
+
+@cache
+def _graph_of_degree(k):
+    """A Cayley graph with k generator slots: Z/2 with its self-inverse
+    generator, the 7-cycle, or Z/4 x Z/12 with k/2 inverse pairs (at k = 16
+    one pair twice)."""
+    if k == 1:
+        g = FiniteAbelianGroup((2,))
+        gens = [("1", g.element((1,)))]
+    else:
+        g = FiniteAbelianGroup((7,) if k == 2 else (4, 12))
+        cells = [(1,)] if k == 2 else [(1, 0), (0, 1), (1, 5), (2, 7),
+                                       (3, 3), (1, 1), (0, 5), (0, 1)]
+        gens = [(f"{s}{c}", g.element([s * x for x in c]))
+                for c in cells[: k // 2] for s in (1, -1)]
+    graph = build(full_subgroup(g), gens)
+    assert graph.degree == k
+    return graph
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.sampled_from([1, 2, 4, 6, 16]),
+    trials=st.integers(1, 100),
+    length=st.integers(0, 90),
+    seed=st.one_of(st.integers(0, 2**64 - 1), st.just(2**64 - 1)),
+    start=st.integers(0, 47),
+)
+def test_endpoints_match_random_walk_across_small_windows(k, trials, length, seed, start):
+    # a window of 16 blocks: the trials split into chunks of up to 16, and
+    # 16 // n blocks per window put window edges inside short walks; powers
+    # of two skip the rejection test, 6 does not
+    g = _graph_of_degree(k)
+    start %= g.order
+    v = g.vertices[start]
+    want = [g.vertex_index(random_walk(g, v, length, trial_rng(seed, t)))
             for t in range(trials)]
-    assert walks._endpoints(g, 3, length, trials, 77).tolist() == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walks, "_WINDOW", 16)
+        assert walks._endpoints(g, start, length, trials, seed).tolist() == want
+
+
+@pytest.mark.parametrize("trials, length", [(10**5, 31), (10**4, 1000), (100, 10**5)])
+def test_endpoints_memory_does_not_grow_with_the_product(trials, length):
+    # above the trials-long positions array only one Philox window and its
+    # draws are live (about 1.2 MiB at k = 6, rejection test included)
+    g = _graph_of_degree(6)
+    g.step_table  # built before tracing
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        walks._endpoints(g, 0, length, trials, 5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * trials <= 2 * 2**20, peak / 2**20
 
 
 def test_exact_distribution_is_stochastic():
