@@ -14,14 +14,18 @@ those horizontal isogenies (Galbraith's algorithm), so the graph is grown
 by breadth-first search over the computed edges instead of by counting a
 model for every j.  Seeds come from a scan of j in increasing order that
 skips what a search has already reached and stops once h(D) vertices are
-known.  A degree ell inert in Q(sqrt(D)) has no rational kernel, so its
-division polynomial is never built.
+known.  The search goes one BFS level at a time: the division
+polynomials, reduction tables and Frobenius powers of a level's curves
+are computed as stacked arrays, once per (level, ell), and only the gcds,
+Velu and the recounts run curve by curve.  A degree ell inert in
+Q(sqrt(D)) has no rational kernel, so its division polynomial is never
+built.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, replace
 from math import gcd, isqrt
 
@@ -68,16 +72,20 @@ FIELD_CAP = 10**4
 DEGREE_CAP = 31
 # largest gap between the sorted isogeny and Cayley spectra that compare_to_cayley accepts
 SPECTRUM_TOL = 1e-6
+# reduction-table entries (int64) that one stack of the kernel search may hold
+_STACK_ENTRIES = 2**18
 
 
 def _check_degree(ell: int, p: int) -> None:
     """Reject an isogeny degree before anything is built for it.
 
     The kernel search works modulo psi_ell, of degree n = (ell^2 - 1) / 2,
-    through one (n - 1) x n int64 reduction table per psi_ell, so memory
-    grows like ell^4 and time faster still.  The cap 31 (n = 480, a 1.8 MB
-    table) sits far above every degree the demos use, and keeps the
-    table's sums exact: n * p^2 < 2^63 at the field cap.
+    through an n x (n - 1) int64 reduction table per curve, so time grows
+    faster than ell^4.  Curves are searched in stacks whose tables hold at
+    most ``_STACK_ENTRIES`` entries (2 MiB), so memory does not grow with
+    the class; from ell = 29 on a stack is one curve.  The cap 31 (n = 480,
+    a 1.8 MB table) sits far above every degree the demos use, and keeps
+    the table's sums exact: n * p^2 < 2^63 at the field cap.
     """
     if ell > DEGREE_CAP:
         raise PreconditionError(f"degree {ell} exceeds the isogeny-degree cap {DEGREE_CAP}")
@@ -106,7 +114,8 @@ def _count_tables(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _count(p: int, a: int, b: int) -> tuple[int, int]:
     xs, cubes, legendre = _count_tables(p)
-    order = p + 1 + int(legendre[(cubes + a * xs + b) % p].sum())
+    v = cubes + a * xs + b  # below p^2; v // p takes numpy's divide-by-scalar fast path, v % p does not
+    order = p + 1 + int(legendre[v - v // p * p].sum())
     t = p + 1 - order
     if t * t > 4 * p:
         raise InternalConsistencyError(f"trace {t} violates the Hasse bound at p = {p}")
@@ -246,49 +255,52 @@ def enumerate_isogeny_class(p: int, t: int) -> list[int]:
     return js
 
 
-def _cube(u, p):
-    return fp.poly_mul(fp.poly_mul(u, u, p), u, p)
+def division_polys(p: int, a, b, upto: int) -> list[np.ndarray]:
+    """w[0..upto] for a stack of models y^2 = x^3 + a[i] x + b[i].
 
-
-def division_polys(p: int, a: int, b: int, upto: int) -> list[np.ndarray]:
-    """w[0..upto] with psi_m = w_m for odd m and psi_m = y*w_m for even m."""
+    psi_m = w_m for odd m and psi_m = y*w_m for even m.  w[m] is a (k, *)
+    array with one row per model, of the formal width deg w_m + 1 (a
+    leading coefficient that vanishes mod p stays as a zero).
+    """
+    a = np.asarray(a, dtype=np.int64) % p
+    b = np.asarray(b, dtype=np.int64) % p
+    k = len(a)
     if upto < 4:
         upto = 4
-    w: list[np.ndarray] = [fp.poly([], p) for _ in range(upto + 1)]
-    w[1] = fp.ONE
-    w[2] = fp.poly([2], p)
-    w[3] = fp.poly([-a * a, 12 * b, 6 * a, 0, 3], p)
-    w[4] = fp.poly(
-        [
-            -4 * (8 * b * b + a**3),
-            -16 * a * b,
-            -20 * a * a,
-            80 * b,
-            20 * a,
-            0,
-            4,
-        ],
-        p,
-    )
-    f_cubic = fp.poly([b, a, 0, 1], p)
-    f_sq = fp.poly_mul(f_cubic, f_cubic, p)
+
+    def const(c):
+        return np.full((k, 1), c % p, dtype=np.int64)
+
+    def coeffs(*cols):
+        return np.stack([np.broadcast_to(c, (k,)) for c in cols], axis=1) % p
+
+    def mul(u, v):
+        return fp.stack_mul(u, v, p)
+
+    w: list[np.ndarray] = [const(0)] * (upto + 1)
+    w[1] = const(1)
+    w[2] = const(2)
+    w[3] = coeffs(-a * a, 12 * b, 6 * a, 0, 3)
+    w[4] = coeffs(-4 * (8 * b * b + a**3), -16 * a * b, -20 * a * a, 80 * b, 20 * a, 0, 4)
+    f_cubic = coeffs(b, a, 0, 1)
+    f_sq = mul(f_cubic, f_cubic)
     inv2 = pow(2, -1, p)
     for n in range(5, upto + 1):
         m = n // 2
         if n % 2:
-            left = fp.poly_mul(w[m + 2], _cube(w[m], p), p)
-            right = fp.poly_mul(w[m - 1], _cube(w[m + 1], p), p)
+            left = mul(w[m + 2], mul(mul(w[m], w[m]), w[m]))
+            right = mul(w[m - 1], mul(mul(w[m + 1], w[m + 1]), w[m + 1]))
             if m % 2 == 0:
-                w[n] = fp.poly_sub(fp.poly_mul(f_sq, left, p), right, p)
+                w[n] = fp.stack_sub(mul(f_sq, left), right, p)
             else:
-                w[n] = fp.poly_sub(left, fp.poly_mul(f_sq, right, p), p)
+                w[n] = fp.stack_sub(left, mul(f_sq, right), p)
         else:
-            inner = fp.poly_sub(
-                fp.poly_mul(w[m + 2], fp.poly_mul(w[m - 1], w[m - 1], p), p),
-                fp.poly_mul(w[m - 2], fp.poly_mul(w[m + 1], w[m + 1], p), p),
+            inner = fp.stack_sub(
+                mul(w[m + 2], mul(w[m - 1], w[m - 1])),
+                mul(w[m - 2], mul(w[m + 1], w[m + 1])),
                 p,
             )
-            w[n] = fp.poly_scale(fp.poly_mul(w[m], inner, p), inv2, p)
+            w[n] = mul(w[m], inner) * inv2 % p
     return w
 
 
@@ -323,10 +335,15 @@ def velu_codomain(c: Curve, kernel: np.ndarray) -> tuple[int, int]:
     return (c.a - 5 * t_tot) % p, (c.b - 7 * w_tot) % p
 
 
-def _psi_kernel_search(c: Curve, ell: int, eigenvalues) -> list[IsogenyEdge]:
-    """The rational ell-kernel of c on which Frobenius acts as lam, per lam.
+def _psi_kernel_search(curves, ell: int, eigenvalues) -> list[list[IsogenyEdge]]:
+    """Per curve, the rational ell-kernel on which Frobenius acts as lam, per lam.
 
-    That kernel is E[ell] meet ker(pi - lam), and pi(P) = (x^p, y^p) with
+    ``curves`` is a stack of models of one class (one p, one trace t),
+    searched at once: the division polynomials, psi_ell, its reduction
+    tables, x^p and the conditions below are stacked arrays with one row
+    per curve, and only the gcds and what follows them run per curve.
+
+    The kernel is E[ell] meet ker(pi - lam), and pi(P) = (x^p, y^p) with
     y^p = y * f^((p-1)/2) for f = x^3 + ax + b.  For m = min(lam, ell - lam),
     [lam]P = +-[m]P, the sign - when lam = ell - m, and at every P = (x, y)
     of order ell
@@ -341,22 +358,23 @@ def _psi_kernel_search(c: Curve, ell: int, eigenvalues) -> list[IsogenyEdge]:
     needed only when -lam is a root of x^2 - t x + p too, which for a root
     lam means t = 0 (mod ell).  No degree law is assumed: a lam that is no
     eigenvalue gives gcd 1, and the Velu codomain of each kernel found is
-    re-counted.  ``rational_l_isogenies`` passes the roots of
-    x^2 - t x + p mod ell.
+    re-counted.  ``_isogenies_of`` passes the roots of x^2 - t x + p mod ell.
     """
-    p, a, b, t = c.p, c.a, c.b, c.t
+    p, t = curves[0].p, curves[0].t
     d = (ell - 1) // 2
-    w = division_polys(p, a, b, ell)
-    psi = fp.make_monic(w[ell], p)
+    w = division_polys(p, [c.a for c in curves], [c.b for c in curves], ell)
+    # the leading coefficient of psi_ell is ell, whatever the model
+    psi = w[ell] * pow(int(w[ell][0, -1]), -1, p) % p
     rows = fp._reduction_rows(psi, p)
 
     def mul(u, v):
         return fp.poly_mulmod(u, v, p, rows)
 
-    f = fp.poly([b, a, 0, 1], p)
-    x_shift = fp.poly_sub(fp.X, fp.poly_powmod(fp.X, p, psi, p, rows), p)  # x - x^p
+    f = np.array([[c.b, c.a, 0, 1] for c in curves], dtype=np.int64)
+    xs = np.tile(fp.X, (len(curves), 1))
+    x_shift = fp.stack_sub(xs, fp.poly_powmod(xs, p, psi, p, rows), p)  # x - x^p
     frob_y = None  # y^p / y, built on first need
-    edges = []
+    found = [[] for _ in curves]
     for lam in eigenvalues:
         m = min(lam, ell - lam)
         num, den = mul(w[m - 1], w[m + 1]), mul(w[m], w[m])
@@ -364,45 +382,74 @@ def _psi_kernel_search(c: Curve, ell: int, eigenvalues) -> list[IsogenyEdge]:
             num = mul(f, num)
         else:
             den = mul(f, den)
-        x_cond = fp.poly_sub(mul(x_shift, den), num, p)
-        kernel = fp.poly_gcd(psi, x_cond, p)
+        x_cond = fp.stack_sub(mul(x_shift, den), num, p)
+        y_cond = None
         if (lam * lam + t * lam + p) % ell == 0:  # -lam is an eigenvalue as well
             if frob_y is None:
                 frob_y = fp.poly_powmod(f, (p - 1) // 2, psi, p, rows)
-            y_cond = fp.poly_sub(
-                fp.poly_scale(mul(frob_y, mul(den, den)), 2, p),
-                fp.poly_scale(w[2 * m], 1 if lam == m else -1, p),
-                p,
+            sign = 1 if lam == m else -1
+            y_cond = fp.stack_sub(2 * mul(frob_y, mul(den, den)), sign * w[2 * m], p)
+        for i, c in enumerate(curves):
+            kernel = fp.poly_gcd(psi[i], x_cond[i], p)
+            if y_cond is not None:
+                kernel = fp.poly_gcd(kernel, y_cond[i], p)
+            if fp.degree(kernel) == 0:
+                continue  # lam is not an eigenvalue of Frobenius on E[ell]
+            if fp.degree(kernel) != d:
+                raise InternalConsistencyError(
+                    f"eigenvalue {lam} cuts out a degree-{fp.degree(kernel)} factor of "
+                    f"psi_{ell}, expected {d}"
+                )
+            va, vb = velu_codomain(c, kernel)
+            _, vt = _count(p, va, vb)
+            if vt != t:
+                raise InternalConsistencyError(
+                    f"Velu codomain recounts to trace {vt}, expected {t}"
+                )
+            found[i].append(
+                IsogenyEdge(
+                    p=p,
+                    ell=ell,
+                    source_j=c.j,
+                    target_j=_j_invariant(p, va, vb),
+                    kernel=tuple(int(x) for x in kernel),
+                    eigenvalue=lam,
+                    source_model=(c.a, c.b),
+                    velu_model=(va, vb),
+                    target_model=(va, vb),
+                    scale=1,
+                )
             )
-            kernel = fp.poly_gcd(kernel, y_cond, p)
-        if fp.degree(kernel) == 0:
-            continue  # lam is not an eigenvalue of Frobenius on E[ell]
-        if fp.degree(kernel) != d:
+    return found
+
+
+def _isogenies_of(curves, ell: int) -> list[list[IsogenyEdge]]:
+    """``rational_l_isogenies`` of each curve of one class, searched in stacks.
+
+    A stack holds as many curves as keep its reduction tables, k n^2 int64
+    entries for n = deg psi_ell, within ``_STACK_ENTRIES`` (at least one
+    curve: at ell = 29 or 31 a stack is one curve).
+    """
+    c0 = curves[0]
+    _check_degree(ell, c0.p)
+    if not c0.ordinary:
+        raise PreconditionError("supersingular curves are out of scope")
+    expected = 1 + kronecker(c0.t * c0.t - 4 * c0.p, ell)
+    if expected == 0:
+        return [[] for _ in curves]
+    roots = [z for z in range(1, ell) if (z * z - c0.t * z + c0.p) % ell == 0]
+    n = (ell * ell - 1) // 2
+    size = max(1, _STACK_ENTRIES // (n * n))
+    found = []
+    for s in range(0, len(curves), size):
+        found.extend(_psi_kernel_search(curves[s : s + size], ell, roots))
+    for edges in found:
+        if len(edges) != expected:
             raise InternalConsistencyError(
-                f"eigenvalue {lam} cuts out a degree-{fp.degree(kernel)} factor of "
-                f"psi_{ell}, expected {d}"
+                f"found {len(edges)} rational {ell}-kernels, splitting predicts {expected}"
             )
-        va, vb = velu_codomain(c, kernel)
-        _, vt = _count(p, va, vb)
-        if vt != t:
-            raise InternalConsistencyError(
-                f"Velu codomain recounts to trace {vt}, expected {t}"
-            )
-        edges.append(
-            IsogenyEdge(
-                p=p,
-                ell=ell,
-                source_j=c.j,
-                target_j=_j_invariant(p, va, vb),
-                kernel=tuple(int(x) for x in kernel),
-                eigenvalue=lam,
-                source_model=(a, b),
-                velu_model=(va, vb),
-                target_model=(va, vb),
-                scale=1,
-            )
-        )
-    return edges
+        edges.sort(key=lambda e: (e.target_j, e.kernel))
+    return found
 
 
 def rational_l_isogenies(c: Curve, ell: int) -> list[IsogenyEdge]:
@@ -410,22 +457,10 @@ def rational_l_isogenies(c: Curve, ell: int) -> list[IsogenyEdge]:
 
     A rational ell-kernel is an eigenspace of Frobenius on E[ell], so when
     x^2 - t x + p has no root mod ell (ell inert in Q(sqrt(t^2 - 4p))) there
-    is none, and psi_ell is not built at all.
+    is none, and psi_ell is not built at all.  This is the kernel search of
+    ``build_isogeny_graph`` on a stack of one curve.
     """
-    _check_degree(ell, c.p)
-    if not c.ordinary:
-        raise PreconditionError("supersingular curves are out of scope")
-    expected = 1 + kronecker(c.t * c.t - 4 * c.p, ell)
-    if expected == 0:
-        return []
-    roots = [z for z in range(1, ell) if (z * z - c.t * z + c.p) % ell == 0]
-    edges = _psi_kernel_search(c, ell, roots)
-    if len(edges) != expected:
-        raise InternalConsistencyError(
-            f"found {len(edges)} rational {ell}-kernels, splitting predicts {expected}"
-        )
-    edges.sort(key=lambda e: (e.target_j, e.kernel))
-    return edges
+    return _isogenies_of([c], ell)[0]
 
 
 def _model_scale(p: int, src: tuple[int, int], dst: tuple[int, int]) -> int:
@@ -579,6 +614,9 @@ def build_isogeny_graph(p: int, t: int, ells) -> IsogenyGraph:
     no search has reached seeds a new component, and the scan stops once
     all h(D) vertices are known.  When the ells generate Cl(D) one seed
     suffices; an edgeless or non-generating L costs at most the full scan.
+    The search runs one BFS level at a time, with one kernel search per
+    (level, ell) on the level's curves stacked; new vertices are taken in
+    FIFO order (curve, then ell, then edge), as a queue would take them.
     """
     ells = tuple(sorted(set(int(x) for x in ells)))
     for ell in ells:
@@ -588,24 +626,28 @@ def build_isogeny_graph(p: int, t: int, ells) -> IsogenyGraph:
     edges = []
     for seed in _class_scan(p, t, disc, curves):
         curves[seed.j] = seed
-        queue = deque([seed])
-        while queue:
-            c = queue.popleft()
-            for ell in ells:
-                for e in rational_l_isogenies(c, ell):
-                    target = curves.get(e.target_j)
-                    if target is None:
-                        target = _twist_with_trace(p, e.target_j, t)
-                        if target is None or target.j != e.target_j:
-                            raise InternalConsistencyError(
-                                f"edge from j = {c.j} leaves the class (target {e.target_j})"
-                            )
-                        curves[e.target_j] = target
-                        queue.append(target)
-                    u = _model_scale(p, e.velu_model, (target.a, target.b))
-                    edges.append(
-                        replace(e, target_model=(target.a, target.b), scale=u)
-                    )
+        level = [seed]
+        while level:
+            found = [_isogenies_of(level, ell) for ell in ells]
+            following = []
+            for i, c in enumerate(level):
+                for per_curve in found:
+                    for e in per_curve[i]:
+                        target = curves.get(e.target_j)
+                        if target is None:
+                            target = _twist_with_trace(p, e.target_j, t)
+                            if target is None or target.j != e.target_j:
+                                raise InternalConsistencyError(
+                                    f"edge from j = {c.j} leaves the class "
+                                    f"(target {e.target_j})"
+                                )
+                            curves[e.target_j] = target
+                            following.append(target)
+                        u = _model_scale(p, e.velu_model, (target.a, target.b))
+                        edges.append(
+                            replace(e, target_model=(target.a, target.b), scale=u)
+                        )
+            level = following
         if len(curves) >= h:
             break
     if not curves:
@@ -673,13 +715,11 @@ def compare_to_cayley(graph: IsogenyGraph) -> ComparisonReport:
     if not spectrum_ok:
         failed.append("spectrum")
 
-    degrees_ok = symmetric
-    for i, j in enumerate(graph.vertices):
-        for ell in graph.ells:
-            want = 1 + kronecker(graph.disc, ell)
-            got = sum(1 for e in graph.edges if e.source_j == j and e.ell == ell)
-            if got != want:
-                degrees_ok = False
+    out_degree = Counter((e.source_j, e.ell) for e in graph.edges)
+    want = {ell: 1 + kronecker(graph.disc, ell) for ell in graph.ells}
+    degrees_ok = symmetric and all(
+        out_degree[(j, ell)] == want[ell] for j in graph.vertices for ell in graph.ells
+    )
     if not degrees_ok:
         failed.append("degrees")
 

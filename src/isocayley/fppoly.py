@@ -2,11 +2,14 @@
 
 Coefficients are numpy int64 vectors, lowest degree first, reduced into
 [0, p).  The zero polynomial is the empty vector.  Arithmetic modulo a
-fixed g goes through one reduction table per g (``_reduction_rows``),
-which ``poly_mulmod`` and ``poly_powmod`` share.  The isogeny-kernel
-search needs no factoring; the partial factoring routines below
-(distinct-degree, seeded equal-degree, and their combination) are kept
-only while ``bench/tracer.py`` names them.
+fixed polynomial works on stacks: k residues modulo k moduli of one degree
+n are one (k, n) array, and ``_reduction_rows`` builds the moduli's
+reduction tables at once, which ``poly_mulmod`` and ``poly_powmod`` share.
+Products are row-wise convolutions (``stack_mul``); each reduction is one
+stacked product against the tables.  A single polynomial is a stack of
+one.  The isogeny-kernel search needs no factoring; the partial factoring
+routines below (distinct-degree, seeded equal-degree, and their
+combination) are kept only while ``bench/tracer.py`` names them.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ __all__ = [
     "poly_sub",
     "poly_scale",
     "poly_mul",
+    "stack_mul",
+    "stack_sub",
     "make_monic",
     "poly_divmod",
     "poly_mod",
@@ -150,61 +155,98 @@ def poly_gcd(u, v, p):
     return np.array([c * inv_lead % p for c in a], dtype=np.int64)
 
 
-def _reduction_rows(g, p):
-    """(n-1) x n table whose row k is x^(n+k) mod g, for n = deg g >= 1.
+def stack_mul(u, v, p):
+    """Row-wise products of two stacks of polynomials, (k, a) by (k, b).
 
-    Built by shift-and-subtract: x^n = -(g[:n] / lead) mod g, and each next
-    row is x times the previous one with its x^n term folded back in.
+    Each row is one ``np.convolve``; the product has the formal width
+    a + b - 1 and is not trimmed, so one row's leading zeros stay.
     """
-    n = len(g) - 1
-    rows = np.zeros((max(n - 1, 0), n), dtype=np.int64)
-    if n < 2:
-        return rows
-    top = (-g[:n]) * pow(int(g[-1]), -1, p) % p
-    rows[0] = top
-    for k in range(1, n - 1):
-        prev = rows[k - 1]
-        rows[k, 1:] = prev[:-1]
-        rows[k] = (rows[k] + int(prev[-1]) * top) % p
-    return rows
+    k = len(u)
+    if u.shape[1] == 0 or v.shape[1] == 0:
+        return np.zeros((k, 0), dtype=np.int64)
+    out = np.empty((k, u.shape[1] + v.shape[1] - 1), dtype=np.int64)
+    for i in range(k):
+        out[i] = np.convolve(u[i], v[i])
+    out %= p
+    return out
+
+
+def stack_sub(u, v, p):
+    """Row-wise u - v of two stacks of polynomials, padded to one width."""
+    out = np.zeros((len(u), max(u.shape[1], v.shape[1])), dtype=np.int64)
+    out[:, : u.shape[1]] = u
+    out[:, : v.shape[1]] -= v
+    out %= p
+    return out
+
+
+def _reduction_rows(g, p):
+    """Reduction tables for a stack g of k polynomials of one degree n.
+
+    g has shape (k, n + 1) with nonzero last column.  The result has shape
+    (k, n, n - 1), and its column j in table i is x^(n+j) mod g[i], the
+    layout in which ``poly_mulmod`` folds with one stacked product.  The
+    columns are built by shift-and-subtract on every polynomial at once:
+    x^n = -(g[:n] / lead) mod g, and each next power is x times the
+    previous one with its x^n term folded back in.
+    """
+    k, n = g.shape[0], g.shape[1] - 1
+    rows = np.zeros((k, max(n - 1, 0), n), dtype=np.int64)
+    if n >= 2:
+        inv_lead = np.array([pow(int(c), -1, p) for c in g[:, -1]], dtype=np.int64)
+        top = (-g[:, :n]) % p * inv_lead[:, None] % p
+        rows[:, 0] = top
+        for j in range(1, n - 1):
+            prev = rows[:, j - 1]
+            rows[:, j, 1:] = prev[:, :-1]
+            rows[:, j] = (rows[:, j] + prev[:, -1:] * top) % p
+    return np.ascontiguousarray(rows.transpose(0, 2, 1))
 
 
 def poly_mulmod(u, v, p, rows):
-    """u * v mod g for residues u, v mod g, given rows = _reduction_rows(g, p).
+    """Row-wise u * v mod g for stacks of residues, given rows = _reduction_rows(g, p).
 
-    The product has degree <= 2n - 2 for n = deg g; its high coefficients
-    are folded back with one matrix product against the rows x^(n..2n-2)
-    mod g.  Every entry of the convolution and of the matrix product is a
-    sum of at most n terms below p^2, so n * p^2 < 2^63 keeps the int64
-    arithmetic exact (n = 480, p = 10^4 at the caps of ``ecgraph``).
+    u and v have k rows of width at most n = deg g, and so has the result.
+    Each product is one ``np.convolve`` per row; its coefficients from x^n
+    up are folded back with one stacked product against the tables.  Every
+    entry of the convolution and of the fold is a sum of at most n terms
+    below p^2, so n * p^2 < 2^63 keeps the int64 arithmetic exact (n = 480,
+    p = 10^4 at the caps of ``ecgraph``).
     """
-    if len(u) == 0 or len(v) == 0:
-        return _ZERO
     n = rows.shape[1]
-    prod = np.convolve(u, v) % p
-    if len(prod) <= n:
-        return trim(prod)
-    return trim((prod[:n] + prod[n:] @ rows[: len(prod) - n]) % p)
+    prod = stack_mul(u, v, p)
+    high = prod.shape[1] - n
+    if high <= 0:
+        return prod
+    fold = np.einsum("kji,ki->kj", rows[:, :, :high], prod[:, n:])
+    return (prod[:, :n] + fold) % p
 
 
 def poly_powmod(u, e: int, g, p, rows=None):
-    """u^e mod g by square-and-multiply with ``poly_mulmod``.
+    """Row-wise u^e mod g by square-and-multiply with ``poly_mulmod``.
 
-    e = 0 gives ONE whatever g is, as repeated multiplication from ONE
-    would.  A caller that works modulo one g many times passes
-    ``rows = _reduction_rows(g, p)`` so the table is built once.
+    u is a (k, *) stack and g a (k, n + 1) stack of moduli of degree n, one
+    per row (a single polynomial is a stack of one).  The result has width
+    at most n, except that e = 0 gives ONE in every row whatever g is, as
+    repeated multiplication from ONE would.  A caller that works modulo one
+    stack many times passes ``rows = _reduction_rows(g, p)`` so the tables
+    are built once.
     """
     if e < 0:
         raise InputError("negative polynomial exponent")
-    result = ONE
-    base = poly_mod(u, g, p)
+    k, n = g.shape[0], g.shape[1] - 1
+    if u.shape[1] <= n:
+        base = u % p
+    else:
+        base = np.stack([_pad(poly_mod(ui, gi, p), n) for ui, gi in zip(u, g)])
     if e == 0:
-        return result
+        return np.ones((k, 1), dtype=np.int64)
     if rows is None:
-        rows = _reduction_rows(trim(g), p)
+        rows = _reduction_rows(g, p)
+    result = None
     while True:
         if e & 1:
-            result = poly_mulmod(result, base, p, rows)
+            result = base if result is None else poly_mulmod(result, base, p, rows)
         e >>= 1
         if not e:
             return result
@@ -230,15 +272,15 @@ def distinct_degree_split(f, p, max_degree):
     Stops after max_degree; whatever is left over (all factors strictly
     larger) is returned as the second element.
     """
-    f = make_monic(f, p)
+    f = make_monic(f, p)[None]
     rows = _reduction_rows(f, p)
     blocks = []
     r = X
-    remaining = f
+    remaining = f[0]
     for d in range(1, max_degree + 1):
         if degree(remaining) <= 0:
             break
-        r = poly_powmod(r, p, f, p, rows)
+        r = trim(poly_powmod(r[None], p, f, p, rows)[0])
         block = poly_gcd(poly_sub(r, X, p), remaining, p)
         if degree(block) > 0:
             blocks.append((d, block))
@@ -255,12 +297,12 @@ def equal_degree_factors(f, p, d, rng):
     if n % d:
         raise InputError(f"degree {n} is not a multiple of the block degree {d}")
     exp = (p**d - 1) // 2
-    rows = _reduction_rows(f, p)
+    rows = _reduction_rows(f[None], p)
     for _ in range(128):
         r = trim(rng.integers(0, p, size=n, dtype=np.int64))
         if degree(r) < 1:
             continue
-        s = poly_sub(poly_powmod(r, exp, f, p, rows), ONE, p)
+        s = poly_sub(poly_powmod(r[None], exp, f[None], p, rows)[0], ONE, p)
         g = poly_gcd(s, f, p)
         if 0 < degree(g) < n:
             left = equal_degree_factors(g, p, d, rng)

@@ -58,6 +58,17 @@ def test_point_count_all_models_f5():
             assert abs(c.t) ** 2 <= 4 * 5
 
 
+def test_point_count_near_the_field_cap():
+    """Large residues, a = b = p - 1 among them, against Euler's criterion."""
+    p = 9973
+    for a, b in [(1, 1), (p - 1, p - 1), (0, 7), (4321, 1234)]:
+        legendre = 0
+        for xv in range(p):
+            s = pow((xv**3 + a * xv + b) % p, (p - 1) // 2, p)
+            legendre += -1 if s == p - 1 else s
+        assert eg._count(p, a, b) == (p + 1 + legendre, -legendre)
+
+
 def test_supersingular_flagged():
     c = eg.curve(3, 1, 0)  # trace 0 over F_3
     assert not c.ordinary
@@ -184,7 +195,7 @@ def test_division_poly_roots_are_torsion(m):
 
     p, a, b = 31, 1, 3
     d = eg._non_residue(p)
-    w = eg.division_polys(p, a, b, m)[m]
+    w = eg.division_polys(p, [a], [b], m)[m][0]
     assert len(w) - 1 == (m * m - 1) // 2
     roots = {xv for xv in range(p) if fp.poly_eval(w, xv, p) == 0}
     here = rational_torsion_x(p, a, b, m)
@@ -193,9 +204,9 @@ def test_division_poly_roots_are_torsion(m):
 
 
 def test_division_poly_leading_coefficients():
-    ws = eg.division_polys(11, 2, 3, 6)
-    assert int(ws[5][-1]) == 5
-    assert int(ws[6][-1]) == 6
+    ws = eg.division_polys(11, [2], [3], 6)
+    assert int(ws[5][0, -1]) == 5
+    assert int(ws[6][0, -1]) == 6
 
 
 # ----------------------------------------------------------- single isogeny
@@ -220,7 +231,7 @@ def test_kernel_divides_division_poly():
     from isocayley import fppoly as fp
 
     cc = eg._twist_with_trace(31, 8, 3)
-    w = eg.division_polys(cc.p, cc.a, cc.b, 7)[7]
+    w = eg.division_polys(cc.p, [cc.a], [cc.b], 7)[7][0]
     for edge in eg.rational_l_isogenies(cc, 7):
         k = np.array(edge.kernel, dtype=np.int64)
         assert len(k) - 1 == 3  # (ell - 1) / 2
@@ -340,24 +351,26 @@ def test_psi_search_finds_exactly_the_frobenius_eigenvalues():
     searches = kernels = 0
     cases = set()
     for p, t in CRITERION_7:
-        for j in eg.enumerate_isogeny_class(p, t):
-            c = eg._twist_with_trace(p, j, t)
-            for ell in (3, 5, 7, 11, 13):
-                if ell == p:
-                    continue
-                roots = [z for z in range(1, ell) if (z * z - t * z + p) % ell == 0]
-                edges = eg._psi_kernel_search(c, ell, range(1, ell))
-                assert [e.eigenvalue for e in edges] == roots, (p, t, j, ell)
+        curves = [eg._twist_with_trace(p, j, t) for j in eg.enumerate_isogeny_class(p, t)]
+        for ell in (3, 5, 7, 11, 13):
+            if ell == p:
+                continue
+            roots = [z for z in range(1, ell) if (z * z - t * z + p) % ell == 0]
+            found = eg._psi_kernel_search(curves, ell, range(1, ell))
+            assert len(found) == len(curves)
+            for c, edges in zip(curves, found):
+                assert [e.eigenvalue for e in edges] == roots, (p, t, c.j, ell)
+                assert all(e.source_j == c.j for e in edges)
                 assert all(len(e.kernel) == (ell + 1) // 2 for e in edges)
                 searches += 1
                 kernels += len(edges)
-                for lam in roots:
-                    m = min(lam, ell - lam)
-                    cases.add("lam = +-1" if m == 1 else ("odd m > 1" if m % 2 else "even m"))
-                if len(roots) == 1:
-                    cases.add("ramified")
-                if len(roots) == 2 and t % ell == 0:
-                    cases.add("split, t = 0 mod ell")
+            for lam in roots:
+                m = min(lam, ell - lam)
+                cases.add("lam = +-1" if m == 1 else ("odd m > 1" if m % 2 else "even m"))
+            if len(roots) == 1:
+                cases.add("ramified")
+            if len(roots) == 2 and t % ell == 0:
+                cases.add("split, t = 0 mod ell")
     assert cases == {"lam = +-1", "odd m > 1", "even m", "ramified", "split, t = 0 mod ell"}
     assert (searches, kernels) == (215, 236)
 
@@ -367,22 +380,25 @@ def test_y_condition_exactly_when_ell_divides_the_trace(monkeypatch, p, t, ell):
     """The x-condition alone holds on the eigenspaces of lam and -lam, and
     -lam is an eigenvalue too exactly when t = 0 (mod ell).  Then each kernel
     needs the y-condition, and its f^((p-1)/2) is the search's second
-    poly_powmod; otherwise x^p is the only one."""
+    poly_powmod; otherwise x^p is the only one.  Both are taken once per
+    stack of curves, whatever its size."""
     powmods = []
     powmod = eg.fp.poly_powmod
-    monkeypatch.setattr(eg.fp, "poly_powmod", lambda *a: powmods.append(1) or powmod(*a))
+    monkeypatch.setattr(eg.fp, "poly_powmod", lambda *a: powmods.append(len(a[0])) or powmod(*a))
     divides = t % ell == 0
-    for j in eg.enumerate_isogeny_class(p, t):
-        c = eg._twist_with_trace(p, j, t)
-        roots = [z for z in range(1, ell) if (z * z - t * z + p) % ell == 0]
-        assert len(roots) == 2
+    curves = [eg._twist_with_trace(p, j, t) for j in eg.enumerate_isogeny_class(p, t)]
+    roots = [z for z in range(1, ell) if (z * z - t * z + p) % ell == 0]
+    assert len(roots) == 2 and len(curves) > 1
+    for stack in (curves, curves[:1]):
         powmods.clear()
-        edges = eg._psi_kernel_search(c, ell, roots)
-        assert len(powmods) == (2 if divides else 1)
-        assert [e.eigenvalue for e in edges] == roots
-        assert (roots[0] + roots[1]) % ell == (0 if divides else t % ell)
-        assert all(len(e.kernel) == (ell + 1) // 2 for e in edges)
-        assert edges[0].kernel != edges[1].kernel
+        found = eg._psi_kernel_search(stack, ell, roots)
+        assert powmods == [len(stack)] * (2 if divides else 1)
+        assert len(found) == len(stack)
+        for edges in found:
+            assert [e.eigenvalue for e in edges] == roots
+            assert all(len(e.kernel) == (ell + 1) // 2 for e in edges)
+            assert edges[0].kernel != edges[1].kernel
+    assert (roots[0] + roots[1]) % ell == (0 if divides else t % ell)
 
 
 def test_inert_degree_builds_no_division_polynomial(monkeypatch):
@@ -432,6 +448,47 @@ def test_isogeny_search_reaches_the_enumerated_class(p, t, ells, generated):
         assert e.target_model == (g.curves[e.target_j].a, g.curves[e.target_j].b)
 
 
+@pytest.mark.parametrize("entries", [1, 3 * 24**2])
+def test_stacks_match_the_per_curve_oracle(monkeypatch, entries):
+    """Stacks of one curve, and BFS levels of 4, 8 and 10 curves split into
+    stacks of at most 3 at ell = 7 (n = 24), find the edges that
+    rational_l_isogenies finds curve by curve."""
+    sizes = []
+    search = eg._psi_kernel_search
+
+    def recorded(curves, ell, eigenvalues):
+        sizes.append((ell, len(curves)))
+        return search(curves, ell, eigenvalues)
+
+    monkeypatch.setattr(eg, "_STACK_ENTRIES", entries)
+    monkeypatch.setattr(eg, "_psi_kernel_search", recorded)
+    g = eg.build_isogeny_graph(2003, 1, (5, 7))
+    assert max(k for ell, k in sizes if ell == 7) == (1 if entries == 1 else 3)
+    assert len(sizes) > 10  # one search per (level, ell) would be 10
+    got = [(e.source_j, e.ell, e.target_j, e.kernel, e.eigenvalue, e.source_model, e.velu_model)
+           for e in g.edges]
+    assert got == reference_edges(2003, 1, (5, 7))
+    assert list(g.vertices) == eg.enumerate_isogeny_class(2003, 1)
+
+
+def test_stack_memory_stays_within_the_budget():
+    """At ell = 29 (n = 420) a stack is one curve, so the search over two
+    curves peaks near one reduction table and its transposed copy (2.7 MiB),
+    where one stack of both would take 5.5 MiB."""
+    import tracemalloc
+
+    curves = [eg._twist_with_trace(113, j, 19) for j in eg.enumerate_isogeny_class(113, 19)]
+    assert len(curves) == 2
+    tracemalloc.start()
+    try:
+        found = eg._isogenies_of(curves, 29)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(edges) for edges in found] == [2, 2]
+    assert peak < 4 * 2**20
+
+
 def test_isogeny_search_stops_early(monkeypatch):
     calls = []
     count = eg._count
@@ -474,6 +531,19 @@ def test_compare_fail_names_checks():
     assert rep.verdict == "FAIL"
     assert "spectrum" in rep.failed
     assert eg.comparison_to_json(rep)["verdict"] == "FAIL"
+
+
+def test_compare_reports_a_broken_degree_law():
+    import copy
+
+    g = graph(101, 3, (3, 7))
+    # one edge listed twice: the step table, and so the spectrum, is unchanged
+    bad = copy.copy(g)
+    bad.edges = g.edges + [g.edges[0]]
+    rep = eg.compare_to_cayley(bad)
+    assert rep.verdict == "FAIL"
+    assert rep.failed == ("degrees",)
+    assert rep.vertices_ok and rep.spectrum_ok and not rep.degrees_ok
 
 
 def test_compare_json_serializable():
@@ -738,3 +808,27 @@ def test_every_edge_below_100_is_pinned():
                 )
     assert (graphs, edges) == (346, 2490)
     assert h.hexdigest() == EDGE_DIGEST
+
+
+# sha256 over every edge of six classes at the large degrees L = {17, 19, 23,
+# 29, 31}: 172 edges, each spelled as above.  The classes have split,
+# ramified and inert large degrees, and t = 0 mod ell at ell = 17 and 19.
+# (101, 3) and (223, 2) stack BFS levels of 4 and 5 curves at ell = 17 and
+# 19, which (223, 2) splits into stacks of 3 at ell = 23 (n = 264).
+LARGE_EDGE_DIGEST = "607f6b7e2be3ac155efa7814fefd51432010c50e60c9324ad50d33a636f8123d"
+
+
+def test_large_degree_edges_are_pinned():
+    h = hashlib.sha256()
+    edges = 0
+    for p, t in [(41, 7), (89, 17), (101, 3), (103, 19), (113, 19), (223, 2)]:
+        g = eg.build_isogeny_graph(p, t, (17, 19, 23, 29, 31))
+        for e in g.edges:
+            edges += 1
+            kernel = ",".join(str(int(c)) for c in e.kernel)
+            h.update(
+                f"{p} {t} {e.source_j} {e.target_j} {e.ell} {e.eigenvalue} {kernel}\n"
+                .encode()
+            )
+    assert edges == 172
+    assert h.hexdigest() == LARGE_EDGE_DIGEST

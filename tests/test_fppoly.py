@@ -70,13 +70,18 @@ def test_gcd_pinned_cases_match_sympy(u_c, v_c, p):
     assert [int(c) for c in got] == want
 
 
+def powmod(u, e, g, p):
+    """poly_powmod of one polynomial, as a stack of one, trimmed."""
+    return fp.trim(fp.poly_powmod(u[None], e, g[None], p)[0])
+
+
 def test_powmod_matches_repeated_multiplication():
     p = 101
     g = fp.poly([2, 0, 1], p)
     u = fp.poly([3, 5], p)
     acc = fp.ONE
     for e in range(40):
-        assert np.array_equal(acc, fp.poly_powmod(u, e, g, p))
+        assert np.array_equal(acc, powmod(u, e, g, p))
         acc = fp.poly_mod(fp.poly_mul(acc, u, p), g, p)
 
 
@@ -96,14 +101,36 @@ def test_powmod_matches_repeated_mulmod(u_c, e, g_c, p):
     u, g = fp.poly(u_c, p), fp.poly(g_c, p)
     if len(g) == 0:
         with pytest.raises(InputError):
-            fp.poly_powmod(u, e, g, p)
+            powmod(u, e, g, p)
         return
     acc = fp.ONE
     for _ in range(e):
         acc = fp.poly_mod(fp.poly_mul(acc, u, p), g, p)
-    got = fp.poly_powmod(u, e, g, p)
+    got = powmod(u, e, g, p)
     assert got.dtype == np.int64
     assert np.array_equal(got, acc)
+
+
+@given(st.data(), st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=7),
+       st.integers(min_value=0, max_value=30), st.sampled_from(PRIMES))
+@settings(max_examples=100, deadline=None)
+def test_stacked_powmod_matches_each_row(data, k, n, e, p):
+    """k bases modulo k different moduli of one degree n, as one stack,
+    agree row by row with repeated multiplication."""
+    coeffs = st.integers(min_value=0, max_value=p - 1)
+    width = data.draw(st.integers(min_value=0, max_value=n + 3))
+    us = [data.draw(st.lists(coeffs, min_size=width, max_size=width)) for _ in range(k)]
+    gs = [data.draw(st.lists(coeffs, min_size=n, max_size=n))
+          + [data.draw(st.integers(min_value=1, max_value=p - 1))] for _ in range(k)]
+    got = fp.poly_powmod(np.array(us, dtype=np.int64).reshape(k, width), e,
+                         np.array(gs, dtype=np.int64), p)
+    assert len(got) == k
+    for u_c, g_c, row in zip(us, gs, got):
+        u, g = fp.poly(u_c, p), fp.poly(g_c, p)
+        acc = fp.ONE
+        for _ in range(e):
+            acc = fp.poly_mod(fp.poly_mul(acc, u, p), g, p)
+        assert np.array_equal(fp.trim(row), acc)
 
 
 @given(
@@ -120,7 +147,7 @@ def test_powmod_large_exponent_matches_sympy(u_c, g_c, e):
     want = gf_pow_mod(
         [int(c) for c in reversed(u)], e, [int(c) for c in reversed(g)], p, ZZ
     )
-    assert [int(c) for c in reversed(fp.poly_powmod(u, e, g, p))] == want
+    assert [int(c) for c in reversed(powmod(u, e, g, p))] == want
 
 
 def test_eval_and_derivative():
