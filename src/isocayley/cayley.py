@@ -10,20 +10,23 @@ the scan that finds the smallest prime-norm bound B making the class-group
 graph a two-sided delta-expander, with the scan table kept for the
 main-term/error-term study.
 
-The exports read the step table directly: ``to_dot`` fills one
-``%``-template per generator slot, and ``to_json_adjacency`` hands out an
-:class:`AdjacencyRows` view that ``cli._dumps`` writes with one row template,
-so no per-edge Python object is built at the cap.
+The exports read the step table directly, one block of rows at a time:
+``dot_pieces`` fills one ``%``-template per generator slot for each block of
+its step-table row, and ``to_json_adjacency`` hands out an
+:class:`AdjacencyRows` view whose blocks ``cli`` fills from one row
+template.  A block holds about ``_BLOCK_ENTRIES`` step-table entries, so no
+per-edge Python object is built at the cap and no piece of an artifact
+grows with the graph; ``cli`` streams the pieces to their files.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from cmath import exp as _cexp
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from math import log, pi, prod, sqrt
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +58,9 @@ __all__ = [
     "find_expander_bound",
     "eigenvalue_prediction",
     "log_integral",
+    "component_of",
     "connected_components",
+    "dot_pieces",
     "to_dot",
     "AdjacencyRows",
     "to_json_adjacency",
@@ -70,6 +75,10 @@ _MAX_AMBIENT_ORDER = 1 << 62
 # adjacency slots (order x degree) of one graph: the step table, the
 # character table and the artifacts all grow with this product
 MAX_SLOTS = 4 * 10**6
+
+# step-table entries per block of an export: the DOT text and the JSON
+# adjacency rows are produced one block of rows at a time
+_BLOCK_ENTRIES = 1 << 12
 
 SCAN_CSV_HEADER = "B,lambda_triv,c,delta2,li_over_index,error_envelope"
 
@@ -294,29 +303,26 @@ def expansion(spec: Spectrum) -> tuple[float, float, float]:
     return 1.0 - max(nontrivial) / k, 1.0 - spec.c / k, spec.c
 
 
+def component_of(graph: StepGraph, i: int) -> np.ndarray:
+    """Mask of the vertices reachable from vertex index i: a breadth-first
+    search over the step table, one frontier of the search per numpy step."""
+    seen = np.zeros(graph.order, dtype=bool)
+    seen[i] = True
+    frontier = np.array([i])
+    while frontier.size:
+        reached = np.unique(graph.step_table[:, frontier])
+        frontier = reached[~seen[reached]]
+        seen[frontier] = True
+    return seen
+
+
 def connected_components(graph: StepGraph) -> int:
-    """Component count by breadth-first traversal over the step table."""
-    n = graph.order
-    if n == 0:
-        return 0
-    if graph.degree == 0:
-        return n
-    table = graph.step_table
-    seen = [False] * n
+    """Component count: one :func:`component_of` search per component."""
+    seen = np.zeros(graph.order, dtype=bool)
     count = 0
-    for start in range(n):
-        if seen[start]:
-            continue
+    while not seen.all():
+        seen |= component_of(graph, int(seen.argmin()))
         count += 1
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for j in range(graph.degree):
-                nxt = int(table[j, cur])
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    queue.append(nxt)
     return count
 
 
@@ -463,37 +469,51 @@ def find_expander_bound(
 # Exports
 # ---------------------------------------------------------------------------
 
-def to_dot(graph: StepGraph, title: str = "cayley") -> str:
-    """DOT text; one undirected edge per generator slot pair, loops kept.
+def dot_pieces(graph: StepGraph, title: str = "cayley") -> Iterator[str]:
+    """The DOT text of :func:`to_dot`, one block of rows at a time.
 
     An edge {v, s*v} with v before s*v in vertex order is emitted for the
     slot of s; the paired slot of s^{-1} accounts for the reverse direction,
     so multiplicities come out right.  Loops are emitted once per slot.
-    Each slot's edge lines are one ``%``-template, repeated over the
-    ``i <= t`` mask of its step-table row and filled once; vertex 0 is in
-    every mask, so no slot's block is empty.
+    The vertex lines come in blocks of ``_BLOCK_ENTRIES`` vertices.  Each
+    slot's edge lines are one ``%``-template, repeated over the ``i <= t``
+    mask of a block of ``_BLOCK_ENTRIES`` entries of its step-table row and
+    filled once, so no piece grows with the graph.
     """
-    out = [f"graph {json.dumps(title)} {{"]
-    for i, name in enumerate(graph.names):
-        out.append(f'  v{i} [label="{name}"];')
+    yield f"graph {json.dumps(title)} {{\n"
+    n = graph.order
+    for i in range(0, n, _BLOCK_ENTRIES):
+        names = graph.names[i:i + _BLOCK_ENTRIES]
+        yield "".join([f'  v{v} [label="{name}"];\n' for v, name in enumerate(names, i)])
     table = graph.step_table
-    index = np.arange(graph.order)
+    index = np.arange(n)
     for j, (label, _) in enumerate(graph.generators):
-        keep = index <= table[j]  # the paired inverse slot emits the other direction
-        ends = np.stack((index[keep], table[j, keep]), axis=1).ravel().tolist()
-        line = '  v%d -- v%d [label="' + label.replace("%", "%%") + '"];'
-        out.append("\n".join([line] * (len(ends) // 2)) % tuple(ends))
-    out.append("}")
-    return "\n".join(out) + "\n"
+        line = '  v%d -- v%d [label="' + label.replace("%", "%%") + '"];\n'
+        for i in range(0, n, _BLOCK_ENTRIES):
+            block = index[i:i + _BLOCK_ENTRIES]
+            targets = table[j, i:i + _BLOCK_ENTRIES]
+            keep = block <= targets  # the paired inverse slot emits the other direction
+            ends = np.stack((block[keep], targets[keep]), axis=1).ravel().tolist()
+            yield (line * (len(ends) // 2)) % tuple(ends)
+    yield "}\n"
+
+
+def to_dot(graph: StepGraph, title: str = "cayley") -> str:
+    """DOT text; one undirected edge per generator slot pair, loops kept.
+
+    The join of :func:`dot_pieces`, which ``cli`` streams to the file.
+    """
+    return "".join(dot_pieces(graph, title))
 
 
 class AdjacencyRows:
     """Read-only view of a step table as JSON adjacency rows.
 
     Row i is ``[[t, label], ...]`` over the slots, with t = table[j, i];
-    a row is built only when it is indexed or iterated.  ``cli._dumps``
-    writes the whole view from ``table`` and ``labels`` with one row
-    template, so no h x k pair list is ever built.
+    a row is built only when it is indexed or iterated.  ``blocks`` hands
+    out the targets one block of rows at a time, and ``cli`` fills its one
+    row template from each block in turn, so neither the h x k pair list
+    nor the whole table as Python ints is ever built.
     """
 
     __slots__ = ("table", "labels")
@@ -511,8 +531,15 @@ class AdjacencyRows:
     def __getitem__(self, i: int) -> list[list]:
         return self._row(self.table[:, i].tolist())
 
+    def blocks(self) -> Iterator[list[list[int]]]:
+        """The target lists of the rows, in blocks of about ``_BLOCK_ENTRIES``
+        step-table entries (at least one row each)."""
+        rows = max(1, _BLOCK_ENTRIES // max(1, len(self.labels)))
+        for i in range(0, len(self), rows):
+            yield self.table[:, i:i + rows].T.tolist()
+
     def __iter__(self):
-        return map(self._row, self.table.T.tolist())
+        return (self._row(targets) for block in self.blocks() for targets in block)
 
 
 def to_json_adjacency(graph: StepGraph) -> dict:

@@ -18,6 +18,7 @@ import json
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__, abelian, cayley, ecgraph, pathfind, quadform, walks
 from .errors import InputError, InternalConsistencyError, PreconditionError
@@ -25,7 +26,7 @@ from .errors import InputError, InternalConsistencyError, PreconditionError
 __all__ = ["main", "schema_for", "ARTIFACT_SCHEMAS"]
 
 _encode_str = json.encoder.encode_basestring_ascii
-# what _dumps lays out itself; every other value is a leaf for the stdlib
+# what _pieces lays out itself; every other value is a leaf for the stdlib
 _NESTED = (dict, list, tuple, cayley.AdjacencyRows)
 
 EXIT_OK = 0
@@ -67,8 +68,10 @@ def schema_for(name: str) -> dict:
         raise InputError(f"no schema named {name!r}") from None
 
 
-def _dumps(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, written directly.
+def _pieces(obj) -> Iterator[str]:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``,
+    written directly, as a sequence of pieces, none of which grows with the
+    slots of a graph.
 
     The recursion lays out dicts, lists and tuples as the stdlib's indented
     encoder does.  Keys and scalar leaves still go through the stdlib, so its
@@ -76,17 +79,32 @@ def _dumps(obj) -> str:
     encoded by one compact ``json.dumps`` call.  A
     :class:`cayley.AdjacencyRows` view is written as the list of its rows
     from one row template per graph: each label JSON-encoded once, the indent
-    taken from the view's depth, and each row of ``table.T.tolist()`` filled
-    in with one ``%``.  A list of flat dicts, such as the classes of
-    ``classgroup.json`` or the edges of ``ecgraph.json``, is laid out by
-    :func:`_write_rows` from one template per row shape.
+    taken from the view's depth, and each row of a block from
+    ``AdjacencyRows.blocks`` filled in with one ``%``, one piece per block.
+    A list of flat dicts, such as the classes of ``classgroup.json`` or the
+    edges of ``ecgraph.json``, is laid out by :func:`_write_rows` from one
+    template per row shape.  The text between adjacency views is one piece
+    each; it grows with the order of a graph, not with its slots.
     """
-    out: list[str | None] = []
+    out: list = []
     leaves: list = []
     _write(obj, "\n", out, leaves)
+    out.append("\n")
     # ensure_ascii escapes every newline inside a string, so "\n" splits the leaves exactly
     texts = iter(json.dumps(leaves, separators=("\n", ":"))[1:-1].split("\n"))
-    return "".join([next(texts) if part is None else part for part in out]) + "\n"
+    views = [i for i, part in enumerate(out) if part is not None and type(part) is not str]
+    start = 0
+    for stop in views + [len(out)]:
+        yield "".join([next(texts) if part is None else part for part in out[start:stop]])
+        if stop < len(out):
+            yield from out[stop]  # the block pieces of an adjacency view
+        start = stop + 1
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``: the join of
+    :func:`_pieces`, the one layout path."""
+    return "".join(_pieces(obj))
 
 
 def _key(key) -> str:
@@ -98,25 +116,18 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _write(obj, nl: str, out: list[str | None], leaves: list) -> None:
+def _write(obj, nl: str, out: list, leaves: list) -> None:
     """Append the JSON text of obj to ``out``, with ``None`` holding the place
-    of each scalar leaf, which goes to ``leaves``; ``nl`` is a newline plus the
-    indent of obj's line."""
+    of each scalar leaf, which goes to ``leaves``, and the lazy pieces of an
+    adjacency view holding its place; ``nl`` is a newline plus the indent of
+    obj's line."""
     if not isinstance(obj, _NESTED):
         out.append(None)
         leaves.append(obj)
         return
     inner = nl + "  "
     if isinstance(obj, cayley.AdjacencyRows):
-        pair_nl = inner + "  "
-        leaf_nl = pair_nl + "  "
-        slots = [
-            "[" + leaf_nl + "%d," + leaf_nl + _encode_str(label).replace("%", "%%") + pair_nl + "]"
-            for label in obj.labels
-        ]
-        row = "[" + pair_nl + ("," + pair_nl).join(slots) + inner + "]" if slots else "[]"
-        filled = [row % tuple(targets) for targets in obj.table.T.tolist()]
-        out.append("[" + inner + ("," + inner).join(filled) + nl + "]" if filled else "[]")
+        out.append(_adjacency_pieces(obj, nl))
         return
     if not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
@@ -144,7 +155,27 @@ def _write(obj, nl: str, out: list[str | None], leaves: list) -> None:
         leaves += obj
 
 
-def _write_rows(rows, nl: str, out: list[str | None], leaves: list) -> bool:
+def _adjacency_pieces(rows: cayley.AdjacencyRows, nl: str) -> Iterator[str]:
+    """The JSON list of an adjacency view's rows, one piece per block of rows."""
+    if not len(rows):
+        yield "[]"
+        return
+    inner = nl + "  "
+    pair_nl = inner + "  "
+    leaf_nl = pair_nl + "  "
+    slots = [
+        "[" + leaf_nl + "%d," + leaf_nl + _encode_str(label).replace("%", "%%") + pair_nl + "]"
+        for label in rows.labels
+    ]
+    row = "[" + pair_nl + ("," + pair_nl).join(slots) + inner + "]" if slots else "[]"
+    sep = "[" + inner
+    for block in rows.blocks():
+        yield sep + ("," + inner).join([row % tuple(targets) for targets in block])
+        sep = "," + inner
+    yield nl + "]"
+
+
+def _write_rows(rows, nl: str, out: list, leaves: list) -> bool:
     """Lay out a non-empty list of flat dicts with one key set, as ``_write``
     would, from one row template per shape.  A row is flat when each value
     is a leaf or a list of leaves, and its shape is the length of each list.
@@ -336,13 +367,14 @@ def _graph_params(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (artifacts, parameter echo, exit code)
+# subcommands: each returns (artifacts, parameter echo, exit code); an
+# artifact is a sequence of str pieces, which _emit consumes once
 # ---------------------------------------------------------------------------
 
 
 def cmd_classgroup(args):
     cls = quadform.class_group(args.disc)
-    return {"classgroup.json": _dumps(cls.to_json())}, {"disc": args.disc}, EXIT_OK
+    return {"classgroup.json": _pieces(cls.to_json())}, {"disc": args.disc}, EXIT_OK
 
 
 def cmd_spectrum(args):
@@ -364,16 +396,16 @@ def cmd_spectrum(args):
         "delta2": d2,
         "graph": cayley.to_json_adjacency(graph),
     }
-    artifacts = {"graph.dot": cayley.to_dot(graph, title="spectrum")}
+    artifacts = {"graph.dot": cayley.dot_pieces(graph, title="spectrum")}
     if ctx.cls_group is not None:
         best, rows = cayley.find_expander_bound(
             ctx.cls_group, graph.subgroup, args.delta, args.bound
         )
         data["expander_bound"] = best
-        artifacts["scan.csv"] = cayley.scan_table_csv(rows)
+        artifacts["scan.csv"] = [cayley.scan_table_csv(rows)]
     elif args.format == "csv":
         raise InputError("scan tables need a discriminant source; use -D")
-    artifacts["spectrum.json"] = _dumps(data)
+    artifacts["spectrum.json"] = _pieces(data)
     params = _graph_params(args) | {"delta": args.delta}
     return artifacts, params, EXIT_OK
 
@@ -394,7 +426,7 @@ def cmd_mix(args):
         "trials": args.trials,
         "length": args.length,
     }
-    return {"mix.json": _dumps(walks.report_json(result, names))}, params, EXIT_OK
+    return {"mix.json": _pieces(walks.report_json(result, names))}, params, EXIT_OK
 
 
 def cmd_path(args):
@@ -410,9 +442,9 @@ def cmd_path(args):
         )
     else:
         cert = pathfind.exhaustive_path(ctx.graph, a, b)
-    text = _dumps(pathfind.certificate_to_json(cert, ctx.graph))
+    doc = pathfind.certificate_to_json(cert, ctx.graph)
     params = _graph_params(args) | {"a": args.vertex_a, "b": args.vertex_b}
-    return {"certificate.json": text}, params, EXIT_OK
+    return {"certificate.json": _pieces(doc)}, params, EXIT_OK
 
 
 def cmd_verify(args):
@@ -437,7 +469,7 @@ def cmd_verify(args):
         "certificate": str(args.certificate),
         "certificate_digest": _digest(raw),
     }
-    return {"verify.json": _dumps(out)}, params, EXIT_OK if ok else EXIT_CHECK_FAILED
+    return {"verify.json": _pieces(out)}, params, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_ecgraph(args):
@@ -465,8 +497,8 @@ def cmd_ecgraph(args):
         "comparison": ecgraph.comparison_to_json(rep),
     }
     artifacts = {
-        "ecgraph.json": _dumps(data),
-        "graph.dot": cayley.to_dot(g, title=f"isogeny_p{args.p}_t{args.t}"),
+        "ecgraph.json": _pieces(data),
+        "graph.dot": cayley.dot_pieces(g, title=f"isogeny_p{args.p}_t{args.t}"),
     }
     params = {"p": args.p, "t": args.t, "ells": args.ells}
     code = EXIT_OK if rep.verdict == "PASS" else EXIT_CHECK_FAILED
@@ -478,7 +510,7 @@ def cmd_dlpdemo(args):
     out = ecgraph.run_dlp_demo(args.p, args.t, ells, args.seed, planted=args.planted)
     params = {"p": args.p, "t": args.t, "ells": args.ells, "planted": args.planted}
     code = EXIT_OK if out["verified"] else EXIT_CHECK_FAILED
-    return {"dlpdemo.json": _dumps(out)}, params, code
+    return {"dlpdemo.json": _pieces(out)}, params, code
 
 
 # ---------------------------------------------------------------------------
@@ -579,26 +611,49 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, artifacts: dict, params: dict) -> None:
+    """Write each artifact and the manifest that holds their digests.
+
+    Each artifact's pieces are consumed once: UTF-8-encoded, added to its
+    sha256 and written, to a file opened in binary mode under ``--out`` (so
+    the digest is that of the bytes on disk), or without ``--out`` to stdout
+    for the primary artifact, while the others are only hashed.  The
+    manifest comes last.  Every computation and check has finished before
+    this is called; only the layout runs as the pieces are consumed.
+    """
+    if args.out is None:
+        primary = _PRIMARY[args.cmd].get(args.format)
+        if primary is None or primary not in artifacts:
+            raise InputError(f"{args.cmd} does not produce {args.format} output")
+    else:
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+    outputs = {}
+    for name, pieces in sorted(artifacts.items()):
+        digest = hashlib.sha256()
+        if args.out is not None:
+            with open(outdir / name, "wb") as fh:
+                for piece in pieces:
+                    data = piece.encode("utf-8")
+                    digest.update(data)
+                    fh.write(data)
+        else:
+            for piece in pieces:
+                digest.update(piece.encode("utf-8"))
+                if name == primary:
+                    sys.stdout.write(piece)
+        outputs[name] = "sha256:" + digest.hexdigest()
     manifest = {
         "subcommand": args.cmd,
         "parameters": params,
         "seed": args.seed,
         "version": __version__,
-        "outputs": {name: _digest(text) for name, text in sorted(artifacts.items())},
+        "outputs": outputs,
     }
     if args.out is not None:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name, text in artifacts.items():
-            (outdir / name).write_text(text, encoding="utf-8")
-        (outdir / "manifest.json").write_text(_dumps(manifest), encoding="utf-8")
-        return
-    primary = _PRIMARY[args.cmd].get(args.format)
-    if primary is None or primary not in artifacts:
-        raise InputError(f"{args.cmd} does not produce {args.format} output")
-    sys.stdout.write(artifacts[primary])
-    # the manifest rides the diagnostic stream, compact, as the last line
-    sys.stderr.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
+        (outdir / "manifest.json").write_bytes(_dumps(manifest).encode("utf-8"))
+    else:
+        # the manifest rides the diagnostic stream, compact, as the last line
+        sys.stderr.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def main(argv=None) -> int:

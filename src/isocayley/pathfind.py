@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import ceil, log, sqrt
 from typing import Optional
 
-from .cayley import StepGraph
+from .cayley import StepGraph, component_of
 from .errors import InputError, InternalConsistencyError, PreconditionError, TrialCapError
 from .walks import trial_steps
 
@@ -118,7 +118,7 @@ def collect_neighbors(graph, a, seed: int) -> tuple[dict, SearchStats]:
         if trials >= cap:
             raise TrialCapError(
                 f"step 1 exceeded {cap} trials with {len(neighbors)} of "
-                f"{n_target} endpoints; the graph may not be a connected expander"
+                f"{n_target} endpoints"
             )
         end_idx, steps = _walk_record(graph, a_idx, next(draws))
         trials += 1
@@ -149,15 +149,29 @@ def meet_from_target(
         if end_v in neighbors:
             cert = PathCertificate(b, end_v, tuple(steps))
             return cert, SearchStats(0, trials, len(neighbors), h)
-    raise TrialCapError(
-        f"step 2 exceeded {cap} trials without meeting a stored endpoint; "
-        f"the inputs may lie in different components"
-    )
+    raise TrialCapError(f"step 2 exceeded {cap} trials without meeting a stored endpoint")
+
+
+def _cap_diagnosis(graph, a, b) -> str:
+    """Why a search that tripped its trial cap found no path, from one
+    breadth-first search from a (and one from b if b lies outside it)."""
+    near = component_of(graph, graph.vertex_index(a))
+    if near[graph.vertex_index(b)]:
+        return (f"A and B lie in one component of {near.sum()} of the {graph.order} "
+                f"vertices, but the walks did not meet within the cap")
+    far = component_of(graph, graph.vertex_index(b))
+    return (f"B lies outside A's component: A's component has {near.sum()} and B's "
+            f"has {far.sum()} of the {graph.order} vertices")
 
 
 def find_path(graph, a, b, seed: int) -> tuple[PathCertificate, SearchStats]:
     """Explicit path a -> b: step-1 record to the meeting point, then the
-    step-2 record reversed with flipped inversion flags.  Replay-checked."""
+    step-2 record reversed with flipped inversion flags.  Replay-checked.
+
+    When either step exhausts its ``TRIAL_CAP_FACTOR * h`` trials, the
+    :class:`TrialCapError` says whether b lies outside a's component (with
+    both component sizes) or the two are connected and the walks did not
+    meet within the cap."""
     h = graph.order
     if h < 9:
         raise PreconditionError(
@@ -165,8 +179,11 @@ def find_path(graph, a, b, seed: int) -> tuple[PathCertificate, SearchStats]:
         )
     if a == b:
         return PathCertificate(a, b, ()), SearchStats(0, 0, 0, h)
-    neighbors, st1 = collect_neighbors(graph, a, seed)
-    cert2, st2 = meet_from_target(graph, b, neighbors, seed)
+    try:
+        neighbors, st1 = collect_neighbors(graph, a, seed)
+        cert2, st2 = meet_from_target(graph, b, neighbors, seed)
+    except TrialCapError as e:
+        raise TrialCapError(f"{e}; {_cap_diagnosis(graph, a, b)}") from None
     cert1 = neighbors[cert2.end]
     steps = cert1.steps + tuple(s.flipped() for s in reversed(cert2.steps))
     cert = PathCertificate(a, b, steps)

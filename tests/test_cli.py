@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocayley import abelian, cayley, cli, ecgraph, ntheory, quadform, walks
+from isocayley import abelian, cayley, cli, ecgraph, ntheory, pathfind, quadform, walks
 from isocayley.cli import ARTIFACT_SCHEMAS, main, schema_for
 
 Z9 = "invariants: 9\n"
@@ -364,17 +364,57 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_manifest_digests_match_artifacts(tmp_path, capsys):
-    outdir = tmp_path / "run"
-    rc, _, _ = run(capsys, ["classgroup", "-D", "-47", "--out", str(outdir)])
-    assert rc == 0
-    manifest = json.loads((outdir / "manifest.json").read_text())
-    jsonschema.validate(manifest, schema_for("manifest"))
-    for name, digest in manifest["outputs"].items():
-        raw = (outdir / name).read_bytes()
-        assert digest == "sha256:" + hashlib.sha256(raw).hexdigest()
+    """The manifest digests are those of the bytes written: every file under
+    --out, and the primary artifact on stdout for each --format.  The
+    spectrum's adjacency (1715 x 16 slots) spans several blocks."""
+    spectrum = ["spectrum", "-D", "-9999991", "--bound", "50"]
+    for argv, names in ((["classgroup", "-D", "-47"], ["classgroup.json"]),
+                        (spectrum, ["graph.dot", "scan.csv", "spectrum.json"])):
+        outdir = tmp_path / argv[0]
+        rc, _, _ = run(capsys, [*argv, "--out", str(outdir)])
+        assert rc == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        jsonschema.validate(manifest, schema_for("manifest"))
+        assert sorted(manifest["outputs"]) == names
+        for name, digest in manifest["outputs"].items():
+            raw = (outdir / name).read_bytes()
+            assert digest == "sha256:" + hashlib.sha256(raw).hexdigest()
+    for fmt, name in cli._PRIMARY["spectrum"].items():
+        rc, out, err = run(capsys, [*spectrum, "--format", fmt])
+        assert rc == 0
+        assert last_json_line(err)["outputs"][name] == (
+            "sha256:" + hashlib.sha256(out.encode("utf-8")).hexdigest())
+        assert out.encode("utf-8") == (tmp_path / "spectrum" / name).read_bytes()
     # every declared artifact schema name actually ships
     for schema_name in set(ARTIFACT_SCHEMAS.values()):
         assert schema_for(schema_name)["$schema"]
+
+
+def test_trial_cap_says_b_lies_outside_a_component(capsys, monkeypatch):
+    # S_5 generates 7 cosets of 245 classes in Cl(-9999991)
+    monkeypatch.setattr(pathfind, "TRIAL_CAP_FACTOR", 1)
+    rc, out, err = run(capsys, ["path", "-D", "-9999991", "--bound", "5",
+                                "-A", "1:1:2499998", "-B", "500:3:5000"])
+    assert rc == 3 and out == ""
+    assert err.startswith("error (precondition): step 1 exceeded 1715 trials")
+    assert err.rstrip().endswith(
+        "B lies outside A's component: A's component has 245 and B's has 245 "
+        "of the 1715 vertices")
+
+
+def test_trial_cap_says_the_walks_did_not_meet(capsys, monkeypatch, tmp_path):
+    # Z/400 on {+-1, +-20} is connected, but walks of length 7 from 0 and
+    # from 200 rarely meet
+    monkeypatch.setattr(pathfind, "TRIAL_CAP_FACTOR", 1)
+    z400 = tmp_path / "z400.grp"
+    z400.write_text("invariants: 400\n")
+    rc, out, err = run(capsys, ["path", "--group-file", str(z400), "--gens", "1,20",
+                                "-A", "0", "-B", "200"])
+    assert rc == 3 and out == ""
+    assert err.startswith("error (precondition): step 2 exceeded 400 trials")
+    assert err.rstrip().endswith(
+        "A and B lie in one component of 400 of the 400 vertices, "
+        "but the walks did not meet within the cap")
 
 
 def test_unsupported_format_combination(capsys):

@@ -1,13 +1,16 @@
 """Exports: every name in ``__all__`` resolves, and the artifact writers match
 their oracles: ``cli._dumps`` against ``json.dumps(indent=2, sort_keys=True)``,
 ``to_dot`` and the adjacency rows against the per-edge loops they replaced,
-and the bench-scale ``spectrum`` and ``mix`` artifacts against pinned
-digests."""
+also with blocks of three step-table entries, the bench-scale ``spectrum``
+and ``mix`` artifacts against pinned digests, and a mid-size ``spectrum``
+against pinned digests and a tracemalloc bound."""
 import hashlib
 import importlib
 import json
 import math
 import pkgutil
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +164,41 @@ def test_templates_match_per_edge_loops(graph, title):
                                      indent=2, sort_keys=True) + "\n"
 
 
+# order 1 with degree 0 (the "[]" adjacency rows) and with a loop; order 8
+# with degree 0 and with k = 4, whose rows split across blocks
+TRIVIAL = FiniteAbelianGroup(())
+Z2_Z4 = FiniteAbelianGroup((2, 4))
+EDGE_GRAPHS = [
+    cayley.build(full_subgroup(TRIVIAL), []),
+    cayley.build(full_subgroup(TRIVIAL), [("e", TRIVIAL.identity)]),
+    cayley.build(full_subgroup(Z2_Z4), []),
+    cayley.build(full_subgroup(Z2_Z4), [(lbl, Z2_Z4.element(c)) for lbl, c in
+                                        (("a", (1, 0)), ("b", (0, 1)), ("b'", (0, 3)),
+                                         ("%d", (1, 2)))]),
+]
+
+
+def check_writers(doc, graph, title):
+    assert _dumps(doc) == json.dumps(materialized(doc), indent=2, sort_keys=True) + "\n"
+    assert cayley.to_dot(graph, title) == per_edge_dot(graph, title)
+    rows = cayley.to_json_adjacency(graph)["adjacency"]
+    assert list(rows) == pair_lists(graph)
+    adjacency = {"graph": cayley.to_json_adjacency(graph), "rows": [rows, rows]}
+    assert _dumps(adjacency) == json.dumps(materialized(adjacency), indent=2,
+                                           sort_keys=True) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents, graphs(), texts)
+def test_blocks_split_mid_table(doc, graph, title):
+    """Three step-table entries per block split the DOT text and the
+    adjacency rows mid-table; no block boundary may change the text."""
+    with mock.patch.object(cayley, "_BLOCK_ENTRIES", 3):
+        check_writers(doc, graph, title)
+        for edge in EDGE_GRAPHS:
+            check_writers(doc, edge, title)
+
+
 def test_dumps_rejects_what_the_stdlib_rejects():
     for doc in ({(1, 2): 0}, {"a": {1, 2}}, [object()]):
         with pytest.raises(TypeError):
@@ -222,3 +260,31 @@ def test_bench_scale_mix_artifacts(tmp_path, monkeypatch, capsys):
         assert main([*argv, "--out", out]) == 0, capsys.readouterr().err
         got[argv] = hashlib.sha256((tmp_path / out / "mix.json").read_bytes()).hexdigest()
     assert got == BENCH_SCALE_MIX
+
+
+# spectrum -D -9999991 --bound 2000: h = 1715, k = 314, 538,510 adjacency
+# slots, 40 MB of artifacts; digests taken while each artifact was still
+# built whole before it was written
+MID_SIZE = {
+    "spectrum.json": "eebe13a6aff80e82db7e4c259959b209246bac15317ff21b35df579350ced039",
+    "graph.dot": "df171f7498c7e2143712330b82d93fce34ffd58262dec8dbf90e3a2eab0b2434",
+    "scan.csv": "d10f301d35f2b810945010294c673192387c87b1e17babc859e124f58b4fca12",
+}
+# tracemalloc peak of cli.main on it: 103.5 MiB with each artifact held
+# whole (and copied) before writing, 14.4 MiB streamed one block at a time
+MID_SIZE_PEAK_MIB = 32
+
+
+def test_mid_size_spectrum_is_pinned_and_streamed(tmp_path, capsys):
+    argv = ["spectrum", "-D", "-9999991", "--bound", "2000", "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, capsys.readouterr().err
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in MID_SIZE}
+    assert got == MID_SIZE
+    assert peak < MID_SIZE_PEAK_MIB * 2**20, f"peak {peak / 2**20:.1f} MiB"

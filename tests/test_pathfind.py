@@ -4,7 +4,7 @@ from statistics import mean, stdev
 import pytest
 
 from isocayley.abelian import FiniteAbelianGroup, full_subgroup
-from isocayley.cayley import build
+from isocayley.cayley import build, component_of, connected_components
 from isocayley.errors import InputError, PreconditionError, TrialCapError
 from isocayley.pathfind import (
     PathStep,
@@ -93,6 +93,41 @@ def test_unreachable_target_hits_trial_cap():
     b = graph.vertices[1]  # different component
     with pytest.raises(TrialCapError):
         find_path(graph, a, b, seed=3)
+
+
+def test_trial_cap_names_the_components():
+    # S = {3, 9} splits Z/12 into the three cosets of <3>
+    g = FiniteAbelianGroup((12,))
+    graph = build(full_subgroup(g), [("3", g.element((3,))), ("9", g.element((9,)))])
+    with pytest.raises(TrialCapError) as info:
+        find_path(graph, graph.vertices[0], graph.vertices[1], seed=3)
+    assert str(info.value).endswith(
+        "B lies outside A's component: A's component has 4 and B's has 4 of the 12 vertices")
+
+
+def union_find_components(graph):
+    """Each vertex's component root, by union-find over the slots: the
+    oracle for the breadth-first search."""
+    root = list(range(graph.order))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for j in range(graph.degree):
+        for i in range(graph.order):
+            root[find(i)] = find(int(graph.step_table[j, i]))
+    return [find(i) for i in range(graph.order)]
+
+
+def test_component_of_matches_union_find():
+    for graph in (cycle_graph(12, (3,)), cycle_graph(30, (6, 10)), cycle_graph(9, ()),
+                  cycle_graph(10, (5,)), cycle_graph(16, (1,))):
+        roots = union_find_components(graph)
+        for i in range(graph.order):
+            assert component_of(graph, i).tolist() == [r == roots[i] for r in roots]
+        assert connected_components(graph) == len(set(roots))
 
 
 def test_trial_cap_is_a_precondition_error():
