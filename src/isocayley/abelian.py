@@ -55,7 +55,6 @@ __all__ = [
     "structure_of",
     "op_mul",
     "op_inv",
-    "op_pow",
     "generated_order",
     "subgroup_generated",
     "full_subgroup",
@@ -277,12 +276,6 @@ def op_mul(g: GroupElement, h: GroupElement) -> GroupElement:
 def op_inv(g: GroupElement) -> GroupElement:
     return GroupElement(
         g.group, tuple((-x) % d for x, d in zip(g.coords, g.group.invariants))
-    )
-
-
-def op_pow(g: GroupElement, e: int) -> GroupElement:
-    return GroupElement(
-        g.group, tuple((x * e) % d for x, d in zip(g.coords, g.group.invariants))
     )
 
 

@@ -10,11 +10,15 @@ the scan that finds the smallest prime-norm bound B making the class-group
 graph a two-sided delta-expander, with the scan table kept for the
 main-term/error-term study.
 
-The exports read the step table directly, one block of rows at a time:
-``dot_pieces`` fills one ``%``-template per generator slot for each block of
-its step-table row, and ``to_json_adjacency`` hands out an
-:class:`AdjacencyRows` view whose blocks ``cli`` fills from one row
-template.  A block holds about ``_BLOCK_ENTRIES`` step-table entries, so no
+The exports read the step table directly, one block of rows at a time,
+and every row table of them is laid out by one kernel, :func:`fill_rows`:
+a block of rows is one ``"".join`` of the row shape's constant glue and the
+rows' hole texts, interleaved by slice assignment.  ``dot_pieces`` fills
+the vertex lines and each generator slot's edge lines that way, and
+``to_json_adjacency`` hands out an :class:`AdjacencyRows` view whose flat
+blocks of targets ``cli`` fills the same way.  The hole texts of vertex
+indices come from one object array of their decimal strings, built once
+per artifact.  A block holds about ``_BLOCK_ENTRIES`` step-table entries, so no
 per-edge Python object is built at the cap and no piece of an artifact
 grows with the graph; ``cli`` streams the pieces to their files.
 """
@@ -59,7 +63,8 @@ __all__ = [
     "eigenvalue_prediction",
     "log_integral",
     "component_of",
-    "connected_components",
+    "fill_rows",
+    "decimal_strings",
     "dot_pieces",
     "to_dot",
     "AdjacencyRows",
@@ -305,25 +310,21 @@ def expansion(spec: Spectrum) -> tuple[float, float, float]:
 
 def component_of(graph: StepGraph, i: int) -> np.ndarray:
     """Mask of the vertices reachable from vertex index i: a breadth-first
-    search over the step table, one frontier of the search per numpy step."""
+    search over the step table, one frontier of the search per numpy step.
+
+    Each frontier is deduplicated by a sort, not ``np.unique``, whose first
+    call imports ``numpy.ma`` (about 20 ms and 1 MB): every path search
+    runs this once."""
     seen = np.zeros(graph.order, dtype=bool)
     seen[i] = True
     frontier = np.array([i])
     while frontier.size:
-        reached = np.unique(graph.step_table[:, frontier])
-        frontier = reached[~seen[reached]]
+        reached = np.sort(graph.step_table[:, frontier], axis=None)
+        keep = ~seen[reached]
+        keep[1:] &= reached[1:] != reached[:-1]
+        frontier = reached[keep]
         seen[frontier] = True
     return seen
-
-
-def connected_components(graph: StepGraph) -> int:
-    """Component count: one :func:`component_of` search per component."""
-    seen = np.zeros(graph.order, dtype=bool)
-    count = 0
-    while not seen.all():
-        seen |= component_of(graph, int(seen.argmin()))
-        count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +470,34 @@ def find_expander_bound(
 # Exports
 # ---------------------------------------------------------------------------
 
+def fill_rows(glue: Sequence[str], sep: str, holes: list[str], rows: int) -> str:
+    """``sep.join`` of ``rows`` rows, row r being ``glue[0] + holes[r*m] +
+    glue[1] + ... + holes[r*m + m - 1] + glue[m]`` for m = ``len(glue) - 1``.
+
+    ``glue`` is the constant text of one row shape, around and between its m
+    holes, and ``holes`` the rows' hole texts, row after row.  The block is
+    one ``"".join``: the hole texts go to the odd places of the part list and
+    the glue, repeated per row, to the even ones, each by one slice
+    assignment."""
+    if not rows:
+        return ""
+    m = len(glue) - 1
+    if not m:
+        return sep.join([glue[0]] * rows)
+    parts = [glue[0]] * (2 * m * rows + 1)
+    parts[1::2] = holes
+    parts[2::2] = [*glue[1:-1], glue[-1] + sep + glue[0]] * rows
+    parts[-1] = glue[-1]
+    return "".join(parts)
+
+
+def decimal_strings(n: int) -> np.ndarray:
+    """The decimal strings of 0 .. n - 1 as an object array: a fancy index
+    by an array of vertex indices, then ``tolist``, spells them as hole
+    texts for :func:`fill_rows` without a Python call per index."""
+    return np.array(list(map(str, range(n))), dtype=object)
+
+
 def dot_pieces(graph: StepGraph, title: str = "cayley") -> Iterator[str]:
     """The DOT text of :func:`to_dot`, one block of rows at a time.
 
@@ -476,25 +505,31 @@ def dot_pieces(graph: StepGraph, title: str = "cayley") -> Iterator[str]:
     slot of s; the paired slot of s^{-1} accounts for the reverse direction,
     so multiplicities come out right.  Loops are emitted once per slot.
     The vertex lines come in blocks of ``_BLOCK_ENTRIES`` vertices.  Each
-    slot's edge lines are one ``%``-template, repeated over the ``i <= t``
-    mask of a block of ``_BLOCK_ENTRIES`` entries of its step-table row and
-    filled once, so no piece grows with the graph.
+    slot's edge lines are filled by :func:`fill_rows` from one glue per
+    slot and the ``i <= t`` mask of a block of ``_BLOCK_ENTRIES`` entries of
+    its step-table row, so no piece grows with the graph.  Vertex indices
+    are spelled by one index into :func:`decimal_strings` per block.
     """
     yield f"graph {json.dumps(title)} {{\n"
     n = graph.order
+    digits = decimal_strings(n)
+    vertex = ("  v", ' [label="', '"];\n')
     for i in range(0, n, _BLOCK_ENTRIES):
         names = graph.names[i:i + _BLOCK_ENTRIES]
-        yield "".join([f'  v{v} [label="{name}"];\n' for v, name in enumerate(names, i)])
+        holes = [""] * (2 * len(names))
+        holes[::2] = digits[i:i + _BLOCK_ENTRIES].tolist()
+        holes[1::2] = names
+        yield fill_rows(vertex, "", holes, len(names))
     table = graph.step_table
     index = np.arange(n)
     for j, (label, _) in enumerate(graph.generators):
-        line = '  v%d -- v%d [label="' + label.replace("%", "%%") + '"];\n'
+        edge = ("  v", " -- v", ' [label="' + label + '"];\n')
         for i in range(0, n, _BLOCK_ENTRIES):
             block = index[i:i + _BLOCK_ENTRIES]
             targets = table[j, i:i + _BLOCK_ENTRIES]
             keep = block <= targets  # the paired inverse slot emits the other direction
-            ends = np.stack((block[keep], targets[keep]), axis=1).ravel().tolist()
-            yield (line * (len(ends) // 2)) % tuple(ends)
+            ends = np.stack((block[keep], targets[keep]), axis=1).ravel()
+            yield fill_rows(edge, "", digits[ends].tolist(), ends.size // 2)
     yield "}\n"
 
 
@@ -511,9 +546,10 @@ class AdjacencyRows:
 
     Row i is ``[[t, label], ...]`` over the slots, with t = table[j, i];
     a row is built only when it is indexed or iterated.  ``blocks`` hands
-    out the targets one block of rows at a time, and ``cli`` fills its one
-    row template from each block in turn, so neither the h x k pair list
-    nor the whole table as Python ints is ever built.
+    out the targets one block of rows at a time as an int array, and ``cli``
+    spells each block by one index into :func:`decimal_strings` and fills
+    one row glue with it through :func:`fill_rows`, so neither the h x k
+    pair list nor the whole table as Python ints is ever built.
     """
 
     __slots__ = ("table", "labels")
@@ -525,21 +561,18 @@ class AdjacencyRows:
     def __len__(self) -> int:
         return self.table.shape[1]
 
-    def _row(self, targets: list[int]) -> list[list]:
-        return [[t, label] for t, label in zip(targets, self.labels)]
-
     def __getitem__(self, i: int) -> list[list]:
-        return self._row(self.table[:, i].tolist())
+        return [[t, label] for t, label in zip(self.table[:, i].tolist(), self.labels)]
 
-    def blocks(self) -> Iterator[list[list[int]]]:
-        """The target lists of the rows, in blocks of about ``_BLOCK_ENTRIES``
-        step-table entries (at least one row each)."""
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The targets of the rows, in (rows, k) blocks of about
+        ``_BLOCK_ENTRIES`` step-table entries (at least one row each)."""
         rows = max(1, _BLOCK_ENTRIES // max(1, len(self.labels)))
         for i in range(0, len(self), rows):
-            yield self.table[:, i:i + rows].T.tolist()
+            yield self.table[:, i:i + rows].T
 
     def __iter__(self):
-        return (self._row(targets) for block in self.blocks() for targets in block)
+        return (self[i] for i in range(len(self)))
 
 
 def to_json_adjacency(graph: StepGraph) -> dict:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 from importlib import resources
@@ -75,23 +76,22 @@ def _pieces(obj) -> Iterator[str]:
 
     The recursion lays out dicts, lists and tuples as the stdlib's indented
     encoder does.  Keys and scalar leaves still go through the stdlib, so its
-    float, bool and escaping rules hold: every leaf of the document is
-    encoded by one compact ``json.dumps`` call.  A
-    :class:`cayley.AdjacencyRows` view is written as the list of its rows
-    from one row template per graph: each label JSON-encoded once, the indent
-    taken from the view's depth, and each row of a block from
-    ``AdjacencyRows.blocks`` filled in with one ``%``, one piece per block.
-    A list of flat dicts, such as the classes of ``classgroup.json`` or the
-    edges of ``ecgraph.json``, is laid out by :func:`_write_rows` from one
-    template per row shape.  The text between adjacency views is one piece
-    each; it grows with the order of a graph, not with its slots.
+    float, bool and escaping rules hold: a list of leaves is encoded by one
+    ``json.dumps`` call of its own, and the other leaves outside row tables
+    by one compact call for the document, whose texts fill the ``None``
+    places of the layout.  The row tables are laid out by
+    :func:`cayley.fill_rows`: a :class:`cayley.AdjacencyRows` view by
+    :func:`_adjacency_pieces`, one piece per block of rows, and a list of
+    flat dicts, such as the classes of ``classgroup.json`` or the edges of
+    ``ecgraph.json``, by :func:`_write_rows`, as one finished piece.  The
+    text between adjacency views is one piece each; it grows with the order
+    of a graph, not with its slots.
     """
     out: list = []
     leaves: list = []
     _write(obj, "\n", out, leaves)
     out.append("\n")
-    # ensure_ascii escapes every newline inside a string, so "\n" splits the leaves exactly
-    texts = iter(json.dumps(leaves, separators=("\n", ":"))[1:-1].split("\n"))
+    texts = iter(_leaf_texts(leaves))
     views = [i for i, part in enumerate(out) if part is not None and type(part) is not str]
     start = 0
     for stop in views + [len(out)]:
@@ -99,6 +99,14 @@ def _pieces(obj) -> Iterator[str]:
         if stop < len(out):
             yield from out[stop]  # the block pieces of an adjacency view
         start = stop + 1
+
+
+def _leaf_texts(leaves: list) -> list[str]:
+    """The compact JSON text of each leaf, from one ``json.dumps`` call."""
+    if not leaves:
+        return []
+    # ensure_ascii escapes every newline inside a string, so "\n" splits the leaves exactly
+    return json.dumps(leaves, separators=("\n", ":"))[1:-1].split("\n")
 
 
 def _dumps(obj) -> str:
@@ -118,9 +126,9 @@ def _key(key) -> str:
 
 def _write(obj, nl: str, out: list, leaves: list) -> None:
     """Append the JSON text of obj to ``out``, with ``None`` holding the place
-    of each scalar leaf, which goes to ``leaves``, and the lazy pieces of an
-    adjacency view holding its place; ``nl`` is a newline plus the indent of
-    obj's line."""
+    of each leaf outside a list of leaves, which goes to ``leaves``, and the
+    lazy pieces of an adjacency view holding its place; ``nl`` is a newline
+    plus the indent of obj's line."""
     if not isinstance(obj, _NESTED):
         out.append(None)
         leaves.append(obj)
@@ -141,78 +149,117 @@ def _write(obj, nl: str, out: list, leaves: list) -> None:
             out.append(comma)
         out[-1] = nl + "}"
     elif any(isinstance(value, _NESTED) for value in obj):
-        if _write_rows(obj, nl, out, leaves):
+        if _write_rows(obj, nl, out):
             return
         out.append("[" + inner)
         for value in obj:
             _write(value, inner, out, leaves)
             out.append(comma)
         out[-1] = nl + "]"
-    else:  # a list of leaves, laid out in bulk
-        out.append("[" + inner)
-        out += [None, comma] * len(obj)
-        out[-1] = nl + "]"
-        leaves += obj
+    else:  # a list of leaves, encoded by one stdlib call
+        out.append("[" + inner + json.dumps(obj, separators=(comma, ":"))[1:-1] + nl + "]")
 
 
 def _adjacency_pieces(rows: cayley.AdjacencyRows, nl: str) -> Iterator[str]:
-    """The JSON list of an adjacency view's rows, one piece per block of rows."""
-    if not len(rows):
+    """The JSON list of an adjacency view's rows, one piece per block of rows.
+
+    One row glue serves every row: each label JSON-encoded once, the indent
+    taken from the view's depth.  :func:`cayley.fill_rows` fills it with the
+    targets of each block from ``AdjacencyRows.blocks``, spelled by one
+    index into :func:`cayley.decimal_strings`, built once and freed with
+    this generator."""
+    n = len(rows)
+    if not n:
         yield "[]"
         return
     inner = nl + "  "
     pair_nl = inner + "  "
     leaf_nl = pair_nl + "  "
-    slots = [
-        "[" + leaf_nl + "%d," + leaf_nl + _encode_str(label).replace("%", "%%") + pair_nl + "]"
-        for label in rows.labels
-    ]
-    row = "[" + pair_nl + ("," + pair_nl).join(slots) + inner + "]" if slots else "[]"
+    opening = "[" + leaf_nl
+    closings = ["," + leaf_nl + _encode_str(label) + pair_nl + "]" for label in rows.labels]
+    glue = ["[" + pair_nl + opening, *[c + "," + pair_nl + opening for c in closings[:-1]],
+            closings[-1] + inner + "]"] if closings else ["[]"]
+    digits = cayley.decimal_strings(n)
     sep = "[" + inner
     for block in rows.blocks():
-        yield sep + ("," + inner).join([row % tuple(targets) for targets in block])
+        yield sep + cayley.fill_rows(glue, "," + inner, digits[block].ravel().tolist(), len(block))
         sep = "," + inner
     yield nl + "]"
 
 
-def _write_rows(rows, nl: str, out: list, leaves: list) -> bool:
+def _write_rows(rows, nl: str, out: list) -> bool:
     """Lay out a non-empty list of flat dicts with one key set, as ``_write``
-    would, from one row template per shape.  A row is flat when each value
-    is a leaf or a list of leaves, and its shape is the length of each list.
-    Returns False, having written nothing, for any other list."""
+    would, and append it to ``out`` as one finished piece.  A row is flat
+    when each value is a leaf or a list of leaves; its shape is the length
+    of each list, -1 for a leaf.  Returns False, having written nothing, for
+    any other list.
+
+    The rows are read column by column, one comprehension per key, and the
+    leaves of every column are encoded by one ``json.dumps`` call.  Each run
+    of rows of one shape is one :func:`cayley.fill_rows` call on that
+    shape's :func:`_row_glue`, with the column texts interleaved into row
+    order by slice assignment."""
     if set(map(type, rows)) != {dict}:
         return False
     first = rows[0].keys()
-    keys = sorted(first)
-    inner = nl + "  "
-    templates: dict[tuple[int, ...], list[str | None]] = {}
-    body: list[str | None] = []
-    flat: list = []
-    for row in rows:
-        if row.keys() != first:
-            return False
-        shape = []
-        for key in keys:
-            value = row[key]
-            if type(value) is list or type(value) is tuple:
-                shape.append(len(value))
-                flat += value
-            else:
-                shape.append(-1)
-                flat.append(value)
-        template = templates.get(shape := tuple(shape))
-        if template is None:
-            template = templates[shape] = []
-            _write(row, inner, template, [])
-        body += template
-        body.append("," + inner)
-    if any(issubclass(kind, _NESTED) for kind in set(map(type, flat))):
+    if not all([row.keys() == first for row in rows]):
         return False
-    body[-1] = nl + "]"
-    out.append("[" + inner)
-    out += body
-    leaves += flat
+    keys = sorted(first)
+    columns = [[row[key] for row in rows] for key in keys]
+    widths = [[len(v) if type(v) is list or type(v) is tuple else -1 for v in column]
+              for column in columns]
+    leaves: list = []
+    cursors = []  # where each column's next text is
+    for column, width in zip(columns, widths):
+        cursors.append(len(leaves))
+        leaves += column if max(width) < 0 else itertools.chain.from_iterable(
+            value if w >= 0 else (value,) for value, w in zip(column, width))
+    if any(issubclass(kind, _NESTED) for kind in set(map(type, leaves))):
+        return False
+    texts = _leaf_texts(leaves)
+    inner = nl + "  "
+    sep = "," + inner
+    glues: dict[tuple[int, ...], list[str]] = {}
+    pieces = []
+    for shape, run in itertools.groupby(zip(*widths) if keys else [()] * len(rows)):
+        count = sum(1 for _ in run)
+        if shape not in glues:
+            glues[shape] = _row_glue(keys, shape, inner)
+        units = [1 if w < 0 else w for w in shape]
+        width = sum(units)
+        holes = [""] * (width * count)
+        offset = 0
+        for c, unit in enumerate(units):
+            cells = texts[cursors[c]:cursors[c] + unit * count]
+            cursors[c] += unit * count
+            for e in range(unit):
+                holes[offset + e::width] = cells[e::unit]
+            offset += unit
+        pieces.append(cayley.fill_rows(glues[shape], sep, holes, count))
+    out.append("[" + inner + sep.join(pieces) + nl + "]")
     return True
+
+
+def _row_glue(keys: list, shape: tuple[int, ...], nl: str) -> list[str]:
+    """The text of a flat dict of this shape around its leaves, as
+    :func:`_write` lays it out on a line that starts with ``nl``: one more
+    entry than the row has leaves."""
+    if not keys:
+        return ["{}"]
+    inner = nl + "  "
+    item = "," + inner + "  "
+    glue = ["{" + inner]
+    for i, (key, width) in enumerate(zip(keys, shape)):
+        glue[-1] += ("," + inner if i else "") + _key(key) + ": "
+        if width < 0:
+            glue.append("")
+        elif not width:
+            glue[-1] += "[]"
+        else:
+            glue[-1] += "[" + inner + "  "
+            glue += [item] * (width - 1) + [inner + "]"]
+    glue[-1] += nl + "}"
+    return glue
 
 
 def _digest(text: str) -> str:

@@ -25,7 +25,9 @@ class InternalConsistencyError(RuntimeError):
 
 
 class TrialCapError(PreconditionError):
-    """Raised when a randomized search exhausts its hard trial cap.
+    """Raised when a randomized search exhausts its hard trial cap, or is
+    sure to: a path search whose target lies outside its source's component
+    raises it before the first trial.
 
     Signals a non-expander (or otherwise badly mixing) input rather than an
     unlucky run: caps are set far above the expected trial counts.

@@ -3,7 +3,9 @@
 Step 1 grows ceil(sqrt(h)) distinct random-walk endpoints around the source,
 each with its walk recorded; step 2 walks from the target until it lands on
 one of them; the two records concatenate (second half reversed, inversion
-flags flipped) into an explicit, replayable certificate.
+flags flipped) into an explicit, replayable certificate.  One breadth-first
+search from the source comes first, so a target in another component fails
+at once rather than after the trial cap.
 
 Every function takes a :class:`~isocayley.cayley.StepGraph`, the core that
 Cayley graphs and isogeny graphs both build.  A certificate names its end
@@ -152,26 +154,15 @@ def meet_from_target(
     raise TrialCapError(f"step 2 exceeded {cap} trials without meeting a stored endpoint")
 
 
-def _cap_diagnosis(graph, a, b) -> str:
-    """Why a search that tripped its trial cap found no path, from one
-    breadth-first search from a (and one from b if b lies outside it)."""
-    near = component_of(graph, graph.vertex_index(a))
-    if near[graph.vertex_index(b)]:
-        return (f"A and B lie in one component of {near.sum()} of the {graph.order} "
-                f"vertices, but the walks did not meet within the cap")
-    far = component_of(graph, graph.vertex_index(b))
-    return (f"B lies outside A's component: A's component has {near.sum()} and B's "
-            f"has {far.sum()} of the {graph.order} vertices")
-
-
 def find_path(graph, a, b, seed: int) -> tuple[PathCertificate, SearchStats]:
     """Explicit path a -> b: step-1 record to the meeting point, then the
     step-2 record reversed with flipped inversion flags.  Replay-checked.
 
-    When either step exhausts its ``TRIAL_CAP_FACTOR * h`` trials, the
-    :class:`TrialCapError` says whether b lies outside a's component (with
-    both component sizes) or the two are connected and the walks did not
-    meet within the cap."""
+    One breadth-first search from a comes first.  If b lies outside a's
+    component, no walk can meet, and the :class:`TrialCapError` is raised
+    before step 1 with both component sizes.  When either step exhausts its
+    ``TRIAL_CAP_FACTOR * h`` trials, the error says that a and b are
+    connected and the walks did not meet within the cap."""
     h = graph.order
     if h < 9:
         raise PreconditionError(
@@ -179,11 +170,19 @@ def find_path(graph, a, b, seed: int) -> tuple[PathCertificate, SearchStats]:
         )
     if a == b:
         return PathCertificate(a, b, ()), SearchStats(0, 0, 0, h)
+    near = component_of(graph, graph.vertex_index(a))
+    if not near[graph.vertex_index(b)]:
+        far = component_of(graph, graph.vertex_index(b))
+        raise TrialCapError(
+            f"no walk from A can meet one from B: B lies outside A's component: A's "
+            f"component has {near.sum()} and B's has {far.sum()} of the {h} vertices")
     try:
         neighbors, st1 = collect_neighbors(graph, a, seed)
         cert2, st2 = meet_from_target(graph, b, neighbors, seed)
     except TrialCapError as e:
-        raise TrialCapError(f"{e}; {_cap_diagnosis(graph, a, b)}") from None
+        raise TrialCapError(
+            f"{e}; A and B lie in one component of {near.sum()} of the {h} vertices, "
+            f"but the walks did not meet within the cap") from None
     cert1 = neighbors[cert2.end]
     steps = cert1.steps + tuple(s.flipped() for s in reversed(cert2.steps))
     cert = PathCertificate(a, b, steps)

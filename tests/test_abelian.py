@@ -20,13 +20,20 @@ from isocayley.abelian import (
     group_from_relations,
     op_inv,
     op_mul,
-    op_pow,
     parse_group_text,
     smith_normal_form,
     subgroup_generated,
 )
 from isocayley.errors import InputError, PreconditionError
 from isocayley.quadform import class_group
+
+
+def op_pow(g, e):
+    """g^e by |e| multiplications by g or by its inverse."""
+    out = g.group.identity
+    for _ in range(abs(e)):
+        out = op_mul(out, g if e > 0 else op_inv(g))
+    return out
 
 
 def snf_oracle(rows, ncols):

@@ -390,13 +390,18 @@ def test_manifest_digests_match_artifacts(tmp_path, capsys):
         assert schema_for(schema_name)["$schema"]
 
 
-def test_trial_cap_says_b_lies_outside_a_component(capsys, monkeypatch):
-    # S_5 generates 7 cosets of 245 classes in Cl(-9999991)
-    monkeypatch.setattr(pathfind, "TRIAL_CAP_FACTOR", 1)
+def test_path_across_components_exits_at_once(capsys, monkeypatch):
+    # S_5 generates 7 cosets of 245 classes in Cl(-9999991); the component
+    # check answers before any walk is drawn
+    def no_walks(*args):
+        raise AssertionError("a walk was drawn")
+
+    monkeypatch.setattr(walks, "walk_steps", no_walks)
+    start = time.perf_counter()
     rc, out, err = run(capsys, ["path", "-D", "-9999991", "--bound", "5",
                                 "-A", "1:1:2499998", "-B", "500:3:5000"])
+    assert time.perf_counter() - start < 1
     assert rc == 3 and out == ""
-    assert err.startswith("error (precondition): step 1 exceeded 1715 trials")
     assert err.rstrip().endswith(
         "B lies outside A's component: A's component has 245 and B's has 245 "
         "of the 1715 vertices")

@@ -2,8 +2,9 @@
 their oracles: ``cli._dumps`` against ``json.dumps(indent=2, sort_keys=True)``,
 ``to_dot`` and the adjacency rows against the per-edge loops they replaced,
 also with blocks of three step-table entries, the bench-scale ``spectrum``
-and ``mix`` artifacts against pinned digests, and a mid-size ``spectrum``
-against pinned digests and a tracemalloc bound."""
+and ``mix`` artifacts and the rank-4 ``classgroup`` and ``spectrum``
+artifacts against pinned digests, and a mid-size ``spectrum`` against
+pinned digests and a tracemalloc bound."""
 import hashlib
 import importlib
 import json
@@ -135,21 +136,34 @@ def test_dumps_matches_stdlib_indented_encoder(doc):
 
 
 def test_row_templates_cover_the_artifact_rows():
-    """The classes of classgroup.json and the edges of ecgraph.json, whose
-    kernels differ in length with ell, go through the row templates."""
+    """The classes of classgroup.json (rank 0, 3 and 4) and the edges of
+    ecgraph.json, whose kernels differ in length with ell, go through the
+    row tables; so do rows with no keys and rows whose lists are empty."""
     from isocayley import cli, ecgraph, quadform
 
     edges = [{"ell": e.ell, "kernel": list(e.kernel), "source_j": e.source_j}
              for e in ecgraph.build_isogeny_graph(101, 3, [3, 5, 7]).edges]
     assert len({len(e["kernel"]) for e in edges}) == 3
-    for rows in (quadform.class_group(-9999991).to_json()["classes"], edges):
-        out, leaves = [], []
-        assert cli._write_rows(rows, "\n", out, leaves)
+    rank0 = quadform.class_group(-4).to_json()["classes"]
+    rank4 = quadform.class_group(-9999960).to_json()["classes"]
+    assert rank0 == [{"form": [1, 0, 1], "coords": []}]
+    assert {len(row["coords"]) for row in rank4} == {4}
+    for rows in (quadform.class_group(-9999991).to_json()["classes"], rank0, rank4, edges,
+                 [{}], [{}, {}], [{"a": [], "b": ()}, {"a": [], "b": [1]}]):
+        out = []
+        assert cli._write_rows(rows, "\n", out)
         assert _dumps(rows) == json.dumps(rows, indent=2, sort_keys=True) + "\n"
     for rows in ([{"a": 1}, {"b": 1}], [{"a": [1]}, {"a": [[1]]}], [{"a": {}}], [{"a": 1}, [1]]):
-        out, leaves = [], []
-        assert not cli._write_rows(rows, "\n", out, leaves) and out == leaves == []
+        out = []
+        assert not cli._write_rows(rows, "\n", out) and out == []
         assert _dumps(rows) == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
+def test_fill_rows_joins_rows_of_one_shape():
+    assert cayley.fill_rows(("<", ",", ">"), ";", ["a", "b", "c", "d"], 2) == "<a,b>;<c,d>"
+    assert cayley.fill_rows(("<", ">"), ";", ["a"], 1) == "<a>"
+    assert cayley.fill_rows(("{}",), ",", [], 3) == "{},{},{}"
+    assert cayley.fill_rows(("<", ">"), ";", [], 0) == cayley.fill_rows(("{}",), ",", [], 0) == ""
 
 
 @settings(max_examples=100, deadline=None)
@@ -233,6 +247,31 @@ def test_bench_scale_spectrum_artifacts(tmp_path, capsys):
         got[disc] = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                      for name in pinned}
     assert got == BENCH_SCALE
+
+
+# every artifact of the rank-4 bench discriminant (invariants 2 x 2 x 2 x 192),
+# whose class rows carry four coordinates, taken while the row tables were
+# still filled from %-templates
+RANK4 = {
+    ("classgroup", "-D", "-9999960"): {
+        "classgroup.json": "0853d3dd18cc6a4e821ee72e8e147c0d992a1de6f0685d666dacab0ee2794fa4",
+    },
+    ("spectrum", "-D", "-9999960", "--bound", "200"): {
+        "spectrum.json": "a233d85e19b435a7d8535cfd1362f8125ee05c87fc410ecb5d1857c9e6fe8283",
+        "graph.dot": "9a79516020bbc92c3bf5a75b4e9fb3ee1e1cfbba161b3468690fd6177051662e",
+        "scan.csv": "021e9c9e9a88d74d50ce9985d20110d7c239933e23a14c55a4bcf36644848488",
+    },
+}
+
+
+def test_rank4_artifacts_are_pinned(tmp_path, capsys):
+    got = {}
+    for argv, pinned in RANK4.items():
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out", str(out)]) == 0, capsys.readouterr().err
+        got[argv] = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                     for name in sorted(f.name for f in out.iterdir()) if name != "manifest.json"}
+    assert got == RANK4
 
 
 # the two walk-streams mix ops at 10^5 trials, argvs as the bench makes them

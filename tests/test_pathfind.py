@@ -3,8 +3,9 @@ from statistics import mean, stdev
 
 import pytest
 
+from isocayley import walks
 from isocayley.abelian import FiniteAbelianGroup, full_subgroup
-from isocayley.cayley import build, component_of, connected_components
+from isocayley.cayley import build, component_of
 from isocayley.errors import InputError, PreconditionError, TrialCapError
 from isocayley.pathfind import (
     PathStep,
@@ -127,7 +128,17 @@ def test_component_of_matches_union_find():
         roots = union_find_components(graph)
         for i in range(graph.order):
             assert component_of(graph, i).tolist() == [r == roots[i] for r in roots]
-        assert connected_components(graph) == len(set(roots))
+
+
+def test_disconnected_pair_fails_before_step_one(monkeypatch):
+    # S = {3, 9} splits Z/12 into the three cosets of <3>: no walk is drawn
+    def no_walks(*args):
+        raise AssertionError("a walk was drawn")
+
+    monkeypatch.setattr(walks, "walk_steps", no_walks)
+    graph = cycle_graph(12, (3,))
+    with pytest.raises(TrialCapError, match="B lies outside A's component"):
+        find_path(graph, graph.vertices[0], graph.vertices[1], seed=3)
 
 
 def test_trial_cap_is_a_precondition_error():
