@@ -1,11 +1,13 @@
 """Two-step meet-in-the-middle pathfinding on expander graphs.
 
 Step 1 grows ceil(sqrt(h)) distinct random-walk endpoints around the source,
-each with its walk recorded; step 2 walks from the target until it lands on
-one of them; the two records concatenate (second half reversed, inversion
-flags flipped) into an explicit, replayable certificate.  One breadth-first
-search from the source comes first, so a target in another component fails
-at once rather than after the trial cap.
+each with the first trial that reached it; step 2 walks from the target until
+it lands on one of them.  Both steps draw their trials' end vertices in
+windows from the bulk walk core of :mod:`isocayley.walks`, and only the two
+walks that meet are recorded: they concatenate (second half reversed,
+inversion flags flipped) into an explicit, replayable certificate.  One
+breadth-first search from the source comes first, so a target in another
+component fails at once rather than after the trial cap.
 
 Every function takes a :class:`~isocayley.cayley.StepGraph`, the core that
 Cayley graphs and isogeny graphs both build.  A certificate names its end
@@ -22,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log, sqrt
-from typing import Optional
+
+import numpy as np
 
 from .cayley import StepGraph, component_of
 from .errors import InputError, InternalConsistencyError, PreconditionError, TrialCapError
-from .walks import trial_steps
+from .walks import _WINDOW, _endpoints, walk_steps
 
 __all__ = [
     "PathStep",
@@ -89,19 +92,27 @@ def replay(graph: StepGraph, cert: PathCertificate) -> bool:
     return graph.vertices[i] == cert.end
 
 
-def _walk_record(graph, start_idx: int, draws) -> tuple[int, list[PathStep]]:
-    i = start_idx
-    steps: list[PathStep] = []
-    table = graph.step_table
-    for j in draws.tolist():
-        steps.append(PathStep(graph.generators[j][0], False))
-        i = int(table[j, i])
-    return i, steps
+def _windows(graph, start_idx: int, length: int, seed: int, first: int, cap: int):
+    """(t, end-vertex indices) for the trials first + t, ... of up to cap
+    walks from start_idx, in windows of 64 trials that double up to _WINDOW."""
+    t, n = 0, 64
+    while t < cap:
+        m = min(n, cap - t)
+        yield t, _endpoints(graph, start_idx, length, m, seed, first + t)
+        t += m
+        n = min(2 * n, _WINDOW)
+
+
+def _record(graph, seed: int, trial: int, length: int) -> tuple[PathStep, ...]:
+    """The steps of one trial's walk, by slot label."""
+    draws = walk_steps(seed, trial, 1, graph.degree, length)[0]
+    return tuple(PathStep(graph.generators[j][0], False) for j in draws.tolist())
 
 
 def collect_neighbors(graph, a, seed: int) -> tuple[dict, SearchStats]:
     """Step 1: gather ceil(sqrt(h)) distinct endpoints of length-ceil(ln 2h)
-    walks from a, each with its recorded path; repeats count as trials."""
+    walks from a; repeats count as trials.  Maps each endpoint, in trial
+    order, to the first trial whose walk reached it."""
     h = graph.order
     if h < 9:
         raise PreconditionError(
@@ -110,47 +121,37 @@ def collect_neighbors(graph, a, seed: int) -> tuple[dict, SearchStats]:
     if graph.degree == 0:
         raise PreconditionError("cannot walk on an edgeless graph")
     n_target = ceil(sqrt(h))
-    length = ceil(log(2 * h))
     cap = TRIAL_CAP_FACTOR * h
-    a_idx = graph.vertex_index(a)
     neighbors: dict = {}
-    trials = 0
-    draws = trial_steps(seed, 0, graph.degree, length)
-    while len(neighbors) < n_target:
-        if trials >= cap:
-            raise TrialCapError(
-                f"step 1 exceeded {cap} trials with {len(neighbors)} of "
-                f"{n_target} endpoints"
-            )
-        end_idx, steps = _walk_record(graph, a_idx, next(draws))
-        trials += 1
-        end_v = graph.vertices[end_idx]
-        if end_v not in neighbors:
-            neighbors[end_v] = PathCertificate(a, end_v, tuple(steps))
-    stats = SearchStats(trials, 0, len(neighbors), h)
-    return neighbors, stats
+    seen = np.zeros(h, dtype=bool)
+    for t, ends in _windows(graph, graph.vertex_index(a), ceil(log(2 * h)), seed, 0, cap):
+        for i in np.flatnonzero(~seen[ends]).tolist():
+            e = int(ends[i])
+            if not seen[e]:
+                seen[e] = True
+                neighbors[graph.vertices[e]] = t + i
+                if len(neighbors) == n_target:
+                    return neighbors, SearchStats(t + i + 1, 0, n_target, h)
+    raise TrialCapError(
+        f"step 1 exceeded {cap} trials with {len(neighbors)} of {n_target} endpoints")
 
 
-def meet_from_target(
-    graph, b, neighbors: dict, seed: int, length: Optional[int] = None
-) -> tuple[PathCertificate, SearchStats]:
+def meet_from_target(graph, b, neighbors: dict, seed: int) -> tuple[PathCertificate, SearchStats]:
     """Step 2: walk from b until an endpoint collected in step 1 is hit."""
     if not neighbors:
         raise InputError("step 2 needs a nonempty neighbor map")
     h = graph.order
-    if length is None:
-        length = ceil(log(2 * h))
+    length = ceil(log(2 * h))
     cap = TRIAL_CAP_FACTOR * h
-    b_idx = graph.vertex_index(b)
-    trials = 0
-    draws = trial_steps(seed, _STEP2_STREAM_OFFSET, graph.degree, length)
-    while trials < cap:
-        end_idx, steps = _walk_record(graph, b_idx, next(draws))
-        trials += 1
-        end_v = graph.vertices[end_idx]
-        if end_v in neighbors:
-            cert = PathCertificate(b, end_v, tuple(steps))
-            return cert, SearchStats(0, trials, len(neighbors), h)
+    stored = np.zeros(h, dtype=bool)
+    stored[[graph.vertex_index(v) for v in neighbors]] = True
+    for t, ends in _windows(graph, graph.vertex_index(b), length, seed, _STEP2_STREAM_OFFSET, cap):
+        hits = np.flatnonzero(stored[ends])
+        if hits.size:
+            t += int(hits[0])
+            steps = _record(graph, seed, _STEP2_STREAM_OFFSET + t, length)
+            cert = PathCertificate(b, graph.vertices[ends[hits[0]]], steps)
+            return cert, SearchStats(0, t + 1, len(neighbors), h)
     raise TrialCapError(f"step 2 exceeded {cap} trials without meeting a stored endpoint")
 
 
@@ -183,8 +184,9 @@ def find_path(graph, a, b, seed: int) -> tuple[PathCertificate, SearchStats]:
         raise TrialCapError(
             f"{e}; A and B lie in one component of {near.sum()} of the {h} vertices, "
             f"but the walks did not meet within the cap") from None
-    cert1 = neighbors[cert2.end]
-    steps = cert1.steps + tuple(s.flipped() for s in reversed(cert2.steps))
+    # step 1 walked as far as step 2
+    steps = _record(graph, seed, neighbors[cert2.end], cert2.length)
+    steps += tuple(s.flipped() for s in reversed(cert2.steps))
     cert = PathCertificate(a, b, steps)
     if not replay(graph, cert):
         raise InternalConsistencyError("assembled path does not replay to the target")

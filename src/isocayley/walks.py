@@ -10,8 +10,11 @@ multiplicity included, matching the adjacency operator.
 The step draws of trial t are exactly
 ``trial_rng(seed, t).integers(0, k, size=length)``.  One vectorised core,
 ``_philox_words``, replays numpy's Philox4x64-10 for many trials and blocks
-at once (Salmon et al., SC'11), bit for bit, and both :func:`walk_steps`
-and the bulk walks of :func:`mixing_experiment` draw from it:
+at once (Salmon et al., SC'11), bit for bit.  Every walk draws from it:
+``_endpoints`` streams the end vertices of a run of trials, for the bulk
+walks of :func:`mixing_experiment` and for both steps of the path search,
+and :func:`walk_steps` gives the slot draws of the two trials whose walks a
+path certificate records:
 
 * the key words are (t, seed), and the first 4 x 64-bit block of a trial
   uses counter 1, because numpy increments the counter before it fills its
@@ -46,7 +49,6 @@ __all__ = [
     "ExperimentResult",
     "trial_rng",
     "walk_steps",
-    "trial_steps",
     "random_walk",
     "mixing_length",
     "theorem_length",
@@ -65,8 +67,6 @@ _EXACT_LIMIT = 64
 MAX_DRAWS = 10**7
 # _endpoints draws about this many Philox blocks (8 draws each) at a time
 _WINDOW = 1 << 13
-# trial_steps draws this many trials ahead of the caller
-_BATCH_TRIALS = 64
 
 # Philox4x64 round multipliers and key bumps
 _PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
@@ -149,14 +149,6 @@ def walk_steps(seed: int, first: int, trials: int, k: int, length: int) -> np.nd
     return steps
 
 
-def trial_steps(seed: int, first: int, k: int, length: int):
-    """Slot draws of the trials first, first + 1, ... in order, one int64
-    row each, drawn _BATCH_TRIALS trials at a time."""
-    while True:
-        yield from walk_steps(seed, first, _BATCH_TRIALS, k, length)
-        first += _BATCH_TRIALS
-
-
 def random_walk(graph: CayleyGraph, start, length: int, rng: np.random.Generator):
     """End vertex of a uniform slot-walk of the given length."""
     if length < 0:
@@ -213,8 +205,10 @@ class WalkConfig:
             raise InputError("target set W lists a vertex twice")
 
 
-def _endpoints(graph: CayleyGraph, start_idx: int, length: int, trials: int, seed: int) -> np.ndarray:
-    """End-vertex indices of `trials` independent walks.
+def _endpoints(graph: CayleyGraph, start_idx: int, length: int, trials: int, seed: int,
+               first: int = 0) -> np.ndarray:
+    """End-vertex indices of the walks of the trials first, ..., first +
+    trials - 1.
 
     The walks are drawn one window of about _WINDOW Philox blocks at a time,
     n = min(trials, _WINDOW) trials by _WINDOW // n blocks, so memory stays
@@ -234,15 +228,15 @@ def _endpoints(graph: CayleyGraph, start_idx: int, length: int, trials: int, see
         n = min(trials, _WINDOW)
         nb = _WINDOW // n
         redo = []
-        for first in range(0, trials, n):
-            m = min(n, trials - first)
-            at = pos[first : first + m]
+        for lo in range(0, trials, n):
+            m = min(n, trials - lo)
+            at = pos[lo : lo + m]
             low = np.full(m, _LO32)
             for b0 in range(0, blocks, nb):
                 left = length - 8 * b0  # draws still to make
                 b1 = min(blocks, b0 + nb)
                 cols = []
-                for j, prod in enumerate(_products(_philox_words(seed, first, m, b0, b1), k)):
+                for j, prod in enumerate(_products(_philox_words(seed, first + lo, m, b0, b1), k)):
                     if threshold:  # only the draws the walk makes count
                         used = prod[:, : -(-(left - j) // 8)] & _LO32
                         np.minimum(low, used.min(axis=1, initial=_LO32), out=low)
@@ -251,11 +245,12 @@ def _endpoints(graph: CayleyGraph, start_idx: int, length: int, trials: int, see
                     for col in cols[: left - 8 * b]:
                         at = flat[col[:, b] + at]
                 del cols  # free the window before the next one is drawn
-            pos[first : first + m] = at
-            redo.extend(first + np.flatnonzero(low < threshold))
+            pos[lo : lo + m] = at
+            redo.extend(lo + np.flatnonzero(low < threshold))
     start = graph.vertices[start_idx]
     for t in redo:
-        pos[t] = graph.vertex_index(random_walk(graph, start, length, trial_rng(seed, int(t))))
+        rng = trial_rng(seed, first + int(t))
+        pos[t] = graph.vertex_index(random_walk(graph, start, length, rng))
     return pos
 
 

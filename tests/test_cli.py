@@ -392,11 +392,13 @@ def test_manifest_digests_match_artifacts(tmp_path, capsys):
 
 def test_path_across_components_exits_at_once(capsys, monkeypatch):
     # S_5 generates 7 cosets of 245 classes in Cl(-9999991); the component
-    # check answers before any walk is drawn
+    # check answers before any walk is drawn, from the Philox core or from a
+    # scalar stream
     def no_walks(*args):
         raise AssertionError("a walk was drawn")
 
-    monkeypatch.setattr(walks, "walk_steps", no_walks)
+    monkeypatch.setattr(walks, "_philox_words", no_walks)
+    monkeypatch.setattr(walks, "trial_rng", no_walks)
     start = time.perf_counter()
     rc, out, err = run(capsys, ["path", "-D", "-9999991", "--bound", "5",
                                 "-A", "1:1:2499998", "-B", "500:3:5000"])
@@ -405,6 +407,21 @@ def test_path_across_components_exits_at_once(capsys, monkeypatch):
     assert err.rstrip().endswith(
         "B lies outside A's component: A's component has 245 and B's has 245 "
         "of the 1715 vertices")
+
+
+def test_path_whose_walks_cannot_meet_exits_within_budget(capsys, tmp_path):
+    # Z/10 x Z/10 x Z/100 on the unit generators is connected, but 5:5:50
+    # lies 60 steps from 0:0:0 and walks of length 10 from each cannot meet:
+    # step 2 runs all 100 h = 10^6 trials
+    grp = tmp_path / "order4.grp"
+    grp.write_text("invariants: 10 10 100\n")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["path", "--group-file", str(grp), "--gens", "1:0:0,0:1:0,0:0:1",
+                                "-A", "0:0:0", "-B", "5:5:50", "--seed", "1"])
+    assert time.perf_counter() - start < 10
+    assert rc == 3 and out == ""
+    assert err.startswith("error (precondition): step 2 exceeded 1000000 trials")
+    assert err.rstrip().endswith("but the walks did not meet within the cap")
 
 
 def test_trial_cap_says_the_walks_did_not_meet(capsys, monkeypatch, tmp_path):

@@ -1,14 +1,20 @@
 from fractions import Fraction
+from math import ceil, log, sqrt
 from statistics import mean, stdev
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isocayley import walks
+from isocayley import pathfind, walks
 from isocayley.abelian import FiniteAbelianGroup, full_subgroup
 from isocayley.cayley import build, component_of
 from isocayley.errors import InputError, PreconditionError, TrialCapError
 from isocayley.pathfind import (
+    _STEP2_STREAM_OFFSET,
+    PathCertificate,
     PathStep,
+    SearchStats,
     certificate_from_json,
     certificate_to_json,
     collect_neighbors,
@@ -17,6 +23,7 @@ from isocayley.pathfind import (
     meet_from_target,
     replay,
 )
+from isocayley.walks import random_walk, trial_rng
 
 
 def cycle_graph(n, gens=(1,)):
@@ -42,9 +49,14 @@ def test_collect_neighbors_z9():
     assert stats.distinct_neighbors == 3
     assert len(neighbors) == 3
     assert stats.h == 9
-    for vertex, cert in neighbors.items():
-        assert cert.end == vertex
-        assert replay(g, cert)
+    # each stored trial's walk of ceil(ln 18) = 3 steps ends at its key, and
+    # the trials rise in the order the endpoints were found
+    a = g.vertices[0]
+    for vertex, t in neighbors.items():
+        assert random_walk(g, a, 3, trial_rng(7, t)) == vertex
+    trials = list(neighbors.values())
+    assert trials == sorted(set(trials))
+    assert trials[-1] == stats.step1_trials - 1
 
 
 def test_find_path_z9_documented():
@@ -131,27 +143,112 @@ def test_component_of_matches_union_find():
 
 
 def test_disconnected_pair_fails_before_step_one(monkeypatch):
-    # S = {3, 9} splits Z/12 into the three cosets of <3>: no walk is drawn
+    # S = {3, 9} splits Z/12 into the three cosets of <3>: no walk is drawn,
+    # neither from the Philox core nor from a scalar stream
     def no_walks(*args):
         raise AssertionError("a walk was drawn")
 
-    monkeypatch.setattr(walks, "walk_steps", no_walks)
+    monkeypatch.setattr(walks, "_philox_words", no_walks)
+    monkeypatch.setattr(walks, "trial_rng", no_walks)
     graph = cycle_graph(12, (3,))
     with pytest.raises(TrialCapError, match="B lies outside A's component"):
         find_path(graph, graph.vertices[0], graph.vertices[1], seed=3)
+
+
+def _oracle_walk(graph, start_idx, seed, trial, length):
+    i, steps = start_idx, []
+    for j in trial_rng(seed, trial).integers(0, graph.degree, size=length).tolist():
+        steps.append(PathStep(graph.generators[j][0], False))
+        i = int(graph.step_table[j, i])
+    return graph.vertices[i], steps
+
+
+def oracle_find_path(graph, a, b, seed, factor):
+    """The per-trial search: one trial_rng stream per trial, each walk
+    recorded step by step, under a cap of factor * h trials per step."""
+    h = graph.order
+    if a == b:
+        return PathCertificate(a, b, ()), SearchStats(0, 0, 0, h)
+    near = component_of(graph, graph.vertex_index(a))
+    if not near[graph.vertex_index(b)]:
+        far = component_of(graph, graph.vertex_index(b))
+        raise TrialCapError(
+            f"no walk from A can meet one from B: B lies outside A's component: A's "
+            f"component has {near.sum()} and B's has {far.sum()} of the {h} vertices")
+    n_target, length, cap = ceil(sqrt(h)), ceil(log(2 * h)), factor * h
+    try:
+        neighbors, step1 = {}, 0
+        while len(neighbors) < n_target:
+            if step1 >= cap:
+                raise TrialCapError(
+                    f"step 1 exceeded {cap} trials with {len(neighbors)} of "
+                    f"{n_target} endpoints")
+            end, steps = _oracle_walk(graph, graph.vertex_index(a), seed, step1, length)
+            step1 += 1
+            neighbors.setdefault(end, steps)
+        for step2 in range(1, cap + 1):
+            end, back = _oracle_walk(graph, graph.vertex_index(b), seed,
+                                     _STEP2_STREAM_OFFSET + step2 - 1, length)
+            if end in neighbors:
+                break
+        else:
+            raise TrialCapError(f"step 2 exceeded {cap} trials without meeting a stored endpoint")
+    except TrialCapError as e:
+        raise TrialCapError(
+            f"{e}; A and B lie in one component of {near.sum()} of the {h} vertices, "
+            f"but the walks did not meet within the cap") from None
+    steps = neighbors[end] + [s.flipped() for s in reversed(back)]
+    return PathCertificate(a, b, tuple(steps)), SearchStats(step1, step2, n_target, h)
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except TrialCapError as e:
+        return str(e)
+
+
+@st.composite
+def small_graphs(draw):
+    """Cyclic and product groups of order 9 to 48 on one to three random
+    generators and their inverses; a generator set that spans a proper
+    subgroup leaves the graph disconnected."""
+    invariants = draw(st.sampled_from([(9,), (12,), (16,), (25,), (31,), (48,),
+                                       (3, 3), (2, 6), (4, 4), (3, 12), (2, 2, 4)]))
+    g = FiniteAbelianGroup(invariants)
+    labels = []
+    for s in range(draw(st.integers(1, 3))):
+        c = [draw(st.integers(0, n - 1)) for n in invariants]
+        labels.append((f"s{s}", g.element(c)))
+        labels.append((f"s{s}'", g.element([-x % n for x, n in zip(c, invariants)])))
+    return build(full_subgroup(g), labels)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(graph=small_graphs(), a=st.integers(0, 47), gap=st.integers(1, 47),
+       seed=st.integers(0, 2**64 - 1), factor=st.sampled_from([1, 1, 100]))
+def test_find_path_matches_the_per_trial_search(graph, a, gap, seed, factor):
+    # certificate, stats and cap text all as the per-trial search gives them;
+    # at one trial per vertex the caps trip in both steps
+    a, b = graph.vertices[a % graph.order], graph.vertices[(a + gap) % graph.order]
+    want = _outcome(oracle_find_path, graph, a, b, seed, factor)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pathfind, "TRIAL_CAP_FACTOR", factor)
+        assert _outcome(find_path, graph, a, b, seed) == want
 
 
 def test_trial_cap_is_a_precondition_error():
     assert issubclass(TrialCapError, PreconditionError)
 
 
-def test_meet_from_target_explicit_length():
+def test_meet_from_target_walks_ceil_ln_2h():
     g = cycle_graph(9)
     neighbors, _ = collect_neighbors(g, g.vertices[0], seed=5)
-    cert, stats = meet_from_target(g, g.vertices[2], neighbors, seed=5, length=4)
+    cert, stats = meet_from_target(g, g.vertices[2], neighbors, seed=5)
     assert cert.start == g.vertices[2]
     assert cert.end in neighbors
-    assert cert.length <= 4
+    assert cert.length == 3  # ceil(ln 18), as in step 1
+    assert replay(g, cert)
     assert stats.step2_trials >= 1
 
 

@@ -245,9 +245,10 @@ def _spoil(x, i, b, half):
 @pytest.mark.parametrize("forced", [False, True])
 def test_endpoints_across_chunks_match_random_walk(monkeypatch, forced):
     # forced: trials 0 mod 5 are spoiled in every draw, and trials 2 mod 5 in
-    # the one draw (t // 5) mod length; both must be redone by random_walk.
-    # Trials 1 mod 5 are spoiled only in draws 5..7 of their last block,
-    # which the walks below never make, and must not be redone.
+    # the one draw (t // 5) mod length; both must be redone by random_walk,
+    # each on the stream of its own trial index.  Trials 1 mod 5 are spoiled
+    # only in draws 5..7 of their last block, which the walks below never
+    # make, and must not be redone.
     z12 = FiniteAbelianGroup((12,))
     g = build(full_subgroup(z12), [(f"{s}", z12.element((s,))) for s in (1, 11, 5, 7, 2, 10)])
     assert g.degree == 6
@@ -256,9 +257,9 @@ def test_endpoints_across_chunks_match_random_walk(monkeypatch, forced):
     if forced:
         real = walks._philox_words
 
-        def spoiling(seed, first, trials, b0, b1):
-            words = real(seed, first, trials, b0, b1)
-            t = first + np.arange(trials)
+        def spoiling(seed, t0, trials, b0, b1):
+            words = real(seed, t0, trials, b0, b1)
+            t = t0 + np.arange(trials)
             for x in words:
                 x[t % 5 == 0] = _SPOILED
             for i in np.flatnonzero(t % 5 == 2):
@@ -280,15 +281,17 @@ def test_endpoints_across_chunks_match_random_walk(monkeypatch, forced):
     window = walks._WINDOW
     # two full chunks of trials and a partial one, one block per window; and
     # fewer trials than the window, eight blocks per window.  Each walk
-    # spans several windows and ends after draw 4 of a Philox block.
-    for trials, length in ((2 * window + 17, 3 * 8 + 5), (window // 8 - 3, 2 * 64 + 13)):
-        assert length % 8 == 5
-        start = g.vertices[3]
-        want = [g.vertex_index(random_walk(g, start, length, trial_rng(77, t)))
-                for t in range(trials)]
-        redrawn.clear()
-        assert walks._endpoints(g, 3, length, trials, 77).tolist() == want
-        assert redrawn == ([t for t in range(trials) if t % 5 in (0, 2)] if forced else [])
+    # spans several windows and ends after draw 4 of a Philox block.  The
+    # trials start at 0, as mix's do, or past the step-2 offset of paths
+    for first in (0, _STEP2_STREAM_OFFSET + 3):
+        for trials, length in ((2 * window + 17, 3 * 8 + 5), (window // 8 - 3, 2 * 64 + 13)):
+            assert length % 8 == 5
+            start = g.vertices[3]
+            ts = range(first, first + trials)
+            want = [g.vertex_index(random_walk(g, start, length, trial_rng(77, t))) for t in ts]
+            redrawn.clear()
+            assert walks._endpoints(g, 3, length, trials, 77, first).tolist() == want
+            assert redrawn == ([t for t in ts if t % 5 in (0, 2)] if forced else [])
 
 
 @cache
@@ -317,19 +320,22 @@ def _graph_of_degree(k):
     length=st.integers(0, 90),
     seed=st.one_of(st.integers(0, 2**64 - 1), st.just(2**64 - 1)),
     start=st.integers(0, 47),
+    first=st.one_of(st.integers(0, 2**20),
+                    st.integers(_STEP2_STREAM_OFFSET, _STEP2_STREAM_OFFSET + 2**20)),
 )
-def test_endpoints_match_random_walk_across_small_windows(k, trials, length, seed, start):
+def test_endpoints_match_random_walk_across_small_windows(k, trials, length, seed, start, first):
     # a window of 16 blocks: the trials split into chunks of up to 16, and
     # 16 // n blocks per window put window edges inside short walks; powers
-    # of two skip the rejection test, 6 does not
+    # of two skip the rejection test, 6 does not.  The trials start at first,
+    # as those of both path-search steps do
     g = _graph_of_degree(k)
     start %= g.order
     v = g.vertices[start]
-    want = [g.vertex_index(random_walk(g, v, length, trial_rng(seed, t)))
+    want = [g.vertex_index(random_walk(g, v, length, trial_rng(seed, first + t)))
             for t in range(trials)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(walks, "_WINDOW", 16)
-        assert walks._endpoints(g, start, length, trials, seed).tolist() == want
+        assert walks._endpoints(g, start, length, trials, seed, first).tolist() == want
 
 
 @pytest.mark.parametrize("trials, length", [(10**5, 31), (10**4, 1000), (100, 10**5)])
