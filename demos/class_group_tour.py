@@ -7,7 +7,9 @@ JSON export the CLI would emit.
 Run:  python3 demos/class_group_tour.py
 """
 
+import cmath
 import json
+from math import pi
 
 from isocayley import abelian, quadform
 
@@ -34,9 +36,10 @@ print()
 
 sub = abelian.full_subgroup(cls.group)
 print("character table (rows chi, columns the classes above, real parts):")
-for chi in abelian.characters_of(sub):
-    row = " ".join(f"{chi.value(cls.element_of(cl)).real:6.3f}"
-                   for cl in cls.classes)
+# entry [i, j] is the angle of chi_i at class j, in units of 1/e of a turn
+e, table = abelian.character_angles(sub, [cls.element_of(cl) for cl in cls.classes])
+for angles in table.tolist():
+    row = " ".join(f"{cmath.exp(2j * pi * (a / e)).real:6.3f}" for a in angles)
     print(f"  {row}")
 print()
 

@@ -224,7 +224,7 @@ class FiniteAbelianGroup:
         return f"FiniteAbelianGroup({list(self.invariants)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     group: FiniteAbelianGroup
     coords: tuple[int, ...]
@@ -547,7 +547,7 @@ def character_angles(
     Returns ``(e, table)`` with e the exponent of the subgroup and ``table``
     an int64 (|H|, len(elements)) array whose entry [i, j] is
     e * ``chi_i.angle(elements[j])``, an integer in [0, e); the characters
-    come in :func:`characters_of` order.
+    come in :func:`characters_of` order, so row 0 is the trivial character.
     """
     abstract, coords_map = subgroup.abstract_structure()
     cols = []

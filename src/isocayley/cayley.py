@@ -35,11 +35,9 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .abelian import (
-    Character,
     GroupElement,
     Subgroup,
     character_angles,
-    characters_of,
     generated_order,
     op_inv,
 )
@@ -249,12 +247,14 @@ def build(
 
 @dataclass(frozen=True)
 class Spectrum:
-    entries: tuple[tuple[Character, float], ...]
+    """One eigenvalue per row of :func:`~isocayley.abelian.character_angles`."""
+
+    eigenvalues: tuple[float, ...]
     lambda_triv: float
     c: float
 
     def sorted_values(self) -> list[float]:
-        return sorted((lam for _, lam in self.entries), reverse=True)
+        return sorted(self.eigenvalues, reverse=True)
 
 
 def _roots_of_unity(e: int) -> np.ndarray:
@@ -270,10 +270,11 @@ def spectrum_by_characters(graph: CayleyGraph) -> Spectrum:
     time, so every eigenvalue is the float that summing ``chi.value(s)``
     gives.
     """
-    chars = characters_of(graph.subgroup)
     e, angles = character_angles(graph.subgroup, [s for _, s in graph.generators])
+    if len(angles) != graph.order:
+        raise InternalConsistencyError("character count != subgroup order")
     roots = _roots_of_unity(e)
-    total = np.zeros(len(chars), dtype=np.complex128)
+    total = np.zeros(graph.order, dtype=np.complex128)
     for j in range(graph.degree):
         total += roots[angles[:, j]]
     bad = np.flatnonzero(np.abs(total.imag) > _IMAG_TOL)
@@ -282,9 +283,8 @@ def spectrum_by_characters(graph: CayleyGraph) -> Spectrum:
             f"character eigenvalue has imaginary residue {total.imag[bad[0]]:.3e}"
         )
     lam = total.real.tolist()
-    # characters_of lists the trivial character first
     c = max(map(abs, lam[1:]), default=0.0)
-    return Spectrum(tuple(zip(chars, lam)), lam[0], c)
+    return Spectrum(tuple(lam), lam[0], c)
 
 
 def spectrum_numeric(graph: StepGraph) -> list[float]:
@@ -302,7 +302,7 @@ def expansion(spec: Spectrum) -> tuple[float, float, float]:
     k = spec.lambda_triv
     if k == 0:
         raise PreconditionError("expansion of an edgeless graph is undefined")
-    nontrivial = [lam for chi, lam in spec.entries if not chi.is_trivial]
+    nontrivial = spec.eigenvalues[1:]
     if not nontrivial:
         return 1.0, 1.0, 0.0
     return 1.0 - max(nontrivial) / k, 1.0 - spec.c / k, spec.c
@@ -449,7 +449,7 @@ def find_expander_bound(
             c = 0.0
             delta2 = 0.0
         else:
-            # row 0 is the trivial character (characters_of order)
+            # row 0 is the trivial character (see character_angles)
             if np.any(np.abs(acc.imag[1:]) > _IMAG_TOL * max(1, k)):
                 raise InternalConsistencyError("imaginary residue in scan eigenvalue")
             c = float(np.abs(acc.real[1:]).max())

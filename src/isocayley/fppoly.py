@@ -26,7 +26,6 @@ __all__ = [
     "degree",
     "poly_add",
     "poly_sub",
-    "poly_scale",
     "poly_mul",
     "stack_mul",
     "stack_sub",
@@ -78,10 +77,6 @@ def poly_add(u, v, p):
 def poly_sub(u, v, p):
     n = max(len(u), len(v))
     return trim((_pad(u, n) - _pad(v, n)) % p)
-
-
-def poly_scale(u, k, p):
-    return trim(u * (k % p) % p)
 
 
 def poly_mul(u, v, p):

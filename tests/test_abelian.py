@@ -116,6 +116,9 @@ class ElementOpsTest(unittest.TestCase):
         self.assertEqual(self.g.element((1, 2)).order, 2)
         self.assertEqual(self.g.identity.order, 1)
 
+    def test_elements_are_slotted(self):
+        self.assertFalse(hasattr(self.g.element((1, 3)), "__dict__"))
+
     def test_mul_inv_pow(self):
         a = self.g.element((1, 3))
         self.assertEqual(op_mul(a, op_inv(a)), self.g.identity)

@@ -1,16 +1,19 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import expi
 
+from isocayley import abelian
 from isocayley.abelian import (
     FiniteAbelianGroup,
     characters_of,
     full_subgroup,
     op_inv,
     op_mul,
+    parse_group_text,
     subgroup_generated,
 )
 from isocayley.cayley import (
@@ -31,6 +34,7 @@ from isocayley.cayley import (
 from isocayley.errors import InputError, PreconditionError
 from isocayley.ntheory import primes_below
 from isocayley.quadform import class_group, generating_multiset
+from isocayley.walks import mixing_length
 
 
 def connected_components(graph):
@@ -169,15 +173,40 @@ class TestSpectrum:
             graph = random_graph(rng)
             spec = spectrum_by_characters(graph)
             loops = sum(1 for _, s in graph.generators if s.is_identity())
-            total = sum(lam for _, lam in spec.entries)
+            total = sum(spec.eigenvalues)
             assert abs(total - graph.order * loops) < 1e-6
 
     def test_trivial_multiplicity_counts_components(self):
         g, h = cyclic(4)
         dis = build(h, pair_gens(g, (2,)))
         spec = spectrum_by_characters(dis)
-        mult = sum(1 for _, lam in spec.entries if abs(lam - spec.lambda_triv) < 1e-9)
+        mult = sum(1 for lam in spec.eigenvalues if abs(lam - spec.lambda_triv) < 1e-9)
         assert mult == connected_components(dis) == 2
+
+    def test_no_character_objects(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Character was built")
+
+        g = FiniteAbelianGroup((4, 12))
+        graph = build(full_subgroup(g), pair_gens(g, (1, 0), (0, 1), (1, 1)))
+        monkeypatch.setattr(abelian.Character, "__init__", refuse)
+        spec = spectrum_by_characters(graph)
+        assert expansion(spec)[2] == spec.c
+        assert mixing_length(graph, 1) >= 1
+
+    def test_memory_of_an_order_62500_group_file_graph(self):
+        # the (h, 4) angle table, one complex sum and one float per
+        # character: about 6 MiB
+        grp = parse_group_text("invariants: 250 250\n").group
+        gens = pair_gens(grp, (1, 0), (0, 1))
+        graph = build(subgroup_generated(grp, [e for _, e in gens]), gens)
+        tracemalloc.start()
+        try:
+            expansion(spectrum_by_characters(graph))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, peak / 2**20
 
     def test_numeric_size_limit(self):
         g, h = cyclic(4192)
@@ -319,8 +348,7 @@ class TestCharacterSums:
             graph = build(sub, gens)
             spec = spectrum_by_characters(graph)
             ref = reference_eigenvalues(graph)
-            assert [lam for _, lam in spec.entries] == ref
-            assert [chi for chi, _ in spec.entries] == characters_of(sub)
+            assert list(spec.eigenvalues) == ref
             assert spec.lambda_triv == ref[0] == len(gens)
             assert spec.c == max(map(abs, ref[1:]), default=0.0)
 
@@ -329,7 +357,7 @@ class TestCharacterSums:
         triv = subgroup_generated(group, [])
         graph = build(triv, [("e", group.identity)] * 3)
         spec = spectrum_by_characters(graph)
-        assert [lam for _, lam in spec.entries] == reference_eigenvalues(graph) == [3.0]
+        assert list(spec.eigenvalues) == reference_eigenvalues(graph) == [3.0]
         assert spec.c == 0.0
 
     @pytest.mark.parametrize("d, b_max, index", [(-1760, 300, 1), (-1760, 400, 2), (-9999960, 60, 1)])
