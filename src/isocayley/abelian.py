@@ -9,12 +9,11 @@ actually evaluated.  :func:`character_angles` gives the whole table of
 numerators at once, and ``Fraction`` appears only in :meth:`Character.angle`,
 the per-element reference it is checked against.
 
-:func:`structure_of` is the one structure walk of the package: given
-generators of a finite abelian group and its operation, it lists every
-element with its coordinates and finds the invariant factors.  Class groups
-run it on form classes under composition, and :func:`subgroup_generated` on
-the generators' coordinate tuples under addition, once
-:func:`generated_order` has sized the subgroup by one Smith normal form.
+A :class:`Subgroup` is held as coordinate arrays, not as one Python object
+per element; :func:`subgroup_generated` finds its invariant-factor form from
+exact Smith normal forms of the generators (Cohen, GTM 138, 2.4).
+:func:`structure_of` is the structure walk of a group given only by its
+elements and operation, which class groups run under composition.
 
 Abstract groups can be loaded from a small text format::
 
@@ -36,8 +35,8 @@ import itertools
 from cmath import exp as _cexp
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, pi
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from math import gcd, lcm, pi, prod
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -71,14 +70,14 @@ __all__ = [
 
 def smith_normal_form(
     rows: Sequence[Sequence[int]], ncols: int
-) -> tuple[list[int], list[list[int]]]:
+) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """Diagonalize an integer matrix by elementary row/column operations.
 
-    Returns ``(diag, v)`` where ``diag`` has ``ncols`` nonnegative entries
-    with ``diag[i]`` dividing ``diag[i+1]`` (zeros trailing) and ``v`` is the
-    unimodular column transform (``ncols`` square): ``u @ A @ v`` is the
-    diagonal matrix for some unimodular row transform ``u``, which is not
-    kept.  Plain Python integers throughout; no modular shortcuts.
+    Returns ``(diag, v, w)`` where ``diag`` has ``ncols`` nonnegative entries
+    with ``diag[i]`` dividing ``diag[i+1]`` (zeros trailing), ``v`` is the
+    unimodular column transform (``ncols`` square) and ``w`` its inverse:
+    ``u @ A @ v`` is the diagonal matrix for some unimodular row transform
+    ``u``, which is not kept.  Plain Python integers throughout.
     """
     m = len(rows)
     a = [list(map(int, r)) for r in rows]
@@ -86,12 +85,14 @@ def smith_normal_form(
         if len(r) != ncols:
             raise InputError(f"relation row has {len(r)} entries, expected {ncols}")
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    w = [list(r) for r in v]
 
     def swap_cols(i: int, j: int) -> None:
         for r in a:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
+        w[i], w[j] = w[j], w[i]
 
     def add_row(src: int, dst: int, q: int) -> None:
         asrc, adst = a[src], a[dst]
@@ -103,6 +104,9 @@ def smith_normal_form(
             r[dst] += q * r[src]
         for r in v:
             r[dst] += q * r[src]
+        wsrc, wdst = w[src], w[dst]
+        for t in range(ncols):
+            wsrc[t] -= q * wdst[t]
 
     t = 0
     limit = min(m, ncols)
@@ -160,7 +164,7 @@ def smith_normal_form(
     for i in range(len(diag) - 1):
         if diag[i + 1] and diag[i] and diag[i + 1] % diag[i]:
             raise InternalConsistencyError("SNF divisibility chain violated")
-    return diag, v
+    return diag, v, w
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +294,7 @@ def group_from_relations(
     """
     if num_generators < 0:
         raise InputError("num_generators must be nonnegative")
-    diag, v = smith_normal_form(relations, num_generators)
+    diag, v, _ = smith_normal_form(relations, num_generators)
     if any(d == 0 for d in diag):
         raise InputError(
             "infinite quotient: relation lattice has rank "
@@ -355,79 +359,127 @@ def structure_of(
 # ---------------------------------------------------------------------------
 
 _MAX_SUBGROUP_ORDER = 10**6
+# mixed-radix codes of ambient coordinates, and the sum of two, stay inside int64
+_MAX_CODED_ORDER = 1 << 62
+
+
+def _radix(group: FiniteAbelianGroup) -> tuple[int, ...]:
+    """Place values of the mixed-radix code, first coordinate most
+    significant: code order is coordinate order, over 0 .. |G| - 1.  A group
+    whose codes could leave int64 is refused before any code is built."""
+    if group.order > _MAX_CODED_ORDER:
+        raise PreconditionError(
+            f"ambient group order {group.order} exceeds {_MAX_CODED_ORDER}, "
+            "the bound of int64 coordinate codes"
+        )
+    return tuple(prod(group.invariants[i + 1:]) for i in range(group.rank))
 
 
 class Subgroup:
-    """A subgroup with its elements in coordinate order and its abstract
-    structure, which maps each element to its coordinates in the subgroup's
-    own invariant-factor presentation; membership is a lookup in that map."""
+    """A subgroup H of ``ambient``, held as arrays in coordinate order.
 
-    def __init__(
-        self,
-        ambient: FiniteAbelianGroup,
-        generators: Sequence[GroupElement],
-        structure: tuple[FiniteAbelianGroup, dict[tuple[int, ...], tuple[int, ...]]],
-    ):
+    ``abstract`` is H's invariant-factor form, with basis vector i at the
+    ambient coordinates ``basis[i]``.  Row i of ``abstract_coords`` and of
+    ``coords`` are H's i-th element in each form, and ``codes[i]`` is the
+    mixed-radix code of ``coords[i]``: the image of ``np.indices`` over the
+    abstract invariants, sorted by code.  Membership is a binary search of
+    the codes.  H is also the read-only sequence of its ``elements``, each
+    :class:`GroupElement` built only when it is indexed.
+    """
+
+    def __init__(self, ambient: FiniteAbelianGroup, generators: Sequence[GroupElement],
+                 abstract: FiniteAbelianGroup, basis: Sequence[Sequence[int]]):
+        self.radix = _radix(ambient)
         self.ambient = ambient
         self.generators = tuple(generators)
-        self._structure = structure
-        self.elements = tuple([_reduced_element(ambient, c) for c in sorted(structure[1])])
+        self.abstract = abstract
+        xs = np.indices(abstract.invariants, dtype=np.int64).reshape(abstract.rank, abstract.order)
+        coords = np.zeros((ambient.rank, abstract.order), dtype=np.int64)
+        for x, a, b in zip(xs, abstract.invariants, basis):
+            for col, d, bc in zip(coords, ambient.invariants, b):
+                # a * bc = 0 mod d, so bc = u * d/g for g = gcd(a, d), and x * bc
+                # mod d = (x * u mod g) * d/g, where x * u < a**2 stays in int64
+                g = gcd(a, d)
+                col += (np.arange(a, dtype=np.int64) * (bc // (d // g)) % g * (d // g))[x]
+                np.subtract(col, d, out=col, where=col >= d)
+        codes = np.array(self.radix, dtype=np.int64) @ coords
+        order = np.argsort(codes) if np.any(codes[1:] < codes[:-1]) else slice(None)
+        self.coords, self.codes, self.abstract_coords = coords.T[order], codes[order], xs.T[order]
+        if np.any(self.codes[1:] == self.codes[:-1]):
+            raise InternalConsistencyError("two abstract coordinate vectors give one element")
+
+    @property
+    def elements(self) -> "Subgroup":
+        return self
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     @property
     def index(self) -> int:
         return self.ambient.order // self.order
 
+    def position(self, g: GroupElement) -> Optional[int]:
+        """Row of g in the arrays, or None when g does not lie in H."""
+        if not (isinstance(g, GroupElement) and g.group == self.ambient):
+            return None
+        code = sum(c * r for c, r in zip(g.coords, self.radix))
+        i = int(np.searchsorted(self.codes, code))
+        return i if i < self.order and self.codes[i] == code else None
+
     def __contains__(self, g: GroupElement) -> bool:
-        in_ambient = isinstance(g, GroupElement) and g.group == self.ambient
-        return in_ambient and g.coords in self._structure[1]
+        return self.position(g) is not None
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self.order))]
+        return _reduced_element(self.ambient, tuple(self.coords[i].tolist()))
 
     def __iter__(self) -> Iterator[GroupElement]:
-        return iter(self.elements)
+        return map(self.__getitem__, range(self.order))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Subgroup)
             and self.ambient == other.ambient
-            and self._structure[1].keys() == other._structure[1].keys()
+            and np.array_equal(self.codes, other.codes)
         )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.order))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.ambient})"
 
-    def abstract_structure(
-        self,
-    ) -> tuple[FiniteAbelianGroup, dict[tuple[int, ...], tuple[int, ...]]]:
-        """The subgroup as an abstract group, plus ambient-coords -> abstract-coords.
 
-        The map is a group isomorphism onto the returned group; it is what
-        lets characters of the subgroup be evaluated on ambient elements.
-        """
-        return self._structure
+def _generated_basis(group: FiniteAbelianGroup, gens: Sequence[GroupElement]):
+    """<gens> in invariant-factor form, and the ambient coordinates of its basis.
 
-
-def generated_order(group: FiniteAbelianGroup, gens: Sequence[GroupElement]) -> int:
-    """|<gens>| = |G| / |G/<gens>|, without building any element.
-
-    G/<gens> is Z^k modulo the rows diag(d) and the generators' coordinate
-    vectors, so its order is one Smith normal form away.
+    The lattice L of the generators and the rows diag(d) has the basis s_l *
+    w_l from the Smith normal form u A v = diag(s) of those rows (w = v^-1).
+    H = L / diag(d) Z^k, and row j of diag(d) is t_jl = d_j v_jl / s_l in
+    that basis: t's Smith normal form gives H's invariants, and the rows of
+    its inverse column transform H's basis in the coordinates of L.
     """
     for g in gens:
         if g.group != group:
             raise InputError("generator does not belong to the ambient group")
-    k = group.rank
-    rows = [[d * (i == j) for j in range(k)] for i, d in enumerate(group.invariants)]
+    inv, k = group.invariants, group.rank
+    rows = [[d * (i == j) for j in range(k)] for i, d in enumerate(inv)]
     rows += map(list, dict.fromkeys(g.coords for g in gens))  # a repeat adds nothing
-    return group.order // group_from_relations(k, rows)[0].order
+    s, v, w = smith_normal_form(rows, k)
+    t = [[d * vjl // sl for vjl, sl in zip(vj, s)] for d, vj in zip(inv, v)]
+    a, _, w2 = smith_normal_form(t, k)
+    keep = [i for i in range(k) if a[i] > 1]
+    basis = [[sum(w2[i][l] * s[l] * w[l][c] for l in range(k)) % inv[c] for c in range(k)]
+             for i in keep]
+    return FiniteAbelianGroup(tuple(a[i] for i in keep)), basis
+
+
+def generated_order(group: FiniteAbelianGroup, gens: Sequence[GroupElement]) -> int:
+    """|<gens>|, from the normal forms alone, without building any element."""
+    return _generated_basis(group, gens)[0].order
 
 
 def subgroup_generated(
@@ -436,36 +488,20 @@ def subgroup_generated(
     """The subgroup generated by ``gens`` (an empty list gives the trivial subgroup).
 
     A subgroup above ``_MAX_SUBGROUP_ORDER`` is refused before any element
-    is built; otherwise one structure walk over the generators lists every
-    element with its abstract coordinates.
+    is built.
     """
-    order = generated_order(group, gens)
-    if order > _MAX_SUBGROUP_ORDER:
-        raise PreconditionError(f"subgroup order {order} exceeds the cap {_MAX_SUBGROUP_ORDER}")
-    inv = group.invariants
-    sub = Subgroup(group, gens, structure_of(
-        [g.coords for g in gens], group.identity.coords,
-        lambda x, y: tuple((a + b) % d for a, b, d in zip(x, y, inv)),
-    ))
-    if sub.order != order:
-        raise InternalConsistencyError(f"structure walk found {sub.order} elements, not {order}")
-    return sub
+    abstract, basis = _generated_basis(group, gens)
+    if abstract.order > _MAX_SUBGROUP_ORDER:
+        raise PreconditionError(
+            f"subgroup order {abstract.order} exceeds the cap {_MAX_SUBGROUP_ORDER}")
+    return Subgroup(group, gens, abstract, basis)
 
 
 def full_subgroup(group: FiniteAbelianGroup) -> Subgroup:
-    """The whole group, as a Subgroup (handy for Cayley graphs on all of G).
-
-    This is ``subgroup_generated(group, group.generators())`` without the
-    walk: the standard generators already give the invariant-factor form,
-    so every element is its own abstract coordinate vector.
-    """
-    if group.order > _MAX_SUBGROUP_ORDER:
-        raise PreconditionError(
-            f"subgroup order {group.order} exceeds the cap {_MAX_SUBGROUP_ORDER}"
-        )
-    # the walk's order: the first coordinate runs fastest
-    coords = [c[::-1] for c in itertools.product(*(range(d) for d in group.invariants[::-1]))]
-    return Subgroup(group, group.generators(), (group, dict(zip(coords, coords))))
+    """The whole group, as a Subgroup (handy for Cayley graphs on all of G);
+    its standard generators are its own basis, so its arrays are one
+    ``np.indices`` in coordinate order."""
+    return subgroup_generated(group, group.generators())
 
 
 # ---------------------------------------------------------------------------
@@ -494,42 +530,24 @@ class Character:
     def is_trivial(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def _domain_coords(self, g: GroupElement) -> tuple[int, ...]:
-        if g not in self.domain:
-            raise InputError("element lies outside the character's subgroup")
-        _, coords_map = self.domain.abstract_structure()
-        return coords_map[g.coords]
-
     def angle(self, g: GroupElement) -> Fraction:
         """Exact angle at g, as a fraction of a full turn in [0, 1)."""
-        c = self._domain_coords(g)
+        i = self.domain.position(g)
+        if i is None:
+            raise InputError("element lies outside the character's subgroup")
         total = Fraction(0)
-        for x, y, d in zip(self.coords, c, self.invariants):
+        for x, y, d in zip(self.coords, self.domain.abstract_coords[i].tolist(), self.invariants):
             total += Fraction(x * y, d)
         return total % 1
 
     def value(self, g: GroupElement) -> complex:
         return _cexp(2j * pi * float(self.angle(g)))
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Character)
-            and self.coords == other.coords
-            and self.invariants == other.invariants
-            and self.domain == other.domain
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.invariants, self.coords))
-
-    def __repr__(self) -> str:
-        return f"Character{self.coords}"
 
 
 def characters_of(subgroup: Subgroup) -> list[Character]:
     """All |H| characters of the subgroup, lexicographic in abstract coordinates."""
-    abstract, _ = subgroup.abstract_structure()
-    inv = abstract.invariants
+    inv = subgroup.abstract.invariants
     chars = [
         Character(subgroup, inv, coords)
         for coords in itertools.product(*(range(d) for d in inv))
@@ -549,22 +567,18 @@ def character_angles(
     e * ``chi_i.angle(elements[j])``, an integer in [0, e); the characters
     come in :func:`characters_of` order, so row 0 is the trivial character.
     """
-    abstract, coords_map = subgroup.abstract_structure()
-    cols = []
-    for g in elements:
-        c = coords_map.get(g.coords) if g.group == subgroup.ambient else None
-        if c is None:
-            raise InputError("element lies outside the character's subgroup")
-        cols.append(c)
-    inv = abstract.invariants
+    rows = [subgroup.position(g) for g in elements]
+    if None in rows:
+        raise InputError("element lies outside the character's subgroup")
+    inv = subgroup.abstract.invariants
     if not inv:
-        return 1, np.zeros((1, len(cols)), dtype=np.int64)
+        return 1, np.zeros((1, len(rows)), dtype=np.int64)
     e = inv[-1]
     # chi_i has abstract coordinates np.indices(inv)[:, i] (lexicographic, as in
     # characters_of); each entry stays below rank * e**2 <= 20 * 10**12
     chars = np.indices(inv, dtype=np.int64).reshape(len(inv), -1).T
     scaled = chars * np.array([e // d for d in inv], dtype=np.int64)
-    coords = np.array(cols, dtype=np.int64).reshape(len(cols), len(inv))
+    coords = subgroup.abstract_coords[np.array(rows, dtype=np.intp)]
     return e, (scaled @ coords.T) % e
 
 
@@ -572,38 +586,14 @@ def character_angles(
 # Text format
 # ---------------------------------------------------------------------------
 
-class _NamedSubgroups(Mapping):
-    """Subgroups by name, each built from its generators on first lookup."""
-
-    def __init__(self, group: FiniteAbelianGroup, generators: dict[str, list[GroupElement]]):
-        self._group = group
-        self._generators = generators
-        self._built: dict[str, Subgroup] = {}
-
-    def __getitem__(self, name: str) -> Subgroup:
-        if name not in self._built:
-            self._built[name] = subgroup_generated(self._group, self._generators[name])
-        return self._built[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._generators)
-
-    def __len__(self) -> int:
-        return len(self._generators)
-
-
 @dataclass
 class GroupFile:
-    """A loaded group file.  Each ``subgroup NAME:`` line's generators are
-    parsed and checked at load time; ``subgroups[NAME]`` builds the subgroup
-    only when it is looked up, so a caller can size it first with
-    :func:`generated_order` on ``generators[NAME]``."""
+    """A loaded group file: the group, and each ``subgroup NAME:`` line's
+    generators, parsed and checked at load time.  No subgroup is built
+    here, so a caller can size one first with :func:`generated_order`."""
 
     group: FiniteAbelianGroup
     generators: dict[str, list[GroupElement]]
-
-    def __post_init__(self) -> None:
-        self.subgroups: Mapping[str, Subgroup] = _NamedSubgroups(self.group, self.generators)
 
 
 def _parse_vector(token: str, rank: int, lineno: int) -> tuple[int, ...]:

@@ -29,7 +29,7 @@ import json
 from cmath import exp as _cexp
 from collections import Counter
 from dataclasses import dataclass
-from math import log, pi, prod, sqrt
+from math import log, pi, sqrt
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -72,9 +72,6 @@ __all__ = [
 
 _IMAG_TOL = 1e-9
 _NUMERIC_LIMIT = 4096
-# step-table codes of ambient coordinates, and their sums, stay inside int64
-_MAX_AMBIENT_ORDER = 1 << 62
-
 # adjacency slots (order x degree) of one graph: the step table, the
 # character table and the artifacts all grow with this product
 MAX_SLOTS = 4 * 10**6
@@ -89,27 +86,24 @@ SCAN_CSV_HEADER = "B,lambda_triv,c,delta2,li_over_index,error_envelope"
 class StepGraph:
     """A k-regular labeled multigraph on named vertices, walked by slots.
 
-    ``vertices`` are hashable and ``names`` spells each of them, in the same
-    order, for exports, certificates and vertex lookup by name.  The k slots
-    are ``(label, payload)`` pairs; stepping from vertex i through slot j
-    lands on ``step_table[j, i]``, and ``inverse_slot[j]`` is the slot that
-    steps back.  Subclasses supply ``step_table`` and ``inverse_slot``; walks,
-    path search, certificates and the DOT/JSON exports need nothing else.
+    ``names`` spells each of ``vertices``, in the same order, for exports,
+    certificates and vertex lookup by name.  The k slots are ``(label,
+    payload)`` pairs; stepping from vertex i through slot j lands on
+    ``step_table[j, i]``, and ``inverse_slot[j]`` is the slot that steps
+    back.  Subclasses supply ``step_table``, ``inverse_slot`` and an
+    ``_index`` dict or their own ``vertex_index``; walks, path search,
+    certificates and the DOT/JSON exports need nothing else.
     """
 
     step_table: np.ndarray
     inverse_slot: Sequence[int]
 
     def __init__(self, vertices: Sequence, names: Sequence[str], generators: Sequence[tuple]):
-        self.vertices = tuple(vertices)
+        self.vertices = vertices
         self.names = tuple(names)
         self.generators = tuple((str(lbl), x) for lbl, x in generators)
         if len(self.names) != len(self.vertices):
             raise InputError("vertex name list has the wrong length")
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        self._by_name = {name: i for i, name in enumerate(self.names)}
-        if len(self._by_name) != len(self.names):
-            raise InputError("vertex names are not distinct")
         self._slot = {}
         for j, (lbl, _) in enumerate(self.generators):
             self._slot.setdefault(lbl, j)
@@ -130,8 +124,8 @@ class StepGraph:
 
     def vertex_named(self, name: str):
         try:
-            return self.vertices[self._by_name[name]]
-        except KeyError:
+            return self.vertices[self.names.index(name)]
+        except ValueError:
             raise InputError(f"no vertex is named {name!r}") from None
 
     def slot_of(self, label: str) -> int:
@@ -152,7 +146,7 @@ class StepGraph:
 
 
 class CayleyGraph(StepGraph):
-    """Cay(H, S) with vertices in coordinate order; immutable after build()."""
+    """Cay(H, S) on the subgroup's arrays, vertex i at row i; immutable after build()."""
 
     def __init__(
         self,
@@ -165,45 +159,46 @@ class CayleyGraph(StepGraph):
         self._step_table: Optional[np.ndarray] = None
         self._inverse_slot: Optional[list[int]] = None
 
+    def vertex_index(self, v) -> int:
+        i = self.subgroup.position(v)
+        if i is None:
+            raise InputError(f"{v} is not a vertex of this graph")
+        return i
+
     @property
     def step_table(self) -> np.ndarray:
-        """(k, n) array: step_table[j, i] = index of s_j * v_i."""
+        """(k, n) array: step_table[j, i] = index of s_j * v_i.  One slot at a
+        time, on codes: add the step's code, subtract an invariant's place
+        value where the coordinate's sum reaches it, and search the codes."""
         if self._step_table is None:
-            inv = self.subgroup.ambient.invariants
-            rank = len(inv)
-            radix = np.array([prod(inv[c + 1:]) for c in range(rank)], dtype=np.int64)
-            verts = np.array([v.coords for v in self.vertices], dtype=np.int64)
-            steps = np.array([s.coords for _, s in self.generators], dtype=np.int64)
-            verts = verts.reshape(self.order, rank)
-            moved = (verts + steps.reshape(self.degree, 1, rank)) % np.array(inv, dtype=np.int64)
-            # coordinate order is the order of the mixed-radix codes
-            table = np.searchsorted(verts @ radix, moved @ radix)
+            sub = self.subgroup
+            table = np.empty((self.degree, self.order), dtype=np.intp)
+            for j, (_, s) in enumerate(self.generators):
+                moved = sub.codes + sum(x * r for x, r in zip(s.coords, sub.radix))
+                for col, x, d, r in zip(sub.coords.T, s.coords, sub.ambient.invariants, sub.radix):
+                    if x:
+                        np.subtract(moved, d * r, out=moved, where=col >= d - x)
+                # the codes of all of G are 0 .. |G| - 1: there a code is its vertex index
+                table[j] = moved if sub.index == 1 else np.searchsorted(sub.codes, moved)
             table.setflags(write=False)
             self._step_table = table
         return self._step_table
 
     @property
     def inverse_slot(self) -> list[int]:
-        """Pairing of generator slots with their inverses (an involution)."""
+        """Pairing of generator slots with their inverses (an involution): the
+        i-th slot of s with the i-th slot of s^-1, a self-inverse s's with itself."""
         if self._inverse_slot is None:
-            pairing = [-1] * self.degree
-            by_coords: dict[tuple[int, ...], list[int]] = {}
+            slots: dict[tuple[int, ...], list[int]] = {}
             for j, (_, s) in enumerate(self.generators):
-                by_coords.setdefault(s.coords, []).append(j)
-            for j, (_, s) in enumerate(self.generators):
-                if pairing[j] != -1:
-                    continue
-                inv = op_inv(s).coords
-                if inv == s.coords:
-                    pairing[j] = j
-                    continue
-                partner = next(
-                    (t for t in by_coords.get(inv, ()) if pairing[t] == -1), None
-                )
-                if partner is None:
+                slots.setdefault(s.coords, []).append(j)
+            pairing = list(range(self.degree))
+            for js in slots.values():
+                partners = slots.get(op_inv(self.generators[js[0]][1]).coords, [])
+                if len(partners) != len(js):
                     raise InternalConsistencyError("generator multiset not inversion-closed")
-                pairing[j] = partner
-                pairing[partner] = j
+                for j, t in zip(js, partners):
+                    pairing[j] = t
             self._inverse_slot = pairing
         return self._inverse_slot
 
@@ -220,17 +215,15 @@ def check_slots(order: int, degree: int) -> None:
 def build(
     subgroup: Subgroup,
     generators: Sequence[tuple[str, GroupElement]],
-    names: Optional[Sequence[str]] = None,
+    names: "Sequence[str] | np.ndarray | None" = None,
 ) -> CayleyGraph:
     """Build Cay(H, S) from labeled generators; S must be inversion-closed.
 
-    ``names`` spells the vertices of H in coordinate order; by default a
-    vertex is named by its coordinates, ``c1:c2:...``.
+    ``names`` spells the vertices of H in coordinate order: distinct
+    strings, or an (|H|, m) int array with distinct rows, row i spelling
+    vertex i as its entries joined by ':'.  By default that array is
+    ``subgroup.coords``, so a vertex is named by its coordinates.
     """
-    if subgroup.ambient.order > _MAX_AMBIENT_ORDER:
-        raise PreconditionError(
-            f"ambient group order {subgroup.ambient.order} exceeds {_MAX_AMBIENT_ORDER}"
-        )
     gens = list(generators)
     check_slots(subgroup.order, len(gens))
     for _, g in gens:
@@ -241,8 +234,27 @@ def build(
     if direct != inv:
         raise InputError("generator multiset is not closed under inversion")
     if names is None:
-        names = [":".join(str(c) for c in v.coords) for v in subgroup.elements]
+        names = subgroup.coords
+    if isinstance(names, np.ndarray):
+        names = _spell_rows(names)  # distinct rows spell distinct names
+    elif len(set(names)) != len(names):
+        raise InputError("vertex names are not distinct")
     return CayleyGraph(subgroup, gens, names)
+
+
+def _spell_rows(rows: np.ndarray) -> list[str]:
+    """One name per row, its entries joined by ':', a block of rows per
+    :func:`fill_rows` call.  Entries come from :func:`decimal_strings` when
+    they are nonnegative and below the array's size, and from ``str`` else."""
+    glue = ["", *[":"] * (rows.shape[1] - 1), ""] if rows.shape[1] else [""]
+    high = rows.max(initial=0)
+    digits = decimal_strings(high + 1) if rows.min(initial=0) >= 0 and high < rows.size else None
+    names: list[str] = []
+    for block in np.array_split(rows, range(_BLOCK_ENTRIES, len(rows), _BLOCK_ENTRIES)):
+        flat = block.ravel()
+        holes = list(map(str, flat.tolist())) if digits is None else digits[flat].tolist()
+        names += fill_rows(glue, "\n", holes, len(block)).split("\n")
+    return names
 
 
 @dataclass(frozen=True)

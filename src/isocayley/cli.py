@@ -300,9 +300,7 @@ class _Graph:
     def resolve(self, spec: str):
         """A vertex from its CLI spelling ('id', 'a:b:c' or 'c1:c2:...')."""
         if spec == "id":
-            if self.cls_group is not None:
-                return self.cls_group.element_of(self.cls_group.identity)
-            return self.graph.vertices[0].group.identity
+            return self.graph.subgroup.ambient.identity
         items = _vector_items(spec, "vertex")
         if len(items) != 1:
             raise InputError(f"vertex {spec!r}: expected one vertex, got {len(items)}")
@@ -312,7 +310,7 @@ class _Graph:
                 raise InputError(f"vertex {spec!r}: expected a form triple a:b:c")
             cl = quadform.reduce_form(quadform.QuadForm(*coords))
             return self.cls_group.element_of(cl)
-        return self.graph.vertices[0].group.element(coords)
+        return self.graph.subgroup.ambient.element(coords)
 
 
 def _form_generators(cls_group, text: str) -> list:
@@ -363,8 +361,7 @@ def _build_graph(args) -> _Graph:
             raise PreconditionError(
                 f"no prime form below {args.bound} lands in the chosen subgroup"
             )
-        names = ["%d:%d:%d" % cls.from_element[v].triple() for v in sub]
-        graph = cayley.build(sub, [(g.label, g.element) for g in s_b], names)
+        graph = cayley.build(sub, [(g.label, g.element) for g in s_b], cls.triples[sub.codes])
         return _Graph(graph, cls_group=cls,
                       source={"discriminant": args.disc, "bound": args.bound})
     if args.group_file:
@@ -391,13 +388,10 @@ def _build_graph(args) -> _Graph:
         elems = gf.generators[args.subgroup] if args.subgroup else [e for _, e in labeled]
         # the slot cap is checked before the subgroup's elements are built
         cayley.check_slots(abelian.generated_order(gf.group, elems), len(gens))
-        if args.subgroup:
-            sub = gf.subgroups[args.subgroup]
-            for lbl, e in labeled:
-                if e not in sub:
-                    raise InputError(f"generator {lbl} lies outside subgroup {args.subgroup!r}")
-        else:
-            sub = abelian.subgroup_generated(gf.group, elems)
+        sub = abelian.subgroup_generated(gf.group, elems)
+        for lbl, e in labeled:
+            if e not in sub:
+                raise InputError(f"generator {lbl} lies outside subgroup {args.subgroup!r}")
         graph = cayley.build(sub, gens)
         return _Graph(graph, source={"group_file": str(args.group_file)})
     raise InputError("pick a graph source: -D <disc> or --group-file <path>")

@@ -555,7 +555,8 @@ class IsogenyGraph(StepGraph):
             if key in self._edge_by:
                 raise InternalConsistencyError(f"duplicate edge slot {key}")
             self._edge_by[key] = e
-        super().__init__(vertices, [str(j) for j in vertices], self._make_slots())
+        self._index = {j: i for i, j in enumerate(vertices)}
+        super().__init__(tuple(vertices), [str(j) for j in vertices], self._make_slots())
         self.step_table = self._make_table()
         self.inverse_slot = self._make_inverses()
 
@@ -684,17 +685,15 @@ def compare_to_cayley(graph: IsogenyGraph) -> ComparisonReport:
     (within SPECTRUM_TOL), and the per-ell local degree law
     1 + Kronecker(D, ell) together with dual-edge symmetry.
     """
-    from .abelian import full_subgroup
     from .quadform import class_group, generating_multiset
 
     cl = class_group(graph.disc)
-    full = full_subgroup(cl.group)
     gens = [(g.label, g.element)
-            for g in generating_multiset(cl, max(graph.ells, default=1) + 1, full)
+            for g in generating_multiset(cl, max(graph.ells, default=1) + 1, cl.whole)
             if g.ell in graph.ells]
     cayley_order = cl.order
     if gens:
-        cg = build_cayley(full, gens)
+        cg = build_cayley(cl.whole, gens)
         cayley_spec = np.sort(np.linalg.eigvalsh(cg.adjacency().astype(float)))
     else:
         cayley_spec = np.zeros(cayley_order)

@@ -14,9 +14,9 @@ The reduced forms of D are enumerated from the square roots of D modulo 4a,
 one leading coefficient a <= sqrt(|D|/3) at a time, so the enumeration
 costs a few Python steps per root rather than one test per candidate b.
 
-A class group is carried together with its invariant-factor structure and a
-bijective dictionary between classes and group elements, so that Cayley
-graphs can be built on (subgroups of) it; both come from the structure walk
+A class group is carried together with its invariant-factor structure and
+each class's coordinates in it, so that Cayley graphs can be built on
+(subgroups of) it; both come from the structure walk
 :func:`isocayley.abelian.structure_of`, run over the classes' triples under
 the triple composition.  :func:`generating_multiset` is the one builder of
 the prime-form generators S_B, labeled "ell:b" (split) or "ell" (ramified).
@@ -30,6 +30,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .abelian import FiniteAbelianGroup, GroupElement, Subgroup, full_subgroup, structure_of
+from .abelian import _reduced_element
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .ntheory import fundamental_discriminant, is_prime, kronecker, primes_below, sqrt_mod_prime
 
@@ -263,26 +264,27 @@ def _reduced_definite_forms(d: int) -> Iterator[QuadForm]:
 class ClassGroup:
     """A form class group with explicit abelian structure.
 
-    ``classes`` holds the reduced forms, sorted by triple; ``to_element`` /
-    ``from_element`` form the bijective dictionary with the invariant-factor
-    group, whose elements are those of ``whole``, the whole group as a
-    :class:`Subgroup`, so each class has one element object.  Construction
-    checks bijectivity and the order; the exhaustive homomorphism check
-    lives in the test suite.
+    ``classes`` holds the reduced forms, sorted by triple, and
+    ``element_of`` / ``class_of`` map them to and from the invariant-factor
+    group.  ``whole`` is that group as a :class:`Subgroup`, held as
+    coordinate arrays, and row i of ``triples``, an (h, 3) int64 array, is
+    the form (a, b, c) of its vertex i, the class whose coordinates have
+    code i.  Construction checks bijectivity and the order; the exhaustive
+    homomorphism check lives in the test suite.
     """
 
     def __init__(self, disc: Discriminant, classes: Sequence[QuadForm]):
         self.discriminant = disc
         self.classes = tuple(sorted(classes, key=lambda c: c.triple()))
         self.identity = reduce_form(principal_form(disc))
-        self.group, coords = self._structure()
-        # each class's GroupElement is the whole group's own element object
+        self.group, self._coords = self._structure()
         self.whole = full_subgroup(self.group)
-        at = {e.coords: e for e in self.whole.elements}
-        self.to_element = {cl: at[c] for cl, c in coords.items()}
-        self.from_element = {e: cl for cl, e in self.to_element.items()}
-        if len(self.from_element) != len(self.classes):
-            raise InternalConsistencyError("class -> element dictionary not bijective")
+        rows = np.array(list(self._coords.values()), dtype=np.int64)  # (h, rank), h >= 1
+        codes = rows @ np.array(self.whole.radix, dtype=np.int64)
+        if not np.array_equal(np.sort(codes), np.arange(self.order)):
+            raise InternalConsistencyError("class -> element map not bijective")
+        self.triples = np.empty((self.order, 3), dtype=np.int64)
+        self.triples[codes] = [cl.triple() for cl in self._coords]
 
     @property
     def order(self) -> int:
@@ -302,17 +304,17 @@ class ClassGroup:
 
     def element_of(self, cl: QuadForm) -> GroupElement:
         try:
-            return self.to_element[cl]
+            return _reduced_element(self.group, self._coords[cl])
         except KeyError:
             raise InputError(
                 f"{cl} is not a reduced form of discriminant {self.discriminant.value}"
             ) from None
 
     def class_of(self, e: GroupElement) -> QuadForm:
-        try:
-            return self.from_element[e]
-        except KeyError:
-            raise InputError(f"{e} is not an element of {self.group}") from None
+        i = self.whole.position(e)
+        if i is None:
+            raise InputError(f"{e} is not an element of {self.group}")
+        return QuadForm(*self.triples[i].tolist())
 
     def to_json(self) -> dict:
         return {
@@ -322,7 +324,7 @@ class ClassGroup:
             "order": self.order,
             "invariants": list(self.group.invariants),
             "classes": [
-                {"form": list(c.triple()), "coords": list(self.to_element[c].coords)}
+                {"form": list(c.triple()), "coords": list(self._coords[c])}
                 for c in self.classes
             ],
         }

@@ -149,16 +149,20 @@ def walk_steps(seed: int, first: int, trials: int, k: int, length: int) -> np.nd
     return steps
 
 
-def random_walk(graph: CayleyGraph, start, length: int, rng: np.random.Generator):
-    """End vertex of a uniform slot-walk of the given length."""
-    if length < 0:
-        raise InputError("walk length must be nonnegative")
-    i = graph.vertex_index(start)
+def _walk(graph: CayleyGraph, i: int, length: int, rng: np.random.Generator) -> int:
+    """The vertex index where random_walk ends, from vertex index i."""
     if length:
         table = graph.step_table
         for j in rng.integers(0, graph.degree, size=length):
             i = int(table[j, i])
-    return graph.vertices[i]
+    return i
+
+
+def random_walk(graph: CayleyGraph, start, length: int, rng: np.random.Generator):
+    """End vertex of a uniform slot-walk of the given length."""
+    if length < 0:
+        raise InputError("walk length must be nonnegative")
+    return graph.vertices[_walk(graph, graph.vertex_index(start), length, rng)]
 
 
 def mixing_length(graph: CayleyGraph, w_size: int) -> int:
@@ -216,7 +220,7 @@ def _endpoints(graph: CayleyGraph, start_idx: int, length: int, trials: int, see
     the order, moves the n positions with one gather on the flattened step
     table.  The running minimum of each trial's low product words flags its
     Lemire rejections (none when (2^32 - k) mod k = 0); a flagged trial, and
-    every trial when k is outside [1, 2^32), is redone by random_walk."""
+    every trial when k is outside [1, 2^32), is redone by _walk."""
     pos = np.full(trials, start_idx, dtype=np.int64)
     k = graph.degree
     if not 1 <= k < 1 << 32:
@@ -247,10 +251,8 @@ def _endpoints(graph: CayleyGraph, start_idx: int, length: int, trials: int, see
                 del cols  # free the window before the next one is drawn
             pos[lo : lo + m] = at
             redo.extend(lo + np.flatnonzero(low < threshold))
-    start = graph.vertices[start_idx]
     for t in redo:
-        rng = trial_rng(seed, first + int(t))
-        pos[t] = graph.vertex_index(random_walk(graph, start, length, rng))
+        pos[t] = _walk(graph, start_idx, length, trial_rng(seed, first + int(t)))
     return pos
 
 
@@ -317,7 +319,7 @@ def mixing_experiment(graph: CayleyGraph, start, cfg: WalkConfig) -> ExperimentR
     verdict = "PASS" if (lo <= band[1] and hi >= band[0]) else "FAIL"
     exact = None
     if graph.order <= _EXACT_LIMIT:
-        row = exact_distribution(graph, graph.vertices[start_idx], cfg.length)
+        row = exact_distribution(graph, start, cfg.length)
         exact = float(row[w_idx].sum())
     return ExperimentResult(
         config=cfg,

@@ -46,7 +46,8 @@ def snf_oracle(rows, ncols):
 
 class SmithNormalFormTest(unittest.TestCase):
     def check_decomposition(self, rows, ncols):
-        diag, v = smith_normal_form(rows, ncols)
+        diag, v, w = smith_normal_form(rows, ncols)
+        self.assertEqual(Matrix(v) * Matrix(w), Matrix.eye(ncols), "W is not the inverse of V")
         # V is unimodular and maps the row lattice of A into diag(d) * Z^n;
         # with the same nonzero invariants (test_against_sympy) the two
         # lattices have the same rank and covolume, hence are equal
@@ -69,7 +70,7 @@ class SmithNormalFormTest(unittest.TestCase):
         self.assertEqual(diag, [1, 6])
 
     def test_zero_matrix(self):
-        diag, _ = smith_normal_form([[0, 0], [0, 0]], 2)
+        diag, _, _ = smith_normal_form([[0, 0], [0, 0]], 2)
         self.assertEqual(diag, [0, 0])
 
     def test_against_sympy(self):
@@ -147,12 +148,12 @@ class SubgroupTest(unittest.TestCase):
     def test_abstract_structure_example(self):
         g = FiniteAbelianGroup((6,))
         h = subgroup_generated(g, [g.element((2,))])
-        abstract, coords_map = h.abstract_structure()
-        self.assertEqual(abstract.invariants, (3,))
-        self.assertEqual(len(coords_map), 3)
-        self.assertEqual(coords_map[(0,)], abstract.identity.coords)
+        self.assertEqual(h.abstract.invariants, (3,))
+        self.assertEqual(h.abstract_coords.shape, (3, 1))
+        self.assertEqual(h.coords.tolist(), [[0], [2], [4]])
+        self.assertEqual(h.abstract_coords[0].tolist(), list(h.abstract.identity.coords))
         # the map must be a bijection H -> abstract coordinates
-        self.assertEqual(len(set(coords_map.values())), 3)
+        self.assertEqual(len(set(map(tuple, h.abstract_coords.tolist()))), 3)
 
     def test_lagrange_random(self):
         rng = random.Random(7)
@@ -172,9 +173,9 @@ class SubgroupTest(unittest.TestCase):
             ]
             h = subgroup_generated(g, gens)
             self.assertEqual(h.order * h.index, g.order)
-            abstract, coords_map = h.abstract_structure()
-            self.assertEqual(abstract.order, h.order)
-            self.assertEqual(len(coords_map), h.order)
+            self.assertEqual(h.abstract.order, h.order)
+            self.assertEqual(h.abstract_coords.shape, (h.order, h.abstract.rank))
+            self.assertEqual(h.coords.shape, (h.order, g.rank))
 
     def test_abstract_structure_is_an_isomorphism(self):
         """phi: H -> abstract group is a bijection with phi(x+y) = phi(x) + phi(y)."""
@@ -189,23 +190,26 @@ class SubgroupTest(unittest.TestCase):
             h = subgroup_generated(g, gens)
             if h.order > 1024:
                 continue  # the all-pairs check below is quadratic in |H|
-            abstract, phi = h.abstract_structure()
+            abstract = h.abstract
             kinds["trivial"] += h.order == 1
             kinds["rank 4"] += abstract.rank == 4
             kinds["first element not a generator"] += (
                 h.order > 1 and h.elements[1] not in gens
             )
-            self.assertEqual(sorted(phi), [x.coords for x in h.elements])
-            self.assertEqual(sorted(phi.values()), [e.coords for e in abstract.elements()])
+            xs, ys = h.coords, h.abstract_coords
+            # the rows are H's elements in coordinate order, each once, and
+            # the abstract rows are every element of the abstract group once
+            radix = np.array([prod(g.invariants[i + 1:]) for i in range(g.rank)], dtype=np.int64)
+            codes = xs @ radix
+            self.assertTrue(np.array_equal(codes, h.codes))
+            self.assertTrue(np.all(codes[1:] > codes[:-1]))
+            self.assertEqual({tuple(x) for x in xs.tolist()}, {x.coords for x in h})
+            self.assertEqual(sorted(map(tuple, ys.tolist())), [e.coords for e in abstract.elements()])
             # all pairs at once: x + y located by its mixed-radix code
             amb = np.array(g.invariants, dtype=np.int64)
-            radix = np.array([prod(g.invariants[i + 1:]) for i in range(g.rank)], dtype=np.int64)
-            xs = np.array(sorted(phi), dtype=np.int64).reshape(h.order, g.rank)
-            codes = xs @ radix
             sums = (xs[:, None, :] + xs[None, :, :]) % amb
             where = np.searchsorted(codes, sums @ radix)
-            ys = np.array([phi[x] for x in sorted(phi)], dtype=np.int64)
-            ys = ys.reshape(h.order, abstract.rank)
+            self.assertTrue(np.array_equal(codes[where], sums @ radix))
             want = (ys[:, None, :] + ys[None, :, :]) % np.array(abstract.invariants, dtype=np.int64)
             self.assertTrue(np.array_equal(ys[where], want))
         self.assertTrue(all(kinds[k] for k in ("trivial", "rank 4", "first element not a generator")), kinds)
@@ -233,12 +237,13 @@ class SubgroupTest(unittest.TestCase):
                   FiniteAbelianGroup(()), FiniteAbelianGroup((1, 6))]
         for g in groups:
             got, want = full_subgroup(g), subgroup_generated(g, g.generators())
-            self.assertEqual(got.elements, want.elements)
+            self.assertEqual(list(got.elements), list(want.elements))
             self.assertEqual(got.generators, want.generators)
-            self.assertEqual(got.abstract_structure()[0], want.abstract_structure()[0])
+            self.assertEqual(got.abstract, want.abstract)
             # the same map, in the same order
-            self.assertEqual(list(got.abstract_structure()[1].items()),
-                             list(want.abstract_structure()[1].items()))
+            self.assertTrue(np.array_equal(got.coords, want.coords))
+            self.assertTrue(np.array_equal(got.codes, want.codes))
+            self.assertTrue(np.array_equal(got.abstract_coords, want.abstract_coords))
             self.assertEqual(got, want)
 
     def test_full_subgroup_cap_checked_before_any_element(self):
@@ -361,8 +366,8 @@ subgroup H: 1,2 0,2
     def test_parse_good(self):
         gf = parse_group_text(self.GOOD)
         self.assertEqual(gf.group.invariants, (2, 4))
-        self.assertEqual(len(gf.subgroups), 1)
-        h = gf.subgroups["H"]
+        self.assertEqual(len(gf.generators), 1)
+        h = subgroup_generated(gf.group, gf.generators["H"])
         self.assertEqual(h.order, 4)
 
     def test_bad_line_reported(self):

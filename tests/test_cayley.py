@@ -126,8 +126,8 @@ class TestBuild:
 
     def test_ambient_order_beyond_int64_codes_rejected(self):
         g = FiniteAbelianGroup((2**32, 2**32))
-        h = subgroup_generated(g, [g.element((2**31, 0))])
         with pytest.raises(PreconditionError):
+            h = subgroup_generated(g, [g.element((2**31, 0))])
             build(h, pair_gens(g, (2**31, 0)))
 
     def test_inverse_slot_is_a_correct_involution(self):
@@ -207,6 +207,20 @@ class TestSpectrum:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20, peak / 2**20
+
+    def test_memory_of_building_an_order_62500_group_file_graph(self):
+        # coordinate arrays, codes, the 4 x 62,500 step table and the vertex
+        # names: about 9 MiB
+        grp = parse_group_text("invariants: 250 250\n").group
+        gens = pair_gens(grp, (1, 0), (0, 1))
+        tracemalloc.start()
+        try:
+            graph = build(subgroup_generated(grp, [e for _, e in gens]), gens)
+            assert graph.step_table.shape == (4, 62500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, peak / 2**20
 
     def test_numeric_size_limit(self):
         g, h = cyclic(4192)
@@ -447,7 +461,7 @@ class TestExports:
         h = full_subgroup(cg.group)
         s = generating_multiset(cg, 3, h)
         gens = [(x.label, x.element) for x in s]
-        names = [str(cg.from_element[v].triple()) for v in h]
+        names = [str(cg.class_of(v).triple()) for v in h]
         dot = to_dot(build(h, gens, names))
         assert "(1, 1, 6)" in dot
         with pytest.raises(InputError):

@@ -468,7 +468,7 @@ def test_subgroup_cap_checked_before_any_element(capsys, monkeypatch, tmp_path):
     def unreachable(*args, **kwargs):
         raise AssertionError("elements were built before the subgroup cap was checked")
 
-    monkeypatch.setattr(abelian, "structure_of", unreachable)
+    monkeypatch.setattr(abelian.Subgroup, "__init__", unreachable)
     big = tmp_path / "big.grp"
     big.write_text("invariants: 10 100 10000\n")  # order 10^7
     named = tmp_path / "named.grp"
@@ -481,6 +481,17 @@ def test_subgroup_cap_checked_before_any_element(capsys, monkeypatch, tmp_path):
         assert rc == 3
         assert "Traceback" not in out + err
         assert err.startswith("error (precondition):") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["spectrum"], ["path", "-A", "id", "-B", "2147483648:0"]])
+def test_ambient_order_beyond_int64_codes_exits_3(capsys, tmp_path, argv):
+    huge = tmp_path / "huge.grp"
+    huge.write_text("invariants: 4294967296 4294967296\n")  # order 2^64
+    rc, out, err = run(capsys, [argv[0], "--group-file", str(huge), "--gens", "2147483648:0",
+                                *argv[1:]])
+    assert rc == 3
+    assert "Traceback" not in out + err
+    assert err.startswith("error (precondition): ambient group order") and err.count("\n") == 1
 
 
 def test_slot_cap_checked_before_any_work(capsys, monkeypatch, tmp_path):
@@ -502,7 +513,7 @@ def test_slot_cap_checked_before_any_work(capsys, monkeypatch, tmp_path):
     big.write_text("invariants: 10 100 1000\n")  # order 10^6, under the order cap
     gens = ["--group-file", str(big), "--gens", "1:0:0,0:1:0,0:0:1"]  # 6 slots a vertex
     with monkeypatch.context() as m:
-        m.setattr(abelian, "structure_of", unreachable)  # no subgroup element either
+        m.setattr(abelian.Subgroup, "__init__", unreachable)  # no subgroup element either
         for argv in (["spectrum", *gens], ["mix", *gens, "--target", "id"],
                      ["path", *gens, "-A", "id", "-B", "1:2:3"]):
             refused(argv)
@@ -514,14 +525,14 @@ def test_named_subgroup_built_only_after_the_slot_cap(capsys, monkeypatch, tmp_p
     def unreachable(*args, **kwargs):
         raise AssertionError("a named subgroup was built before the slot cap was checked")
 
-    monkeypatch.setattr(abelian, "structure_of", unreachable)
+    monkeypatch.setattr(abelian.Subgroup, "__init__", unreachable)
     named = tmp_path / "named.grp"
     # order 10^6, under the order cap; H is the whole group, and the unused
     # K would be a walk of its own if it were built at load time
     named.write_text("invariants: 10 100 1000\nsubgroup H: 1,0,0 0,1,0 0,0,1\n"
                      "subgroup K: 0,1,0 0,0,1\n")
     gf = abelian.load_group_file(str(named))
-    assert list(gf.subgroups) == ["H", "K"] and len(gf.generators["K"]) == 2
+    assert list(gf.generators) == ["H", "K"] and len(gf.generators["K"]) == 2
     t0 = time.perf_counter()
     rc, out, err = run(capsys, ["spectrum", "--group-file", str(named),
                                 "--gens", "1:0:0,0:1:0,0:0:1", "--subgroup", "H"])
