@@ -17,7 +17,7 @@ from isocayley import abelian, cayley, pathfind, quadform
 cls = quadform.class_group(-99551)
 sub = abelian.full_subgroup(cls.group)
 gens = quadform.generating_multiset(cls, 20, sub)
-names = cls.triples[sub.codes]
+names = cayley.spell_rows(cls.triples[sub.codes])
 graph = cayley.build(sub, [(g.label, g.element) for g in gens], names)
 h = graph.order
 print(f"h = {h}, degree {graph.degree}, "

@@ -403,7 +403,7 @@ class Subgroup:
                 col += (np.arange(a, dtype=np.int64) * (bc // (d // g)) % g * (d // g))[x]
                 np.subtract(col, d, out=col, where=col >= d)
         codes = np.array(self.radix, dtype=np.int64) @ coords
-        order = np.argsort(codes) if np.any(codes[1:] < codes[:-1]) else slice(None)
+        order = np.argsort(codes)
         self.coords, self.codes, self.abstract_coords = coords.T[order], codes[order], xs.T[order]
         if np.any(self.codes[1:] == self.codes[:-1]):
             raise InternalConsistencyError("two abstract coordinate vectors give one element")
@@ -498,9 +498,9 @@ def subgroup_generated(
 
 
 def full_subgroup(group: FiniteAbelianGroup) -> Subgroup:
-    """The whole group, as a Subgroup (handy for Cayley graphs on all of G);
-    its standard generators are its own basis, so its arrays are one
-    ``np.indices`` in coordinate order."""
+    """The whole group, as a Subgroup.  G's invariants are in invariant-factor
+    form, so its standard generators are the basis: ``abstract`` is G, and row
+    i is G's i-th element in coordinate order, its own abstract coordinates."""
     return subgroup_generated(group, group.generators())
 
 

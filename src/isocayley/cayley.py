@@ -54,6 +54,7 @@ __all__ = [
     "MAX_SLOTS",
     "check_slots",
     "build",
+    "spell_rows",
     "spectrum_by_characters",
     "spectrum_numeric",
     "expansion",
@@ -86,8 +87,8 @@ SCAN_CSV_HEADER = "B,lambda_triv,c,delta2,li_over_index,error_envelope"
 class StepGraph:
     """A k-regular labeled multigraph on named vertices, walked by slots.
 
-    ``names`` spells each of ``vertices``, in the same order, for exports,
-    certificates and vertex lookup by name.  The k slots are ``(label,
+    ``names`` spells each of ``vertices``, distinct and in the same order,
+    for exports, certificates and vertex lookup by name.  The k slots are ``(label,
     payload)`` pairs; stepping from vertex i through slot j lands on
     ``step_table[j, i]``, and ``inverse_slot[j]`` is the slot that steps
     back.  Subclasses supply ``step_table``, ``inverse_slot`` and an
@@ -176,10 +177,8 @@ class CayleyGraph(StepGraph):
             for j, (_, s) in enumerate(self.generators):
                 moved = sub.codes + sum(x * r for x, r in zip(s.coords, sub.radix))
                 for col, x, d, r in zip(sub.coords.T, s.coords, sub.ambient.invariants, sub.radix):
-                    if x:
-                        np.subtract(moved, d * r, out=moved, where=col >= d - x)
-                # the codes of all of G are 0 .. |G| - 1: there a code is its vertex index
-                table[j] = moved if sub.index == 1 else np.searchsorted(sub.codes, moved)
+                    np.subtract(moved, d * r, out=moved, where=col >= d - x)
+                table[j] = np.searchsorted(sub.codes, moved)
             table.setflags(write=False)
             self._step_table = table
         return self._step_table
@@ -215,14 +214,13 @@ def check_slots(order: int, degree: int) -> None:
 def build(
     subgroup: Subgroup,
     generators: Sequence[tuple[str, GroupElement]],
-    names: "Sequence[str] | np.ndarray | None" = None,
+    names: Optional[Sequence[str]] = None,
 ) -> CayleyGraph:
     """Build Cay(H, S) from labeled generators; S must be inversion-closed.
 
-    ``names`` spells the vertices of H in coordinate order: distinct
-    strings, or an (|H|, m) int array with distinct rows, row i spelling
-    vertex i as its entries joined by ':'.  By default that array is
-    ``subgroup.coords``, so a vertex is named by its coordinates.
+    ``names`` spells the vertices of H in coordinate order and must be
+    distinct; by default a vertex is named by its coordinates,
+    ``c1:c2:...``, which are distinct because the subgroup's codes are.
     """
     gens = list(generators)
     check_slots(subgroup.order, len(gens))
@@ -234,18 +232,16 @@ def build(
     if direct != inv:
         raise InputError("generator multiset is not closed under inversion")
     if names is None:
-        names = subgroup.coords
-    if isinstance(names, np.ndarray):
-        names = _spell_rows(names)  # distinct rows spell distinct names
+        names = spell_rows(subgroup.coords)
     elif len(set(names)) != len(names):
         raise InputError("vertex names are not distinct")
     return CayleyGraph(subgroup, gens, names)
 
 
-def _spell_rows(rows: np.ndarray) -> list[str]:
-    """One name per row, its entries joined by ':', a block of rows per
-    :func:`fill_rows` call.  Entries come from :func:`decimal_strings` when
-    they are nonnegative and below the array's size, and from ``str`` else."""
+def spell_rows(rows: np.ndarray) -> list[str]:
+    """Row i of an int array spelled as its entries joined by ':', a block of
+    rows per :func:`fill_rows` call; entries in [0, size of the array) come
+    from :func:`decimal_strings`, others from ``str``."""
     glue = ["", *[":"] * (rows.shape[1] - 1), ""] if rows.shape[1] else [""]
     high = rows.max(initial=0)
     digits = decimal_strings(high + 1) if rows.min(initial=0) >= 0 and high < rows.size else None

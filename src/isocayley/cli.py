@@ -361,7 +361,8 @@ def _build_graph(args) -> _Graph:
             raise PreconditionError(
                 f"no prime form below {args.bound} lands in the chosen subgroup"
             )
-        graph = cayley.build(sub, [(g.label, g.element) for g in s_b], cls.triples[sub.codes])
+        graph = cayley.build(sub, [(g.label, g.element) for g in s_b],
+                             cayley.spell_rows(cls.triples[sub.codes]))
         return _Graph(graph, cls_group=cls,
                       source={"discriminant": args.disc, "bound": args.bound})
     if args.group_file:
@@ -389,9 +390,10 @@ def _build_graph(args) -> _Graph:
         # the slot cap is checked before the subgroup's elements are built
         cayley.check_slots(abelian.generated_order(gf.group, elems), len(gens))
         sub = abelian.subgroup_generated(gf.group, elems)
-        for lbl, e in labeled:
-            if e not in sub:
-                raise InputError(f"generator {lbl} lies outside subgroup {args.subgroup!r}")
+        if args.subgroup:
+            for lbl, e in labeled:
+                if e not in sub:
+                    raise InputError(f"generator {lbl} lies outside subgroup {args.subgroup!r}")
         graph = cayley.build(sub, gens)
         return _Graph(graph, source={"group_file": str(args.group_file)})
     raise InputError("pick a graph source: -D <disc> or --group-file <path>")

@@ -556,6 +556,8 @@ class IsogenyGraph(StepGraph):
                 raise InternalConsistencyError(f"duplicate edge slot {key}")
             self._edge_by[key] = e
         self._index = {j: i for i, j in enumerate(vertices)}
+        if len(self._index) != len(vertices):
+            raise InternalConsistencyError("a j-invariant is listed twice")
         super().__init__(tuple(vertices), [str(j) for j in vertices], self._make_slots())
         self.step_table = self._make_table()
         self.inverse_slot = self._make_inverses()

@@ -236,15 +236,21 @@ class SubgroupTest(unittest.TestCase):
                   parse_group_text("invariants: 4 12\n").group,
                   FiniteAbelianGroup(()), FiniteAbelianGroup((1, 6))]
         for g in groups:
-            got, want = full_subgroup(g), subgroup_generated(g, g.generators())
-            self.assertEqual(list(got.elements), list(want.elements))
-            self.assertEqual(got.generators, want.generators)
-            self.assertEqual(got.abstract, want.abstract)
-            # the same map, in the same order
-            self.assertTrue(np.array_equal(got.coords, want.coords))
-            self.assertTrue(np.array_equal(got.codes, want.codes))
-            self.assertTrue(np.array_equal(got.abstract_coords, want.abstract_coords))
-            self.assertEqual(got, want)
+            got = full_subgroup(g)
+            lex = [e.coords for e in g.elements()]
+            # the elements of G, each once, in lexicographic coordinate order
+            self.assertEqual(list(got.elements), list(g.elements()))
+            self.assertEqual(list(map(tuple, got.coords.tolist())), lex)
+            self.assertTrue(np.array_equal(got.codes, np.arange(g.order)))
+            self.assertEqual(got.generators, tuple(g.generators()))
+            # the standard generators are the basis: G is its own abstract
+            # form and every element its own abstract coordinate vector
+            self.assertEqual(got.abstract, g)
+            self.assertTrue(np.array_equal(got.abstract_coords, got.coords))
+            # any generating set gives the same elements in the same order
+            other = subgroup_generated(g, g.generators()[::-1] + [g.identity])
+            self.assertEqual(got, other)
+            self.assertTrue(np.array_equal(got.coords, other.coords))
 
     def test_full_subgroup_cap_checked_before_any_element(self):
         def unreachable(*args, **kwargs):
