@@ -13,6 +13,7 @@ precondition, 4 internal consistency failure or any other unexpected error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -148,7 +149,7 @@ def _write(obj, nl: str, out: list, leaves: list) -> None:
             _write(value, inner, out, leaves)
             out.append(comma)
         out[-1] = nl + "}"
-    elif any(isinstance(value, _NESTED) for value in obj):
+    elif any(issubclass(kind, _NESTED) for kind in set(map(type, obj))):
         if _write_rows(obj, nl, out):
             return
         out.append("[" + inner)
@@ -340,16 +341,40 @@ def _closed_under_inversion(gens):
     return out
 
 
+def _disc_source(args) -> quadform.Discriminant:
+    """The checks of a -D source, in the order every -D route makes them:
+    the arguments, the prime bound, then D itself."""
+    if args.subgroup is not None:
+        raise InputError("--subgroup needs --group-file; with -D, --gens picks the subgroup")
+    if args.bound is None:
+        raise InputError("-D graphs need --bound to pick the prime-form generators")
+    quadform.check_prime_bound(args.bound)
+    return quadform.check_discriminant(args.disc)
+
+
+def _check_generators(s_b, bound: int) -> None:
+    if not s_b:
+        raise PreconditionError(f"no prime form below {bound} lands in the chosen subgroup")
+
+
+def _prime_form_steps(args) -> tuple[int, dict[str, tuple[int, int, int]]]:
+    """D and the reduced prime form of each S_B label, for a -D source on all
+    of Cl(D), checked as :func:`_build_graph` checks it, but with no class
+    group or graph built.  The slot cap needs h: the reduced forms are
+    counted only when a proven bound on h does not settle it."""
+    disc = _disc_source(args)
+    steps = {label: form.triple() for label, _, _, form in quadform.prime_forms(disc, args.bound)}
+    _check_generators(steps, args.bound)
+    if len(steps) * quadform.class_number_bound(disc.value) > cayley.MAX_SLOTS:
+        cayley.check_slots(quadform.class_number(disc.value), len(steps))
+    return disc.value, steps
+
+
 def _build_graph(args) -> _Graph:
     if args.disc is not None and args.group_file:
         raise InputError("give either -D or --group-file, not both")
     if args.disc is not None:
-        if args.subgroup is not None:
-            raise InputError("--subgroup needs --group-file; with -D, --gens picks the subgroup")
-        if args.bound is None:
-            raise InputError("-D graphs need --bound to pick the prime-form generators")
-        quadform.check_prime_bound(args.bound)
-        cls = quadform.class_group(args.disc)
+        cls = quadform.class_group(_disc_source(args))
         if args.gens:
             sub = abelian.subgroup_generated(
                 cls.group, [cls.element_of(c) for c in _form_generators(cls, args.gens)]
@@ -357,10 +382,7 @@ def _build_graph(args) -> _Graph:
         else:
             sub = cls.whole
         s_b = quadform.generating_multiset(cls, args.bound, sub)
-        if not s_b:
-            raise PreconditionError(
-                f"no prime form below {args.bound} lands in the chosen subgroup"
-            )
+        _check_generators(s_b, args.bound)
         graph = cayley.build(sub, [(g.label, g.element) for g in s_b],
                              cayley.spell_rows(cls.triples[sub.codes]))
         return _Graph(graph, cls_group=cls,
@@ -491,7 +513,16 @@ def cmd_path(args):
 
 
 def cmd_verify(args):
-    ctx = _build_graph(args)
+    # on all of Cl(D) a certificate replays by composing prime forms, with no
+    # group or graph built; a proper subgroup (--gens) needs Cl(D)'s coordinates
+    if args.disc is not None and not args.gens and not args.group_file:
+        d, steps = _prime_form_steps(args)
+        named = functools.partial(quadform.form_named, d)
+        replay = functools.partial(pathfind.replay_forms, steps)
+    else:
+        graph = _build_graph(args).graph
+        named = graph.vertex_named
+        replay = functools.partial(pathfind.replay, graph)
     try:
         raw = Path(args.certificate).read_text(encoding="utf-8")
     except OSError as e:
@@ -500,8 +531,8 @@ def cmd_verify(args):
         data = json.loads(raw)
     except json.JSONDecodeError as e:
         raise InputError(f"certificate is not JSON: {e}") from None
-    cert = pathfind.certificate_from_json(data, ctx.graph)
-    ok = pathfind.replay(ctx.graph, cert)
+    cert = pathfind.certificate_from_json(data, named)
+    ok = replay(cert)
     out = {
         "valid": bool(ok),
         "start": data["start"],

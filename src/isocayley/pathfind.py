@@ -9,11 +9,13 @@ inversion flags flipped) into an explicit, replayable certificate.  One
 breadth-first search from the source comes first, so a target in another
 component fails at once rather than after the trial cap.
 
-Every function takes a :class:`~isocayley.cayley.StepGraph`, the core that
+The search takes a :class:`~isocayley.cayley.StepGraph`, the core that
 Cayley graphs and isogeny graphs both build.  A certificate names its end
 vertices by the graph's vertex names and its steps by slot labels, so it
-reads the same on either kind of graph and replays with nothing but the
-step table.
+reads the same on either kind of graph.  :func:`replay` checks it on the
+step table.  On a class group, :func:`replay_forms` checks it with no graph
+at all: the end vertices are reduced forms, each step composes the prime
+form of its label, and D and the prime bound are all it needs.
 
 Randomness follows the stream-splitting contract of :mod:`isocayley.walks`;
 step-2 trials draw from a disjoint index namespace so the two phases stay
@@ -24,11 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log, sqrt
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .cayley import StepGraph, component_of
 from .errors import InputError, InternalConsistencyError, PreconditionError, TrialCapError
+from .quadform import _compose, _reduce
 from .walks import _WINDOW, _endpoints, walk_steps
 
 __all__ = [
@@ -41,6 +45,7 @@ __all__ = [
     "exhaustive_path",
     "expected_trials_bound",
     "replay",
+    "replay_forms",
     "certificate_to_json",
     "certificate_from_json",
 ]
@@ -90,6 +95,24 @@ def replay(graph: StepGraph, cert: PathCertificate) -> bool:
             j = inverse[j]
         i = int(table[j, i])
     return graph.vertices[i] == cert.end
+
+
+def replay_forms(steps: Mapping[str, tuple[int, int, int]], cert: PathCertificate) -> bool:
+    """:func:`replay` in the class group itself, by Gauss composition.
+
+    The certificate's start and end are reduced form triples (see
+    :func:`quadform.form_named`), and ``steps`` maps each generator label
+    to its reduced prime form, as :func:`quadform.prime_forms` lists them;
+    an inverted step composes the inverse form.  True iff the end matches.
+    """
+    x = cert.start
+    for step in cert.steps:
+        try:
+            a, b, c = steps[step.label]
+        except KeyError:
+            raise InputError(f"step label {step.label!r} is not a generator of the graph") from None
+        x = _compose(x, _reduce(a, -b, c) if step.inverted else (a, b, c))
+    return x == cert.end
 
 
 def _windows(graph, start_idx: int, length: int, seed: int, first: int, cap: int):
@@ -256,11 +279,13 @@ def certificate_to_json(cert: PathCertificate, graph: StepGraph) -> dict:
     }
 
 
-def certificate_from_json(data: dict, graph: StepGraph) -> PathCertificate:
-    """Rebuild a certificate against the graph whose vertex names it uses."""
+def certificate_from_json(data: dict, vertex_named: Callable[[str], object]) -> PathCertificate:
+    """Rebuild a certificate, resolving its start and end by name: with a
+    graph's :meth:`~isocayley.cayley.StepGraph.vertex_named`, or with
+    :func:`quadform.form_named` for :func:`replay_forms`."""
     try:
-        start = graph.vertex_named(data["start"])
-        end = graph.vertex_named(data["end"])
+        start = vertex_named(data["start"])
+        end = vertex_named(data["end"])
         steps = tuple(PathStep(str(lbl), bool(inv)) for lbl, inv in data["steps"])
         declared = int(data["length"])
     except (KeyError, TypeError, ValueError) as e:

@@ -18,13 +18,14 @@ A class group is carried together with its invariant-factor structure and
 each class's coordinates in it, so that Cayley graphs can be built on
 (subgroups of) it; both come from the structure walk
 :func:`isocayley.abelian.structure_of`, run over the classes' triples under
-the triple composition.  :func:`generating_multiset` is the one builder of
-the prime-form generators S_B, labeled "ell:b" (split) or "ell" (ramified).
+the triple composition.  :func:`prime_forms` is the one builder of the
+prime-form generators S_B, labeled "ell:b" (split) or "ell" (ramified), and
+:func:`generating_multiset` gives them their elements in a subgroup.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import floor, gcd, isqrt, log, pi, sqrt
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -43,8 +44,13 @@ __all__ = [
     "compose",
     "inverse",
     "principal_form",
+    "check_discriminant",
     "class_group",
+    "class_number",
+    "class_number_bound",
+    "form_named",
     "prime_form",
+    "prime_forms",
     "generating_multiset",
     "check_prime_bound",
 ]
@@ -336,14 +342,54 @@ class ClassGroup:
         )
 
 
-def class_group(disc: "Discriminant | int") -> ClassGroup:
-    """The class group of a negative discriminant D with |D| <= DEFAULT_DISC_BOUND."""
+def check_discriminant(disc: "Discriminant | int") -> Discriminant:
+    """D as a :class:`Discriminant`, checked as :func:`class_group` needs it:
+    negative, with |D| <= DEFAULT_DISC_BOUND."""
     d = _as_disc(disc)
     if d.value > 0:
         raise PreconditionError(f"class groups need a negative discriminant, got {d.value}")
     if d.value < -DEFAULT_DISC_BOUND:
         raise PreconditionError(f"|{d.value}| exceeds the configured bound {DEFAULT_DISC_BOUND}")
+    return d
+
+
+def class_group(disc: "Discriminant | int") -> ClassGroup:
+    """The class group of a negative discriminant D with |D| <= DEFAULT_DISC_BOUND."""
+    d = check_discriminant(disc)
     return ClassGroup(d, list(_reduced_definite_forms(d.value)))
+
+
+def class_number(d: int) -> int:
+    """h(D), the number of reduced primitive forms of D < 0, counted without
+    the structure walk."""
+    return sum(1 for _ in _reduced_definite_forms(d))
+
+
+def class_number_bound(d: int) -> int:
+    """An upper bound on h(D) for D < 0: floor(sqrt|D| (2 + ln|D|) / pi).
+
+    Dirichlet's class number formula h(D) = w sqrt|D| L(1, chi_D) / (2 pi)
+    holds for every negative discriminant, fundamental or not, with chi_D
+    the Kronecker symbol (D/.), a nonprincipal character mod |D|.  Then
+    |L(1, chi_D)| <= 2 + ln|D|, w = 2 for D < -4, and h = 1 for D = -3, -4.
+    """
+    n = -d
+    return floor(sqrt(n) * (2 + log(n)) / pi)
+
+
+def form_named(d: int, name) -> tuple[int, int, int]:
+    """The reduced primitive form of discriminant d that ``name`` spells as a
+    vertex name spells it, ``a:b:c`` in canonical decimals; anything else,
+    "0368:291:6851" or "+5:3:401" too, names no vertex."""
+    parts = name.split(":") if isinstance(name, str) else ()
+    try:
+        a, b, c = map(int, parts)
+    except ValueError:
+        raise InputError(f"no vertex is named {name!r}") from None
+    if (f"{a}:{b}:{c}" != name or b * b - 4 * a * c != d
+            or not -a < b <= a <= c or (a == c and b < 0) or gcd(a, b, c) != 1):
+        raise InputError(f"no vertex is named {name!r}")
+    return a, b, c
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +451,17 @@ class SBGenerator:
     element: GroupElement
 
 
-def generating_multiset(cls_group: ClassGroup, bound: int, subgroup: Subgroup) -> list[SBGenerator]:
-    """Labeled prime-form generators with prime norm below ``bound``.
+def prime_forms(disc: "Discriminant | int", bound: int) -> list[tuple[str, int, int, QuadForm]]:
+    """(label, ell, b, form) of every prime form of norm ell < ``bound``.
 
-    For each prime ell < bound coprime to the conductor, every prime form
-    above ell whose class lies in ``subgroup`` enters the multiset: both
-    conjugates when ell splits (labels "ell:b" and "ell:2*ell-b"), one entry
-    labeled "ell" when ell ramifies.  The result is closed under inversion
-    as a multiset.  Callers that want a subset of the primes filter it.
+    For each prime ell below the bound coprime to the conductor, both
+    conjugates enter when ell splits (labels "ell:b" and "ell:2*ell-b"), one
+    entry labeled "ell" when ell ramifies.  The list is closed under
+    inversion as a multiset, and its labels are distinct.
     """
-    if subgroup.ambient != cls_group.group:
-        raise InputError("subgroup does not live in the given class group")
     check_prime_bound(bound)
-    disc = cls_group.discriminant
-    out: list[SBGenerator] = []
+    disc = _as_disc(disc)
+    out = []
     for ell in primes_below(bound):
         if disc.conductor % ell == 0:
             continue
@@ -426,18 +469,26 @@ def generating_multiset(cls_group: ClassGroup, bound: int, subgroup: Subgroup) -
         if hit is None:
             continue
         cls, cls_inv, b = hit
-        elem = cls_group.element_of(cls)
-        if elem not in subgroup:
-            continue
-        sym = kronecker(disc.value, ell)
-        if sym == 0:
-            out.append(SBGenerator(str(ell), ell, b, cls, elem))
+        if kronecker(disc.value, ell) == 0:
+            out.append((str(ell), ell, b, cls))
         else:
             b_conj = (2 * ell - b) % (2 * ell)
-            out.append(SBGenerator(f"{ell}:{b}", ell, b, cls, elem))
-            out.append(
-                SBGenerator(
-                    f"{ell}:{b_conj}", ell, b_conj, cls_inv, cls_group.element_of(cls_inv)
-                )
-            )
+            out.append((f"{ell}:{b}", ell, b, cls))
+            out.append((f"{ell}:{b_conj}", ell, b_conj, cls_inv))
+    return out
+
+
+def generating_multiset(cls_group: ClassGroup, bound: int, subgroup: Subgroup) -> list[SBGenerator]:
+    """The labeled :func:`prime_forms` below ``bound`` whose classes lie in
+    ``subgroup``, with their elements.  A conjugate pair lies in a subgroup
+    together, so the result is closed under inversion as a multiset.
+    Callers that want a subset of the primes filter it.
+    """
+    if subgroup.ambient != cls_group.group:
+        raise InputError("subgroup does not live in the given class group")
+    out: list[SBGenerator] = []
+    for label, ell, b, form in prime_forms(cls_group.discriminant, bound):
+        elem = cls_group.element_of(form)
+        if elem in subgroup:
+            out.append(SBGenerator(label, ell, b, form, elem))
     return out

@@ -1,20 +1,25 @@
 """End-to-end exercises of the command-line front end."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import subprocess
 import sys
 import time
+from math import gcd, isqrt
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isocayley import abelian, cayley, cli, ecgraph, ntheory, pathfind, quadform, walks
 from isocayley.cli import ARTIFACT_SCHEMAS, main, schema_for
+from isocayley.errors import InputError, PreconditionError, TrialCapError
+from isocayley.ntheory import kronecker
 
 Z9 = "invariants: 9\n"
 Z12_WITH_SUB = "invariants: 12\nsubgroup even: 2\n"
@@ -206,6 +211,134 @@ def test_verify_garbage_certificate(capsys, tmp_path, z9):
     rc, _, err = run(capsys, ["verify", "--group-file", z9, "--gens", "1,2", str(bad)])
     assert rc == 2
     assert "not JSON" in err
+
+
+# verify on all of Cl(D) replays by composing prime forms, without a graph
+BENCH_SOURCE = ["-D", "-9999991", "--bound", "50"]  # h = 1715, cyclic; 16 prime forms
+
+
+@pytest.fixture(scope="module")
+def cert_9999991(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cert") / "run"
+    argv = ["path", *BENCH_SOURCE, "-A", "id", "-B", "368:291:6851", "--seed", "5", "--out", str(out)]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    return str(out / "certificate.json")
+
+
+def test_verify_by_prime_forms_builds_no_group(capsys, monkeypatch, cert_9999991):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("verify built the class group or the graph")
+
+    counted = []
+    count = quadform.class_number
+    monkeypatch.setattr(quadform, "class_group", unreachable)
+    monkeypatch.setattr(abelian, "structure_of", unreachable)
+    monkeypatch.setattr(quadform, "structure_of", unreachable)
+    monkeypatch.setattr(cayley, "build", unreachable)
+    monkeypatch.setattr(quadform, "class_number", lambda d: counted.append(d) or count(d))
+    rc, out, err = run(capsys, ["verify", *BENCH_SOURCE, cert_9999991])
+    assert rc == 0, err
+    assert json.loads(out)["valid"] is True
+    assert counted == []  # 16 slots x h_max 18,237 is under the slot cap
+    # 454 slots x h_max is over the cap, so h is counted; 454 x 1,715 is under it
+    rc, out, err = run(capsys, ["verify", "-D", "-9999991", "--bound", "3000", cert_9999991])
+    assert rc == 0, err
+    assert json.loads(out)["valid"] is True
+    assert counted == [-9999991]
+
+
+@pytest.mark.parametrize("source, says", [
+    (["-D", "-23", "--bound", str(quadform.PRIME_BOUND_CAP + 1)], "exceeds the cap"),
+    (["-D", str(-(10**7) - 3), "--bound", "50"], "exceeds the configured bound"),
+    (["-D", "-163", "--bound", "41"], "no prime form below 41"),  # 2, ..., 37 are inert
+    (["-D", "-9999991", "--bound", "100000"], "adjacency slots"),  # 1,715 x 9,672 slots
+], ids=["prime-bound", "disc-bound", "empty-S_B", "slot-cap"])
+def test_verify_preconditions_come_before_the_certificate(capsys, tmp_path, source, says):
+    rc, _, err = run(capsys, ["verify", *source, str(tmp_path / "missing.json")])
+    assert rc == 3, err
+    assert err.startswith("error (precondition):") and says in err
+
+
+def _outcome(call):
+    """What a replay returns, or the class of what it raises."""
+    try:
+        return call()
+    except Exception as e:  # the two routes must refuse with the same class
+        return type(e)
+
+
+def _non_primitive_reduced(d: int) -> str | None:
+    for a in range(1, isqrt(-d // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            c, rem = divmod(b * b - d, 4 * a)
+            if not rem and c >= a and (b >= 0 or c > a) and gcd(a, b, c) > 1:
+                return f"{a}:{b}:{c}"
+    return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 3000).map(lambda n: -n).filter(lambda d: d % 4 in (0, 1)),
+       st.integers(-2, 60), st.data())
+def test_verify_by_prime_forms_matches_the_graph_replay(d, bound, data):
+    """The replay by composition agrees with the replay on the step table, on
+    certificates from the path search and on tampered copies of them."""
+    args = cli.build_parser().parse_args(["verify", "-D", str(d), "--bound", str(bound), "c"])
+    graph = _outcome(lambda: cli._build_graph(args).graph)
+    by_forms = _outcome(lambda: cli._prime_form_steps(args))
+    if isinstance(graph, type):
+        assert by_forms is graph
+        return
+    _, steps = by_forms
+    index = st.integers(0, graph.order - 1)
+    a = data.draw(index)
+    b = data.draw(st.sampled_from(np.flatnonzero(cayley.component_of(graph, a)).tolist()))
+    try:
+        cert, _ = pathfind.find_path(graph, graph.vertices[a], graph.vertices[b], seed=7)
+    except (PreconditionError, TrialCapError):  # h < 9, or walks that cannot meet
+        cert = pathfind.exhaustive_path(graph, graph.vertices[a], graph.vertices[b])
+    doc = pathfind.certificate_to_json(cert, graph)
+    moves = doc["steps"]
+
+    def with_step(i, label, inverted=False):
+        return {**doc, "steps": moves[:i] + [[label, inverted]] + moves[i + 1:],
+                "length": len(moves[:i]) + 1 + len(moves[i + 1:])}
+
+    tampered = [{**doc, "end": graph.names[data.draw(index)]}]
+    canonical = []
+    if moves:
+        i = data.draw(st.integers(0, len(moves) - 1))
+        label, inverted = moves[i]
+        tampered.append(with_step(i, label, not inverted))
+        tampered.append({**doc, "steps": moves[:i] + moves[i + 1:], "length": len(moves) - 1})
+        ell, _, root = label.partition(":")
+        canonical += [with_step(i, "+" + label, inverted), with_step(i, "0" + label, inverted)]
+        if root:
+            canonical.append(with_step(i, f"{ell}:0{root}", inverted))
+    # labels that a larger bound, the Kronecker symbol or the conductor rule out
+    ruled_out = [lbl for lbl, ell, _, _ in quadform.prime_forms(d, max(bound, 2) + 60)
+                 if ell >= bound][:2]
+    f = quadform.Discriminant.of(d).conductor
+    for ell in ntheory.primes_below(max(bound, 2)):
+        if kronecker(d, ell) == -1 or f % ell == 0:
+            ruled_out += [str(ell), f"{ell}:1"]
+    tampered += [with_step(len(moves), label) for label in ruled_out[:6]]
+    x, y, z = map(int, doc["start"].split(":"))
+    starts = [f"{x}:{y + 2 * x}:{x + y + z}", _non_primitive_reduced(d)]
+    tampered += [{**doc, "start": start} for start in starts if start is not None]
+    canonical += [{**doc, "start": "0" + doc["start"]}, {**doc, "start": "+" + doc["start"]},
+                  {**doc, "start": f"{x}:+{y}:{z}"}]
+    named = functools.partial(quadform.form_named, d)
+    for k, cert_doc in enumerate([doc, *tampered, *canonical]):
+        want = _outcome(lambda: pathfind.replay(
+            graph, pathfind.certificate_from_json(cert_doc, graph.vertex_named)))
+        got = _outcome(lambda: pathfind.replay_forms(
+            steps, pathfind.certificate_from_json(cert_doc, named)))
+        assert got == want, cert_doc
+        if k == 0:
+            assert want is True
+        elif k > len(tampered):
+            assert want is InputError, cert_doc
 
 
 def test_named_subgroup_membership_enforced(capsys, tmp_path):

@@ -319,7 +319,7 @@ def test_certificate_json_round_trip():
     g = cycle_graph(9)
     cert, _ = find_path(g, g.vertices[0], g.vertices[4], seed=7)
     blob = certificate_to_json(cert, g)
-    again = certificate_from_json(blob, g)
+    again = certificate_from_json(blob, g.vertex_named)
     assert again == cert
     assert replay(g, again)
 
@@ -331,7 +331,7 @@ def test_certificate_json_custom_names():
     cert, _ = find_path(g, g.vertices[0], g.vertices[4], seed=7)
     blob = certificate_to_json(cert, g)
     assert blob["start"] == "v0" and blob["end"] == "v4"
-    assert certificate_from_json(blob, g) == cert
+    assert certificate_from_json(blob, g.vertex_named) == cert
 
 
 def test_certificate_json_rejects_malformed():
@@ -340,10 +340,10 @@ def test_certificate_json_rejects_malformed():
     blob = certificate_to_json(cert, g)
     missing = {k: v for k, v in blob.items() if k != "steps"}
     with pytest.raises(InputError):
-        certificate_from_json(missing, g)
+        certificate_from_json(missing, g.vertex_named)
     renamed = dict(blob, start="nowhere")
     with pytest.raises(InputError):
-        certificate_from_json(renamed, g)
+        certificate_from_json(renamed, g.vertex_named)
     short = dict(blob, length=cert.length + 1)
     with pytest.raises(InputError):
-        certificate_from_json(short, g)
+        certificate_from_json(short, g.vertex_named)

@@ -20,7 +20,10 @@ from isocayley.quadform import (
     Discriminant,
     QuadForm,
     class_group,
+    class_number,
+    class_number_bound,
     compose,
+    form_named,
     generating_multiset,
     inverse,
     prime_form,
@@ -170,6 +173,32 @@ def test_enumeration_matches_scalar_loop():
         got = list(_reduced_definite_forms(d))
         assert got == scalar_reduced_forms(d), f"D={d}"
         assert all(type(x) is int for f in got for x in f.triple())
+
+
+def test_class_number_bound_holds():
+    # the D of the enumeration oracle, fundamental and not, and large conductors
+    discs = [d for d in range(-3000, -2) if d % 4 in (0, 1)]
+    discs += [-9999991, -9999960, -9999995, -9999999, -1021020, -999900,
+              -4 * 1000**2, -3 * 1155**2, -7 * 1195**2]
+    for d in discs:
+        assert class_number(d) <= class_number_bound(d), f"D={d}"
+    for d, h in KNOWN_H.items():
+        assert class_number(d) == h
+
+
+def test_form_named_takes_only_vertex_spellings():
+    d = -9999991
+    assert form_named(d, "368:291:6851") == (368, 291, 6851)
+    assert form_named(d, "368:-291:6851") == (368, -291, 6851)
+    for name in ["0368:291:6851", "+368:291:6851", "368:+291:6851", " 368:291:6851",
+                 "368:291:6851:", "368:291", "368:291:6852", "6851:-291:368",
+                 "368:1027:7510", "", 368, None]:
+        with pytest.raises(InputError):
+            form_named(d, name)
+    # a form of D = -36 that is reduced but not primitive names no vertex
+    assert form_named(-36, "1:0:9") == (1, 0, 9)
+    with pytest.raises(InputError):
+        form_named(-36, "3:0:3")
 
 
 @lru_cache(maxsize=None)
