@@ -1,9 +1,11 @@
 """Ordinary elliptic-curve isogeny graphs over small prime fields.
 
 Everything here is desk scale on purpose: point counts are naive O(p)
-Legendre sums, each kernel polynomial is one gcd with a division
-polynomial per Frobenius eigenvalue, and the codomain of every computed
-isogeny is re-counted as a consistency check.
+Legendre sums, and each kernel polynomial is one gcd with a division
+polynomial per Frobenius eigenvalue.  A graph's isogeny codomains are
+not counted again: each is checked to be F_p-isomorphic to a counted
+model of its j (``_model_scale``), and isomorphic curves have equal point
+counts.  ``rational_l_isogenies``, which has no such model, re-counts.
 Vertices are j-invariants; for each j the unique twist with Frobenius
 trace exactly +t is the working model.  Only fundamental Frobenius
 discriminants t^2 - 4p are accepted, so the whole class sits at the
@@ -15,9 +17,9 @@ by breadth-first search over the computed edges instead of by counting a
 model for every j.  Seeds come from a scan of j in increasing order that
 skips what a search has already reached and stops once h(D) vertices are
 known.  The search goes one BFS level at a time: the division
-polynomials, reduction tables and Frobenius powers of a level's curves
-are computed as stacked arrays, once per (level, ell), and only the gcds,
-Velu and the recounts run curve by curve.  A degree ell inert in
+polynomials, reduction tables, Frobenius powers and kernel gcds of a
+level's curves are computed as stacked arrays, once per (level, ell), and
+only Velu and the model checks run curve by curve.  A degree ell inert in
 Q(sqrt(D)) has no rational kernel, so its division polynomial is never
 built.
 """
@@ -41,6 +43,7 @@ from .ntheory import (
     kronecker,
     sqrt_mod_prime,
 )
+from .walks import PhiloxGenerator
 
 __all__ = [
     "FIELD_CAP",
@@ -341,7 +344,9 @@ def _psi_kernel_search(curves, ell: int, eigenvalues) -> list[list[IsogenyEdge]]
     ``curves`` is a stack of models of one class (one p, one trace t),
     searched at once: the division polynomials, psi_ell, its reduction
     tables, x^p and the conditions below are stacked arrays with one row
-    per curve, and only the gcds and what follows them run per curve.
+    per curve.  The x-conditions of every lam are built first, and their
+    gcds with psi_ell run as one ``fp.stack_gcd``; the y-condition gcd and
+    Velu run per curve.
 
     The kernel is E[ell] meet ker(pi - lam), and pi(P) = (x^p, y^p) with
     y^p = y * f^((p-1)/2) for f = x^3 + ax + b.  For m = min(lam, ell - lam),
@@ -357,8 +362,10 @@ def _psi_kernel_search(curves, ell: int, eigenvalues) -> list[list[IsogenyEdge]]
     alone says pi(P) = +-[lam]P, so the y-condition (and f^((p-1)/2)) is
     needed only when -lam is a root of x^2 - t x + p too, which for a root
     lam means t = 0 (mod ell).  No degree law is assumed: a lam that is no
-    eigenvalue gives gcd 1, and the Velu codomain of each kernel found is
-    re-counted.  ``_isogenies_of`` passes the roots of x^2 - t x + p mod ell.
+    eigenvalue gives gcd 1.  The Velu codomain is not counted here: the
+    caller proves its trace, ``build_isogeny_graph`` by an F_p-isomorphism
+    to a counted model and ``rational_l_isogenies`` by a recount.
+    ``_isogenies_of`` passes the roots of x^2 - t x + p mod ell.
     """
     p, t = curves[0].p, curves[0].t
     d = (ell - 1) // 2
@@ -374,7 +381,7 @@ def _psi_kernel_search(curves, ell: int, eigenvalues) -> list[list[IsogenyEdge]]
     xs = np.tile(fp.X, (len(curves), 1))
     x_shift = fp.stack_sub(xs, fp.poly_powmod(xs, p, psi, p, rows), p)  # x - x^p
     frob_y = None  # y^p / y, built on first need
-    found = [[] for _ in curves]
+    x_conds, y_conds = [], []
     for lam in eigenvalues:
         m = min(lam, ell - lam)
         num, den = mul(w[m - 1], w[m + 1]), mul(w[m], w[m])
@@ -383,14 +390,21 @@ def _psi_kernel_search(curves, ell: int, eigenvalues) -> list[list[IsogenyEdge]]
         else:
             den = mul(f, den)
         x_cond = fp.stack_sub(mul(x_shift, den), num, p)
+        # a residue mod psi_ell, narrower than deg psi_ell when x^p is (p < deg psi_ell)
+        x_conds.append(fp._widen(x_cond, psi.shape[1] - 1))
         y_cond = None
         if (lam * lam + t * lam + p) % ell == 0:  # -lam is an eigenvalue as well
             if frob_y is None:
                 frob_y = fp.poly_powmod(f, (p - 1) // 2, psi, p, rows)
             sign = 1 if lam == m else -1
             y_cond = fp.stack_sub(2 * mul(frob_y, mul(den, den)), sign * w[2 * m], p)
+        y_conds.append(y_cond)
+    # one lockstep Euclid of psi_ell against the x-condition of every (lam, curve)
+    x_gcds = fp.stack_gcd(np.tile(psi, (len(x_conds), 1)), np.concatenate(x_conds), p)
+    found = [[] for _ in curves]
+    for k, (lam, y_cond) in enumerate(zip(eigenvalues, y_conds)):
         for i, c in enumerate(curves):
-            kernel = fp.poly_gcd(psi[i], x_cond[i], p)
+            kernel = x_gcds[k * len(curves) + i]
             if y_cond is not None:
                 kernel = fp.poly_gcd(kernel, y_cond[i], p)
             if fp.degree(kernel) == 0:
@@ -401,11 +415,6 @@ def _psi_kernel_search(curves, ell: int, eigenvalues) -> list[list[IsogenyEdge]]
                     f"psi_{ell}, expected {d}"
                 )
             va, vb = velu_codomain(c, kernel)
-            _, vt = _count(p, va, vb)
-            if vt != t:
-                raise InternalConsistencyError(
-                    f"Velu codomain recounts to trace {vt}, expected {t}"
-                )
             found[i].append(
                 IsogenyEdge(
                     p=p,
@@ -458,9 +467,15 @@ def rational_l_isogenies(c: Curve, ell: int) -> list[IsogenyEdge]:
     A rational ell-kernel is an eigenspace of Frobenius on E[ell], so when
     x^2 - t x + p has no root mod ell (ell inert in Q(sqrt(t^2 - 4p))) there
     is none, and psi_ell is not built at all.  This is the kernel search of
-    ``build_isogeny_graph`` on a stack of one curve.
+    ``build_isogeny_graph`` on a stack of one curve.  With no target model
+    to check it against, the Velu codomain of each kernel is re-counted.
     """
-    return _isogenies_of([c], ell)[0]
+    edges = _isogenies_of([c], ell)[0]
+    for e in edges:
+        _, vt = _count(c.p, *e.velu_model)
+        if vt != c.t:
+            raise InternalConsistencyError(f"Velu codomain recounts to trace {vt}, expected {c.t}")
+    return edges
 
 
 def _model_scale(p: int, src: tuple[int, int], dst: tuple[int, int]) -> int:
@@ -911,7 +926,7 @@ def run_dlp_demo(
         graph = build_isogeny_graph(p, t, ells)
     elif (graph.p, graph.t) != (p, t):
         raise InputError("prebuilt graph does not match the requested (p, t)")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = PhiloxGenerator(seed)  # numpy's Generator(Philox(seed)) draws, without numpy.random
     if graph.degree == 0:
         raise PreconditionError(
             "the chosen primes give an edgeless graph; pick split primes"

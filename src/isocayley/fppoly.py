@@ -33,6 +33,7 @@ __all__ = [
     "poly_divmod",
     "poly_mod",
     "poly_gcd",
+    "stack_gcd",
     "poly_mulmod",
     "poly_powmod",
     "poly_deriv",
@@ -150,6 +151,59 @@ def poly_gcd(u, v, p):
     return np.array([c * inv_lead % p for c in a], dtype=np.int64)
 
 
+def _row_degrees(a) -> np.ndarray:
+    """Degree of each row of a stack, -1 for a zero row."""
+    if not a.shape[1]:
+        return np.full(len(a), -1)
+    nz = a != 0
+    return np.where(nz.any(axis=1), a.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
+
+
+def stack_gcd(u, v, p) -> list[np.ndarray]:
+    """``poly_gcd(u[i], v[i], p)`` for every row pair of two stacks.
+
+    Rows that share (deg u, deg v) run Euclid in lockstep as one (rows, n)
+    array, by pseudo-remainders: each elimination multiplies the dividend
+    by the divisor's leading coefficient instead of inverting it, and
+    reduces mod p, so every entry stays below p^2 in absolute value and the
+    int64 arithmetic is exact.  The remainders differ from Euclid's by
+    nonzero scalars only, so each row is made monic once, at the end.  A row
+    leaves the lockstep when its remainder vanishes (its gcd is the
+    divisor) or drops more than one degree (it finishes on ``poly_gcd``).
+    """
+    width = max(u.shape[1], v.shape[1])
+    u, v = _widen(u, width) % p, _widen(v, width) % p
+    du, dv = _row_degrees(u), _row_degrees(v)
+    swap = (du < dv)[:, None]
+    top, bottom = np.where(swap, v, u), np.where(swap, u, v)
+    d_top, d_bottom = np.maximum(du, dv), np.minimum(du, dv)
+    out: list = [None] * len(u)
+    for i in np.flatnonzero(d_bottom < 0):
+        out[i] = poly_gcd(top[i], bottom[i], p)
+    for da, db in set(zip(d_top.tolist(), d_bottom.tolist())):
+        if db < 0:
+            continue
+        rows = np.flatnonzero((d_top == da) & (d_bottom == db))
+        a, b = top[rows, : da + 1], bottom[rows, : db + 1]
+        while len(rows):
+            lead = b[:, -1:]
+            for i in range(da, db - 1, -1):  # a <- lead * a - a_i x^(i - db) b
+                c = a[:, i : i + 1]
+                a = a[:, :i] * lead
+                a[:, i - db :] -= c * b[:, :db]
+                a %= p
+            # a is the remainder, of width db; a row stays while its degree is db - 1
+            stay = a[:, -1] != 0 if db else np.zeros(len(rows), dtype=bool)
+            if not stay.all():
+                leave = np.flatnonzero(~stay)
+                for k, dr in zip(leave, _row_degrees(a[leave])):
+                    out[rows[k]] = make_monic(b[k], p) if dr < 0 else poly_gcd(b[k], a[k], p)
+                rows, a, b = rows[stay], a[stay], b[stay]
+            a, b = b, a
+            da, db = db, db - 1
+    return out
+
+
 def stack_mul(u, v, p):
     """Row-wise products of two stacks of polynomials, (k, a) by (k, b).
 
@@ -166,10 +220,16 @@ def stack_mul(u, v, p):
     return out
 
 
+def _widen(u, width):
+    """A stack padded with zero columns to the given width."""
+    out = np.zeros((len(u), width), dtype=np.int64)
+    out[:, : u.shape[1]] = u
+    return out
+
+
 def stack_sub(u, v, p):
     """Row-wise u - v of two stacks of polynomials, padded to one width."""
-    out = np.zeros((len(u), max(u.shape[1], v.shape[1])), dtype=np.int64)
-    out[:, : u.shape[1]] = u
+    out = _widen(u, max(u.shape[1], v.shape[1]))
     out[:, : v.shape[1]] -= v
     out %= p
     return out

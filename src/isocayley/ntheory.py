@@ -137,16 +137,21 @@ def squarefree_part(n: int) -> tuple[int, int]:
     return sign * s, m
 
 
+def check_discriminant_shape(disc: int) -> None:
+    """Raise unless disc is nonzero, a non-square, and 0 or 1 mod 4."""
+    if disc == 0 or disc % 4 not in (0, 1):
+        raise InputError(f"{disc} is not a discriminant")
+    if disc > 0 and isqrt(disc) ** 2 == disc:
+        raise InputError(f"{disc} is a perfect square")
+
+
 def fundamental_discriminant(disc: int) -> tuple[int, int]:
     """Split a discriminant as disc = f^2 * d_K with d_K fundamental.
 
     Returns (d_K, f). Raises on values that are not discriminants
     (disc must be nonzero, a non-square, and 0 or 1 mod 4).
     """
-    if disc == 0 or disc % 4 not in (0, 1):
-        raise InputError(f"{disc} is not a discriminant")
-    if disc > 0 and isqrt(disc) ** 2 == disc:
-        raise InputError(f"{disc} is a perfect square")
+    check_discriminant_shape(disc)
     s, m = squarefree_part(disc)
     if s % 4 == 1:
         return s, m

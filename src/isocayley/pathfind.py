@@ -286,10 +286,18 @@ def certificate_from_json(data: dict, vertex_named: Callable[[str], object]) -> 
     try:
         start = vertex_named(data["start"])
         end = vertex_named(data["end"])
-        steps = tuple(PathStep(str(lbl), bool(inv)) for lbl, inv in data["steps"])
-        declared = int(data["length"])
+        raw_steps, declared = data["steps"], data["length"]
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed certificate: {e}") from None
+    # JSON types as path writes them: no bool() of "false", no int() of 8.9
+    if not isinstance(raw_steps, list) or not all(
+        isinstance(s, list) and len(s) == 2 and isinstance(s[0], str) and isinstance(s[1], bool)
+        for s in raw_steps
+    ):
+        raise InputError("malformed certificate: each step must be a [label string, boolean] pair")
+    if not isinstance(declared, int) or isinstance(declared, bool):
+        raise InputError(f"malformed certificate: length {declared!r} is not an integer")
+    steps = tuple(PathStep(lbl, inv) for lbl, inv in raw_steps)
     if declared != len(steps):
         raise InputError(
             f"malformed certificate: declares length {declared} but lists {len(steps)} steps"

@@ -33,7 +33,14 @@ import numpy as np
 from .abelian import FiniteAbelianGroup, GroupElement, Subgroup, full_subgroup, structure_of
 from .abelian import _reduced_element
 from .errors import InputError, InternalConsistencyError, PreconditionError
-from .ntheory import fundamental_discriminant, is_prime, kronecker, primes_below, sqrt_mod_prime
+from .ntheory import (
+    check_discriminant_shape,
+    fundamental_discriminant,
+    is_prime,
+    kronecker,
+    primes_below,
+    sqrt_mod_prime,
+)
 
 __all__ = [
     "Discriminant",
@@ -344,13 +351,16 @@ class ClassGroup:
 
 def check_discriminant(disc: "Discriminant | int") -> Discriminant:
     """D as a :class:`Discriminant`, checked as :func:`class_group` needs it:
-    negative, with |D| <= DEFAULT_DISC_BOUND."""
-    d = _as_disc(disc)
-    if d.value > 0:
-        raise PreconditionError(f"class groups need a negative discriminant, got {d.value}")
-    if d.value < -DEFAULT_DISC_BOUND:
-        raise PreconditionError(f"|{d.value}| exceeds the configured bound {DEFAULT_DISC_BOUND}")
-    return d
+    negative, with |D| <= DEFAULT_DISC_BOUND.  The O(1) checks come first,
+    in the order that the factoring of D would make its own, so a huge D
+    is refused before it is factored."""
+    value = int(disc)
+    check_discriminant_shape(value)
+    if value > 0:
+        raise PreconditionError(f"class groups need a negative discriminant, got {value}")
+    if value < -DEFAULT_DISC_BOUND:
+        raise PreconditionError(f"|{value}| exceeds the configured bound {DEFAULT_DISC_BOUND}")
+    return _as_disc(disc)
 
 
 def class_group(disc: "Discriminant | int") -> ClassGroup:

@@ -32,9 +32,21 @@ pre-scaled by the group order, moves every position of the window with one
 1-D gather on the flattened step table, and a trial's rejection flag is the
 running minimum of its low product words.  Memory stays at about a megabyte
 above the end positions, whatever the trial count and length.
+
+:class:`PhiloxGenerator` serves the discrete-log demo from the same core.
+For a seed it gives exactly the draws of
+``np.random.Generator(np.random.Philox(seed))`` for ``integers(low, high)``
+over 1 to 2^32 values and for ``choice(n, size=2, replace=False)``.  Its key
+is numpy's ``SeedSequence(seed).generate_state(2, np.uint64)``, recomputed in
+Python.  Its integers are numpy's Lemire draws from the 32-bit halves, and a
+two-value choice is Floyd's algorithm plus one swap draw.  So the demo never
+imports ``numpy.random``, and its bytes do not depend on numpy's
+``Generator`` methods, whose streams NumPy's policy (NEP 19) does not
+promise to keep across versions.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from math import ceil, log, sqrt
 from typing import Optional, Sequence
@@ -48,6 +60,7 @@ __all__ = [
     "WalkConfig",
     "ExperimentResult",
     "trial_rng",
+    "PhiloxGenerator",
     "walk_steps",
     "random_walk",
     "mixing_length",
@@ -76,6 +89,14 @@ _PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
+_M32 = 0xFFFFFFFF
+
+# numpy's SeedSequence hash and mix constants (pool of four 32-bit words)
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+# Philox blocks (32 draws) that PhiloxGenerator fetches per _philox_words call
+_GEN_BLOCKS = 4
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -118,6 +139,93 @@ def _philox_words(seed: int, first: int, trials: int, b0: int, b1: int):
         hi1, lo1 = _mulhilo(x2, _PHILOX_M1)
         x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
     return x0, x1, x2, x3
+
+
+def _seed_key(seed: int) -> tuple[int, int]:
+    """The key words numpy's Philox(seed) takes from its SeedSequence:
+    SeedSequence(seed).generate_state(2, np.uint64)."""
+    words = [seed & _M32]
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & _M32)
+    hash_const = _SS_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _SS_MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (_SS_MIX_L * x - _SS_MIX_R * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state, hash_const = [], _SS_INIT_B
+    for value in pool:
+        value ^= hash_const
+        hash_const = hash_const * _SS_MULT_B & _M32
+        value = value * hash_const & _M32
+        state.append(value ^ value >> 16)
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+class PhiloxGenerator:
+    """The draws of ``np.random.Generator(np.random.Philox(seed))`` for
+    ``integers(low, high)`` with 1 <= high - low <= 2^32 and for
+    ``choice(n, size=2, replace=False)``, bit for bit, from ``_philox_words``.
+
+    The key is ``_seed_key(seed)``; blocks are fetched ``_GEN_BLOCKS`` at a
+    time, counters from 1, and their four words used in order.  Every draw
+    takes 32 bits, a word's low half first and then its high half, as
+    numpy's next_uint32 does across calls.
+    """
+
+    def __init__(self, seed: int):
+        self._draw32 = self._halves(*_seed_key(seed)).__next__
+
+    @staticmethod
+    def _halves(k0: int, k1: int):
+        for b0 in itertools.count(0, _GEN_BLOCKS):
+            words = _philox_words(k1, k0, 1, b0, b0 + _GEN_BLOCKS)
+            for b in range(_GEN_BLOCKS):
+                for w in words:
+                    word = int(w[0, b])
+                    yield word & _M32
+                    yield word >> 32
+
+    def integers(self, low: int, high: int) -> int:
+        """numpy's Lemire multiply-shift with its rejection threshold; a
+        range of one value makes no draw."""
+        k = high - low
+        if not 1 <= k <= 1 << 32:
+            raise InputError(f"integers() range of {k} values is outside [1, 2^32]")
+        if k == 1:
+            return low
+        threshold = ((1 << 32) - k) % k
+        while True:
+            m = self._draw32() * k
+            if m & _M32 >= threshold:
+                return low + (m >> 32)
+
+    def choice(self, n: int, size: int = 2, replace: bool = False) -> list[int]:
+        """numpy's branch for two distinct values of range(n): Floyd's
+        algorithm, then one draw in [0, 1] that swaps the pair on 0."""
+        if size != 2 or replace or n < 2:
+            raise InputError("choice() draws exactly two distinct values from n >= 2")
+        pair = [self.integers(0, n - 1), self.integers(0, n)]
+        if pair[1] == pair[0]:
+            pair[1] = n - 1
+        if self.integers(0, 2) == 0:
+            pair.reverse()
+        return pair
 
 
 def _products(words, k: int):

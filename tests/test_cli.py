@@ -213,6 +213,76 @@ def test_verify_garbage_certificate(capsys, tmp_path, z9):
     assert "not JSON" in err
 
 
+@pytest.fixture(scope="module")
+def readme_cert(tmp_path_factory):
+    """README's certificate, as text: path -D -8011 --bound 20 -A id -B 5:3:401 --seed 3."""
+    out = tmp_path_factory.mktemp("readme") / "run1"
+    argv = ["path", "-D", "-8011", "--bound", "20", "-A", "id", "-B", "5:3:401",
+            "--seed", "3", "--out", str(out)]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    return (out / "certificate.json").read_text()
+
+
+def _mistype(cert: dict, how: str) -> None:
+    if how == "flag-string":  # bool("false") once replayed the step inverted
+        cert["steps"][0][1] = "false"
+    elif how == "fractional-length":  # int(8.9) once accepted 8
+        cert["length"] += 0.9
+    elif how == "bool-length":  # int(True) once read as 1
+        cert["steps"], cert["length"] = cert["steps"][:1], True
+    elif how == "label-number":
+        cert["steps"][0][0] = 19
+    else:  # three-item step
+        cert["steps"][0].append(False)
+
+
+@pytest.mark.parametrize("how", ["flag-string", "fractional-length", "bool-length",
+                                 "label-number", "three-item-step"])
+@pytest.mark.parametrize("route", ["prime-forms", "graph"])
+def test_verify_rejects_mistyped_certificates(capsys, tmp_path, z9, readme_cert, route, how):
+    """Flags must be JSON booleans, labels strings, steps pairs and the
+    length an int that is not a bool; anything else exits 2 on both routes."""
+    if route == "prime-forms":
+        source, text = ["-D", "-8011", "--bound", "20"], readme_cert
+    else:
+        source = ["--group-file", z9, "--gens", "1,2"]
+        run(capsys, ["path", *source, "-A", "id", "-B", "5", "--seed", "3",
+                     "--out", str(tmp_path / "run")])
+        text = (tmp_path / "run" / "certificate.json").read_text()
+    good = tmp_path / "good.json"
+    good.write_text(text)
+    assert run(capsys, ["verify", *source, str(good)])[0] == 0
+    cert = json.loads(text)
+    _mistype(cert, how)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    rc, _, err = run(capsys, ["verify", *source, str(bad)])
+    assert rc == 2, err
+    assert err.startswith("error (input): malformed certificate")
+
+
+HUGE_D = -(10**30) - 7  # 1 mod 4, so shaped like a discriminant
+
+
+@pytest.mark.parametrize("disc, code", [(HUGE_D, 3), (HUGE_D + 1, 2)], ids=["bound", "not-a-disc"])
+@pytest.mark.parametrize("argv", [["classgroup"], ["spectrum", "--bound", "50"],
+                                  ["verify", "missing.json", "--bound", "20"]],
+                         ids=["classgroup", "spectrum", "verify"])
+def test_huge_discriminant_is_refused_before_factoring(capsys, monkeypatch, argv, disc, code):
+    """The O(1) checks of D run before D is factored: a 31-digit D exits at
+    once (trial division of it ran for minutes)."""
+    def unreachable(d):
+        raise AssertionError(f"{d} was factored")
+
+    monkeypatch.setattr(quadform, "fundamental_discriminant", unreachable)
+    start = time.perf_counter()
+    rc, _, err = run(capsys, [*argv, "-D", str(disc)])
+    assert time.perf_counter() - start < 1
+    assert rc == code, err
+    assert ("exceeds the configured bound" if code == 3 else "is not a discriminant") in err
+
+
 # verify on all of Cl(D) replays by composing prime forms, without a graph
 BENCH_SOURCE = ["-D", "-9999991", "--bound", "50"]  # h = 1715, cyclic; 16 prime forms
 
@@ -469,6 +539,20 @@ def test_dlpdemo_transcript(capsys):
     jsonschema.validate(data, schema_for("dlpdemo"))
     assert data["verified"] is True
     assert data["recovered_r"] == data["planted_r"]
+
+
+def test_dlpdemo_never_imports_numpy_random(tmp_path):
+    """dlpdemo draws from walks.PhiloxGenerator, so a fresh interpreter that
+    runs README's dlpdemo never loads numpy.random."""
+    code = (
+        "import sys\n"
+        "from isocayley import cli\n"
+        f"rc = cli.main(['dlpdemo', '-p', '2003', '-t', '1', '-L', '5,7', '--out', {str(tmp_path)!r}])\n"
+        "print(rc, 'numpy.random' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.stdout.split() == ["0", "False"], r.stderr
+    assert json.loads((tmp_path / "dlpdemo.json").read_text())["verified"] is True
 
 
 def test_dlpdemo_planted_override(capsys):

@@ -503,6 +503,26 @@ def test_isogeny_search_stops_early(monkeypatch):
     assert len(calls) < 2003 // 4
 
 
+def test_a_twisted_codomain_is_caught(monkeypatch):
+    """A kernel search whose Velu codomain were the quadratic twist (trace
+    -t, same j) is caught without a recount in build_isogeny_graph, where
+    _model_scale finds no F_p-isomorphism to the counted target model, and
+    by the recount of rational_l_isogenies, which has no target model."""
+    velu = eg.velu_codomain
+
+    def twisted(c, kernel):
+        a, b = velu(c, kernel)
+        n = eg._non_residue(c.p)
+        return a * n * n % c.p, b * pow(n, 3, c.p) % c.p
+
+    monkeypatch.setattr(eg, "velu_codomain", twisted)
+    with pytest.raises(InternalConsistencyError, match="not isomorphic"):
+        eg.build_isogeny_graph(2003, 1, (5, 7))
+    c = eg._twist_with_trace(2003, eg.enumerate_isogeny_class(2003, 1)[0], 1)
+    with pytest.raises(InternalConsistencyError, match="recounts to trace -1"):
+        eg.rational_l_isogenies(c, 5)
+
+
 # ------------------------------------------------------------- comparison
 
 

@@ -198,3 +198,58 @@ def test_distinct_degree_respects_cap():
     blocks, rest = fp.distinct_degree_split(f, p, 1)
     assert all(d == 1 for d, _ in blocks)
     assert fp.degree(rest) > 0  # the quadratic part stays unsplit
+
+
+@st.composite
+def gcd_stacks(draw):
+    """A prime and two stacks whose row pairs share a random factor; any of
+    the factors may be zero, so zero rows occur on either side."""
+    p = draw(st.sampled_from([3, 7, 2003, 9973]))
+    coeffs = st.lists(st.integers(0, p - 1), max_size=6)
+    rows = draw(st.lists(st.tuples(coeffs, coeffs, coeffs), min_size=1, max_size=8))
+    us, vs = [], []
+    for common, cu, cv in rows:
+        g = fp.poly([1] if not common else common, p)
+        us.append(fp.poly_mul(g, fp.poly(cu, p), p))
+        vs.append(fp.poly_mul(g, fp.poly(cv, p), p))
+    width = max(len(w) for w in us + vs)
+    return p, np.array([fp._pad(u, width) for u in us]), np.array([fp._pad(v, width) for v in vs])
+
+
+@given(gcd_stacks())
+@settings(max_examples=300, deadline=None)
+def test_stack_gcd_matches_poly_gcd(case):
+    p, u, v = case
+    got = fp.stack_gcd(u, v, p)
+    assert len(got) == len(u)
+    for i in range(len(u)):
+        want = fp.poly_gcd(u[i], v[i], p)
+        assert got[i].dtype == np.int64
+        assert got[i].tolist() == want.tolist(), (p, u[i].tolist(), v[i].tolist())
+
+
+def test_stack_gcd_rows_leave_the_lockstep(monkeypatch):
+    """Four rows of one (deg 4, deg 3) group at p = 9973.  Row 0 stays in
+    lockstep down to gcd 1 and row 1 down to its shared factor x^2 + 1;
+    row 2's remainder vanishes at once, so its gcd is the divisor made
+    monic; row 3's first remainder x + 1 drops two degrees, so that row
+    alone finishes on poly_gcd."""
+    p = 9973
+
+    def mul(*factors):
+        out = fp.ONE
+        for f in factors:
+            out = fp.poly_mul(out, fp.poly(f, p), p)
+        return out
+
+    u = [[2, 0, 0, 0, 1], mul([1, 0, 1], [3, 0, 1]), mul([0, 2, 0, 4], [1, 1]), [1, 1, 0, 0, 1]]
+    v = [[1, 1, 0, 1], mul([1, 0, 1], [5, 1]), [0, 2, 0, 4], [0, 0, 0, 1]]
+    u, v = np.array([fp._pad(np.array(r), 5) for r in u]), np.array(v)
+    gcd = fp.poly_gcd
+    want = [gcd(a, b, p).tolist() for a, b in zip(u, v)]
+    finished = []
+    monkeypatch.setattr(fp, "poly_gcd", lambda a, b, q: finished.append(fp.trim(b).tolist()) or gcd(a, b, q))
+    assert [g.tolist() for g in fp.stack_gcd(u, v, p)] == want
+    assert finished == [[1, 1]]  # row 3's remainder x + 1
+    assert want[0] == [1] and want[1] == [1, 0, 1] and want[3] == [1]
+    assert want[2] == fp.make_monic(v[2], p).tolist()

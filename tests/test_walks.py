@@ -13,6 +13,7 @@ from isocayley.cayley import build
 from isocayley.errors import InputError, PreconditionError
 from isocayley.pathfind import _STEP2_STREAM_OFFSET
 from isocayley.walks import (
+    PhiloxGenerator,
     WalkConfig,
     exact_distribution,
     mixing_experiment,
@@ -208,6 +209,29 @@ def test_walk_steps_match_trial_rng(seed, first, k, length, trials):
     got = walk_steps(seed, first, trials, k, length)
     assert got.dtype == np.int64 and got.shape == (trials, length)
     assert got.tolist() == _scalar_steps(seed, first, trials, k, length)
+
+
+_DRAW = st.one_of(
+    st.tuples(st.just("integers"), st.integers(-(2**40), 2**40), st.integers(1, 2**32)),
+    st.tuples(st.just("integers"), st.integers(0, 2**20), st.integers(1, 10**4)),
+    st.tuples(st.just("choice"), st.integers(2, 10**4)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), draws=st.lists(_DRAW, min_size=1, max_size=40))
+def test_philox_generator_matches_numpy(seed, draws):
+    """PhiloxGenerator(seed) gives the draws of numpy's
+    Generator(Philox(seed)), in any mix of integers() over 1 to 2^32 values
+    (ranges near 2^32 reject up to half their draws) and two-value choice()."""
+    ours, ref = PhiloxGenerator(seed), np.random.Generator(np.random.Philox(seed))
+    for draw in draws:
+        if draw[0] == "choice":
+            want = ref.choice(draw[1], size=2, replace=False).tolist()
+            assert ours.choice(draw[1], size=2, replace=False) == want
+        else:
+            low, k = draw[1], draw[2]
+            assert ours.integers(low, low + k) == int(ref.integers(low, low + k))
 
 
 @pytest.mark.parametrize("k", [3 * 2**30, 2**32, 2**40])
