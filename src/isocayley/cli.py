@@ -78,9 +78,8 @@ def _pieces(obj) -> Iterator[str]:
     The recursion lays out dicts, lists and tuples as the stdlib's indented
     encoder does.  Keys and scalar leaves still go through the stdlib, so its
     float, bool and escaping rules hold: a list of leaves is encoded by one
-    ``json.dumps`` call of its own, and the other leaves outside row tables
-    by one compact call for the document, whose texts fill the ``None``
-    places of the layout.  The row tables are laid out by
+    ``json.dumps`` call of its own, and any other leaf outside a row table
+    by one call where it stands.  The row tables are laid out by
     :func:`cayley.fill_rows`: a :class:`cayley.AdjacencyRows` view by
     :func:`_adjacency_pieces`, one piece per block of rows, and a list of
     flat dicts, such as the classes of ``classgroup.json`` or the edges of
@@ -89,14 +88,11 @@ def _pieces(obj) -> Iterator[str]:
     of a graph, not with its slots.
     """
     out: list = []
-    leaves: list = []
-    _write(obj, "\n", out, leaves)
+    _write(obj, "\n", out)
     out.append("\n")
-    texts = iter(_leaf_texts(leaves))
-    views = [i for i, part in enumerate(out) if part is not None and type(part) is not str]
     start = 0
-    for stop in views + [len(out)]:
-        yield "".join([next(texts) if part is None else part for part in out[start:stop]])
+    for stop in [i for i, part in enumerate(out) if type(part) is not str] + [len(out)]:
+        yield "".join(out[start:stop])
         if stop < len(out):
             yield from out[stop]  # the block pieces of an adjacency view
         start = stop + 1
@@ -125,14 +121,12 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _write(obj, nl: str, out: list, leaves: list) -> None:
-    """Append the JSON text of obj to ``out``, with ``None`` holding the place
-    of each leaf outside a list of leaves, which goes to ``leaves``, and the
-    lazy pieces of an adjacency view holding its place; ``nl`` is a newline
-    plus the indent of obj's line."""
+def _write(obj, nl: str, out: list) -> None:
+    """Append the JSON text of obj to ``out``, with the lazy pieces of an
+    adjacency view holding its place; ``nl`` is a newline plus the indent of
+    obj's line."""
     if not isinstance(obj, _NESTED):
-        out.append(None)
-        leaves.append(obj)
+        out.append(json.dumps(obj))
         return
     inner = nl + "  "
     if isinstance(obj, cayley.AdjacencyRows):
@@ -146,7 +140,7 @@ def _write(obj, nl: str, out: list, leaves: list) -> None:
         out.append("{" + inner)
         for key, value in sorted(obj.items()):
             out += (_key(key), ": ")
-            _write(value, inner, out, leaves)
+            _write(value, inner, out)
             out.append(comma)
         out[-1] = nl + "}"
     elif any(issubclass(kind, _NESTED) for kind in set(map(type, obj))):
@@ -154,7 +148,7 @@ def _write(obj, nl: str, out: list, leaves: list) -> None:
             return
         out.append("[" + inner)
         for value in obj:
-            _write(value, inner, out, leaves)
+            _write(value, inner, out)
             out.append(comma)
         out[-1] = nl + "]"
     else:  # a list of leaves, encoded by one stdlib call

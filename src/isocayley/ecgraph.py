@@ -43,7 +43,7 @@ from .ntheory import (
     kronecker,
     sqrt_mod_prime,
 )
-from .walks import PhiloxGenerator
+from .walks import PhiloxGenerator, _seed_key
 
 __all__ = [
     "FIELD_CAP",
@@ -838,6 +838,12 @@ def transfer_dlp(path, point_p, point_q, n: int, source: Curve | None = None) ->
     The degree of every edge must be coprime to n = ord(P); the recovered
     exponent is verified back on the source curve before being returned.
     """
+    return _transfer(path, point_p, point_q, n, source)[0]
+
+
+def _transfer(path, point_p, point_q, n: int, source: Curve | None):
+    """:func:`transfer_dlp`'s exponent, and the images of (P, Q) on each
+    curve of the path, the source curve's first."""
     if n < 1:
         raise InputError(f"order n = {n} must be positive")
     if path:
@@ -854,10 +860,11 @@ def transfer_dlp(path, point_p, point_q, n: int, source: Curve | None = None) ->
             )
     if not is_on_curve(point_p, a, b, p) or not is_on_curve(point_q, a, b, p):
         raise InputError("P and Q must lie on the source curve")
-    cur_p, cur_q = point_p, point_q
+    images = [(point_p, point_q)]
     for e in path:
-        cur_p = isogeny_eval(e, cur_p)
-        cur_q = isogeny_eval(e, cur_q)
+        cur_p, cur_q = images[-1]
+        images.append((isogeny_eval(e, cur_p), isogeny_eval(e, cur_q)))
+    cur_p, cur_q = images[-1]
     if path:
         ta, _ = path[-1].target_model
     else:
@@ -869,7 +876,7 @@ def transfer_dlp(path, point_p, point_q, n: int, source: Curve | None = None) ->
         raise InputError("no discrete log found at the far end: inconsistent inputs")
     if ec_mul(r, point_p, a, p) != point_q:
         raise InternalConsistencyError("recovered exponent fails on the source curve")
-    return r
+    return r, images
 
 
 def edges_along(graph: IsogenyGraph, cert) -> list[IsogenyEdge]:
@@ -926,7 +933,7 @@ def run_dlp_demo(
         graph = build_isogeny_graph(p, t, ells)
     elif (graph.p, graph.t) != (p, t):
         raise InputError("prebuilt graph does not match the requested (p, t)")
-    rng = PhiloxGenerator(seed)  # numpy's Generator(Philox(seed)) draws, without numpy.random
+    rng = PhiloxGenerator(*_seed_key(seed))  # the draws of numpy's Generator(Philox(seed))
     if graph.degree == 0:
         raise PreconditionError(
             "the chosen primes give an edgeless graph; pick split primes"
@@ -957,21 +964,11 @@ def run_dlp_demo(
     r = int(rng.integers(0, n)) if planted is None else planted % n
     point_q = ec_mul(r, point_p, source.a, source.p)
 
-    stages = []
-    cur_p, cur_q, j_here = point_p, point_q, start
-    stages.append({"j": j_here, "P": list(cur_p), "Q": list(cur_q) if cur_q else None})
-    for e in path:
-        cur_p = isogeny_eval(e, cur_p)
-        cur_q = isogeny_eval(e, cur_q)
-        j_here = e.target_j
-        stages.append(
-            {
-                "j": j_here,
-                "P": list(cur_p) if cur_p else None,
-                "Q": list(cur_q) if cur_q else None,
-            }
-        )
-    recovered = transfer_dlp(path, point_p, point_q, n, source=source)
+    recovered, images = _transfer(path, point_p, point_q, n, source)
+    stages = [
+        {"j": j, "P": list(cur_p) if cur_p else None, "Q": list(cur_q) if cur_q else None}
+        for j, (cur_p, cur_q) in zip([start] + [e.target_j for e in path], images)
+    ]
     return {
         "p": p,
         "t": t,

@@ -33,7 +33,7 @@ import numpy as np
 from .cayley import StepGraph, component_of
 from .errors import InputError, InternalConsistencyError, PreconditionError, TrialCapError
 from .quadform import _compose, _reduce
-from .walks import _WINDOW, _endpoints, walk_steps
+from .walks import _WINDOW, _endpoints, _trial_steps
 
 __all__ = [
     "PathStep",
@@ -128,8 +128,8 @@ def _windows(graph, start_idx: int, length: int, seed: int, first: int, cap: int
 
 def _record(graph, seed: int, trial: int, length: int) -> tuple[PathStep, ...]:
     """The steps of one trial's walk, by slot label."""
-    draws = walk_steps(seed, trial, 1, graph.degree, length)[0]
-    return tuple(PathStep(graph.generators[j][0], False) for j in draws.tolist())
+    draws = _trial_steps(seed, trial, graph.degree, length)
+    return tuple(PathStep(graph.generators[j][0], False) for j in draws)
 
 
 def collect_neighbors(graph, a, seed: int) -> tuple[dict, SearchStats]:
@@ -163,6 +163,8 @@ def meet_from_target(graph, b, neighbors: dict, seed: int) -> tuple[PathCertific
     """Step 2: walk from b until an endpoint collected in step 1 is hit."""
     if not neighbors:
         raise InputError("step 2 needs a nonempty neighbor map")
+    if graph.degree == 0:
+        raise PreconditionError("cannot walk on an edgeless graph")
     h = graph.order
     length = ceil(log(2 * h))
     cap = TRIAL_CAP_FACTOR * h

@@ -1,20 +1,18 @@
 """Seeded random walks on Cayley graphs and the mixing-lemma harness.
 
-Randomness comes from numpy's Philox (4x64 counter-based) generator.  Trial
-t of an experiment with master seed s draws from the stream keyed by the
-128-bit value (s << 64) | t, so the trial-to-stream map is a pure function
-of (seed, trial index): any execution order, or a parallel run, produces the
-same statistics.  Walk steps pick uniformly among the k generator slots,
-multiplicity included, matching the adjacency operator.
+Randomness comes from the Philox4x64-10 counter-based generator (Salmon et
+al., SC'11).  Trial t of an experiment with master seed s draws from the
+stream keyed by the words (t, s), so the trial-to-stream map is a pure
+function of (seed, trial index): any execution order, or a parallel run,
+produces the same statistics.  Walk steps pick uniformly among the k
+generator slots, multiplicity included, matching the adjacency operator.
 
 The step draws of trial t are exactly
-``trial_rng(seed, t).integers(0, k, size=length)``.  One vectorised core,
-``_philox_words``, replays numpy's Philox4x64-10 for many trials and blocks
-at once (Salmon et al., SC'11), bit for bit.  Every walk draws from it:
-``_endpoints`` streams the end vertices of a run of trials, for the bulk
-walks of :func:`mixing_experiment` and for both steps of the path search,
-and :func:`walk_steps` gives the slot draws of the two trials whose walks a
-path certificate records:
+``trial_rng(seed, t).integers(0, k, size=length)``, numpy's stream for that
+key; ``trial_rng`` is kept as the reference definition of the stream, and
+the package never calls it.  One vectorised core, ``_philox_words``,
+replays the Philox blocks of many trials at once, bit for bit, and every
+walk draws from it:
 
 * the key words are (t, seed), and the first 4 x 64-bit block of a trial
   uses counter 1, because numpy increments the counter before it fills its
@@ -22,31 +20,34 @@ path certificate records:
 * each 64-bit word gives two 32-bit draws, its low half first;
 * draw j is (u32 * k) >> 32, numpy's Lemire multiply-shift for k < 2^32
   (Lemire, ACM TOMACS 2019).  A draw whose low product word is below
-  (2^32 - k) mod k is rejected by numpy and replaced by the next 32 bits,
-  which shifts the rest of the trial, so any trial with a rejection, and
-  every trial when k >= 2^32, is drawn again by the scalar ``trial_rng``.
+  (2^32 - k) mod k is rejected and replaced by the next 32 bits, which
+  shifts the rest of the trial.
 
-The bulk walks stream through one window of about 2^13 Philox blocks: all
-the trials, up to 2^13, by as many blocks as fit.  Each draw column,
-pre-scaled by the group order, moves every position of the window with one
-1-D gather on the flattened step table, and a trial's rejection flag is the
-running minimum of its low product words.  Memory stays at about a megabyte
-above the end positions, whatever the trial count and length.
+``_endpoints`` streams the end vertices of a run of trials, for the bulk
+walks of :func:`mixing_experiment` and for both steps of the path search.
+It streams through one window of about 2^13 Philox blocks: all the trials,
+up to 2^13, by as many blocks as fit.  Each draw column, pre-scaled by the
+group order, moves every position of the window with one 1-D gather on the
+flattened step table, and a trial's rejection flag is the running minimum
+of its low product words.  Memory stays at about a megabyte above the end
+positions, whatever the trial count and length.  A trial with a rejection
+is drawn again, one draw at a time, by ``_trial_steps``, which also gives
+the slot draws of the two trials whose walks a path certificate records.
 
-:class:`PhiloxGenerator` serves the discrete-log demo from the same core.
-For a seed it gives exactly the draws of
-``np.random.Generator(np.random.Philox(seed))`` for ``integers(low, high)``
-over 1 to 2^32 values and for ``choice(n, size=2, replace=False)``.  Its key
-is numpy's ``SeedSequence(seed).generate_state(2, np.uint64)``, recomputed in
-Python.  Its integers are numpy's Lemire draws from the 32-bit halves, and a
-two-value choice is Floyd's algorithm plus one swap draw.  So the demo never
-imports ``numpy.random``, and its bytes do not depend on numpy's
-``Generator`` methods, whose streams NumPy's policy (NEP 19) does not
-promise to keep across versions.
+:class:`PhiloxGenerator` makes those one-at-a-time draws from the same
+core, and serves the discrete-log demo too: keyed by
+``_seed_key(seed)``, numpy's ``SeedSequence(seed).generate_state(2,
+np.uint64)`` recomputed in Python, it gives exactly the draws of numpy's
+``Generator(Philox(seed))`` for ``integers(low, high)`` over 1 to 2^32
+values and for ``choice(n, size=2, replace=False)``.  Its integers are
+numpy's Lemire draws from the 32-bit halves, and a two-value choice is
+Floyd's algorithm plus one swap draw.  So no walk and no demo imports
+``numpy.random``, and no artifact depends on numpy's ``Generator``
+methods, whose streams NumPy's policy (NEP 19) does not promise to keep
+across versions.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from math import ceil, log, sqrt
 from typing import Optional, Sequence
@@ -61,8 +62,6 @@ __all__ = [
     "ExperimentResult",
     "trial_rng",
     "PhiloxGenerator",
-    "walk_steps",
-    "random_walk",
     "mixing_length",
     "theorem_length",
     "exact_distribution",
@@ -95,12 +94,15 @@ _M32 = 0xFFFFFFFF
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
-# Philox blocks (32 draws) that PhiloxGenerator fetches per _philox_words call
+# Philox blocks (32 draws) of PhiloxGenerator's first _philox_words call;
+# each later call fetches twice as many, up to _WINDOW
 _GEN_BLOCKS = 4
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """The Philox stream for one trial: key = (seed << 64) | trial."""
+    """numpy's Philox stream for one trial, key = (seed << 64) | trial: the
+    reference definition of the draws that _endpoints and _trial_steps
+    replay.  The package never calls it; the tests use it as the oracle."""
     key = ((seed & _MASK64) << 64) | (trial & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -178,28 +180,29 @@ def _seed_key(seed: int) -> tuple[int, int]:
 
 
 class PhiloxGenerator:
-    """The draws of ``np.random.Generator(np.random.Philox(seed))`` for
-    ``integers(low, high)`` with 1 <= high - low <= 2^32 and for
-    ``choice(n, size=2, replace=False)``, bit for bit, from ``_philox_words``.
+    """The draws of numpy's ``Generator`` on the Philox stream with key
+    words (k0, k1), for ``integers(low, high)`` with 1 <= high - low <= 2^32
+    and for ``choice(n, size=2, replace=False)``, bit for bit, from
+    ``_philox_words``.
 
-    The key is ``_seed_key(seed)``; blocks are fetched ``_GEN_BLOCKS`` at a
-    time, counters from 1, and their four words used in order.  Every draw
-    takes 32 bits, a word's low half first and then its high half, as
-    numpy's next_uint32 does across calls.
+    ``_seed_key(seed)`` gives the key words of numpy's ``Philox(seed)``,
+    and (t, seed) are those of trial t of a walk, ``trial_rng(seed, t)``.
+    Blocks are fetched ``_GEN_BLOCKS`` at a time, doubling up to
+    ``_WINDOW``, counters from 1, and their four words used in order.
+    Every draw takes 32 bits, a word's low half first and then its high
+    half, as numpy's next_uint32 does across calls.
     """
 
-    def __init__(self, seed: int):
-        self._draw32 = self._halves(*_seed_key(seed)).__next__
+    def __init__(self, k0: int, k1: int):
+        self._draw32 = self._halves(k0, k1).__next__
 
     @staticmethod
     def _halves(k0: int, k1: int):
-        for b0 in itertools.count(0, _GEN_BLOCKS):
-            words = _philox_words(k1, k0, 1, b0, b0 + _GEN_BLOCKS)
-            for b in range(_GEN_BLOCKS):
-                for w in words:
-                    word = int(w[0, b])
-                    yield word & _M32
-                    yield word >> 32
+        b0, n = 0, _GEN_BLOCKS
+        while True:
+            words = np.stack([w[0] for w in _philox_words(k1, k0, 1, b0, b0 + n)], axis=1)
+            yield from np.stack([words & _LO32, words >> _U32], axis=2).ravel().tolist()
+            b0, n = b0 + n, min(2 * n, _WINDOW)
 
     def integers(self, low: int, high: int) -> int:
         """numpy's Lemire multiply-shift with its rejection threshold; a
@@ -238,39 +241,11 @@ def _products(words, k: int):
         yield (x >> _U32) * kk
 
 
-def walk_steps(seed: int, first: int, trials: int, k: int, length: int) -> np.ndarray:
-    """(trials, length) int64 slot draws; row i is exactly
-    trial_rng(seed, first + i).integers(0, k, size=length)."""
-    blocks = -(-length // 8)
-    prod = np.empty((trials, blocks, 8), dtype=np.uint64)
-    if 1 <= k < 1 << 32:
-        for j, p in enumerate(_products(_philox_words(seed, first, trials, 0, blocks), k)):
-            prod[:, :, j] = p
-        prod = prod.reshape(trials, 8 * blocks)[:, :length]
-        redo = np.flatnonzero((prod & _LO32).min(axis=1, initial=_LO32) < ((1 << 32) - k) % k)
-    else:
-        prod = prod.reshape(trials, 8 * blocks)[:, :length]
-        redo = range(trials)
-    steps = (prod >> _U32).view(np.int64)
-    for i in redo:
-        steps[i] = trial_rng(seed, first + int(i)).integers(0, k, size=length)
-    return steps
-
-
-def _walk(graph: CayleyGraph, i: int, length: int, rng: np.random.Generator) -> int:
-    """The vertex index where random_walk ends, from vertex index i."""
-    if length:
-        table = graph.step_table
-        for j in rng.integers(0, graph.degree, size=length):
-            i = int(table[j, i])
-    return i
-
-
-def random_walk(graph: CayleyGraph, start, length: int, rng: np.random.Generator):
-    """End vertex of a uniform slot-walk of the given length."""
-    if length < 0:
-        raise InputError("walk length must be nonnegative")
-    return graph.vertices[_walk(graph, graph.vertex_index(start), length, rng)]
+def _trial_steps(seed: int, trial: int, k: int, length: int) -> list[int]:
+    """The slot draws of one trial's walk: exactly
+    ``trial_rng(seed, trial).integers(0, k, size=length).tolist()``."""
+    draw = PhiloxGenerator(trial, seed).integers
+    return [draw(0, k) for _ in range(length)]
 
 
 def mixing_length(graph: CayleyGraph, w_size: int) -> int:
@@ -327,40 +302,40 @@ def _endpoints(graph: CayleyGraph, start_idx: int, length: int, trials: int, see
     bounded whatever the trial count and length.  Each draw, pre-scaled by
     the order, moves the n positions with one gather on the flattened step
     table.  The running minimum of each trial's low product words flags its
-    Lemire rejections (none when (2^32 - k) mod k = 0); a flagged trial, and
-    every trial when k is outside [1, 2^32), is redone by _walk."""
+    Lemire rejections (none when (2^32 - k) mod k = 0); a flagged trial is
+    redone from the draws of _trial_steps."""
     pos = np.full(trials, start_idx, dtype=np.int64)
     k = graph.degree
-    if not 1 <= k < 1 << 32:
-        redo = range(trials)
-    else:
-        flat = graph.step_table.ravel()
-        threshold = np.uint64(((1 << 32) - k) % k)
-        blocks = -(-length // 8)
-        n = min(trials, _WINDOW)
-        nb = _WINDOW // n
-        redo = []
-        for lo in range(0, trials, n):
-            m = min(n, trials - lo)
-            at = pos[lo : lo + m]
-            low = np.full(m, _LO32)
-            for b0 in range(0, blocks, nb):
-                left = length - 8 * b0  # draws still to make
-                b1 = min(blocks, b0 + nb)
-                cols = []
-                for j, prod in enumerate(_products(_philox_words(seed, first + lo, m, b0, b1), k)):
-                    if threshold:  # only the draws the walk makes count
-                        used = prod[:, : -(-(left - j) // 8)] & _LO32
-                        np.minimum(low, used.min(axis=1, initial=_LO32), out=low)
-                    cols.append((prod >> _U32).view(np.int64) * graph.order)
-                for b in range(b1 - b0):
-                    for col in cols[: left - 8 * b]:
-                        at = flat[col[:, b] + at]
-                del cols  # free the window before the next one is drawn
-            pos[lo : lo + m] = at
-            redo.extend(lo + np.flatnonzero(low < threshold))
+    flat = graph.step_table.ravel()
+    threshold = np.uint64(((1 << 32) - k) % k)
+    blocks = -(-length // 8)
+    n = min(trials, _WINDOW)
+    nb = _WINDOW // n
+    redo = []
+    for lo in range(0, trials, n):
+        m = min(n, trials - lo)
+        at = pos[lo : lo + m]
+        low = np.full(m, _LO32)
+        for b0 in range(0, blocks, nb):
+            left = length - 8 * b0  # draws still to make
+            b1 = min(blocks, b0 + nb)
+            cols = []
+            for j, prod in enumerate(_products(_philox_words(seed, first + lo, m, b0, b1), k)):
+                if threshold:  # only the draws the walk makes count
+                    used = prod[:, : -(-(left - j) // 8)] & _LO32
+                    np.minimum(low, used.min(axis=1, initial=_LO32), out=low)
+                cols.append((prod >> _U32).view(np.int64) * graph.order)
+            for b in range(b1 - b0):
+                for col in cols[: left - 8 * b]:
+                    at = flat[col[:, b] + at]
+            del cols  # free the window before the next one is drawn
+        pos[lo : lo + m] = at
+        redo.extend(lo + np.flatnonzero(low < threshold))
     for t in redo:
-        pos[t] = _walk(graph, start_idx, length, trial_rng(seed, first + int(t)))
+        i = start_idx
+        for j in _trial_steps(seed, first + int(t), k, length):
+            i = flat[j * graph.order + i]
+        pos[t] = i
     return pos
 
 

@@ -609,13 +609,11 @@ def test_manifest_digests_match_artifacts(tmp_path, capsys):
 
 def test_path_across_components_exits_at_once(capsys, monkeypatch):
     # S_5 generates 7 cosets of 245 classes in Cl(-9999991); the component
-    # check answers before any walk is drawn, from the Philox core or from a
-    # scalar stream
+    # check answers before any walk is drawn from the Philox core
     def no_walks(*args):
         raise AssertionError("a walk was drawn")
 
     monkeypatch.setattr(walks, "_philox_words", no_walks)
-    monkeypatch.setattr(walks, "trial_rng", no_walks)
     start = time.perf_counter()
     rc, out, err = run(capsys, ["path", "-D", "-9999991", "--bound", "5",
                                 "-A", "1:1:2499998", "-B", "500:3:5000"])

@@ -1,3 +1,6 @@
+import json
+import subprocess
+import sys
 from fractions import Fraction
 from math import ceil, log, sqrt
 from statistics import mean, stdev
@@ -23,7 +26,7 @@ from isocayley.pathfind import (
     meet_from_target,
     replay,
 )
-from isocayley.walks import random_walk, trial_rng
+from isocayley.walks import trial_rng
 
 
 def cycle_graph(n, gens=(1,)):
@@ -51,9 +54,8 @@ def test_collect_neighbors_z9():
     assert stats.h == 9
     # each stored trial's walk of ceil(ln 18) = 3 steps ends at its key, and
     # the trials rise in the order the endpoints were found
-    a = g.vertices[0]
     for vertex, t in neighbors.items():
-        assert random_walk(g, a, 3, trial_rng(7, t)) == vertex
+        assert _oracle_walk(g, 0, 7, t, 3)[0] == vertex
     trials = list(neighbors.values())
     assert trials == sorted(set(trials))
     assert trials[-1] == stats.step1_trials - 1
@@ -143,13 +145,12 @@ def test_component_of_matches_union_find():
 
 
 def test_disconnected_pair_fails_before_step_one(monkeypatch):
-    # S = {3, 9} splits Z/12 into the three cosets of <3>: no walk is drawn,
-    # neither from the Philox core nor from a scalar stream
+    # S = {3, 9} splits Z/12 into the three cosets of <3>: no walk is drawn
+    # from the Philox core, which every walk draws from
     def no_walks(*args):
         raise AssertionError("a walk was drawn")
 
     monkeypatch.setattr(walks, "_philox_words", no_walks)
-    monkeypatch.setattr(walks, "trial_rng", no_walks)
     graph = cycle_graph(12, (3,))
     with pytest.raises(TrialCapError, match="B lies outside A's component"):
         find_path(graph, graph.vertices[0], graph.vertices[1], seed=3)
@@ -239,6 +240,76 @@ def test_find_path_matches_the_per_trial_search(graph, a, gap, seed, factor):
 
 def test_trial_cap_is_a_precondition_error():
     assert issubclass(TrialCapError, PreconditionError)
+
+
+def test_an_edgeless_graph_has_no_walks():
+    # Z/12 with no generators: both steps refuse before a walk is drawn
+    g = cycle_graph(12, ())
+    with pytest.raises(PreconditionError, match="edgeless"):
+        collect_neighbors(g, g.vertices[0], seed=1)
+    with pytest.raises(PreconditionError, match="edgeless"):
+        meet_from_target(g, g.vertices[0], {g.vertices[1]: 0}, seed=1)
+
+
+# Runs in a fresh interpreter: walks and a path search on Z/31 with slots
+# +-1, +-5, +-7 (degree 6), where every bulk Philox window spoils the trials
+# 0 mod 3 in every draw.  A spoiled half holds 2^31, whose product with 6
+# has a low word of 0, below numpy's rejection threshold (2^32 - 6) mod 6 =
+# 4, so each such trial is redone one draw at a time.
+_SPOILED_RUN = """
+import json, sys
+import numpy as np
+from isocayley import walks
+from isocayley.abelian import FiniteAbelianGroup, full_subgroup
+from isocayley.cayley import build
+from isocayley.pathfind import find_path
+
+real, real_steps, redone = walks._philox_words, walks._trial_steps, []
+
+def spoiling(seed, first, trials, b0, b1):
+    words = real(seed, first, trials, b0, b1)
+    if sys._getframe(1).f_code.co_name == "_endpoints":  # bulk windows only
+        for x in words:
+            x[(first + np.arange(trials)) % 3 == 0] = np.uint64(0x8000000080000000)
+    return words
+
+def counted(seed, trial, k, length):
+    redone.append(trial)
+    return real_steps(seed, trial, k, length)
+
+walks._philox_words, walks._trial_steps = spoiling, counted
+g = FiniteAbelianGroup((31,))
+graph = build(full_subgroup(g), [(lbl, g.element((x,)))
+                                 for k in (1, 5, 7) for lbl, x in ((str(k), k), (f"-{k}", 31 - k))])
+ends = walks._endpoints(graph, 3, 9, 200, 77).tolist()
+bulk = list(redone)
+cert, stats = find_path(graph, graph.vertices[0], graph.vertices[17], 77)
+print(json.dumps({"ends": ends, "bulk": bulk, "path": redone[len(bulk):],
+                  "steps": [[s.label, s.inverted] for s in cert.steps], "stats": vars(stats),
+                  "numpy.random": "numpy.random" in sys.modules}))
+"""
+
+
+def test_forced_rejections_redraw_without_numpy_random():
+    """Trials whose bulk draws numpy would reject are redone from the
+    in-house Philox core: the end vertices of _endpoints, and both walks
+    that find_path records, equal the trial_rng oracle, and the process
+    never imports numpy.random."""
+    r = subprocess.run([sys.executable, "-c", _SPOILED_RUN], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    got = json.loads(r.stdout)
+    assert got["numpy.random"] is False
+    graph = cycle_graph(31, (1, 5, 7))
+    assert got["bulk"] == list(range(0, 200, 3))
+    assert got["ends"] == [graph.vertex_index(_oracle_walk(graph, 3, 77, t, 9)[0])
+                           for t in range(200)]
+    cert, stats = oracle_find_path(graph, graph.vertices[0], graph.vertices[17], 77,
+                                   pathfind.TRIAL_CAP_FACTOR)
+    assert got["steps"] == [[s.label, s.inverted] for s in cert.steps]
+    assert got["stats"] == vars(stats)
+    # step 1 redid trials 0, 3, 6, ... and step 2 those of its own offset
+    assert got["path"] and all(t % 3 == 0 for t in got["path"])
+    assert any(t >= _STEP2_STREAM_OFFSET for t in got["path"])
 
 
 def test_meet_from_target_walks_ceil_ln_2h():

@@ -1,10 +1,11 @@
+import sys
 import tracemalloc
 from functools import cache
 from math import sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isocayley import walks
@@ -18,11 +19,9 @@ from isocayley.walks import (
     exact_distribution,
     mixing_experiment,
     mixing_length,
-    random_walk,
     report_json,
     theorem_length,
     trial_rng,
-    walk_steps,
     wilson_interval,
 )
 
@@ -35,6 +34,15 @@ def cycle_graph(n):
 
 def triangle():
     return cycle_graph(3)
+
+
+def random_walk(g, start_idx, length, seed, trial):
+    """The numpy oracle: the vertex index where trial's walk from start_idx
+    ends, its slots drawn by trial_rng and folded through the step table."""
+    i = start_idx
+    for j in trial_rng(seed, trial).integers(0, g.degree, size=length):
+        i = int(g.step_table[j, i])
+    return i
 
 
 def test_mixing_length_triangle():
@@ -79,27 +87,29 @@ def test_theorem_length_drops_spectral_factor():
 
 def test_walk_length_zero_is_start():
     tri = triangle()
-    v = tri.vertices[2]
-    assert random_walk(tri, v, 0, trial_rng(1, 0)) == v
+    assert walks._endpoints(tri, 2, 0, 5, 1).tolist() == [2] * 5
+    assert walks._trial_steps(1, 0, tri.degree, 0) == []
 
 
 def test_walk_deterministic_full_trajectory():
+    # a trial's draws repeat, a shorter walk takes the first steps of a
+    # longer one, and the bulk walks end where those steps lead
     g = cycle_graph(13)
-    v = g.vertices[0]
-    ends_a = [random_walk(g, v, n, trial_rng(42, 9)) for n in range(8)]
-    ends_b = [random_walk(g, v, n, trial_rng(42, 9)) for n in range(8)]
-    assert ends_a == ends_b
+    full = walks._trial_steps(42, 9, g.degree, 8)
+    assert [walks._trial_steps(42, 9, g.degree, n) for n in range(9)] == [
+        full[:n] for n in range(9)]
+    ends = [0]
+    for j in full:
+        ends.append(int(g.step_table[j, ends[-1]]))
+    assert [int(walks._endpoints(g, 0, n, 1, 42, 9)[0]) for n in range(9)] == ends
 
 
 def test_single_step_uniform_chi_square():
     tri = triangle()
-    v = tri.vertices[0]
-    counts = {1: 0, 2: 0}
-    for t in range(10**4):
-        end = random_walk(tri, v, 1, trial_rng(13, t))
-        counts[end.coords[0]] += 1
+    counts = np.bincount(walks._endpoints(tri, 0, 1, 10**4, 13), minlength=3)
+    assert counts[0] == 0
     # two equiprobable neighbors; 99% chi-square critical value, 1 dof
-    chi2 = sum((c - 5000) ** 2 / 5000 for c in counts.values())
+    chi2 = sum((c - 5000) ** 2 / 5000 for c in counts[1:])
     assert chi2 < 6.635, counts
 
 
@@ -181,34 +191,43 @@ def test_bulk_endpoints_match_per_trial_streams():
                 for s in steps for sign in "+-"]
         g = build(full_subgroup(z12), gens)  # degree 2, 4 and 6
         for seed, length in ((0, 1), (2**64 - 1, 7), (987654321, 30)):
-            want = []
-            for t in range(200):
-                i = 3
-                for j in trial_rng(seed, t).integers(0, g.degree, size=length):
-                    i = int(g.step_table[j, i])
-                want.append(i)
+            want = [random_walk(g, 3, length, seed, t) for t in range(200)]
             assert walks._endpoints(g, 3, length, 200, seed).tolist() == want
-
-
-def _scalar_steps(seed, first, trials, k, length):
-    return [trial_rng(seed, first + t).integers(0, k, size=length).tolist()
-            for t in range(trials)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**63, 2**64 - 1),
                    st.just(2**64 - 1)),
-    first=st.one_of(st.integers(0, 2**20),
+    trial=st.one_of(st.integers(0, 2**20),
                     st.integers(_STEP2_STREAM_OFFSET, _STEP2_STREAM_OFFSET + 2**20)),
-    k=st.sampled_from([1, 2, 3, 6, 16, 2**32 - 1]),
-    length=st.integers(0, 70),
-    trials=st.integers(1, 12),
+    k=st.sampled_from([1, 2, 3, 5, 6, 16, 3 * 2**30, 2**32 - 1, 2**32]),
+    length=st.integers(0, 400),
+    window=st.sampled_from([4, 16, walks._WINDOW]),
 )
-def test_walk_steps_match_trial_rng(seed, first, k, length, trials):
-    got = walk_steps(seed, first, trials, k, length)
-    assert got.dtype == np.int64 and got.shape == (trials, length)
-    assert got.tolist() == _scalar_steps(seed, first, trials, k, length)
+@example(seed=2**63 + 12345, trial=_STEP2_STREAM_OFFSET, k=3 * 2**30, length=9, window=4)
+@example(seed=2**63 + 12345, trial=_STEP2_STREAM_OFFSET, k=2**32, length=9, window=4)
+@example(seed=5, trial=17, k=3 * 2**30, length=2 * 10**5, window=walks._WINDOW)
+def test_trial_steps_match_trial_rng(seed, trial, k, length, window):
+    """One trial's draws, one integers() call at a time from the Philox
+    core, are numpy's integers(0, k, size=length) on its stream.  At
+    k = 3 * 2^30 numpy rejects a quarter of the 32-bit draws, so the
+    trials that _endpoints redoes are common here; k = 2^32 takes every
+    draw whole.  Fetches of 4 blocks doubling up to the window, here as
+    small as 4 blocks, change no draw; the long example reaches a third
+    fetch of a full 2^13-block window."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walks, "_WINDOW", window)
+        got = walks._trial_steps(seed, trial, k, length)
+    assert got == trial_rng(seed, trial).integers(0, k, size=length).tolist()
+
+
+@pytest.mark.parametrize("k", [0, 2**32 + 1, 2**40])
+def test_trial_steps_need_one_to_2_32_slots(k):
+    # no graph reaches these: collect_neighbors and meet_from_target reject
+    # an edgeless graph, and cayley.MAX_SLOTS keeps k far below 2^32
+    with pytest.raises(InputError):
+        walks._trial_steps(1, 0, k, 1)
 
 
 _DRAW = st.one_of(
@@ -224,7 +243,8 @@ def test_philox_generator_matches_numpy(seed, draws):
     """PhiloxGenerator(seed) gives the draws of numpy's
     Generator(Philox(seed)), in any mix of integers() over 1 to 2^32 values
     (ranges near 2^32 reject up to half their draws) and two-value choice()."""
-    ours, ref = PhiloxGenerator(seed), np.random.Generator(np.random.Philox(seed))
+    ours = PhiloxGenerator(*walks._seed_key(seed))
+    ref = np.random.Generator(np.random.Philox(seed))
     for draw in draws:
         if draw[0] == "choice":
             want = ref.choice(draw[1], size=2, replace=False).tolist()
@@ -232,27 +252,6 @@ def test_philox_generator_matches_numpy(seed, draws):
         else:
             low, k = draw[1], draw[2]
             assert ours.integers(low, low + k) == int(ref.integers(low, low + k))
-
-
-@pytest.mark.parametrize("k", [3 * 2**30, 2**32, 2**40])
-def test_walk_steps_fall_back_to_the_scalar_stream(monkeypatch, k):
-    # at k = 3 * 2^30 numpy rejects a quarter of the 32-bit draws; k >= 2^32
-    # is not drawn from 32-bit halves at all
-    calls = []
-
-    def counted(seed, trial):
-        calls.append(trial)
-        return trial_rng(seed, trial)
-
-    monkeypatch.setattr(walks, "trial_rng", counted)
-    seed, first, trials, length = 2**63 + 12345, _STEP2_STREAM_OFFSET, 40, 9
-    got = walk_steps(seed, first, trials, k, length).tolist()
-    redrawn = len(calls)
-    assert got == _scalar_steps(seed, first, trials, k, length)
-    if k < 2**32:
-        assert 0 < redrawn < trials  # both paths ran
-    else:
-        assert redrawn == trials
 
 
 # a spoiled half holds 2^31: at k = 6 its draw is slot 3 with a low product
@@ -266,23 +265,32 @@ def _spoil(x, i, b, half):
     x[i, b] = x[i, b] & _HALF[1 - half] | _SPOILED & _HALF[half]
 
 
+def _bulk_call():
+    """True inside _endpoints' own _philox_words calls, the bulk windows;
+    a redone trial draws through PhiloxGenerator and must stay unspoiled,
+    or it would reject forever."""
+    return sys._getframe(2).f_code.co_name == "_endpoints"
+
+
 @pytest.mark.parametrize("forced", [False, True])
 def test_endpoints_across_chunks_match_random_walk(monkeypatch, forced):
-    # forced: trials 0 mod 5 are spoiled in every draw, and trials 2 mod 5 in
-    # the one draw (t // 5) mod length; both must be redone by random_walk,
-    # each on the stream of its own trial index.  Trials 1 mod 5 are spoiled
-    # only in draws 5..7 of their last block, which the walks below never
-    # make, and must not be redone.
+    # forced: trials 0 mod 5 are spoiled in every bulk draw, and trials
+    # 2 mod 5 in the one draw (t // 5) mod length; both must be redone by
+    # _trial_steps, each on the stream of its own trial index.  Trials
+    # 1 mod 5 are spoiled only in draws 5..7 of their last block, which the
+    # walks below never make, and must not be redone.
     z12 = FiniteAbelianGroup((12,))
     g = build(full_subgroup(z12), [(f"{s}", z12.element((s,))) for s in (1, 11, 5, 7, 2, 10)])
     assert g.degree == 6
     redrawn = []
     length = None
     if forced:
-        real = walks._philox_words
+        real, real_steps = walks._philox_words, walks._trial_steps
 
         def spoiling(seed, t0, trials, b0, b1):
             words = real(seed, t0, trials, b0, b1)
+            if not _bulk_call():
+                return words
             t = t0 + np.arange(trials)
             for x in words:
                 x[t % 5 == 0] = _SPOILED
@@ -296,12 +304,12 @@ def test_endpoints_across_chunks_match_random_walk(monkeypatch, forced):
                     words[3][i, -1] = _SPOILED
             return words
 
-        def counted(seed, trial):
+        def counted(seed, trial, k, length):
             redrawn.append(trial)
-            return trial_rng(seed, trial)
+            return real_steps(seed, trial, k, length)
 
         monkeypatch.setattr(walks, "_philox_words", spoiling)
-        monkeypatch.setattr(walks, "trial_rng", counted)
+        monkeypatch.setattr(walks, "_trial_steps", counted)
     window = walks._WINDOW
     # two full chunks of trials and a partial one, one block per window; and
     # fewer trials than the window, eight blocks per window.  Each walk
@@ -310,9 +318,8 @@ def test_endpoints_across_chunks_match_random_walk(monkeypatch, forced):
     for first in (0, _STEP2_STREAM_OFFSET + 3):
         for trials, length in ((2 * window + 17, 3 * 8 + 5), (window // 8 - 3, 2 * 64 + 13)):
             assert length % 8 == 5
-            start = g.vertices[3]
             ts = range(first, first + trials)
-            want = [g.vertex_index(random_walk(g, start, length, trial_rng(77, t))) for t in ts]
+            want = [random_walk(g, 3, length, 77, t) for t in ts]
             redrawn.clear()
             assert walks._endpoints(g, 3, length, trials, 77, first).tolist() == want
             assert redrawn == ([t for t in ts if t % 5 in (0, 2)] if forced else [])
@@ -354,9 +361,7 @@ def test_endpoints_match_random_walk_across_small_windows(k, trials, length, see
     # as those of both path-search steps do
     g = _graph_of_degree(k)
     start %= g.order
-    v = g.vertices[start]
-    want = [g.vertex_index(random_walk(g, v, length, trial_rng(seed, first + t)))
-            for t in range(trials)]
+    want = [random_walk(g, start, length, seed, first + t) for t in range(trials)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(walks, "_WINDOW", 16)
         assert walks._endpoints(g, start, length, trials, seed, first).tolist() == want
