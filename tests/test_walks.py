@@ -2,6 +2,7 @@ import sys
 import tracemalloc
 from functools import cache
 from math import sqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -208,7 +209,7 @@ def test_bulk_endpoints_match_per_trial_streams():
 @example(seed=2**63 + 12345, trial=_STEP2_STREAM_OFFSET, k=3 * 2**30, length=9, window=4)
 @example(seed=2**63 + 12345, trial=_STEP2_STREAM_OFFSET, k=2**32, length=9, window=4)
 @example(seed=5, trial=17, k=3 * 2**30, length=2 * 10**5, window=walks._WINDOW)
-def test_trial_steps_match_trial_rng(seed, trial, k, length, window):
+def test_walk_steps_match_trial_rng(seed, trial, k, length, window):
     """One trial's draws, one integers() call at a time from the Philox
     core, are numpy's integers(0, k, size=length) on its stream.  At
     k = 3 * 2^30 numpy rejects a quarter of the 32-bit draws, so the
@@ -220,6 +221,48 @@ def test_trial_steps_match_trial_rng(seed, trial, k, length, window):
         mp.setattr(walks, "_WINDOW", window)
         got = walks._trial_steps(seed, trial, k, length)
     assert got == trial_rng(seed, trial).integers(0, k, size=length).tolist()
+
+
+class _FoldTable:
+    """A stand-in step table for graphs of up to 2^32 slots, too many to
+    build: with order 1, the walk moves from i by slot j to
+    (i + j) * 1000003 mod (2^31 - 1), so the end vertex folds every draw in
+    order."""
+
+    def ravel(self):
+        return self
+
+    def __getitem__(self, x):
+        return (x * 1000003) % (2**31 - 1)
+
+
+@pytest.mark.parametrize("k", [3 * 2**30, 2**32])
+def test_walk_steps_fall_back_to_the_scalar_stream(monkeypatch, k):
+    # at k = 3 * 2^30 numpy rejects a quarter of the 32-bit draws, so some
+    # trials of _endpoints are flagged and redone by _trial_steps; at
+    # k = 2^32 the threshold (2^32 - k) mod k is 0 and every draw is whole
+    calls = []
+    real_steps = walks._trial_steps
+
+    def counted(seed, trial, k, length):
+        calls.append(trial)
+        return real_steps(seed, trial, k, length)
+
+    monkeypatch.setattr(walks, "_trial_steps", counted)
+    table = _FoldTable()
+    graph = SimpleNamespace(degree=k, order=1, step_table=table)
+    seed, first, trials, length = 2**63 + 12345, _STEP2_STREAM_OFFSET, 40, 9
+    want = []
+    for t in range(first, first + trials):
+        i = 0
+        for j in trial_rng(seed, t).integers(0, k, size=length).tolist():
+            i = table[j + i]
+        want.append(i)
+    assert walks._endpoints(graph, 0, length, trials, seed, first).tolist() == want
+    if k < 2**32:
+        assert 0 < len(calls) < trials  # both paths ran
+    else:
+        assert calls == []
 
 
 @pytest.mark.parametrize("k", [0, 2**32 + 1, 2**40])
