@@ -17,13 +17,15 @@ rows' hole texts, interleaved by slice assignment.  ``dot_pieces`` fills
 the vertex lines and each generator slot's edge lines that way, and
 ``to_json_adjacency`` hands out an :class:`AdjacencyRows` view whose flat
 blocks of targets ``cli`` fills the same way.  The hole texts of vertex
-indices come from one object array of their decimal strings, built once
-per artifact.  A block holds about ``_BLOCK_ENTRIES`` step-table entries, so no
-per-edge Python object is built at the cap and no piece of an artifact
-grows with the graph; ``cli`` streams the pieces to their files.
+indices come from one object array of their decimal strings, which the
+artifacts of one graph share.  A block holds about ``_BLOCK_ENTRIES``
+step-table entries, so no per-edge Python object is built at the cap and
+no piece of an artifact grows with the graph; ``cli`` streams the pieces
+to their files.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from cmath import exp as _cexp
@@ -499,11 +501,16 @@ def fill_rows(glue: Sequence[str], sep: str, holes: list[str], rows: int) -> str
     return "".join(parts)
 
 
+@functools.lru_cache(maxsize=1)
 def decimal_strings(n: int) -> np.ndarray:
     """The decimal strings of 0 .. n - 1 as an object array: a fancy index
     by an array of vertex indices, then ``tolist``, spells them as hole
-    texts for :func:`fill_rows` without a Python call per index."""
-    return np.array(list(map(str, range(n))), dtype=object)
+    texts for :func:`fill_rows` without a Python call per index.  The last
+    array built is kept, read-only, so the DOT and JSON artifacts of one
+    graph share it."""
+    digits = np.array(list(map(str, range(n))), dtype=object)
+    digits.flags.writeable = False
+    return digits
 
 
 def dot_pieces(graph: StepGraph, title: str = "cayley") -> Iterator[str]:

@@ -28,8 +28,16 @@ from .errors import InputError, InternalConsistencyError, PreconditionError
 __all__ = ["main", "schema_for", "ARTIFACT_SCHEMAS"]
 
 _encode_str = json.encoder.encode_basestring_ascii
+
+
+class _Hole:
+    """A leaf's place in a template row, which ``_write`` writes as NUL: the
+    stdlib escapes every control character, so NUL marks the holes alone."""
+
+
+_HOLE = _Hole()
 # what _pieces lays out itself; every other value is a leaf for the stdlib
-_NESTED = (dict, list, tuple, cayley.AdjacencyRows)
+_NESTED = (dict, list, tuple, cayley.AdjacencyRows, _Hole)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -132,6 +140,9 @@ def _write(obj, nl: str, out: list) -> None:
     if isinstance(obj, cayley.AdjacencyRows):
         out.append(_adjacency_pieces(obj, nl))
         return
+    if obj is _HOLE:
+        out.append("\0")
+        return
     if not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
         return
@@ -158,22 +169,16 @@ def _write(obj, nl: str, out: list) -> None:
 def _adjacency_pieces(rows: cayley.AdjacencyRows, nl: str) -> Iterator[str]:
     """The JSON list of an adjacency view's rows, one piece per block of rows.
 
-    One row glue serves every row: each label JSON-encoded once, the indent
-    taken from the view's depth.  :func:`cayley.fill_rows` fills it with the
-    targets of each block from ``AdjacencyRows.blocks``, spelled by one
-    index into :func:`cayley.decimal_strings`, built once and freed with
-    this generator."""
+    One row glue serves every row, the :func:`_glue` of a row of holes and
+    labels.  :func:`cayley.fill_rows` fills it with the targets of each
+    block from ``AdjacencyRows.blocks``, spelled by one index into
+    :func:`cayley.decimal_strings`."""
     n = len(rows)
     if not n:
         yield "[]"
         return
     inner = nl + "  "
-    pair_nl = inner + "  "
-    leaf_nl = pair_nl + "  "
-    opening = "[" + leaf_nl
-    closings = ["," + leaf_nl + _encode_str(label) + pair_nl + "]" for label in rows.labels]
-    glue = ["[" + pair_nl + opening, *[c + "," + pair_nl + opening for c in closings[:-1]],
-            closings[-1] + inner + "]"] if closings else ["[]"]
+    glue = _glue([[_HOLE, label] for label in rows.labels], inner)
     digits = cayley.decimal_strings(n)
     sep = "[" + inner
     for block in rows.blocks():
@@ -192,8 +197,8 @@ def _write_rows(rows, nl: str, out: list) -> bool:
     The rows are read column by column, one comprehension per key, and the
     leaves of every column are encoded by one ``json.dumps`` call.  Each run
     of rows of one shape is one :func:`cayley.fill_rows` call on that
-    shape's :func:`_row_glue`, with the column texts interleaved into row
-    order by slice assignment."""
+    shape's :func:`_glue`, with the column texts interleaved into row order
+    by slice assignment."""
     if set(map(type, rows)) != {dict}:
         return False
     first = rows[0].keys()
@@ -219,7 +224,8 @@ def _write_rows(rows, nl: str, out: list) -> bool:
     for shape, run in itertools.groupby(zip(*widths) if keys else [()] * len(rows)):
         count = sum(1 for _ in run)
         if shape not in glues:
-            glues[shape] = _row_glue(keys, shape, inner)
+            template = {key: _HOLE if w < 0 else [_HOLE] * w for key, w in zip(keys, shape)}
+            glues[shape] = _glue(template, inner)
         units = [1 if w < 0 else w for w in shape]
         width = sum(units)
         holes = [""] * (width * count)
@@ -235,26 +241,13 @@ def _write_rows(rows, nl: str, out: list) -> bool:
     return True
 
 
-def _row_glue(keys: list, shape: tuple[int, ...], nl: str) -> list[str]:
-    """The text of a flat dict of this shape around its leaves, as
-    :func:`_write` lays it out on a line that starts with ``nl``: one more
-    entry than the row has leaves."""
-    if not keys:
-        return ["{}"]
-    inner = nl + "  "
-    item = "," + inner + "  "
-    glue = ["{" + inner]
-    for i, (key, width) in enumerate(zip(keys, shape)):
-        glue[-1] += ("," + inner if i else "") + _key(key) + ": "
-        if width < 0:
-            glue.append("")
-        elif not width:
-            glue[-1] += "[]"
-        else:
-            glue[-1] += "[" + inner + "  "
-            glue += [item] * (width - 1) + [inner + "]"]
-    glue[-1] += nl + "}"
-    return glue
+def _glue(template, nl: str) -> list[str]:
+    """The text of a template row around its holes, as :func:`_write` lays
+    it out on a line that starts with ``nl``: one more entry than the row
+    has holes."""
+    out: list = []
+    _write(template, nl, out)
+    return "".join(out).split("\0")
 
 
 def _digest(text: str) -> str:

@@ -232,14 +232,15 @@ def _class_scan(p: int, t: int, disc: int, reached=()):
 
 
 def _checked_class(p: int, t: int) -> tuple[int, int]:
-    """(D, h(D)) for the trace-t class over F_p, once p and t are checked."""
-    from .quadform import class_group
+    """(D, h(D)) for the trace-t class over F_p, once p and t are checked.
+    h(D) is counted without Cl(D)'s structure walk."""
+    from .quadform import class_number
 
     _check_field(p)
     if p < 5:
         raise InputError("isogeny classes need p >= 5")
     disc = _frobenius_disc(p, t)
-    return disc, class_group(disc).order
+    return disc, class_number(disc)
 
 
 def enumerate_isogeny_class(p: int, t: int) -> list[int]:
@@ -345,8 +346,9 @@ def _psi_kernel_search(curves, ell: int, eigenvalues) -> list[list[IsogenyEdge]]
     searched at once: the division polynomials, psi_ell, its reduction
     tables, x^p and the conditions below are stacked arrays with one row
     per curve.  The x-conditions of every lam are built first, and their
-    gcds with psi_ell run as one ``fp.stack_gcd``; the y-condition gcd and
-    Velu run per curve.
+    gcds with psi_ell run as one ``fp.stack_gcd``; the y-condition gcds of
+    every (lam, curve) pair that needs one run as a second lockstep, and
+    Velu runs per curve.
 
     The kernel is E[ell] meet ker(pi - lam), and pi(P) = (x^p, y^p) with
     y^p = y * f^((p-1)/2) for f = x^3 + ax + b.  For m = min(lam, ell - lam),
@@ -381,8 +383,8 @@ def _psi_kernel_search(curves, ell: int, eigenvalues) -> list[list[IsogenyEdge]]
     xs = np.tile(fp.X, (len(curves), 1))
     x_shift = fp.stack_sub(xs, fp.poly_powmod(xs, p, psi, p, rows), p)  # x - x^p
     frob_y = None  # y^p / y, built on first need
-    x_conds, y_conds = [], []
-    for lam in eigenvalues:
+    x_conds, y_conds = [], {}  # y_conds[k]: the y-condition of eigenvalues[k], if needed
+    for k, lam in enumerate(eigenvalues):
         m = min(lam, ell - lam)
         num, den = mul(w[m - 1], w[m + 1]), mul(w[m], w[m])
         if m % 2:
@@ -392,21 +394,26 @@ def _psi_kernel_search(curves, ell: int, eigenvalues) -> list[list[IsogenyEdge]]
         x_cond = fp.stack_sub(mul(x_shift, den), num, p)
         # a residue mod psi_ell, narrower than deg psi_ell when x^p is (p < deg psi_ell)
         x_conds.append(fp._widen(x_cond, psi.shape[1] - 1))
-        y_cond = None
         if (lam * lam + t * lam + p) % ell == 0:  # -lam is an eigenvalue as well
             if frob_y is None:
                 frob_y = fp.poly_powmod(f, (p - 1) // 2, psi, p, rows)
             sign = 1 if lam == m else -1
-            y_cond = fp.stack_sub(2 * mul(frob_y, mul(den, den)), sign * w[2 * m], p)
-        y_conds.append(y_cond)
+            y_conds[k] = fp.stack_sub(2 * mul(frob_y, mul(den, den)), sign * w[2 * m], p)
     # one lockstep Euclid of psi_ell against the x-condition of every (lam, curve)
-    x_gcds = fp.stack_gcd(np.tile(psi, (len(x_conds), 1)), np.concatenate(x_conds), p)
+    kernels = fp.stack_gcd(np.tile(psi, (len(x_conds), 1)), np.concatenate(x_conds), p)
+    # and one more of each x-kernel against its y-condition, where it has one
+    cut = [k * len(curves) + i for k in y_conds for i in range(len(curves))]
+    if cut:
+        x_width = max(len(kernels[j]) for j in cut)
+        y_width = max(y.shape[1] for y in y_conds.values())
+        x_kernels = np.array([fp._pad(kernels[j], x_width) for j in cut])
+        y_stack = np.concatenate([fp._widen(y, y_width) for y in y_conds.values()])
+        for j, kernel in zip(cut, fp.stack_gcd(x_kernels, y_stack, p)):
+            kernels[j] = kernel
     found = [[] for _ in curves]
-    for k, (lam, y_cond) in enumerate(zip(eigenvalues, y_conds)):
+    for k, lam in enumerate(eigenvalues):
         for i, c in enumerate(curves):
-            kernel = x_gcds[k * len(curves) + i]
-            if y_cond is not None:
-                kernel = fp.poly_gcd(kernel, y_cond[i], p)
+            kernel = kernels[k * len(curves) + i]
             if fp.degree(kernel) == 0:
                 continue  # lam is not an eigenvalue of Frobenius on E[ell]
             if fp.degree(kernel) != d:

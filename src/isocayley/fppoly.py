@@ -7,7 +7,10 @@ n are one (k, n) array, and ``_reduction_rows`` builds the moduli's
 reduction tables at once, which ``poly_mulmod`` and ``poly_powmod`` share.
 Products are row-wise convolutions (``stack_mul``); each reduction is one
 stacked product against the tables.  A single polynomial is a stack of
-one.  The isogeny-kernel search needs no factoring; the partial factoring
+one.  ``stack_gcd`` is the one gcd: it runs Euclid on every row pair of a
+stack in lockstep, rows regrouped by degree as their remainders drop, and
+the kernel search's x- and y-condition gcds and the factoring routines all
+call it.  The isogeny-kernel search needs no factoring; the partial factoring
 routines below (distinct-degree, seeded equal-degree, and their
 combination) are kept only while ``bench/tracer.py`` names them.
 """
@@ -32,7 +35,6 @@ __all__ = [
     "make_monic",
     "poly_divmod",
     "poly_mod",
-    "poly_gcd",
     "stack_gcd",
     "poly_mulmod",
     "poly_powmod",
@@ -119,38 +121,6 @@ def poly_mod(u, g, p):
     return poly_divmod(u, g, p)[1]
 
 
-def _int_coeffs(u, p) -> list[int]:
-    out = [int(c) % p for c in u]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def poly_gcd(u, v, p):
-    """Monic gcd by one Euclid loop over Python-int coefficient lists.
-
-    Most remainder steps of the kernel search have a quotient of one or two
-    terms, so per-step numpy overhead would dominate; here a step costs
-    one pass over the divisor's coefficients per quotient term.
-    """
-    a, b = _int_coeffs(u, p), _int_coeffs(v, p)
-    while b:
-        inv_lead = pow(b[-1], -1, p)
-        db = len(b) - 1
-        low = b[:db]
-        while len(a) > db:
-            c = a.pop() * inv_lead % p
-            shift = len(a) - db
-            a[shift:] = [(x - c * y) % p for x, y in zip(a[shift:], low)]
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    if not a:
-        return _ZERO
-    inv_lead = pow(a[-1], -1, p)
-    return np.array([c * inv_lead % p for c in a], dtype=np.int64)
-
-
 def _row_degrees(a) -> np.ndarray:
     """Degree of each row of a stack, -1 for a zero row."""
     if not a.shape[1]:
@@ -160,48 +130,60 @@ def _row_degrees(a) -> np.ndarray:
 
 
 def stack_gcd(u, v, p) -> list[np.ndarray]:
-    """``poly_gcd(u[i], v[i], p)`` for every row pair of two stacks.
+    """The monic gcd of every row pair of two stacks, zero for two zero rows.
 
-    Rows that share (deg u, deg v) run Euclid in lockstep as one (rows, n)
-    array, by pseudo-remainders: each elimination multiplies the dividend
-    by the divisor's leading coefficient instead of inverting it, and
-    reduces mod p, so every entry stays below p^2 in absolute value and the
-    int64 arithmetic is exact.  The remainders differ from Euclid's by
-    nonzero scalars only, so each row is made monic once, at the end.  A row
-    leaves the lockstep when its remainder vanishes (its gcd is the
-    divisor) or drops more than one degree (it finishes on ``poly_gcd``).
+    Euclid runs on every row in lockstep, by pseudo-remainders: each
+    elimination multiplies the dividend by the divisor's leading coefficient
+    instead of inverting it, and reduces mod p, so every entry stays below
+    p^2 in absolute value and the int64 arithmetic is exact.  The rows are
+    grouped by their pair (deg a, deg b), and a group takes one remainder
+    step as one (rows, n) array.  A row whose remainder drops more than one
+    degree joins the rows with its new pair; groups are taken by decreasing
+    pair, so every row that reaches a pair is there when its group steps.
+    The remainders differ from Euclid's by nonzero scalars only, so a row is
+    made monic once, when its divisor is zero: its gcd is the dividend.
     """
     width = max(u.shape[1], v.shape[1])
     u, v = _widen(u, width) % p, _widen(v, width) % p
     du, dv = _row_degrees(u), _row_degrees(v)
     swap = (du < dv)[:, None]
-    top, bottom = np.where(swap, v, u), np.where(swap, u, v)
-    d_top, d_bottom = np.maximum(du, dv), np.minimum(du, dv)
+    groups: dict = {}  # (deg a, deg b) -> pieces (rows, a, b) of that pair
+
+    def join(rows, a, b, da, db):
+        for key in set(zip(da.tolist(), db.tolist())):
+            sel = (da == key[0]) & (db == key[1])
+            groups.setdefault(key, []).append((rows[sel], a[sel, : key[0] + 1], b[sel, : key[1] + 1]))
+
+    join(np.arange(len(u)), np.where(swap, v, u), np.where(swap, u, v),
+         np.maximum(du, dv), np.minimum(du, dv))
     out: list = [None] * len(u)
-    for i in np.flatnonzero(d_bottom < 0):
-        out[i] = poly_gcd(top[i], bottom[i], p)
-    for da, db in set(zip(d_top.tolist(), d_bottom.tolist())):
+    while groups:
+        _, db = key = max(groups)
+        pieces = groups.pop(key)
+        rows, a, b = pieces[0] if len(pieces) == 1 else map(np.concatenate, zip(*pieces))
         if db < 0:
+            for row, g in zip(rows.tolist(), a):
+                out[row] = make_monic(g, p)
             continue
-        rows = np.flatnonzero((d_top == da) & (d_bottom == db))
-        a, b = top[rows, : da + 1], bottom[rows, : db + 1]
-        while len(rows):
-            lead = b[:, -1:]
-            for i in range(da, db - 1, -1):  # a <- lead * a - a_i x^(i - db) b
-                c = a[:, i : i + 1]
-                a = a[:, :i] * lead
-                a[:, i - db :] -= c * b[:, :db]
-                a %= p
-            # a is the remainder, of width db; a row stays while its degree is db - 1
-            stay = a[:, -1] != 0 if db else np.zeros(len(rows), dtype=bool)
-            if not stay.all():
-                leave = np.flatnonzero(~stay)
-                for k, dr in zip(leave, _row_degrees(a[leave])):
-                    out[rows[k]] = make_monic(b[k], p) if dr < 0 else poly_gcd(b[k], a[k], p)
-                rows, a, b = rows[stay], a[stay], b[stay]
-            a, b = b, a
-            da, db = db, db - 1
+        a = _pseudo_remainders(a, b, p)  # of width db: (b, a) is the next pair
+        if db and a[:, -1].all():  # no remainder dropped more than one degree
+            groups.setdefault((db, db - 1), []).append((rows, b, a))
+        else:
+            join(rows, b, a, np.full(len(rows), db), _row_degrees(a))
     return out
+
+
+def _pseudo_remainders(a, b, p):
+    """Row-wise lead(b)^(deg a - deg b + 1) * a mod b, reduced mod p, for
+    stacks of the exact widths deg a + 1 and deg b + 1; the result has
+    width deg b."""
+    db, lead = b.shape[1] - 1, b[:, -1:]
+    for i in range(a.shape[1] - 1, db - 1, -1):  # a <- lead * a - a_i x^(i - db) b
+        c = a[:, i : i + 1]
+        a = a[:, :i] * lead
+        a[:, i - db :] -= c * b[:, :db]
+        a %= p
+    return a
 
 
 def stack_mul(u, v, p):
@@ -336,7 +318,7 @@ def distinct_degree_split(f, p, max_degree):
         if degree(remaining) <= 0:
             break
         r = trim(poly_powmod(r[None], p, f, p, rows)[0])
-        block = poly_gcd(poly_sub(r, X, p), remaining, p)
+        block = stack_gcd(poly_sub(r, X, p)[None], remaining[None], p)[0]
         if degree(block) > 0:
             blocks.append((d, block))
             remaining = poly_divmod(remaining, block, p)[0]
@@ -358,7 +340,7 @@ def equal_degree_factors(f, p, d, rng):
         if degree(r) < 1:
             continue
         s = poly_sub(poly_powmod(r[None], exp, f[None], p, rows)[0], ONE, p)
-        g = poly_gcd(s, f, p)
+        g = stack_gcd(s[None], f[None], p)[0]
         if 0 < degree(g) < n:
             left = equal_degree_factors(g, p, d, rng)
             right = equal_degree_factors(poly_divmod(f, g, p)[0], p, d, rng)

@@ -18,6 +18,17 @@ def to_sympy(u, p):
     return sympy.Poly(list(reversed([int(c) for c in u])) or [0], x, modulus=p)
 
 
+def sympy_gcd(u, v, p) -> list[int]:
+    """The monic gcd of u and v by sympy, [] when both are zero."""
+    theirs = sympy.gcd(to_sympy(u, p), to_sympy(v, p))
+    return [] if theirs.is_zero else [c % p for c in reversed(theirs.monic().all_coeffs())]
+
+
+def gcd(u, v, p):
+    """stack_gcd of one pair, as a stack of one."""
+    return fp.stack_gcd(u[None], v[None], p)[0]
+
+
 coeff_lists = st.lists(st.integers(min_value=0, max_value=200), min_size=0, max_size=9)
 
 
@@ -39,13 +50,7 @@ def test_divmod_round_trip(u_c, v_c, p):
 @settings(max_examples=100, deadline=None)
 def test_gcd_matches_sympy(u_c, v_c, p):
     u, v = fp.poly(u_c, p), fp.poly(v_c, p)
-    ours = fp.poly_gcd(u, v, p)
-    theirs = sympy.gcd(to_sympy(u, p), to_sympy(v, p))
-    if theirs.is_zero:
-        assert len(ours) == 0
-    else:
-        want = [c % p for c in reversed(theirs.monic().all_coeffs())]
-        assert [int(c) for c in ours] == want
+    assert gcd(u, v, p).tolist() == sympy_gcd(u, v, p)
 
 
 @pytest.mark.parametrize(
@@ -63,11 +68,9 @@ def test_gcd_matches_sympy(u_c, v_c, p):
 )
 def test_gcd_pinned_cases_match_sympy(u_c, v_c, p):
     u, v = fp.poly(u_c, p), fp.poly(v_c, p)
-    theirs = sympy.gcd(to_sympy(u, p), to_sympy(v, p))
-    want = [] if theirs.is_zero else [c % p for c in reversed(theirs.monic().all_coeffs())]
-    got = fp.poly_gcd(u, v, p)
+    got = gcd(u, v, p)
     assert got.dtype == np.int64
-    assert [int(c) for c in got] == want
+    assert got.tolist() == sympy_gcd(u, v, p)
 
 
 def powmod(u, e, g, p):
@@ -174,7 +177,7 @@ def test_factorization_deterministic_and_complete():
         p = int(rng.choice([5, 7, 11, 31]))
         coeffs = [int(c) for c in rng.integers(0, p, size=6)] + [1]
         f = fp.poly(coeffs, p)
-        if fp.degree(fp.poly_gcd(f, fp.poly_deriv(f, p), p)) > 0:
+        if fp.degree(gcd(f, fp.poly_deriv(f, p), p)) > 0:
             continue  # squarefree inputs only
         first = fp.low_degree_factors(f, p, 6, seed=done)
         again = fp.low_degree_factors(f, p, 6, seed=done)
@@ -223,17 +226,30 @@ def test_stack_gcd_matches_poly_gcd(case):
     got = fp.stack_gcd(u, v, p)
     assert len(got) == len(u)
     for i in range(len(u)):
-        want = fp.poly_gcd(u[i], v[i], p)
         assert got[i].dtype == np.int64
-        assert got[i].tolist() == want.tolist(), (p, u[i].tolist(), v[i].tolist())
+        assert got[i].tolist() == sympy_gcd(u[i], v[i], p), (p, u[i].tolist(), v[i].tolist())
 
 
-def test_stack_gcd_rows_leave_the_lockstep(monkeypatch):
+@pytest.fixture
+def steps(monkeypatch):
+    """(rows, deg a, deg b) of every group step ``stack_gcd`` takes, in order."""
+    seen = []
+    step = fp._pseudo_remainders
+
+    def spy(a, b, p):
+        seen.append((len(a), a.shape[1] - 1, b.shape[1] - 1))
+        return step(a, b, p)
+
+    monkeypatch.setattr(fp, "_pseudo_remainders", spy)
+    return seen
+
+
+def test_stack_gcd_rows_leave_the_lockstep(steps):
     """Four rows of one (deg 4, deg 3) group at p = 9973.  Row 0 stays in
     lockstep down to gcd 1 and row 1 down to its shared factor x^2 + 1;
     row 2's remainder vanishes at once, so its gcd is the divisor made
     monic; row 3's first remainder x + 1 drops two degrees, so that row
-    alone finishes on poly_gcd."""
+    leaves the group, steps alone at (3, 1), and rejoins row 0 at (1, 0)."""
     p = 9973
 
     def mul(*factors):
@@ -245,11 +261,30 @@ def test_stack_gcd_rows_leave_the_lockstep(monkeypatch):
     u = [[2, 0, 0, 0, 1], mul([1, 0, 1], [3, 0, 1]), mul([0, 2, 0, 4], [1, 1]), [1, 1, 0, 0, 1]]
     v = [[1, 1, 0, 1], mul([1, 0, 1], [5, 1]), [0, 2, 0, 4], [0, 0, 0, 1]]
     u, v = np.array([fp._pad(np.array(r), 5) for r in u]), np.array(v)
-    gcd = fp.poly_gcd
-    want = [gcd(a, b, p).tolist() for a, b in zip(u, v)]
-    finished = []
-    monkeypatch.setattr(fp, "poly_gcd", lambda a, b, q: finished.append(fp.trim(b).tolist()) or gcd(a, b, q))
+    want = [sympy_gcd(a, b, p) for a, b in zip(u, v)]
     assert [g.tolist() for g in fp.stack_gcd(u, v, p)] == want
-    assert finished == [[1, 1]]  # row 3's remainder x + 1
+    assert steps == [(4, 4, 3), (2, 3, 2), (1, 3, 1), (1, 2, 1), (2, 1, 0)]
     assert want[0] == [1] and want[1] == [1, 0, 1] and want[3] == [1]
     assert want[2] == fp.make_monic(v[2], p).tolist()
+
+
+def test_stack_gcd_group_drops_two_degrees_together(steps):
+    """Every row of a (deg 6, deg 5) group has a remainder of degree 3, as
+    the l = 5 rows of ``ecgraph -p 9973 -t 1`` drop from degree 10 to 8 at
+    one step: the whole group moves on to (5, 3) as one.  The rows that are
+    zero on entry finish without a step, as the other operand made monic,
+    or as zero."""
+    p, k = 2003, 5
+    rng = np.random.default_rng(7)
+    v = rng.integers(1, p, size=(k, 6))
+    q = rng.integers(1, p, size=(k, 2))
+    r = np.concatenate([rng.integers(0, p, size=(k, 3)), rng.integers(1, p, size=(k, 1))], axis=1)
+    u = (fp.stack_mul(q, v, p) + fp._widen(r, 7)) % p  # u = q v + r, deg r = 3
+    zero = np.zeros((1, 7), dtype=np.int64)
+    v = fp._widen(v, 7)
+    u, v = np.concatenate([u, zero, u[:1], zero]), np.concatenate([v, v[:1], zero, zero])
+    got = fp.stack_gcd(u, v, p)
+    assert [g.tolist() for g in got] == [sympy_gcd(a, b, p) for a, b in zip(u, v)]
+    assert got[k + 2].tolist() == [] and v[k, 5] != 1  # so row k is made monic
+    assert steps[:2] == [(k, 6, 5), (k, 5, 3)]
+    assert all(rows <= k for rows, _, _ in steps)
