@@ -36,9 +36,10 @@ print()
 
 sub = abelian.full_subgroup(cls.group)
 print("character table (rows chi, columns the classes above, real parts):")
-# entry [i, j] is the angle of chi_i at class j, in units of 1/e of a turn
-e, table = abelian.character_angles(sub, [cls.element_of(cl) for cl in cls.classes])
-for angles in table.tolist():
+# column j holds every character's angle at class j, in units of 1/e of a
+# turn; stacked side by side they give row i = the angles of chi_i
+e, columns = abelian.character_angles(sub, [cls.element_of(cl) for cl in cls.classes])
+for angles in zip(*(column.tolist() for column in columns)):
     row = " ".join(f"{cmath.exp(2j * pi * (a / e)).real:6.3f}" for a in angles)
     print(f"  {row}")
 print()

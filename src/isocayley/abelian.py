@@ -5,9 +5,10 @@ Groups are kept in invariant-factor form ``Z/d_1 x ... x Z/d_k`` with
 invariants.  A character's angle at an element is an integer numerator
 modulo the exponent e of the subgroup (a full turn is e), so orthogonality
 and restriction checks are exact; complex values only appear when sums are
-actually evaluated.  :func:`character_angles` gives the whole table of
-numerators at once, and ``Fraction`` appears only in :meth:`Character.angle`,
-the per-element reference it is checked against.
+actually evaluated.  :func:`character_angles` gives the numerators of every
+character at one element after another, a column per element, and
+``Fraction`` appears only in :meth:`Character.angle`, the per-element
+reference it is checked against.
 
 A :class:`Subgroup` is held as coordinate arrays, not as one Python object
 per element; :func:`subgroup_generated` finds its invariant-factor form from
@@ -559,27 +560,27 @@ def characters_of(subgroup: Subgroup) -> list[Character]:
 
 def character_angles(
     subgroup: Subgroup, elements: Sequence[GroupElement]
-) -> tuple[int, np.ndarray]:
-    """Integer angle numerators of every character of ``subgroup``.
+) -> tuple[int, Iterator[np.ndarray]]:
+    """Integer angle numerators of every character of ``subgroup``, one
+    element at a time.
 
-    Returns ``(e, table)`` with e the exponent of the subgroup and ``table``
-    an int64 (|H|, len(elements)) array whose entry [i, j] is
-    e * ``chi_i.angle(elements[j])``, an integer in [0, e); the characters
-    come in :func:`characters_of` order, so row 0 is the trivial character.
+    Returns ``(e, columns)`` with e the exponent of the subgroup and
+    ``columns`` an iterator whose j-th item is the int64 array, of length
+    |H|, with entry i = e * ``chi_i.angle(elements[j])``, an integer in
+    [0, e); the characters come in :func:`characters_of` order, so entry 0
+    is the trivial character.  A column is made only when it is drawn, but
+    an element outside the subgroup is refused here, before any column.
     """
     rows = [subgroup.position(g) for g in elements]
     if None in rows:
         raise InputError("element lies outside the character's subgroup")
     inv = subgroup.abstract.invariants
-    if not inv:
-        return 1, np.zeros((1, len(rows)), dtype=np.int64)
-    e = inv[-1]
+    e = inv[-1] if inv else 1
     # chi_i has abstract coordinates np.indices(inv)[:, i] (lexicographic, as in
     # characters_of); each entry stays below rank * e**2 <= 20 * 10**12
-    chars = np.indices(inv, dtype=np.int64).reshape(len(inv), -1).T
+    chars = np.indices(inv, dtype=np.int64).reshape(len(inv), subgroup.order).T
     scaled = chars * np.array([e // d for d in inv], dtype=np.int64)
-    coords = subgroup.abstract_coords[np.array(rows, dtype=np.intp)]
-    return e, (scaled @ coords.T) % e
+    return e, ((scaled @ subgroup.abstract_coords[i]) % e for i in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ of chi over S), and numerically by a dense symmetric eigensolver as a
 cross-check.  On top of that sit the expansion measure and
 the scan that finds the smallest prime-norm bound B making the class-group
 graph a two-sided delta-expander, with the scan table kept for the
-main-term/error-term study.
+main-term/error-term study.  The spectrum and every scan row are sums of
+one kernel, ``_character_sums``, which adds one angle column at a time.
 
 The exports read the step table directly, one block of rows at a time,
 and every row table of them is laid out by one kernel, :func:`fill_rows`:
@@ -32,7 +33,7 @@ from cmath import exp as _cexp
 from collections import Counter
 from dataclasses import dataclass
 from math import log, pi, sqrt
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +52,6 @@ __all__ = [
     "StepGraph",
     "CayleyGraph",
     "Spectrum",
-    "EstimateParams",
     "ScanRow",
     "MAX_SLOTS",
     "check_slots",
@@ -61,7 +61,6 @@ __all__ = [
     "spectrum_numeric",
     "expansion",
     "find_expander_bound",
-    "eigenvalue_prediction",
     "log_integral",
     "component_of",
     "fill_rows",
@@ -257,7 +256,8 @@ def spell_rows(rows: np.ndarray) -> list[str]:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """One eigenvalue per row of :func:`~isocayley.abelian.character_angles`."""
+    """One eigenvalue per character of the subgroup, in
+    :func:`~isocayley.abelian.characters_of` order (the trivial one first)."""
 
     eigenvalues: tuple[float, ...]
     lambda_triv: float
@@ -267,33 +267,38 @@ class Spectrum:
         return sorted(self.eigenvalues, reverse=True)
 
 
-def _roots_of_unity(e: int) -> np.ndarray:
-    """roots[a] = exp(2 pi i a/e), each bit-identical to ``Character.value``
-    at angle a/e (a / e rounds the rational correctly, as float(Fraction))."""
-    return np.array([_cexp(2j * pi * (a / e)) for a in range(e)], dtype=np.complex128)
+def _character_sums(
+    subgroup: Subgroup, elements: Sequence[GroupElement], cuts: Iterable[int]
+) -> Iterator[np.ndarray]:
+    """For each cut in turn, every character's sum over ``elements[:cut]``:
+    the columns of :func:`character_angles` added in element order from
+    zero, so each sum is the float that adding ``chi.value`` gives.  Cuts
+    must not decrease; the yielded running total is updated in place."""
+    e, columns = character_angles(subgroup, elements)
+    # roots[a] = exp(2 pi i a/e), each bit-identical to Character.value at
+    # angle a/e (a / e rounds the rational correctly, as float(Fraction))
+    roots = np.array([_cexp(2j * pi * (a / e)) for a in range(e)], dtype=np.complex128)
+    total = np.zeros(subgroup.order, dtype=np.complex128)
+    done = 0
+    for cut in cuts:
+        for column in itertools.islice(columns, cut - done):
+            total += roots[column]
+        done = cut
+        yield total
 
 
 def spectrum_by_characters(graph: CayleyGraph) -> Spectrum:
-    """One exact eigenvalue per character: lambda_chi = sum over S of chi(s).
-
-    The sum runs over S in slot order, one column of the angle table at a
-    time, so every eigenvalue is the float that summing ``chi.value(s)``
-    gives.
-    """
-    e, angles = character_angles(graph.subgroup, [s for _, s in graph.generators])
-    if len(angles) != graph.order:
-        raise InternalConsistencyError("character count != subgroup order")
-    roots = _roots_of_unity(e)
-    total = np.zeros(graph.order, dtype=np.complex128)
-    for j in range(graph.degree):
-        total += roots[angles[:, j]]
+    """One exact eigenvalue per character: lambda_chi = sum over S of chi(s),
+    summed in slot order by one cut of :func:`_character_sums`."""
+    total = next(_character_sums(graph.subgroup, [s for _, s in graph.generators],
+                                 [graph.degree]))
     bad = np.flatnonzero(np.abs(total.imag) > _IMAG_TOL)
     if bad.size:
         raise InternalConsistencyError(
             f"character eigenvalue has imaginary residue {total.imag[bad[0]]:.3e}"
         )
+    c = float(np.abs(total.real[1:]).max()) if graph.order > 1 else 0.0
     lam = total.real.tolist()
-    c = max(map(abs, lam[1:]), default=0.0)
     return Spectrum(tuple(lam), lam[0], c)
 
 
@@ -338,23 +343,8 @@ def component_of(graph: StepGraph, i: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Main-term prediction and the B-scan
+# The B-scan
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EstimateParams:
-    """Inputs of the eigenvalue main-term/error-envelope estimate."""
-
-    n: int
-    d_k: int
-    nfm: int
-    index: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if min(self.n, self.d_k, self.nfm, self.index, self.b) <= 0:
-            raise InputError("estimate parameters must all be positive")
-
 
 def _ei(x: float) -> float:
     """Exponential integral Ei(x) for x > 0, by the power series of the
@@ -377,16 +367,6 @@ def log_integral(b: float) -> float:
     if b == 2:
         return 0.0
     return _ei(log(float(b))) - _ei(log(2.0))
-
-
-def eigenvalue_prediction(params: EstimateParams, trivial: bool) -> tuple[float, float]:
-    """(main term, error envelope): li(B)/index for the trivial character,
-    0 otherwise; envelope n * sqrt(B) * ln(B * d_K * Nfm) either way."""
-    if params.b < 2:
-        raise InputError("prediction needs B >= 2")
-    main = log_integral(params.b) / params.index if trivial else 0.0
-    envelope = params.n * sqrt(params.b) * log(params.b * params.d_k * params.nfm)
-    return main, envelope
 
 
 @dataclass(frozen=True)
@@ -429,44 +409,42 @@ def find_expander_bound(
         return 2, []
 
     s_all = generating_multiset(cls_group, b_max, subgroup)
+    elements = [g.element for g in s_all]
     # S_B lies in the subgroup, so it generates the subgroup iff the orders agree
-    generated = generated_order(cls_group.group, [g.element for g in s_all])
+    generated = generated_order(cls_group.group, elements)
     if generated != subgroup.order:
         raise PreconditionError(
             f"prime forms below {b_max} generate a subgroup of order "
             f"{generated}, not the requested {subgroup.order}"
         )
 
-    # the columns of the angle table follow s_all, which is in prime order
-    e, angles = character_angles(subgroup, [g.element for g in s_all])
-    roots = _roots_of_unity(e)
+    # s_all is in prime order, so S_B is a prefix of it; an inert prime
+    # repeats the last sums
+    primes = primes_below(b_max)
     per_prime = Counter(g.ell for g in s_all)
-    acc = np.zeros(subgroup.order, dtype=np.complex128)
-    k = 0
+    cuts = list(itertools.accumulate(per_prime[p] for p in primes))
 
     disc = cls_group.discriminant
-    nfm = disc.conductor * disc.conductor if disc.conductor > 1 else 1
+    d_k = abs(disc.fundamental)
+    nfm = disc.conductor ** 2
     index = subgroup.index
 
     rows: list[ScanRow] = []
     best: Optional[int] = None
-    for p in primes_below(b_max):
-        for _ in range(per_prime[p]):
-            acc += roots[angles[:, k]]
-            k += 1
+    for p, k, acc in zip(primes, cuts, _character_sums(subgroup, elements, cuts)):
         b = p + 1
         if k == 0:
             c = 0.0
             delta2 = 0.0
         else:
-            # row 0 is the trivial character (see character_angles)
+            # entry 0 is the trivial character (see character_angles)
             if np.any(np.abs(acc.imag[1:]) > _IMAG_TOL * max(1, k)):
                 raise InternalConsistencyError("imaginary residue in scan eigenvalue")
             c = float(np.abs(acc.real[1:]).max())
             delta2 = 1.0 - c / k
-        params = EstimateParams(n=2, d_k=abs(disc.fundamental), nfm=nfm, index=index, b=b)
-        main, envelope = eigenvalue_prediction(params, trivial=True)
-        rows.append(ScanRow(b, k, c, delta2, main, envelope))
+        # li(B)/index, and the envelope n sqrt(B) ln(B d_K Nfm) for n = [K:Q] = 2
+        rows.append(ScanRow(b, k, c, delta2, log_integral(b) / index,
+                            2 * sqrt(b) * log(b * d_k * nfm)))
         if best is None and k > 0 and delta2 >= delta:
             best = b
     if best is None:

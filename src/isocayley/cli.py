@@ -19,6 +19,7 @@ import itertools
 import json
 import sys
 from importlib import resources
+from math import isfinite
 from pathlib import Path
 from typing import Iterator
 
@@ -586,6 +587,13 @@ def _seed(text: str) -> int:
     return v
 
 
+def _delta(text: str) -> float:
+    v = float(text)
+    if not isfinite(v):
+        raise argparse.ArgumentTypeError("delta must be a finite number")
+    return v
+
+
 def _add_common(sp):
     sp.add_argument("--seed", type=_seed, default=0, help="PRNG seed (u64, default 0)")
     sp.add_argument("--out", default=None, help="directory for artifacts + manifest.json")
@@ -624,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="exact spectrum, scan table and DOT export")
     _add_graph_source(p)
-    p.add_argument("--delta", type=float, default=0.0,
+    p.add_argument("--delta", type=_delta, default=0.0,
                    help="two-sided expansion target for the scan (default 0)")
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)

@@ -223,7 +223,8 @@ def exhaustive_path(graph, a, b) -> PathCertificate:
     """Shortest certificate by breadth-first search; for graphs of any size.
 
     This is the fallback the h < 9 rejection in :func:`collect_neighbors`
-    points at: no randomness, no trial caps, just a full sweep.
+    points at: no randomness, no trial caps, just a full sweep.  A b outside
+    a's component fails as in :func:`find_path`, with both component sizes.
     """
     start = graph.vertex_index(a)
     goal = graph.vertex_index(b)
@@ -243,7 +244,9 @@ def exhaustive_path(graph, a, b) -> PathCertificate:
                     nxt.append(j)
         frontier = nxt
     if goal not in came_from:
-        raise InputError(f"no path from {a!r} to {b!r}: the graph is disconnected")
+        raise PreconditionError(
+            f"B lies outside A's component: A's component has {len(came_from)} and B's "
+            f"has {component_of(graph, goal).sum()} of the {graph.order} vertices")
     steps = []
     i = goal
     while i != start:

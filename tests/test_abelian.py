@@ -281,9 +281,13 @@ class CharacterTest(unittest.TestCase):
             g = random_group(rng)
             h = subgroup_generated(g, [random_element(rng, g) for _ in range(rng.randint(0, 3))])
             elems = [rng.choice(h.elements) for _ in range(rng.randint(0, 6))]
-            e, table = character_angles(h, elems)
+            e, columns = character_angles(h, elems)
             chars = characters_of(h)
-            self.assertEqual(table.shape, (len(chars), len(elems)))
+            columns = list(columns)
+            self.assertEqual(len(columns), len(elems))
+            for col in columns:
+                self.assertEqual((col.dtype, col.shape), (np.int64, (len(chars),)))
+            table = np.array(columns, dtype=np.int64).reshape(len(elems), len(chars)).T
             for i, chi in enumerate(chars):
                 for j, x in enumerate(elems):
                     self.assertEqual(Fraction(int(table[i, j]), e), chi.angle(x))

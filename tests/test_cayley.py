@@ -18,10 +18,8 @@ from isocayley.abelian import (
 )
 from isocayley.cayley import (
     SCAN_CSV_HEADER,
-    EstimateParams,
     build,
     component_of,
-    eigenvalue_prediction,
     expansion,
     find_expander_bound,
     log_integral,
@@ -294,20 +292,31 @@ class TestPrediction:
         assert log_integral(2) == 0.0
 
     def test_prediction_terms(self):
-        p = EstimateParams(n=2, d_k=23, nfm=1, index=3, b=100)
-        main, env = eigenvalue_prediction(p, trivial=True)
-        assert main == pytest.approx(log_integral(100) / 3, abs=1e-9)
-        assert env == pytest.approx(2 * math.sqrt(100) * math.log(100 * 23), abs=1e-9)
-        main0, env0 = eigenvalue_prediction(p, trivial=False)
-        assert main0 == 0.0 and env0 == env
+        # every scan row's two estimate columns: li(B)/index for the trivial
+        # character, and the envelope n sqrt(B) ln(B d_K Nfm) with n = 2
+        for d, d_k, nfm, power, index in [(-23, 23, 1, 1, 1), (-92, 23, 4, 1, 1),
+                                          (-1760, 440, 4, 2, 8)]:
+            cg = class_group(d)
+            sub = subgroup_of_powers(cg, power)
+            assert sub.index == index
+            _, rows = find_expander_bound(cg, sub, 0.0, 120)
+            assert [r.b for r in rows] == [p + 1 for p in primes_below(120)]
+            for r in rows:
+                assert r.li_over_index == log_integral(r.b) / index
+                assert r.error_envelope == 2 * math.sqrt(r.b) * math.log(r.b * d_k * nfm)
+                if r.b == 98:  # one row against scipy's Ei
+                    li = expi(math.log(98)) - expi(math.log(2))
+                    assert r.li_over_index == pytest.approx(li / index)
 
-    def test_b_below_two_rejected(self):
-        with pytest.raises(InputError):
-            eigenvalue_prediction(EstimateParams(n=2, d_k=3, nfm=1, index=1, b=1), True)
 
-    def test_nonpositive_params_rejected(self):
-        with pytest.raises(InputError):
-            EstimateParams(n=0, d_k=3, nfm=1, index=1, b=10)
+def subgroup_of_powers(cg, power):
+    """The class group's subgroup of power-th powers (all of it for power 1)."""
+    if power == 1:
+        return full_subgroup(cg.group)
+    powers = [x.group.element([power * c for c in x.coords]) for x in cg.group.generators()]
+    sub = subgroup_generated(cg.group, powers)
+    assert sub.index > 1
+    return sub
 
 
 def reference_eigenvalues(graph):
@@ -374,17 +383,26 @@ class TestCharacterSums:
         assert list(spec.eigenvalues) == reference_eigenvalues(graph) == [3.0]
         assert spec.c == 0.0
 
-    @pytest.mark.parametrize("d, b_max, index", [(-1760, 300, 1), (-1760, 400, 2), (-9999960, 60, 1)])
-    def test_scan_matches_reference_loop(self, d, b_max, index):
+    @pytest.mark.parametrize("d, b_max, power", [(-1760, 300, 1), (-1760, 400, 2), (-9999960, 60, 1)])
+    def test_scan_matches_reference_loop(self, d, b_max, power):
         cg = class_group(d)
         assert cg.group.rank >= 3
-        sub = full_subgroup(cg.group)
-        if index > 1:
-            powers = [x.group.element([index * c for c in x.coords]) for x in cg.group.generators()]
-            sub = subgroup_generated(cg.group, powers)
-            assert sub.index > 1
+        sub = subgroup_of_powers(cg, power)
         _, rows = find_expander_bound(cg, sub, 0.0, b_max)
         assert [(r.b, r.lambda_triv, r.c, r.delta2) for r in rows] == reference_scan(cg, sub, b_max)
+
+    @pytest.mark.parametrize("d, b_max, power", [(-23, 50, 1), (-47, 284, 1), (-1760, 264, 1),
+                                                 (-1760, 402, 2), (-9999960, 60, 1)])
+    def test_last_scan_row_is_the_spectrum(self, d, b_max, power):
+        # the scan's last cut sums all of S_B, which is the graph's generating set
+        cg = class_group(d)
+        sub = subgroup_of_powers(cg, power)
+        s_b = generating_multiset(cg, b_max, sub)
+        assert s_b[-1].ell == primes_below(b_max)[-1]  # the last prime adds forms
+        spec = spectrum_by_characters(build(sub, [(g.label, g.element) for g in s_b]))
+        _, rows = find_expander_bound(cg, sub, 0.0, b_max)
+        assert rows[-1].lambda_triv == spec.lambda_triv == len(s_b)
+        assert rows[-1].c == spec.c
 
 
 class TestExpanderScan:

@@ -624,6 +624,18 @@ def test_path_across_components_exits_at_once(capsys, monkeypatch):
         "of the 1715 vertices")
 
 
+@pytest.mark.parametrize("argv", [["path", "-D", "-84", "--bound", "3", "-A", "id", "-B", "3:0:7"],
+                                  ["dlpdemo", "-p", "101", "-t", "3", "-L", "5"]])
+def test_exhaustive_path_across_components_exits_3(capsys, argv):
+    # graphs of order < 9 take the breadth-first path, which must fail the
+    # way the walk search does: exit 3 with both component sizes
+    rc, out, err = run(capsys, argv)
+    assert rc == 3 and out == ""
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("error (precondition): B lies outside A's component: A's "
+                          "component has 2 and B's has 2 of the ")
+
+
 def test_path_whose_walks_cannot_meet_exits_within_budget(capsys, tmp_path):
     # Z/10 x Z/10 x Z/100 on the unit generators is connected, but 5:5:50
     # lies 60 steps from 0:0:0 and walks of length 10 from each cannot meet:
@@ -788,6 +800,14 @@ def test_seed_must_be_u64():
     )
     assert r.returncode == 2
     assert "64-bit" in r.stderr
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_delta_must_be_finite(capsys, delta):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "-D", "-9999991", "--bound", "200", f"--delta={delta}"])
+    assert exc.value.code == 2
+    assert "delta must be a finite number" in capsys.readouterr().err
 
 
 def test_version_flag():
