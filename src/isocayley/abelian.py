@@ -657,5 +657,9 @@ def parse_group_text(text: str) -> GroupFile:
 
 
 def load_group_file(path: str) -> GroupFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_group_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise InputError(f"group file {path} is not UTF-8: {e}") from None
+    return parse_group_text(text)

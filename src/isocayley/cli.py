@@ -287,7 +287,8 @@ class _Graph:
         self.source = source or {}
 
     def resolve(self, spec: str):
-        """A vertex from its CLI spelling ('id', 'a:b:c' or 'c1:c2:...')."""
+        """A vertex from its CLI spelling ('id', 'a:b:c' or 'c1:c2:...'),
+        checked to be a vertex of the graph; errors quote the spec."""
         if spec == "id":
             return self.graph.subgroup.ambient.identity
         items = _vector_items(spec, "vertex")
@@ -297,9 +298,21 @@ class _Graph:
         if self.cls_group is not None:
             if len(coords) != 3:
                 raise InputError(f"vertex {spec!r}: expected a form triple a:b:c")
-            cl = quadform.reduce_form(quadform.QuadForm(*coords))
-            return self.cls_group.element_of(cl)
-        return self.graph.subgroup.ambient.element(coords)
+            f, d = quadform.QuadForm(*coords), self.cls_group.discriminant.value
+            if f.discriminant != d:
+                raise InputError(f"vertex {spec!r} has discriminant {f.discriminant}, expected {d}")
+            try:
+                e = self.cls_group.element_of(quadform.reduce_form(f))
+            except InputError:
+                raise InputError(f"vertex {spec!r} is not a primitive form") from None
+        else:
+            ambient = self.graph.subgroup.ambient
+            if len(coords) != len(ambient.invariants):
+                raise InputError(f"vertex {spec!r}: expected {len(ambient.invariants)} coordinates")
+            e = ambient.element(coords)
+        if e not in self.graph.subgroup:
+            raise InputError(f"vertex {spec!r} lies outside the graph's subgroup")
+        return e
 
 
 def _form_generators(cls_group, text: str) -> list:
@@ -515,6 +528,8 @@ def cmd_verify(args):
         raw = Path(args.certificate).read_text(encoding="utf-8")
     except OSError as e:
         raise InputError(f"cannot read certificate: {e}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"certificate {args.certificate} is not UTF-8: {e}") from None
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as e:

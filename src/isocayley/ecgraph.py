@@ -21,7 +21,9 @@ polynomials, reduction tables, Frobenius powers and kernel gcds of a
 level's curves are computed as stacked arrays, once per (level, ell), and
 only Velu and the model checks run curve by curve.  A degree ell inert in
 Q(sqrt(D)) has no rational kernel, so its division polynomial is never
-built.
+built.  Point images (``isogeny_eval``, which carries a discrete log along
+a path) need no polynomial arithmetic: Kohel's closed form of Velu's map
+reads them off the kernel polynomial and its first three derivatives at x.
 """
 
 from __future__ import annotations
@@ -503,49 +505,46 @@ def _model_scale(p: int, src: tuple[int, int], dst: tuple[int, int]) -> int:
     )
 
 
-def _kernel_poly(edge: IsogenyEdge) -> np.ndarray:
-    return fp.poly(edge.kernel, edge.p)
-
-
 def isogeny_eval(edge: IsogenyEdge, point):
-    """Image of a point under the edge's isogeny, landing on target_model."""
+    """Image of a point under the edge's isogeny, landing on target_model.
+
+    Velu's map (Velu 1971) in Kohel's closed form (Kohel, thesis 1996),
+    evaluated at the point: for the kernel polynomial h, monic of degree
+    (ell - 1)/2 with root sum sigma, f = x^3 + ax + b, and
+    S_k = sum over the roots x_Q of h of (x - x_Q)^-k,
+
+        x' = ell x - 2 sigma - 2 f'(x) S_1 + 4 f(x) S_2,
+        y' = y (ell - 12 x S_1 + 6 f'(x) S_2 - 8 f(x) S_3).
+
+    With h(x + e) = h_0 + h_1 e + h_2 e^2 + h_3 e^3 + ..., S_1 = h_1/h_0,
+    S_2 = S_1^2 - 2 h_2/h_0 and S_3 = S_1^3 - 3 S_1 h_2/h_0 + 3 h_3/h_0, so
+    a point needs four Horner sums and no polynomial arithmetic.  A point
+    with h_0 = 0 is in the kernel and maps to None.
+    """
     if point is None:
         return None
     p = edge.p
     a, b = edge.source_model
     x0, y0 = point[0] % p, point[1] % p
-    if (y0 * y0 - (pow(x0, 3, p) + a * x0 + b)) % p:
+    f = (pow(x0, 3, p) + a * x0 + b) % p
+    if (y0 * y0 - f) % p:
         raise InputError(f"({x0}, {y0}) is not on the source curve")
-    h = _kernel_poly(edge)
-    if fp.poly_eval(h, x0, p) == 0:
+    h0 = h1 = h2 = h3 = 0
+    for c in reversed(edge.kernel):
+        h3 = (h3 * x0 + h2) % p
+        h2 = (h2 * x0 + h1) % p
+        h1 = (h1 * x0 + h0) % p
+        h0 = (h0 * x0 + c) % p
+    if h0 == 0:
         return None
-    hp = fp.poly_deriv(h, p)
-    f_t = fp.poly([2 * a, 0, 6], p)
-    f_u = fp.poly([4 * b, 4 * a, 0, 4], p)
-    t_poly = fp.poly_mod(fp.poly_mul(f_t, hp, p), h, p)
-    u_poly = fp.poly_mod(fp.poly_mul(f_u, hp, p), h, p)
-    h_sq = fp.poly_mul(h, h, p)
-    num = fp.poly_add(
-        fp.poly_add(
-            fp.poly_mul(fp.X, h_sq, p),
-            fp.poly_mul(t_poly, h, p),
-            p,
-        ),
-        fp.poly_sub(
-            fp.poly_mul(u_poly, hp, p),
-            fp.poly_mul(fp.poly_deriv(u_poly, p), h, p),
-            p,
-        ),
-        p,
-    )
-    hv = fp.poly_eval(h, x0, p)
-    nv = fp.poly_eval(num, x0, p)
-    x1 = nv * pow(hv * hv % p, -1, p) % p
-    dnum = (
-        fp.poly_eval(fp.poly_deriv(num, p), x0, p) * hv
-        - 2 * nv * fp.poly_eval(hp, x0, p)
-    ) % p
-    y1 = y0 * dnum % p * pow(pow(hv, 3, p), -1, p) % p
+    inv = pow(h0, -1, p)
+    s1, r2, r3 = h1 * inv % p, h2 * inv % p, h3 * inv % p
+    s2 = (s1 * s1 - 2 * r2) % p
+    s3 = (s1 * s1 * s1 - 3 * s1 * r2 + 3 * r3) % p
+    sigma = -edge.kernel[-2]
+    df = (3 * x0 * x0 + a) % p
+    x1 = (edge.ell * x0 - 2 * sigma - 2 * df * s1 + 4 * f * s2) % p
+    y1 = y0 * (edge.ell - 12 * x0 * s1 + 6 * df * s2 - 8 * f * s3) % p
     u = edge.scale
     x1, y1 = pow(u, 2, p) * x1 % p, pow(u, 3, p) * y1 % p
     ta, tb = edge.target_model

@@ -27,7 +27,6 @@ __all__ = [
     "poly",
     "trim",
     "degree",
-    "poly_add",
     "poly_sub",
     "poly_mul",
     "stack_mul",
@@ -38,8 +37,6 @@ __all__ = [
     "stack_gcd",
     "poly_mulmod",
     "poly_powmod",
-    "poly_deriv",
-    "poly_eval",
     "distinct_degree_split",
     "equal_degree_factors",
     "low_degree_factors",
@@ -70,11 +67,6 @@ def _pad(u, n):
     if len(u) >= n:
         return u
     return np.concatenate([u, np.zeros(n - len(u), dtype=np.int64)])
-
-
-def poly_add(u, v, p):
-    n = max(len(u), len(v))
-    return trim((_pad(u, n) + _pad(v, n)) % p)
 
 
 def poly_sub(u, v, p):
@@ -288,19 +280,6 @@ def poly_powmod(u, e: int, g, p, rows=None):
         if not e:
             return result
         base = poly_mulmod(base, base, p, rows)
-
-
-def poly_deriv(u, p):
-    if len(u) <= 1:
-        return _ZERO
-    return trim(u[1:] * np.arange(1, len(u), dtype=np.int64) % p)
-
-
-def poly_eval(u, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(u):
-        acc = (acc * x + int(c)) % p
-    return acc
 
 
 def distinct_degree_split(f, p, max_degree):

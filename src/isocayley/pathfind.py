@@ -288,6 +288,8 @@ def certificate_from_json(data: dict, vertex_named: Callable[[str], object]) -> 
     """Rebuild a certificate, resolving its start and end by name: with a
     graph's :meth:`~isocayley.cayley.StepGraph.vertex_named`, or with
     :func:`quadform.form_named` for :func:`replay_forms`."""
+    if not isinstance(data, dict):
+        raise InputError("malformed certificate: expected a JSON object")
     try:
         start = vertex_named(data["start"])
         end = vertex_named(data["end"])

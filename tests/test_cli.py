@@ -262,6 +262,56 @@ def test_verify_rejects_mistyped_certificates(capsys, tmp_path, z9, readme_cert,
     assert err.startswith("error (input): malformed certificate")
 
 
+@pytest.mark.parametrize("command, text, want", [
+    ("verify", b"\xff", "certificate {} is not UTF-8"),
+    ("spectrum", b"invariants: 4\n\xff\n", "group file {} is not UTF-8"),
+    ("verify", b"null", "malformed certificate: expected a JSON object"),
+    ("verify", b"[1, 2]", "malformed certificate: expected a JSON object"),
+], ids=["certificate-bytes", "group-file-bytes", "certificate-null", "certificate-list"])
+def test_unreadable_input_files_exit_2(capsys, tmp_path, command, text, want):
+    """Bytes that are not UTF-8, in a certificate or a group file, and a
+    certificate that is JSON but no object, are input errors: exit 2 with
+    one stderr line that names the file or the fault."""
+    path = tmp_path / "input"
+    path.write_bytes(text)
+    if command == "verify":
+        argv = ["verify", str(path), "-D", "-8011", "--bound", "20"]
+    else:
+        argv = ["spectrum", "--group-file", str(path), "--gens", "1"]
+    rc, _, err = run(capsys, argv)
+    assert rc == 2, err
+    assert err.startswith(f"error (input): {want.format(path)}")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source, argv, want", [
+    (None, ["path", "-D", "-23", "--bound", "10", "-A", "1:1:1", "-B", "id"],
+     "vertex '1:1:1' has discriminant -3, expected -23"),
+    ("invariants: 4 12\n", ["path", "--gens", "2:0", "-A", "0:0", "-B", "1:0"],
+     "vertex '1:0' lies outside the graph's subgroup"),
+    ("invariants: 4 12\n", ["mix", "--gens", "2:0", "--start", "0:1", "--target", "0:0"],
+     "vertex '0:1' lies outside the graph's subgroup"),
+    (None, ["path", "-D", "-56", "--bound", "10", "--gens", "2:0:7", "-A", "id", "-B", "3:2:5"],
+     "vertex '3:2:5' lies outside the graph's subgroup"),  # Cl(-56) = Z/4, 2:0:7 of order 2
+    (None, ["path", "-D", "-12", "--bound", "10", "-A", "2:2:2", "-B", "id"],
+     "vertex '2:2:2' is not a primitive form"),
+    ("invariants: 4 12\n", ["path", "--gens", "2:0", "-A", "0:0:0", "-B", "id"],
+     "vertex '0:0:0': expected 2 coordinates"),
+], ids=["wrong-discriminant", "outside-subgroup", "mix-start", "outside-form-subgroup",
+        "imprimitive", "wrong-rank"])
+def test_vertex_spec_naming_no_vertex_is_quoted(capsys, tmp_path, source, argv, want):
+    """A vertex spec that names no vertex of the graph exits 2 with the
+    spec quoted as given, not a QuadForm or GroupElement repr."""
+    if source is not None:
+        path = tmp_path / "g.grp"
+        path.write_text(source)
+        argv = [argv[0], "--group-file", str(path), *argv[1:]]
+    rc, _, err = run(capsys, argv)
+    assert rc == 2, err
+    assert err == f"error (input): {want}\n"
+    assert "QuadForm(" not in err and "GroupElement(" not in err
+
+
 HUGE_D = -(10**30) - 7  # 1 mod 4, so shaped like a discriminant
 
 

@@ -191,13 +191,18 @@ def test_division_poly_roots_are_torsion(m):
     # Roots of the m-th division polynomial over F_p are the x-coordinates of
     # m-division points.  Those whose y lives upstairs appear as rational
     # torsion on the quadratic twist at x' = d * x, which completes the oracle.
-    from isocayley import fppoly as fp
-
     p, a, b = 31, 1, 3
     d = eg._non_residue(p)
     w = eg.division_polys(p, [a], [b], m)[m][0]
     assert len(w) - 1 == (m * m - 1) // 2
-    roots = {xv for xv in range(p) if fp.poly_eval(w, xv, p) == 0}
+
+    def value(xv):  # w(xv) mod p by Horner
+        acc = 0
+        for c in reversed(w.tolist()):
+            acc = (acc * xv + c) % p
+        return acc
+
+    roots = {xv for xv in range(p) if value(xv) == 0}
     here = rational_torsion_x(p, a, b, m)
     upstairs = rational_torsion_x(p, a * d * d % p, b * pow(d, 3, p), m)
     assert roots == here | {xv for xv in range(p) if (d * xv) % p in upstairs}
@@ -631,6 +636,83 @@ def test_isogeny_eval_rejects_off_curve():
     g = graph(31, 3, (7,))
     with pytest.raises(InputError):
         eg.isogeny_eval(g.edges[0], (1, 1))
+
+
+X = sympy.symbols("x")
+
+
+def velu_by_polynomials(edge):
+    """The oracle: Velu's rational map built as polynomials in x over F_p,
+    x' = N/h^2 and y' = y (N' h - 2 N h')/h^3, where
+    N = x h^2 + (t h' mod h) h + (u h' mod h) h' - (u h' mod h)' h for
+    t = 6x^2 + 2a and u = 4f, then evaluated at a point and scaled onto
+    the target model."""
+    p, (a, b), s = edge.p, edge.source_model, edge.scale
+
+    def poly(expr):
+        return sympy.Poly(expr, X, modulus=p)
+
+    h = poly(sum(c * X**i for i, c in enumerate(edge.kernel)))
+    hp = h.diff(X)
+    t_part = (poly(6 * X**2 + 2 * a) * hp).rem(h)
+    u_part = (poly(4 * (X**3 + a * X + b)) * hp).rem(h)
+    num = poly(X) * h**2 + t_part * h + u_part * hp - u_part.diff(X) * h
+    dnum = num.diff(X)
+
+    def image(point):
+        if point is None:
+            return None
+        x0, y0 = point
+
+        def at(f):
+            return int(f.eval(x0)) % p
+
+        hv = at(h)
+        if hv == 0:
+            return None
+        x1 = at(num) * pow(hv * hv, -1, p) % p
+        y1 = y0 * (at(dnum) * hv - 2 * at(num) * at(hp)) * pow(hv**3, -1, p) % p
+        return s * s * x1 % p, s**3 * y1 % p
+
+    return image
+
+
+@pytest.mark.parametrize("p, t, ells, killed", [
+    (101, 3, (3, 5, 7), 16),  # order 99: every curve has one pointwise-rational 3-kernel
+    (131, 6, (3,), 20),  # 3 divides t: the y-condition splits eigenvalue 1 from 2
+    (23, 3, (7,), 18),  # order 21: every curve has one pointwise-rational 7-kernel
+], ids=["101-3", "131-6-y-condition", "23-3-rational-kernel"])
+def test_isogeny_eval_matches_polynomial_velu(p, t, ells, killed):
+    """Kohel's closed form agrees with the polynomial map on every affine
+    point of every edge, kernel points (None on both sides) included."""
+    dead = []
+    for edge in graph(p, t, ells).edges:
+        oracle = velu_by_polynomials(edge)
+        for pt in curve_points(eg.curve(p, *edge.source_model))[1:]:
+            got = eg.isogeny_eval(edge, pt)
+            assert got == oracle(pt), (edge.ell, edge.source_j, pt)
+            if got is None:
+                dead.append((edge.ell, pt, edge.source_model[0]))
+    assert len(dead) == killed
+    assert all(eg.ec_mul(ell, pt, a, p) is None for ell, pt, a in dead)
+
+
+def test_isogeny_eval_matches_polynomial_velu_at_degrees_29_and_31():
+    """At p = 2003 every 29- and 31-edge pushes sampled points through a
+    kernel of degree 14 or 15; the closed form agrees with the oracle."""
+    p = 2003
+    rng = np.random.default_rng(29)
+    for edge in graph(p, 1, (29, 31)).edges:
+        a, b = edge.source_model
+        oracle = velu_by_polynomials(edge)
+        seen = 0
+        while seen < 4:
+            x0 = int(rng.integers(p))
+            y0 = eg.sqrt_mod_prime((x0**3 + a * x0 + b) % p, p)
+            if y0 is None:
+                continue
+            assert eg.isogeny_eval(edge, (x0, y0)) == oracle((x0, y0))
+            seen += 1
 
 
 # ------------------------------------------------------------ ec arithmetic
