@@ -254,17 +254,18 @@ def spell_rows(rows: np.ndarray) -> list[str]:
     return names
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """One eigenvalue per character of the subgroup, in
-    :func:`~isocayley.abelian.characters_of` order (the trivial one first)."""
+    :func:`~isocayley.abelian.characters_of` order (the trivial one first),
+    as a read-only float64 array."""
 
-    eigenvalues: tuple[float, ...]
+    eigenvalues: np.ndarray
     lambda_triv: float
     c: float
 
     def sorted_values(self) -> list[float]:
-        return sorted(self.eigenvalues, reverse=True)
+        return np.sort(self.eigenvalues)[::-1].tolist()
 
 
 def _character_sums(
@@ -297,9 +298,10 @@ def spectrum_by_characters(graph: CayleyGraph) -> Spectrum:
         raise InternalConsistencyError(
             f"character eigenvalue has imaginary residue {total.imag[bad[0]]:.3e}"
         )
-    c = float(np.abs(total.real[1:]).max()) if graph.order > 1 else 0.0
-    lam = total.real.tolist()
-    return Spectrum(tuple(lam), lam[0], c)
+    lam = total.real.copy()
+    lam.flags.writeable = False
+    c = float(np.abs(lam[1:]).max()) if graph.order > 1 else 0.0
+    return Spectrum(lam, float(lam[0]), c)
 
 
 def spectrum_numeric(graph: StepGraph) -> list[float]:
@@ -318,9 +320,9 @@ def expansion(spec: Spectrum) -> tuple[float, float, float]:
     if k == 0:
         raise PreconditionError("expansion of an edgeless graph is undefined")
     nontrivial = spec.eigenvalues[1:]
-    if not nontrivial:
+    if not nontrivial.size:
         return 1.0, 1.0, 0.0
-    return 1.0 - max(nontrivial) / k, 1.0 - spec.c / k, spec.c
+    return 1.0 - float(nontrivial.max()) / k, 1.0 - spec.c / k, spec.c
 
 
 def component_of(graph: StepGraph, i: int) -> np.ndarray:

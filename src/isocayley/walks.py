@@ -34,6 +34,18 @@ positions, whatever the trial count and length.  A trial with a rejection
 is drawn again, one draw at a time, by ``_trial_steps``, which also gives
 the slot draws of the two trials whose walks a path certificate records.
 
+Only :func:`mixing_experiment` splits its trials over processes.  With c >=
+2 CPUs in the process's affinity mask and at least two full windows of
+trials, ``_split_endpoints`` cuts them into min(c, trials // _WINDOW)
+contiguous ranges, draws the first and forks one worker for each other
+range; every process runs ``_endpoints`` on its range and writes into one
+shared anonymous map of int64 end positions.  Since a trial's end vertex is
+a pure function of (seed, trial), the split cannot move an artifact byte:
+pinned to one CPU (``taskset -c 0``) the experiment takes the one-process
+path and writes the same bytes.  Each process holds one window above the
+shared positions.  A path search's windows hold at most one _WINDOW of
+trials, so both of its steps stay in one process.
+
 :class:`PhiloxGenerator` makes those one-at-a-time draws from the same
 core, and serves the discrete-log demo too: keyed by
 ``_seed_key(seed)``, numpy's ``SeedSequence(seed).generate_state(2,
@@ -48,6 +60,9 @@ across versions.
 """
 from __future__ import annotations
 
+import os
+import sys
+import threading
 from dataclasses import dataclass, replace
 from math import ceil, log, sqrt
 from typing import Optional, Sequence
@@ -55,7 +70,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cayley import CayleyGraph, expansion, spectrum_by_characters
-from .errors import InputError, PreconditionError
+from .errors import InputError, InternalConsistencyError, PreconditionError
 
 __all__ = [
     "WalkConfig",
@@ -339,6 +354,68 @@ def _endpoints(graph: CayleyGraph, start_idx: int, length: int, trials: int, see
     return pos
 
 
+def _cpu_count() -> int:
+    """The CPUs in this process's affinity mask; 1 where the platform
+    cannot fork or has no mask, or while other Python threads run, whose
+    locks a forked worker would inherit held."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _split_endpoints(graph: CayleyGraph, start_idx: int, length: int, trials: int,
+                     seed: int) -> np.ndarray:
+    """``_endpoints(graph, start_idx, length, trials, seed)``, drawn by one
+    process per CPU of the affinity mask, at most one per full _WINDOW of
+    trials; with fewer than two, by one _endpoints call.
+
+    The trials split into contiguous ranges.  This process draws the
+    first, and a worker forked for each other range draws it into the same
+    shared anonymous map of int64 positions.  Trial 0's walk is drawn
+    before the fork, so every worker starts with numpy's routines warm.  A
+    worker that fails raises InternalConsistencyError here, and every
+    worker is reaped before this returns or raises."""
+    parts = min(_cpu_count(), trials // _WINDOW)
+    if parts < 2:
+        return _endpoints(graph, start_idx, length, trials, seed)
+    import mmap
+
+    pos = np.frombuffer(mmap.mmap(-1, 8 * trials), dtype=np.int64)
+    cuts = [trials * i // parts for i in range(parts + 1)]
+    pos[:1] = _endpoints(graph, start_idx, length, 1, seed)
+    mine, workers = [(1, cuts[1])], {}
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: draw the range here
+                mine.append((lo, hi))
+                continue
+            if pid == 0:  # worker: never returns
+                code = 1
+                try:
+                    pos[lo:hi] = _endpoints(graph, start_idx, length, hi - lo, seed, lo)
+                    code = 0
+                finally:
+                    os._exit(code)
+            workers[pid] = (lo, hi)
+        for lo, hi in mine:
+            pos[lo:hi] = _endpoints(graph, start_idx, length, hi - lo, seed, lo)
+    finally:
+        failed = []
+        for pid, (lo, hi) in workers.items():
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                failed.append(f"trials {lo}..{hi - 1} (exit status {code})")
+    if failed:
+        raise InternalConsistencyError(f"walk worker failed on {', '.join(failed)}")
+    return pos
+
+
 def exact_distribution(graph: CayleyGraph, start, length: int) -> np.ndarray:
     """Exact end-vertex distribution via dense transition-matrix powering."""
     if graph.degree == 0:
@@ -392,9 +469,10 @@ def mixing_experiment(graph: CayleyGraph, start, cfg: WalkConfig) -> ExperimentR
             f"{cfg.trials} trials of length {cfg.length} exceed the cap of "
             f"{MAX_DRAWS} step draws"
         )
-    start_idx = graph.vertex_index(start)
-    pos = _endpoints(graph, start_idx, cfg.length, cfg.trials, cfg.seed)
-    hits = int(np.isin(pos, np.asarray(w_idx)).sum())
+    pos = _split_endpoints(graph, graph.vertex_index(start), cfg.length, cfg.trials, cfg.seed)
+    in_w = np.zeros(graph.order, dtype=bool)
+    in_w[w_idx] = True
+    hits = int(np.count_nonzero(in_w[pos]))
     freq = hits / cfg.trials
     lo, hi = wilson_interval(hits, cfg.trials)
     ratio = len(w_idx) / graph.order

@@ -1,4 +1,6 @@
+import os
 import sys
+import threading
 import tracemalloc
 from functools import cache
 from math import sqrt
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isocayley import walks
+from isocayley import cli, walks
 from isocayley.abelian import FiniteAbelianGroup, full_subgroup, subgroup_generated
 from isocayley.cayley import build
 from isocayley.errors import InputError, PreconditionError
@@ -424,6 +426,134 @@ def test_endpoints_memory_does_not_grow_with_the_product(trials, length):
     finally:
         tracemalloc.stop()
     assert peak - 8 * trials <= 2 * 2**20, peak / 2**20
+
+
+# a 300-trial experiment in windows of 64 trials: at most four processes,
+# and two CPUs split it at trial 150
+_SPLIT_WINDOW, _SPLIT_TRIALS, _SPLIT_AT = 64, 300, 150
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _counted_forks(monkeypatch):
+    """The pids that os.fork returns to the forking process."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_split_walks_match_one_serial_call(monkeypatch, cpus):
+    # trials 0 and 151 are spoiled in every bulk draw, and trials 149 and
+    # 150, on both sides of the split, in draw t mod length only; each is
+    # redone by _trial_steps in whichever process draws it.  Trial 0 is the
+    # one drawn before the fork
+    g = _graph_of_degree(6)
+    length, seed = 53, 41
+    real = walks._philox_words
+
+    def spoiling(seed, t0, trials, b0, b1):
+        words = real(seed, t0, trials, b0, b1)
+        if not _bulk_call():
+            return words
+        t = t0 + np.arange(trials)
+        for x in words:
+            x[(t == 0) | (t == _SPLIT_AT + 1)] = _SPOILED
+        for i in np.flatnonzero((t == _SPLIT_AT - 1) | (t == _SPLIT_AT)):
+            d = t[i] % length
+            if b0 <= d // 8 < b1:
+                _spoil(words[d % 8 // 2], i, d // 8 - b0, d % 2)
+        return words
+
+    monkeypatch.setattr(walks, "_philox_words", spoiling)
+    monkeypatch.setattr(walks, "_WINDOW", _SPLIT_WINDOW)
+    serial = walks._endpoints(g, 0, length, _SPLIT_TRIALS, seed)
+    assert serial.tolist() == [random_walk(g, 0, length, seed, t) for t in range(_SPLIT_TRIALS)]
+    forks = _counted_forks(monkeypatch)
+    monkeypatch.setattr(walks, "_cpu_count", lambda: cpus)
+    target = tuple(g.vertices[i] for i in (0, 5, 17, 40))
+    cfg = WalkConfig(length=length, trials=_SPLIT_TRIALS, seed=seed, target=target)
+    result = mixing_experiment(g, g.vertices[0], cfg)
+    _no_child_left()
+    hits = int(np.isin(serial, [g.vertex_index(v) for v in target]).sum())
+    assert result.frequency == hits / _SPLIT_TRIALS
+    assert result.interval == wilson_interval(hits, _SPLIT_TRIALS)
+    # one process for each CPU, up to one per full window of trials
+    assert len(forks) == min(cpus, _SPLIT_TRIALS // _SPLIT_WINDOW) - 1
+    split = walks._split_endpoints(g, 0, length, _SPLIT_TRIALS, seed)
+    _no_child_left()
+    assert split.tolist() == serial.tolist()
+
+
+def test_split_walks_draw_here_when_fork_fails(monkeypatch):
+    # a worker that cannot be forked (EAGAIN at the process limit) leaves
+    # its range to this process
+    g = _graph_of_degree(6)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(walks, "_WINDOW", _SPLIT_WINDOW)
+    monkeypatch.setattr(walks, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    got = walks._split_endpoints(g, 5, 53, _SPLIT_TRIALS, 9)
+    assert got.tolist() == walks._endpoints(g, 5, 53, _SPLIT_TRIALS, 9).tolist()
+
+
+def test_no_split_beside_other_threads():
+    # a forked worker would inherit the locks of the other threads held
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert walks._cpu_count() == 1
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert walks._cpu_count() == len(os.sched_getaffinity(0))
+
+
+def test_short_experiment_is_not_split(monkeypatch):
+    # fewer than two full windows of trials: one _endpoints call, no fork
+    g = _graph_of_degree(6)
+    monkeypatch.setattr(walks, "_WINDOW", _SPLIT_WINDOW)
+    monkeypatch.setattr(walks, "_cpu_count", lambda: 2)
+    forks = _counted_forks(monkeypatch)
+    cfg = WalkConfig(length=53, trials=2 * _SPLIT_WINDOW - 1, seed=3, target=(g.vertices[1],))
+    mixing_experiment(g, g.vertices[0], cfg)
+    assert forks == []
+
+
+def test_failed_walk_worker_exits_4(monkeypatch, capsys, tmp_path):
+    real = walks._endpoints
+
+    def failing(graph, start_idx, length, trials, seed, first=0):
+        if first == _SPLIT_AT:  # the worker's range
+            raise RuntimeError("worker fails")
+        return real(graph, start_idx, length, trials, seed, first)
+
+    monkeypatch.setattr(walks, "_endpoints", failing)
+    monkeypatch.setattr(walks, "_WINDOW", _SPLIT_WINDOW)
+    monkeypatch.setattr(walks, "_cpu_count", lambda: 2)
+    rc = cli.main(["mix", "-D", "-8011", "--bound", "20", "--trials", str(_SPLIT_TRIALS),
+                   "--target", "id", "--seed", "5", "--out", str(tmp_path / "mix")])
+    err = capsys.readouterr().err
+    _no_child_left()
+    assert rc == cli.EXIT_INTERNAL
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error (internal-consistency): walk worker failed on trials 150..299")
+    assert "Traceback" not in err
 
 
 def test_exact_distribution_is_stochastic():
