@@ -539,12 +539,12 @@ def to_dot(graph: StepGraph, title: str = "cayley") -> str:
 class AdjacencyRows:
     """Read-only view of a step table as JSON adjacency rows.
 
-    Row i is ``[[t, label], ...]`` over the slots, with t = table[j, i];
-    a row is built only when it is indexed or iterated.  ``blocks`` hands
-    out the targets one block of rows at a time as an int array, and ``cli``
-    spells each block by one index into :func:`decimal_strings` and fills
-    one row glue with it through :func:`fill_rows`, so neither the h x k
-    pair list nor the whole table as Python ints is ever built.
+    Row i is ``[[t, label], ...]`` over the slots, with t = table[j, i].
+    ``blocks`` hands out the targets one block of rows at a time as an int
+    array, and ``cli`` spells each block by one index into
+    :func:`decimal_strings` and fills one row glue with it through
+    :func:`fill_rows`, so neither the h x k pair list nor the whole table as
+    Python ints is ever built.
     """
 
     __slots__ = ("table", "labels")
@@ -556,9 +556,6 @@ class AdjacencyRows:
     def __len__(self) -> int:
         return self.table.shape[1]
 
-    def __getitem__(self, i: int) -> list[list]:
-        return [[t, label] for t, label in zip(self.table[:, i].tolist(), self.labels)]
-
     def blocks(self) -> Iterator[np.ndarray]:
         """The targets of the rows, in (rows, k) blocks of about
         ``_BLOCK_ENTRIES`` step-table entries (at least one row each)."""
@@ -566,15 +563,12 @@ class AdjacencyRows:
         for i in range(0, len(self), rows):
             yield self.table[:, i:i + rows].T
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
 
 def to_json_adjacency(graph: StepGraph) -> dict:
     """JSON-ready adjacency list with labeled directed slots per vertex.
 
     ``"adjacency"`` is an :class:`AdjacencyRows` view over the step table:
-    row i lists ``[target, label]`` per slot, built only when read.
+    row i lists ``[target, label]`` per slot, spelled only when written.
     """
     labels = [label for label, _ in graph.generators]
     return {

@@ -92,9 +92,9 @@ def _pieces(obj) -> Iterator[str]:
     :func:`cayley.fill_rows`: a :class:`cayley.AdjacencyRows` view by
     :func:`_adjacency_pieces`, one piece per block of rows, and a list of
     flat dicts, such as the classes of ``classgroup.json`` or the edges of
-    ``ecgraph.json``, by :func:`_write_rows`, as one finished piece.  The
-    text between adjacency views is one piece each; it grows with the order
-    of a graph, not with its slots.
+    ``ecgraph.json``, by :func:`_write_rows`, from one row glue with a hole
+    per key, as one finished piece.  The text between adjacency views is one
+    piece each; it grows with the order of a graph, not with its slots.
     """
     out: list = []
     _write(obj, "\n", out)
@@ -189,56 +189,55 @@ def _adjacency_pieces(rows: cayley.AdjacencyRows, nl: str) -> Iterator[str]:
 
 
 def _write_rows(rows, nl: str, out: list) -> bool:
-    """Lay out a non-empty list of flat dicts with one key set, as ``_write``
-    would, and append it to ``out`` as one finished piece.  A row is flat
-    when each value is a leaf or a list of leaves; its shape is the length
-    of each list, -1 for a leaf.  Returns False, having written nothing, for
-    any other list.
+    """Lay out a non-empty list of flat dicts with one set of str keys, as
+    ``_write`` would, and append it to ``out`` as one finished piece.  A row
+    is flat when each value is a leaf or a list of leaves.  Returns False,
+    having written nothing, for any other list.
 
-    The rows are read column by column, one comprehension per key, and the
-    leaves of every column are encoded by one ``json.dumps`` call.  Each run
-    of rows of one shape is one :func:`cayley.fill_rows` call on that
-    shape's :func:`_glue`, with the column texts interleaved into row order
-    by slice assignment."""
+    The rows are read column by column, and the leaves of each column are
+    encoded by one ``json.dumps`` call.  Every row is one hole per key in
+    one row glue, filled by one :func:`cayley.fill_rows` call.  A column's
+    lists are spelled as ``_write`` spells a list of leaves: when every
+    cell is a list of one length n, by one ``fill_rows`` block on the glue
+    of n holes, split at NUL, and otherwise by one join per cell."""
     if set(map(type, rows)) != {dict}:
         return False
     first = rows[0].keys()
-    if not all([row.keys() == first for row in rows]):
+    # a non-str key is spelled by its own kind, which the other rows need not share
+    if not all([isinstance(key, str) for key in first]) or set(map(len, rows)) != {len(first)}:
         return False
-    keys = sorted(first)
-    columns = [[row[key] for row in rows] for key in keys]
-    widths = [[len(v) if type(v) is list or type(v) is tuple else -1 for v in column]
-              for column in columns]
-    leaves: list = []
-    cursors = []  # where each column's next text is
-    for column, width in zip(columns, widths):
-        cursors.append(len(leaves))
-        leaves += column if max(width) < 0 else itertools.chain.from_iterable(
-            value if w >= 0 else (value,) for value, w in zip(column, width))
-    if any(issubclass(kind, _NESTED) for kind in set(map(type, leaves))):
-        return False
-    texts = _leaf_texts(leaves)
     inner = nl + "  "
-    sep = "," + inner
-    glues: dict[tuple[int, ...], list[str]] = {}
-    pieces = []
-    for shape, run in itertools.groupby(zip(*widths) if keys else [()] * len(rows)):
-        count = sum(1 for _ in run)
-        if shape not in glues:
-            template = {key: _HOLE if w < 0 else [_HOLE] * w for key, w in zip(keys, shape)}
-            glues[shape] = _glue(template, inner)
-        units = [1 if w < 0 else w for w in shape]
-        width = sum(units)
-        holes = [""] * (width * count)
-        offset = 0
-        for c, unit in enumerate(units):
-            cells = texts[cursors[c]:cursors[c] + unit * count]
-            cursors[c] += unit * count
-            for e in range(unit):
-                holes[offset + e::width] = cells[e::unit]
-            offset += unit
-        pieces.append(cayley.fill_rows(glues[shape], sep, holes, count))
-    out.append("[" + inner + sep.join(pieces) + nl + "]")
+    value_nl = inner + "  "  # a row's values start their lines here
+    item_nl = value_nl + "  "
+    keys = sorted(first)
+    holes = [""] * (len(keys) * len(rows))
+    for c, key in enumerate(keys):
+        try:
+            column = [row[key] for row in rows]
+        except KeyError:  # the rows have one size but not one key set
+            return False
+        kinds = set(map(type, column))
+        sizes = [-1]  # a column of leaves; -1 marks a leaf
+        if kinds <= {list, tuple}:
+            sizes = list(map(len, column))
+        elif kinds & {list, tuple}:  # leaves among the lists: each leaf as a list of one
+            sizes = [len(v) if type(v) is list or type(v) is tuple else -1 for v in column]
+            column = [value if n >= 0 else (value,) for value, n in zip(column, sizes)]
+        leaves = column if sizes == [-1] else list(itertools.chain.from_iterable(column))
+        if any(issubclass(kind, _NESTED) for kind in set(map(type, leaves))):
+            return False
+        texts = _leaf_texts(leaves)
+        if min(sizes) == max(sizes) >= 0:
+            glue = _glue([_HOLE] * sizes[0], value_nl)
+            texts = cayley.fill_rows(glue, "\0", texts, len(rows)).split("\0")
+        elif max(sizes) >= 0:
+            cells, comma = iter(texts), "," + item_nl
+            texts = [next(cells) if n < 0 else
+                     "[" + item_nl + comma.join(itertools.islice(cells, n)) + value_nl + "]" if n
+                     else "[]" for n in sizes]
+        holes[c::len(keys)] = texts
+    glue = _glue(dict.fromkeys(first, _HOLE), inner)
+    out.append("[" + inner + cayley.fill_rows(glue, "," + inner, holes, len(rows)) + nl + "]")
     return True
 
 
@@ -256,10 +255,14 @@ def _digest(text: str) -> str:
 
 
 def _ints(text: str, what: str) -> list[int]:
+    """Comma-separated integers, at least one of them."""
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        out = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise InputError(f"{what}: expected comma-separated integers, got {text!r}") from None
+    if not out:
+        raise InputError(f"{what}: empty list {text!r}")
+    return out
 
 
 def _vector_items(text: str, what: str) -> list[tuple[int, ...]]:

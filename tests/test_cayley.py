@@ -492,6 +492,7 @@ class TestExports:
         tri = build(h, [("1", g.element((1,))), ("2", g.element((2,)))])
         data = to_json_adjacency(tri)
         assert data["order"] == 3 and data["degree"] == 2
-        assert data["adjacency"][0] == [[1, "1"], [2, "2"]]
+        rows = data["adjacency"]
+        assert rows.labels == ("1", "2") and rows.table[:, 0].tolist() == [1, 2]
         # labeled slots at each vertex exactly k
-        assert all(len(slots) == 2 for slots in data["adjacency"])
+        assert len(rows) == 3 and rows.table.shape == (2, 3)

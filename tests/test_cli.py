@@ -548,6 +548,18 @@ def test_degree_cap_checked_before_any_work(capsys, monkeypatch):
         assert "cap" in err
 
 
+def test_empty_degree_list_rejected_before_any_work(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a point was counted for an -L with no degree")
+
+    monkeypatch.setattr(ecgraph, "_count", unreachable)
+    for cmd in ("ecgraph", "dlpdemo"):
+        for ells in (",", "", " , "):
+            rc, out, err = run(capsys, [cmd, "-p", "9973", "-t", "1", "-L", ells])
+            assert rc == 2 and out == ""
+            assert len(err.splitlines()) == 1 and "-L" in err
+
+
 def test_prime_bound_cap_checked_before_any_work(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("work started before the prime-bound cap was checked")
