@@ -23,15 +23,15 @@ print()
 
 print("reduced forms and their abstract coordinates:")
 for cl in cls.classes:
-    a, b, c = cl.triple()
+    a, b, c = cl
     print(f"  ({a:2d},{b:3d},{c:2d})  ->  {cls.element_of(cl).coords}")
 print()
 
 # composition: square the first non-principal class and reduce
 g = next(cl for cl in cls.classes if any(cls.element_of(cl).coords))
 sq = abelian.op_mul(cls.element_of(g), cls.element_of(g))
-print(f"square of {g.triple()} has coordinates {sq.coords}, "
-      f"i.e. the class of {cls.class_of(sq).triple()}")
+print(f"square of {g} has coordinates {sq.coords}, "
+      f"i.e. the class of {cls.class_of(sq)}")
 print()
 
 sub = abelian.full_subgroup(cls.group)

@@ -36,7 +36,7 @@ print(f"|W| = {len(target)}, walk length from the measured gap: {length} "
 cfg = walks.WalkConfig(length=length, trials=20000, seed=seed, target=target)
 result = walks.mixing_experiment(graph, graph.vertices[0], cfg)
 
-names = [":".join(map(str, cls.class_of(v).triple())) for v in target]
+names = [":".join(map(str, cls.class_of(v))) for v in target]
 print()
 print(json.dumps(walks.report_json(result, target_names=names), indent=2, sort_keys=True))
 print(f"verdict: {result.verdict} "

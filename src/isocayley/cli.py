@@ -301,11 +301,14 @@ class _Graph:
         if self.cls_group is not None:
             if len(coords) != 3:
                 raise InputError(f"vertex {spec!r}: expected a form triple a:b:c")
-            f, d = quadform.QuadForm(*coords), self.cls_group.discriminant.value
-            if f.discriminant != d:
-                raise InputError(f"vertex {spec!r} has discriminant {f.discriminant}, expected {d}")
+            a, b, c = coords
+            disc, d = b * b - 4 * a * c, self.cls_group.discriminant.value
+            if a <= 0 and disc < 0:
+                raise InputError(f"vertex {spec!r} is not positive definite")
+            if disc != d:
+                raise InputError(f"vertex {spec!r} has discriminant {disc}, expected {d}")
             try:
-                e = self.cls_group.element_of(quadform.reduce_form(f))
+                e = self.cls_group.element_of(quadform.reduce_form(coords))
             except InputError:
                 raise InputError(f"vertex {spec!r} is not a primitive form") from None
         else:
@@ -319,17 +322,24 @@ class _Graph:
 
 
 def _form_generators(cls_group, text: str) -> list:
+    """The class group elements of the --gens forms, checked in the order
+    :meth:`_Graph.resolve` checks a vertex; errors quote the form as given."""
     d = cls_group.discriminant.value
+    specs = [item.strip() for item in text.split(",") if item.strip()]
     gens = []
-    for triple in _vector_items(text, "--gens"):
+    for spec, triple in zip(specs, _vector_items(text, "--gens")):
         if len(triple) != 3:
             raise InputError(f"--gens: {':'.join(map(str, triple))} is not a form triple")
-        f = quadform.QuadForm(*triple)
-        if f.discriminant != d:
-            raise InputError(
-                f"--gens: form {triple} has discriminant {f.discriminant}, expected {d}"
-            )
-        gens.append(quadform.reduce_form(f))
+        a, b, c = triple
+        disc = b * b - 4 * a * c
+        if a <= 0 and disc < 0:
+            raise InputError(f"--gens: form {spec!r} is not positive definite")
+        if disc != d:
+            raise InputError(f"--gens: form {triple} has discriminant {disc}, expected {d}")
+        try:
+            gens.append(cls_group.element_of(quadform.reduce_form(triple)))
+        except InputError:
+            raise InputError(f"--gens: form {spec!r} is not a primitive form") from None
     return gens
 
 
@@ -367,7 +377,7 @@ def _prime_form_steps(args) -> tuple[int, dict[str, tuple[int, int, int]]]:
     group or graph built.  The slot cap needs h: the reduced forms are
     counted only when a proven bound on h does not settle it."""
     disc = _disc_source(args)
-    steps = {label: form.triple() for label, _, _, form in quadform.prime_forms(disc, args.bound)}
+    steps = {label: form for label, _, _, form in quadform.prime_forms(disc, args.bound)}
     _check_generators(steps, args.bound)
     if len(steps) * quadform.class_number_bound(disc.value) > cayley.MAX_SLOTS:
         cayley.check_slots(quadform.class_number(disc.value), len(steps))
@@ -380,9 +390,7 @@ def _build_graph(args) -> _Graph:
     if args.disc is not None:
         cls = quadform.class_group(_disc_source(args))
         if args.gens:
-            sub = abelian.subgroup_generated(
-                cls.group, [cls.element_of(c) for c in _form_generators(cls, args.gens)]
-            )
+            sub = abelian.subgroup_generated(cls.group, _form_generators(cls, args.gens))
         else:
             sub = cls.whole
         s_b = quadform.generating_multiset(cls, args.bound, sub)

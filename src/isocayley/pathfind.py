@@ -32,7 +32,7 @@ import numpy as np
 
 from .cayley import StepGraph, component_of
 from .errors import InputError, InternalConsistencyError, PreconditionError, TrialCapError
-from .quadform import _compose, _reduce
+from .quadform import _reduce, compose
 from .walks import _WINDOW, _endpoints, _trial_steps
 
 __all__ = [
@@ -111,7 +111,7 @@ def replay_forms(steps: Mapping[str, tuple[int, int, int]], cert: PathCertificat
             a, b, c = steps[step.label]
         except KeyError:
             raise InputError(f"step label {step.label!r} is not a generator of the graph") from None
-        x = _compose(x, _reduce(a, -b, c) if step.inverted else (a, b, c))
+        x = compose(x, _reduce(a, -b, c) if step.inverted else (a, b, c))
     return x == cert.end
 
 

@@ -4,11 +4,12 @@ Only negative discriminants are served: the endomorphism ring of an ordinary
 elliptic curve over F_p is an imaginary quadratic order, and its classes have
 unique reduced representatives.  Everything is exact.
 
-A form class is its canonical reduced form: :func:`reduce_form` is the one
-way to get one, and :func:`compose`, :func:`inverse`, :func:`prime_form` and
-:class:`ClassGroup` take and return reduced :class:`QuadForm` objects.
-Reduction and classical Gauss composition run on int triples, and
-:func:`reduce_form` and :func:`compose` are their ``QuadForm`` wrappers.
+A form a x^2 + b xy + c y^2 is its int triple (a, b, c), and a form class
+is its reduced triple: |b| <= a <= c, with b >= 0 when |b| = a or a = c.
+:func:`reduce_form` checks a triple from outside the program (positive
+definite, of a negative discriminant) and reduces it; :func:`compose`
+(classical Gauss composition), :func:`inverse`, :func:`prime_form` and
+:class:`ClassGroup` take and return reduced triples.
 
 The reduced forms of D are enumerated from the square roots of D modulo 4a,
 one leading coefficient a <= sqrt(|D|/3) at a time, so the enumeration
@@ -17,8 +18,8 @@ costs a few Python steps per root rather than one test per candidate b.
 A class group is carried together with its invariant-factor structure and
 each class's coordinates in it, so that Cayley graphs can be built on
 (subgroups of) it; both come from the structure walk
-:func:`isocayley.abelian.structure_of`, run over the classes' triples under
-the triple composition.  :func:`prime_forms` is the one builder of the
+:func:`isocayley.abelian.structure_of`, run over the classes under
+:func:`compose`.  :func:`prime_forms` is the one builder of the
 prime-form generators S_B, labeled "ell:b" (split) or "ell" (ramified), and
 :func:`generating_multiset` gives them their elements in a subgroup.
 """
@@ -44,7 +45,6 @@ from .ntheory import (
 
 __all__ = [
     "Discriminant",
-    "QuadForm",
     "ClassGroup",
     "SBGenerator",
     "reduce_form",
@@ -89,32 +89,12 @@ def _as_disc(d: "Discriminant | int") -> Discriminant:
     return d if isinstance(d, Discriminant) else Discriminant.of(d)
 
 
-@dataclass(frozen=True)
-class QuadForm:
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self) -> None:
-        if self.a <= 0 and self.discriminant < 0:
-            raise InputError(f"form {self.triple()} is not positive definite")
-
-    @property
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def triple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
-    def __repr__(self) -> str:
-        return f"QuadForm{self.triple()}"
-
-
-def principal_form(disc: "Discriminant | int") -> QuadForm:
-    """The principal (identity) form (1, k, (k^2-D)/4) with k = D mod 2."""
+def principal_form(disc: "Discriminant | int") -> tuple[int, int, int]:
+    """The principal (identity) form (1, k, (k^2-D)/4) with k = D mod 2,
+    reduced for D < 0."""
     d = _as_disc(disc).value
     k = d % 2
-    return QuadForm(1, k, (k * k - d) // 4)
+    return 1, k, (k * k - d) // 4
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +115,17 @@ def _reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
             return a, b, c
 
 
-def reduce_form(f: QuadForm) -> QuadForm:
-    """The unique reduced form equivalent to f: |b| <= a <= c, b >= 0 on ties."""
-    a, b, c = f.a, f.b, f.c
+def reduce_form(f: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The unique reduced form equivalent to f: |b| <= a <= c, b >= 0 on ties.
+    f is checked first, so a triple from outside the program reaches
+    :func:`_reduce` only when it is positive definite."""
+    a, b, c = f
     d = b * b - 4 * a * c
+    if a <= 0 and d < 0:
+        raise InputError(f"form {(a, b, c)} is not positive definite")
     if d >= 0 or d % 4 not in (0, 1):
-        raise InputError(f"form {f.triple()} has discriminant {d}, not a negative discriminant")
-    return QuadForm(*_reduce(a, b, c))
+        raise InputError(f"form {(a, b, c)} has discriminant {d}, not a negative discriminant")
+    return _reduce(a, b, c)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -156,9 +140,10 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _compose(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Gauss composition of two triples of one negative discriminant,
-    returned reduced (the classical algorithm, Cohen, GTM 138, section 5.4)."""
+def compose(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Gauss composition of form classes: the reduced form of the product
+    class of two triples of one negative discriminant (the classical
+    algorithm, Cohen, GTM 138, section 5.4)."""
     a1, b1, c1 = x
     a2, b2, c2 = y
     disc = b1 * b1 - 4 * a1 * c1
@@ -193,21 +178,16 @@ def _compose(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int
     return _reduce(a3, b3, c3)
 
 
-def compose(x: QuadForm, y: QuadForm) -> QuadForm:
-    """Gauss composition of form classes: the reduced form of the product class."""
-    return QuadForm(*_compose(x.triple(), y.triple()))
-
-
-def inverse(x: QuadForm) -> QuadForm:
-    a, b, c = x.triple()
-    return reduce_form(QuadForm(a, -b, c))
+def inverse(x: tuple[int, int, int]) -> tuple[int, int, int]:
+    a, b, c = x
+    return reduce_form((a, -b, c))
 
 
 # ---------------------------------------------------------------------------
 # Enumeration of reduced forms
 # ---------------------------------------------------------------------------
 
-def _reduced_definite_forms(d: int) -> Iterator[QuadForm]:
+def _reduced_definite_forms(d: int) -> Iterator[tuple[int, int, int]]:
     """All primitive reduced forms of discriminant d < 0 (ascending a, then b).
 
     For each leading coefficient a, the middle coefficients b are the square
@@ -267,7 +247,7 @@ def _reduced_definite_forms(d: int) -> Iterator[QuadForm]:
             # b > -a already, so the boundary sign rule only bites when a == c
             if c > a or (c == a and b >= 0):
                 if gcd(a, b, c) == 1:
-                    yield QuadForm(a, b, c)
+                    yield a, b, c
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +257,7 @@ def _reduced_definite_forms(d: int) -> Iterator[QuadForm]:
 class ClassGroup:
     """A form class group with explicit abelian structure.
 
-    ``classes`` holds the reduced forms, sorted by triple, and
+    ``classes`` holds the reduced form triples, sorted, and
     ``element_of`` / ``class_of`` map them to and from the invariant-factor
     group.  ``whole`` is that group as a :class:`Subgroup`, held as
     coordinate arrays, and row i of ``triples``, an (h, 3) int64 array, is
@@ -286,10 +266,10 @@ class ClassGroup:
     homomorphism check lives in the test suite.
     """
 
-    def __init__(self, disc: Discriminant, classes: Sequence[QuadForm]):
+    def __init__(self, disc: Discriminant, classes: Sequence[tuple[int, int, int]]):
         self.discriminant = disc
-        self.classes = tuple(sorted(classes, key=lambda c: c.triple()))
-        self.identity = reduce_form(principal_form(disc))
+        self.classes = tuple(sorted(classes))
+        self.identity = principal_form(disc)
         self.group, self._coords = self._structure()
         self.whole = full_subgroup(self.group)
         rows = np.array(list(self._coords.values()), dtype=np.int64)  # (h, rank), h >= 1
@@ -297,25 +277,24 @@ class ClassGroup:
         if not np.array_equal(np.sort(codes), np.arange(self.order)):
             raise InternalConsistencyError("class -> element map not bijective")
         self.triples = np.empty((self.order, 3), dtype=np.int64)
-        self.triples[codes] = [cl.triple() for cl in self._coords]
+        self.triples[codes] = list(self._coords)
 
     @property
     def order(self) -> int:
         return len(self.classes)
 
-    def _structure(self) -> tuple[FiniteAbelianGroup, dict[QuadForm, tuple[int, ...]]]:
-        # the classes are sorted by triple, so the walk and the coordinates depend on D alone
-        by_triple = {cl.triple(): cl for cl in self.classes}
-        group, coords = structure_of(by_triple, self.identity.triple(), _compose)
+    def _structure(self) -> tuple[FiniteAbelianGroup, dict[tuple[int, int, int], tuple[int, ...]]]:
+        # the classes are sorted, so the walk and the coordinates depend on D alone
+        group, coords = structure_of(self.classes, self.identity, compose)
         if group.order != len(self.classes):
             raise InternalConsistencyError(
                 f"structure of order {group.order} for {len(self.classes)} classes"
             )
         if len(coords) != len(self.classes):
             raise InternalConsistencyError("structure walk missed classes")
-        return group, {by_triple[t]: c for t, c in coords.items()}
+        return group, coords
 
-    def element_of(self, cl: QuadForm) -> GroupElement:
+    def element_of(self, cl: tuple[int, int, int]) -> GroupElement:
         try:
             return _reduced_element(self.group, self._coords[cl])
         except KeyError:
@@ -323,11 +302,11 @@ class ClassGroup:
                 f"{cl} is not a reduced form of discriminant {self.discriminant.value}"
             ) from None
 
-    def class_of(self, e: GroupElement) -> QuadForm:
+    def class_of(self, e: GroupElement) -> tuple[int, int, int]:
         i = self.whole.position(e)
         if i is None:
             raise InputError(f"{e} is not an element of {self.group}")
-        return QuadForm(*self.triples[i].tolist())
+        return tuple(self.triples[i].tolist())
 
     def to_json(self) -> dict:
         return {
@@ -337,7 +316,7 @@ class ClassGroup:
             "order": self.order,
             "invariants": list(self.group.invariants),
             "classes": [
-                {"form": list(c.triple()), "coords": list(self._coords[c])}
+                {"form": list(c), "coords": list(self._coords[c])}
                 for c in self.classes
             ],
         }
@@ -406,7 +385,9 @@ def form_named(d: int, name) -> tuple[int, int, int]:
 # Prime forms and S_B
 # ---------------------------------------------------------------------------
 
-def prime_form(disc: "Discriminant | int", ell: int) -> Optional[tuple[QuadForm, QuadForm, int]]:
+def prime_form(
+    disc: "Discriminant | int", ell: int
+) -> Optional[tuple[tuple[int, int, int], tuple[int, int, int], int]]:
     """The reduced form class(es) above the rational prime ell, if any.
 
     Returns None when ell is inert.  Otherwise returns (cls, cls_inverse, b)
@@ -440,7 +421,7 @@ def prime_form(disc: "Discriminant | int", ell: int) -> Optional[tuple[QuadForm,
     num = b * b - ds
     if num % (4 * ell):
         raise InternalConsistencyError(f"prime form above {ell}: 4l does not divide b^2-D")
-    cls = reduce_form(QuadForm(ell, b, num // (4 * ell)))
+    cls = reduce_form((ell, b, num // (4 * ell)))
     return cls, inverse(cls), b
 
 
@@ -457,11 +438,13 @@ class SBGenerator:
     label: str
     ell: int
     b: int
-    form_class: QuadForm
+    form_class: tuple[int, int, int]
     element: GroupElement
 
 
-def prime_forms(disc: "Discriminant | int", bound: int) -> list[tuple[str, int, int, QuadForm]]:
+def prime_forms(
+    disc: "Discriminant | int", bound: int
+) -> list[tuple[str, int, int, tuple[int, int, int]]]:
     """(label, ell, b, form) of every prime form of norm ell < ``bound``.
 
     For each prime ell below the bound coprime to the conductor, both

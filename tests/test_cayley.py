@@ -479,7 +479,7 @@ class TestExports:
         h = full_subgroup(cg.group)
         s = generating_multiset(cg, 3, h)
         gens = [(x.label, x.element) for x in s]
-        names = [str(cg.class_of(v).triple()) for v in h]
+        names = [str(cg.class_of(v)) for v in h]
         dot = to_dot(build(h, gens, names))
         assert "(1, 1, 6)" in dot
         with pytest.raises(InputError):

@@ -297,8 +297,10 @@ def test_unreadable_input_files_exit_2(capsys, tmp_path, command, text, want):
      "vertex '2:2:2' is not a primitive form"),
     ("invariants: 4 12\n", ["path", "--gens", "2:0", "-A", "0:0:0", "-B", "id"],
      "vertex '0:0:0': expected 2 coordinates"),
+    (None, ["path", "-D", "-23", "--bound", "10", "-A=-1:1:-6", "-B", "id"],
+     "vertex '-1:1:-6' is not positive definite"),
 ], ids=["wrong-discriminant", "outside-subgroup", "mix-start", "outside-form-subgroup",
-        "imprimitive", "wrong-rank"])
+        "imprimitive", "wrong-rank", "negative-definite"])
 def test_vertex_spec_naming_no_vertex_is_quoted(capsys, tmp_path, source, argv, want):
     """A vertex spec that names no vertex of the graph exits 2 with the
     spec quoted as given, not a QuadForm or GroupElement repr."""
@@ -310,6 +312,22 @@ def test_vertex_spec_naming_no_vertex_is_quoted(capsys, tmp_path, source, argv, 
     assert rc == 2, err
     assert err == f"error (input): {want}\n"
     assert "QuadForm(" not in err and "GroupElement(" not in err
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["path", "-D", "-12", "--bound", "10", "--gens", "2:2:2", "-A", "id", "-B", "id"],
+     "--gens: form '2:2:2' is not a primitive form"),
+    (["mix", "-D", "-12", "--bound", "10", "--gens", "2:2:2", "--target", "id"],
+     "--gens: form '2:2:2' is not a primitive form"),
+    (["path", "-D", "-23", "--bound", "10", "--gens=-1:1:-6", "-A", "id", "-B", "id"],
+     "--gens: form '-1:1:-6' is not positive definite"),
+], ids=["path-imprimitive", "mix-imprimitive", "negative-definite"])
+def test_gens_form_naming_no_class_is_quoted(capsys, argv, want):
+    """A --gens form of the right discriminant that names no class exits 2
+    with the form quoted as given, not a form or element repr."""
+    rc, _, err = run(capsys, argv)
+    assert rc == 2, err
+    assert err == f"error (input): {want}\n"
 
 
 HUGE_D = -(10**30) - 7  # 1 mod 4, so shaped like a discriminant
@@ -642,6 +660,19 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("disc, digest", [
+    (-9999959, "4a566eca8896da62c5d52aa27380b1dd60835a4bc3489509a0720b5218bfe36c"),  # h = 4,314
+    (-9999960, "0853d3dd18cc6a4e821ee72e8e147c0d992a1de6f0685d666dacab0ee2794fa4"),  # rank 4
+], ids=["h4314", "rank4"])
+def test_classgroup_bytes_at_the_discriminant_cap(tmp_path, capsys, disc, digest):
+    """The golden matrix pins one small Cl(D); these pin the largest class
+    numbers, whose structure walks and row tables are the longest."""
+    assert main(["classgroup", "-D", str(disc), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    data = (tmp_path / "classgroup.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_manifest_digests_match_artifacts(tmp_path, capsys):
     """The manifest digests are those of the bytes written: every file under
     --out, and the primary artifact on stdout for each --format.  The
@@ -955,3 +986,61 @@ def test_random_argv_exits_cleanly(tmp_path_factory):
         assert "Traceback" not in err.getvalue(), argv
 
     check()
+
+
+# the reduced forms of each discriminant, primitive or not: Cl(-23) = Z/3,
+# and Cl(-12) = 1 with the non-primitive (2, 2, 2) beside its class
+_REDUCED = {-23: [(1, 1, 6), (2, 1, 3), (2, -1, 3)], -12: [(1, 0, 3), (2, 2, 2)]}
+
+
+@st.composite
+def _form_spec(draw, d):
+    """An a:b:c spelling of a form: a reduced one of D, a translate or flip
+    of one (k up to 10^29), its negative-definite twin, one with the wrong
+    discriminant or c <= 0, or three entries up to 10^30 in size."""
+    a, b, c = draw(st.sampled_from(_REDUCED[d]))
+    kind = draw(st.sampled_from(["reduced", "moved", "flipped", "negated", "off", "c<=0",
+                                 "random"]))
+    if kind == "moved":
+        k = draw(st.integers(-5, 5) | st.integers(-10**29, 10**29))
+        b, c = b + 2 * a * k, (a * k + b) * k + c
+    elif kind == "flipped":
+        a, b, c = c, -b, a
+    elif kind == "negated":
+        a, b, c = -a, -b, -c
+    elif kind == "off":
+        c += draw(st.sampled_from([-1, 1, 10**30]))
+    elif kind == "c<=0":
+        c = -draw(st.integers(0, 10**30))
+    elif kind == "random":
+        a, b, c = (draw(st.integers(-10**30, 10**30)) for _ in range(3))
+    return f"{a}:{b}:{c}"
+
+
+@st.composite
+def _form_argv(draw):
+    d = draw(st.sampled_from(sorted(_REDUCED)))
+    cmd = draw(st.sampled_from(["path", "mix"]))
+    slots = ["-A", "-B"] if cmd == "path" else ["--start", "--target"]
+    spelled = {slot: draw(st.just("id") | _form_spec(d)) for slot in slots}
+    argv = [cmd, "-D", str(d), "--bound", "10"]
+    argv += [f"{slot}={spec}" for slot, spec in spelled.items()]
+    if draw(st.booleans()):
+        argv.append(f"--gens={draw(_form_spec(d))}")
+    return argv + (["--trials", "20"] if cmd == "mix" else [])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_form_argv())
+def test_form_inputs_exit_cleanly(argv):
+    """Any form spelled into a vertex or --gens of a -D graph exits 0, 2 or
+    3; a failure is one stderr line that quotes no internal repr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    text = out.getvalue() + err.getvalue()
+    assert rc in (0, 2, 3), (argv, text)
+    if rc:
+        assert len(err.getvalue().splitlines()) == 1, (argv, text)
+    for word in ("Traceback", "QuadForm(", "GroupElement("):
+        assert word not in text, (argv, text)
