@@ -288,11 +288,14 @@ def _character_sums(
         yield total
 
 
-def spectrum_by_characters(graph: CayleyGraph) -> Spectrum:
+def spectrum_by_characters(graph: CayleyGraph, sums: np.ndarray | None = None) -> Spectrum:
     """One exact eigenvalue per character: lambda_chi = sum over S of chi(s),
-    summed in slot order by one cut of :func:`_character_sums`."""
-    total = next(_character_sums(graph.subgroup, [s for _, s in graph.generators],
-                                 [graph.degree]))
+    summed in slot order by one cut of :func:`_character_sums`, unless
+    ``sums`` holds them already (the ``out`` of a B-scan whose S_B is the
+    graph's generating set)."""
+    total = sums if sums is not None else next(
+        _character_sums(graph.subgroup, [s for _, s in graph.generators], [graph.degree])
+    )
     bad = np.flatnonzero(np.abs(total.imag) > _IMAG_TOL)
     if bad.size:
         raise InternalConsistencyError(
@@ -396,21 +399,25 @@ def find_expander_bound(
     subgroup: Subgroup,
     delta: float,
     b_max: int,
+    out: np.ndarray | None = None,
 ) -> tuple[int, list[ScanRow]]:
     """Smallest B on the prime+1 grid making Cay(H, S_B) a two-sided
     delta-expander, plus the full scan table up to b_max.
 
     The grid steps through B = p + 1 for each prime p < b_max, since the
     spectrum only moves when a new prime enters S_B.  The subgroup must be
-    generated by the full prime-form set below b_max.
+    generated by the full prime-form set below b_max.  The scan's last cut
+    sums every character over all of S_(b_max): given a complex array
+    ``out`` of one entry per character, it writes those sums there, so the
+    spectrum of the graph on S_(b_max) costs no second pass.
     """
-    if subgroup.ambient != cls_group.group:
-        raise InputError("subgroup does not live in the given class group")
+    s_all = generating_multiset(cls_group, b_max, subgroup)
     if subgroup.order == 1:
         # single vertex: every bound works vacuously
+        if out is not None:
+            out[:] = len(s_all)
         return 2, []
 
-    s_all = generating_multiset(cls_group, b_max, subgroup)
     elements = [g.element for g in s_all]
     # S_B lies in the subgroup, so it generates the subgroup iff the orders agree
     generated = generated_order(cls_group.group, elements)
@@ -449,6 +456,8 @@ def find_expander_bound(
                             2 * sqrt(b) * log(b * d_k * nfm)))
         if best is None and k > 0 and delta2 >= delta:
             best = b
+    if out is not None:
+        out[:] = acc
     if best is None:
         raise PreconditionError(
             f"no bound B <= {b_max} reaches two-sided expansion {delta}"

@@ -23,6 +23,8 @@ from math import isfinite
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 from . import __version__, abelian, cayley, ecgraph, pathfind, quadform, walks
 from .errors import InputError, InternalConsistencyError, PreconditionError
 
@@ -459,7 +461,15 @@ def cmd_spectrum(args):
     graph = ctx.graph
     if graph.degree == 0:
         raise PreconditionError("the generating set is empty: nothing to measure")
-    spec = cayley.spectrum_by_characters(graph)
+    if ctx.cls_group is not None:
+        # the scan's last cut sums all of S_B, the graph's generators in slot order
+        sums = np.empty(graph.order, dtype=np.complex128)
+        best, rows = cayley.find_expander_bound(
+            ctx.cls_group, graph.subgroup, args.delta, args.bound, sums
+        )
+        spec = cayley.spectrum_by_characters(graph, sums)
+    else:
+        spec = cayley.spectrum_by_characters(graph)
     d1, d2, c = cayley.expansion(spec)
     data = {
         "source": ctx.source,
@@ -475,9 +485,6 @@ def cmd_spectrum(args):
     }
     artifacts = {"graph.dot": cayley.dot_pieces(graph, title="spectrum")}
     if ctx.cls_group is not None:
-        best, rows = cayley.find_expander_bound(
-            ctx.cls_group, graph.subgroup, args.delta, args.bound
-        )
         data["expander_bound"] = best
         artifacts["scan.csv"] = [cayley.scan_table_csv(rows)]
     elif args.format == "csv":

@@ -13,13 +13,15 @@ maximal order and every computed isogeny is horizontal.
 
 The class has exactly h(D) j-invariants, and Cl(D) acts on it through
 those horizontal isogenies (Galbraith's algorithm), so the graph is grown
-by breadth-first search over the computed edges instead of by counting a
-model for every j.  Seeds come from a scan of j in increasing order that
-skips what a search has already reached and stops once h(D) vertices are
-known.  The search goes one BFS level at a time: the division
-polynomials, reduction tables, Frobenius powers and kernel gcds of a
-level's curves are computed as stacked arrays, once per (level, ell), and
-only Velu and the model checks run curve by curve.  A degree ell inert in
+over the computed edges instead of by counting a model for every j.
+Seeds come from a scan of j in increasing order that skips what a search
+has already reached and stops once h(D) vertices are known.  A component
+grows by degree sweeps: each sweep runs every ell once, in increasing
+order, as one batch on all the curves that ell has not searched yet, until
+a sweep finds no new curve.  A batch's division polynomials, reduction
+tables and Frobenius powers are stacked arrays, built one table stack at
+a time; its kernel gcds are one lockstep Euclid over every stack, and only
+Velu and the model checks run curve by curve.  A degree ell inert in
 Q(sqrt(D)) has no rational kernel, so its division polynomial is never
 built.  Point images (``isogeny_eval``, which carries a discrete log along
 a path) need no polynomial arithmetic: Kohel's closed form of Velu's map
@@ -87,8 +89,9 @@ def _check_degree(ell: int, p: int) -> None:
     The kernel search works modulo psi_ell, of degree n = (ell^2 - 1) / 2,
     through an n x (n - 1) int64 reduction table per curve, so time grows
     faster than ell^4.  Curves are searched in stacks whose tables hold at
-    most ``_STACK_ENTRIES`` entries (2 MiB), so memory does not grow with
-    the class; from ell = 29 on a stack is one curve.  The cap 31 (n = 480,
+    most ``_STACK_ENTRIES`` entries (2 MiB), so the tables' memory does not
+    grow with the class (only the gcd rows do, n entries per curve and
+    eigenvalue); from ell = 29 on a stack is one curve.  The cap 31 (n = 480,
     a 1.8 MB table) sits far above every degree the demos use, and keeps
     the table's sums exact: n * p^2 < 2^63 at the field cap.
     """
@@ -341,16 +344,63 @@ def velu_codomain(c: Curve, kernel: np.ndarray) -> tuple[int, int]:
     return (c.a - 5 * t_tot) % p, (c.b - 7 * w_tot) % p
 
 
+def _kernel_conditions(curves, ell: int, eigenvalues):
+    """The conditions phase of ``_psi_kernel_search`` on one table stack.
+
+    Returns psi_ell of each curve, made monic, as a (k, n + 1) array for
+    n = deg psi_ell; the x-condition of every (lam, curve) pair as a
+    (len(eigenvalues), k, n) array of residues mod psi_ell; and the
+    y-conditions, a (k, *) array per index of an eigenvalue that needs
+    one.  The reduction tables live only here, so a stack's tables are
+    freed before the next stack's are built.
+    """
+    p, t = curves[0].p, curves[0].t
+    w = division_polys(p, [c.a for c in curves], [c.b for c in curves], ell)
+    # the leading coefficient of psi_ell is ell, whatever the model
+    psi = w[ell] * pow(int(w[ell][0, -1]), -1, p) % p
+    rows = fp._reduction_rows(psi, p)
+
+    def mul(u, v):
+        return fp.poly_mulmod(u, v, p, rows)
+
+    f = np.array([[c.b, c.a, 0, 1] for c in curves], dtype=np.int64)
+    xs = np.tile(fp.X, (len(curves), 1))
+    x_shift = fp.stack_sub(xs, fp.poly_powmod(xs, p, psi, p, rows), p)  # x - x^p
+    frob_y = None  # y^p / y, built on first need
+    x_conds = np.empty((len(eigenvalues), len(curves), psi.shape[1] - 1), dtype=np.int64)
+    y_conds = {}  # y_conds[k]: the y-condition of eigenvalues[k], if needed
+    for k, lam in enumerate(eigenvalues):
+        m = min(lam, ell - lam)
+        num, den = mul(w[m - 1], w[m + 1]), mul(w[m], w[m])
+        if m % 2:
+            num = mul(f, num)
+        else:
+            den = mul(f, den)
+        x_cond = fp.stack_sub(mul(x_shift, den), num, p)
+        # a residue mod psi_ell, narrower than deg psi_ell when x^p is (p < deg psi_ell)
+        x_conds[k] = fp._widen(x_cond, x_conds.shape[2])
+        if (lam * lam + t * lam + p) % ell == 0:  # -lam is an eigenvalue as well
+            if frob_y is None:
+                frob_y = fp.poly_powmod(f, (p - 1) // 2, psi, p, rows)
+            sign = 1 if lam == m else -1
+            y_conds[k] = fp.stack_sub(2 * mul(frob_y, mul(den, den)), sign * w[2 * m], p)
+    return psi, x_conds, y_conds
+
+
 def _psi_kernel_search(curves, ell: int, eigenvalues) -> list[list[IsogenyEdge]]:
     """Per curve, the rational ell-kernel on which Frobenius acts as lam, per lam.
 
-    ``curves`` is a stack of models of one class (one p, one trace t),
-    searched at once: the division polynomials, psi_ell, its reduction
-    tables, x^p and the conditions below are stacked arrays with one row
-    per curve.  The x-conditions of every lam are built first, and their
-    gcds with psi_ell run as one ``fp.stack_gcd``; the y-condition gcds of
-    every (lam, curve) pair that needs one run as a second lockstep, and
-    Velu runs per curve.
+    ``curves`` is a batch of models of one class (one p, one trace t),
+    searched at once in two phases.  The conditions phase
+    (``_kernel_conditions``) builds the division polynomials, psi_ell, its
+    reduction tables, x^p and the conditions below as stacked arrays with
+    one row per curve, one table stack at a time: a stack holds as many
+    curves as keep its tables, k n^2 int64 entries for n = deg psi_ell,
+    within ``_STACK_ENTRIES`` (at least one curve: at ell = 29 or 31 a stack
+    is one curve).  Then the gcds of every stack's psi_ell rows with their
+    x-conditions run as one ``fp.stack_gcd``, the y-condition gcds of every
+    (lam, curve) pair that needs one as a second lockstep, and Velu per
+    curve.
 
     The kernel is E[ell] meet ker(pi - lam), and pi(P) = (x^p, y^p) with
     y^p = y * f^((p-1)/2) for f = x^3 + ax + b.  For m = min(lam, ell - lam),
@@ -371,45 +421,27 @@ def _psi_kernel_search(curves, ell: int, eigenvalues) -> list[list[IsogenyEdge]]
     to a counted model and ``rational_l_isogenies`` by a recount.
     ``_isogenies_of`` passes the roots of x^2 - t x + p mod ell.
     """
-    p, t = curves[0].p, curves[0].t
+    p = curves[0].p
     d = (ell - 1) // 2
-    w = division_polys(p, [c.a for c in curves], [c.b for c in curves], ell)
-    # the leading coefficient of psi_ell is ell, whatever the model
-    psi = w[ell] * pow(int(w[ell][0, -1]), -1, p) % p
-    rows = fp._reduction_rows(psi, p)
-
-    def mul(u, v):
-        return fp.poly_mulmod(u, v, p, rows)
-
-    f = np.array([[c.b, c.a, 0, 1] for c in curves], dtype=np.int64)
-    xs = np.tile(fp.X, (len(curves), 1))
-    x_shift = fp.stack_sub(xs, fp.poly_powmod(xs, p, psi, p, rows), p)  # x - x^p
-    frob_y = None  # y^p / y, built on first need
-    x_conds, y_conds = [], {}  # y_conds[k]: the y-condition of eigenvalues[k], if needed
-    for k, lam in enumerate(eigenvalues):
-        m = min(lam, ell - lam)
-        num, den = mul(w[m - 1], w[m + 1]), mul(w[m], w[m])
-        if m % 2:
-            num = mul(f, num)
-        else:
-            den = mul(f, den)
-        x_cond = fp.stack_sub(mul(x_shift, den), num, p)
-        # a residue mod psi_ell, narrower than deg psi_ell when x^p is (p < deg psi_ell)
-        x_conds.append(fp._widen(x_cond, psi.shape[1] - 1))
-        if (lam * lam + t * lam + p) % ell == 0:  # -lam is an eigenvalue as well
-            if frob_y is None:
-                frob_y = fp.poly_powmod(f, (p - 1) // 2, psi, p, rows)
-            sign = 1 if lam == m else -1
-            y_conds[k] = fp.stack_sub(2 * mul(frob_y, mul(den, den)), sign * w[2 * m], p)
+    n = (ell * ell - 1) // 2
+    size = max(1, _STACK_ENTRIES // (n * n))
+    stacks = [_kernel_conditions(curves[s : s + size], ell, eigenvalues)
+              for s in range(0, len(curves), size)]
+    psi = np.concatenate([psi for psi, _, _ in stacks])
+    x_conds = np.concatenate([x for _, x, _ in stacks], axis=1)
     # one lockstep Euclid of psi_ell against the x-condition of every (lam, curve)
-    kernels = fp.stack_gcd(np.tile(psi, (len(x_conds), 1)), np.concatenate(x_conds), p)
+    kernels = fp.stack_gcd(
+        np.tile(psi, (len(eigenvalues), 1)), x_conds.reshape(-1, x_conds.shape[2]), p
+    )
     # and one more of each x-kernel against its y-condition, where it has one
-    cut = [k * len(curves) + i for k in y_conds for i in range(len(curves))]
+    needs_y = list(stacks[0][2])  # the same eigenvalue indices in every stack
+    cut = [k * len(curves) + i for k in needs_y for i in range(len(curves))]
     if cut:
+        y_conds = [y[k] for k in needs_y for _, _, y in stacks]
         x_width = max(len(kernels[j]) for j in cut)
-        y_width = max(y.shape[1] for y in y_conds.values())
+        y_width = max(y.shape[1] for y in y_conds)
         x_kernels = np.array([fp._pad(kernels[j], x_width) for j in cut])
-        y_stack = np.concatenate([fp._widen(y, y_width) for y in y_conds.values()])
+        y_stack = np.concatenate([fp._widen(y, y_width) for y in y_conds])
         for j, kernel in zip(cut, fp.stack_gcd(x_kernels, y_stack, p)):
             kernels[j] = kernel
     found = [[] for _ in curves]
@@ -430,7 +462,7 @@ def _psi_kernel_search(curves, ell: int, eigenvalues) -> list[list[IsogenyEdge]]
                     ell=ell,
                     source_j=c.j,
                     target_j=_j_invariant(p, va, vb),
-                    kernel=tuple(int(x) for x in kernel),
+                    kernel=tuple(kernel.tolist()),
                     eigenvalue=lam,
                     source_model=(c.a, c.b),
                     velu_model=(va, vb),
@@ -442,12 +474,8 @@ def _psi_kernel_search(curves, ell: int, eigenvalues) -> list[list[IsogenyEdge]]
 
 
 def _isogenies_of(curves, ell: int) -> list[list[IsogenyEdge]]:
-    """``rational_l_isogenies`` of each curve of one class, searched in stacks.
-
-    A stack holds as many curves as keep its reduction tables, k n^2 int64
-    entries for n = deg psi_ell, within ``_STACK_ENTRIES`` (at least one
-    curve: at ell = 29 or 31 a stack is one curve).
-    """
+    """``rational_l_isogenies`` of each curve of one class, as one batch of
+    ``_psi_kernel_search``."""
     c0 = curves[0]
     _check_degree(ell, c0.p)
     if not c0.ordinary:
@@ -456,11 +484,7 @@ def _isogenies_of(curves, ell: int) -> list[list[IsogenyEdge]]:
     if expected == 0:
         return [[] for _ in curves]
     roots = [z for z in range(1, ell) if (z * z - c0.t * z + c0.p) % ell == 0]
-    n = (ell * ell - 1) // 2
-    size = max(1, _STACK_ENTRIES // (n * n))
-    found = []
-    for s in range(0, len(curves), size):
-        found.extend(_psi_kernel_search(curves[s : s + size], ell, roots))
+    found = _psi_kernel_search(curves, ell, roots)
     for edges in found:
         if len(edges) != expected:
             raise InternalConsistencyError(
@@ -633,30 +657,37 @@ class IsogenyGraph(StepGraph):
 def build_isogeny_graph(p: int, t: int, ells) -> IsogenyGraph:
     """The ell-isogeny graph of the trace-t class over F_p, for ell in ells.
 
-    The class is grown by breadth-first search over the computed horizontal
-    isogenies, seeded by the j-order class scan: each j the scan finds that
-    no search has reached seeds a new component, and the scan stops once
-    all h(D) vertices are known.  When the ells generate Cl(D) one seed
-    suffices; an edgeless or non-generating L costs at most the full scan.
-    The search runs one BFS level at a time, with one kernel search per
-    (level, ell) on the level's curves stacked; new vertices are taken in
-    FIFO order (curve, then ell, then edge), as a queue would take them.
+    The class is grown over the computed horizontal isogenies, seeded by
+    the j-order class scan: each j the scan finds that no search has
+    reached seeds a new component, and the scan stops once all h(D)
+    vertices are known.  When the ells generate Cl(D) one seed suffices;
+    an edgeless or non-generating L costs at most the full scan.  A
+    component grows by degree sweeps over the curves in discovery order:
+    a sweep takes each ell in increasing order once, as one kernel search
+    on every curve that ell has not searched yet, the curves found earlier
+    in the same sweep included, and sweeps repeat until one finds no new
+    curve.  So each (curve, ell) pair is searched exactly once, in as few
+    and as large batches as the order of discovery allows.
     """
     ells = tuple(sorted(set(int(x) for x in ells)))
     for ell in ells:
         _check_degree(ell, p)
     disc, h = _checked_class(p, t)
-    curves: dict[int, Curve] = {}
+    curves: dict[int, Curve] = {}  # in discovery order
+    searched = dict.fromkeys(ells, 0)  # ell has searched the first searched[ell] curves
     edges = []
     for seed in _class_scan(p, t, disc, curves):
         curves[seed.j] = seed
-        level = [seed]
-        while level:
-            found = [_isogenies_of(level, ell) for ell in ells]
-            following = []
-            for i, c in enumerate(level):
-                for per_curve in found:
-                    for e in per_curve[i]:
+        swept = 0  # the curve count when the last sweep began
+        while swept < len(curves):
+            swept = len(curves)
+            for ell in ells:
+                batch = list(curves.values())[searched[ell] :]
+                searched[ell] = len(curves)
+                if not batch:
+                    continue
+                for c, out in zip(batch, _isogenies_of(batch, ell)):
+                    for e in out:
                         target = curves.get(e.target_j)
                         if target is None:
                             target = _twist_with_trace(p, e.target_j, t)
@@ -666,12 +697,10 @@ def build_isogeny_graph(p: int, t: int, ells) -> IsogenyGraph:
                                     f"(target {e.target_j})"
                                 )
                             curves[e.target_j] = target
-                            following.append(target)
                         u = _model_scale(p, e.velu_model, (target.a, target.b))
                         edges.append(
                             replace(e, target_model=(target.a, target.b), scale=u)
                         )
-            level = following
         if len(curves) >= h:
             break
     if not curves:

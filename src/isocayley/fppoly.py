@@ -5,8 +5,11 @@ Coefficients are numpy int64 vectors, lowest degree first, reduced into
 fixed polynomial works on stacks: k residues modulo k moduli of one degree
 n are one (k, n) array, and ``_reduction_rows`` builds the moduli's
 reduction tables at once, which ``poly_mulmod`` and ``poly_powmod`` share.
-Products are row-wise convolutions (``stack_mul``); each reduction is one
-stacked product against the tables.  A single polynomial is a stack of
+``stack_mul`` multiplies a stack whose rows are at most ``_NARROW`` (40)
+wide by one outer product summed along its anti-diagonals, and wider rows
+by one ``np.convolve`` each, because past that width the outer product's
+buffer costs more than the per-row calls; each reduction is one stacked
+product against the tables.  A single polynomial is a stack of
 one.  ``stack_gcd`` is the one gcd: it runs Euclid on every row pair of a
 stack in lockstep, rows regrouped by degree as their remainders drop, and
 the kernel search's x- and y-condition gcds and the factoring routines all
@@ -41,6 +44,15 @@ __all__ = [
     "equal_degree_factors",
     "low_degree_factors",
 ]
+
+# the widest rows that ``stack_mul`` multiplies by an outer product, chosen
+# by timing both branches on the kernel search's stacks: over the products of
+# ecgraph -p 9973 -t 1 -L 3,5,7,11,13 (widths up to 25, up to 26 rows) the
+# outer product took 9 ms where per-row calls took 22 ms, and taken at every
+# width it made the products of the -L 3,...,31 build three times slower
+_NARROW = 40
+# int64 entries in one outer-product buffer of ``stack_mul`` (2 MiB)
+_BUFFER_ENTRIES = 2**18
 
 X = np.array([0, 1], dtype=np.int64)
 ONE = np.array([1], dtype=np.int64)
@@ -181,15 +193,34 @@ def _pseudo_remainders(a, b, p):
 def stack_mul(u, v, p):
     """Row-wise products of two stacks of polynomials, (k, a) by (k, b).
 
-    Each row is one ``np.convolve``; the product has the formal width
-    a + b - 1 and is not trimmed, so one row's leading zeros stay.
+    Stacks of more than one row, both at most ``_NARROW`` wide, are
+    multiplied by one outer product per chunk of rows: the products u_i v
+    of row i, written b wide into an a + b wide zero row, fall on the
+    anti-diagonals c = i + j when the buffer is read a + b - 1 wide, so
+    summing over i gives every convolution at once.  A chunk holds at most
+    ``_BUFFER_ENTRIES`` buffer entries.  Wider rows, and a stack of one,
+    take one ``np.convolve`` each: past the bound a row's a (a + b) buffer
+    entries cost more than the call they save.  The product has the formal
+    width a + b - 1 and is not trimmed, so one row's leading zeros stay.
     """
-    k = len(u)
-    if u.shape[1] == 0 or v.shape[1] == 0:
+    k, a = u.shape
+    b = v.shape[1]
+    if a == 0 or b == 0:
         return np.zeros((k, 0), dtype=np.int64)
-    out = np.empty((k, u.shape[1] + v.shape[1] - 1), dtype=np.int64)
-    for i in range(k):
-        out[i] = np.convolve(u[i], v[i])
+    if a > b:
+        u, v, a, b = v, u, b, a
+    out = np.empty((k, a + b - 1), dtype=np.int64)
+    if k == 1 or b > _NARROW:
+        for i in range(k):
+            out[i] = np.convolve(u[i], v[i])
+    else:
+        rows = _BUFFER_ENTRIES // (a * (a + b))
+        buf = np.zeros((min(k, rows), a, a + b), dtype=np.int64)
+        for s in range(0, k, rows):
+            m = min(rows, k - s)
+            np.multiply(u[s : s + m, :, None], v[s : s + m, None, :], out=buf[:m, :, :b])
+            diagonals = buf[:m].reshape(m, -1)[:, : a * (a + b - 1)].reshape(m, a, a + b - 1)
+            out[s : s + m] = diagonals.sum(axis=1)
     out %= p
     return out
 
@@ -236,8 +267,8 @@ def poly_mulmod(u, v, p, rows):
     """Row-wise u * v mod g for stacks of residues, given rows = _reduction_rows(g, p).
 
     u and v have k rows of width at most n = deg g, and so has the result.
-    Each product is one ``np.convolve`` per row; its coefficients from x^n
-    up are folded back with one stacked product against the tables.  Every
+    Each product is one ``stack_mul``; its coefficients from x^n up are
+    folded back with one stacked product against the tables.  Every
     entry of the convolution and of the fold is a sum of at most n terms
     below p^2, so n * p^2 < 2^63 keeps the int64 arithmetic exact (n = 480,
     p = 10^4 at the caps of ``ecgraph``).
@@ -260,6 +291,10 @@ def poly_powmod(u, e: int, g, p, rows=None):
     repeated multiplication from ONE would.  A caller that works modulo one
     stack many times passes ``rows = _reduction_rows(g, p)`` so the tables
     are built once.
+
+    The bits of e are taken from the top, so every multiplication is by u
+    itself: for the kernel search's x^p and f^((p-1)/2) that is a product
+    with rows of two or four terms, not a second full-width square.
     """
     if e < 0:
         raise InputError("negative polynomial exponent")
@@ -272,14 +307,12 @@ def poly_powmod(u, e: int, g, p, rows=None):
         return np.ones((k, 1), dtype=np.int64)
     if rows is None:
         rows = _reduction_rows(g, p)
-    result = None
-    while True:
-        if e & 1:
-            result = base if result is None else poly_mulmod(result, base, p, rows)
-        e >>= 1
-        if not e:
-            return result
-        base = poly_mulmod(base, base, p, rows)
+    result = base
+    for bit in bin(e)[3:]:
+        result = poly_mulmod(result, result, p, rows)
+        if bit == "1":
+            result = poly_mulmod(result, base, p, rows)
+    return result
 
 
 def distinct_degree_split(f, p, max_degree):

@@ -455,25 +455,44 @@ def test_isogeny_search_reaches_the_enumerated_class(p, t, ells, generated):
 
 @pytest.mark.parametrize("entries", [1, 3 * 24**2])
 def test_stacks_match_the_per_curve_oracle(monkeypatch, entries):
-    """Stacks of one curve, and BFS levels of 4, 8 and 10 curves split into
-    stacks of at most 3 at ell = 7 (n = 24), find the edges that
+    """Stacks of one curve, and sweep batches of 3, 12 and 10 curves split
+    into stacks of at most 3 at ell = 7 (n = 24), find the edges that
     rational_l_isogenies finds curve by curve."""
     sizes = []
-    search = eg._psi_kernel_search
+    conditions = eg._kernel_conditions
 
     def recorded(curves, ell, eigenvalues):
         sizes.append((ell, len(curves)))
-        return search(curves, ell, eigenvalues)
+        return conditions(curves, ell, eigenvalues)
 
     monkeypatch.setattr(eg, "_STACK_ENTRIES", entries)
-    monkeypatch.setattr(eg, "_psi_kernel_search", recorded)
+    monkeypatch.setattr(eg, "_kernel_conditions", recorded)
     g = eg.build_isogeny_graph(2003, 1, (5, 7))
     assert max(k for ell, k in sizes if ell == 7) == (1 if entries == 1 else 3)
-    assert len(sizes) > 10  # one search per (level, ell) would be 10
+    assert len(sizes) > 10  # one stack per batch would be 6
     got = [(e.source_j, e.ell, e.target_j, e.kernel, e.eigenvalue, e.source_model, e.velu_model)
            for e in g.edges]
     assert got == reference_edges(2003, 1, (5, 7))
     assert list(g.vertices) == eg.enumerate_isogeny_class(2003, 1)
+
+
+@pytest.mark.parametrize("p, t, ells, most", [
+    (9973, 1, (3, 5, 7, 11, 13), 18),  # isogeny-cap's ecgraph; one per (BFS level, ell) is 30
+    (2003, 1, (5, 7), 6),  # and its dlpdemo; one per (BFS level, ell) is 10
+])
+def test_degree_sweeps_search_each_pair_once_in_few_batches(monkeypatch, p, t, ells, most):
+    batches = []
+    search = eg._isogenies_of
+
+    def counted(curves, ell):
+        batches.append([(ell, c.j) for c in curves])
+        return search(curves, ell)
+
+    monkeypatch.setattr(eg, "_isogenies_of", counted)
+    g = eg.build_isogeny_graph(p, t, ells)
+    assert len(batches) <= most
+    pairs = sorted(pair for batch in batches for pair in batch)
+    assert pairs == sorted((ell, j) for ell in ells for j in g.vertices)
 
 
 def test_stack_memory_stays_within_the_budget():
@@ -915,8 +934,8 @@ def test_every_edge_below_100_is_pinned():
 # sha256 over every edge of six classes at the large degrees L = {17, 19, 23,
 # 29, 31}: 172 edges, each spelled as above.  The classes have split,
 # ramified and inert large degrees, and t = 0 mod ell at ell = 17 and 19.
-# (101, 3) and (223, 2) stack BFS levels of 4 and 5 curves at ell = 17 and
-# 19, which (223, 2) splits into stacks of 3 at ell = 23 (n = 264).
+# (101, 3) and (223, 2) search sweep batches of 7 and 10 curves at ell = 17,
+# and (223, 2) splits its batch of 8 at ell = 23 (n = 264) into stacks of 3.
 LARGE_EDGE_DIGEST = "607f6b7e2be3ac155efa7814fefd51432010c50e60c9324ad50d33a636f8123d"
 
 
@@ -934,3 +953,18 @@ def test_large_degree_edges_are_pinned():
             )
     assert edges == 172
     assert h.hexdigest() == LARGE_EDGE_DIGEST
+
+
+# sha256 over the 616 edges of the (9973, 1) class at the degree cap, L = {3,
+# 5, 7, ..., 31}, each spelled (source j, target j, ell, eigenvalue, kernel).
+CAP_EDGE_DIGEST = "8f6c24016d80eb8c4ef48efaada9ced280ced55da35067922d3f763c4143c6be"
+
+
+def test_cap_build_edges_are_pinned():
+    g = eg.build_isogeny_graph(9973, 1, (3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+    h = hashlib.sha256()
+    for e in g.edges:
+        kernel = ",".join(str(int(c)) for c in e.kernel)
+        h.update(f"{e.source_j} {e.target_j} {e.ell} {e.eigenvalue} {kernel}\n".encode())
+    assert len(g.edges) == 616
+    assert h.hexdigest() == CAP_EDGE_DIGEST

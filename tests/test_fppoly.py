@@ -5,6 +5,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_pow_mod
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from isocayley import fppoly as fp
 from isocayley.errors import InputError
@@ -150,6 +151,45 @@ def test_powmod_large_exponent_matches_sympy(u_c, g_c, e):
         [int(c) for c in reversed(u)], e, [int(c) for c in reversed(g)], p, ZZ
     )
     assert [int(c) for c in reversed(powmod(u, e, g, p))] == want
+
+
+def convolve_rows(u, v, p):
+    """stack_mul's reference: one np.convolve per row pair."""
+    if u.shape[1] == 0 or v.shape[1] == 0:
+        return np.zeros((len(u), 0), dtype=np.int64)
+    return np.array([np.convolve(a, b) % p for a, b in zip(u, v)],
+                    dtype=np.int64).reshape(len(u), u.shape[1] + v.shape[1] - 1)
+
+
+# widths 0, at most the outer-product bound, and past it
+stack_widths = st.one_of(st.just(0), st.integers(1, fp._NARROW),
+                         st.integers(fp._NARROW + 1, fp._NARROW + 24))
+
+
+@given(st.data(), st.integers(0, 6), stack_widths, stack_widths,
+       st.sampled_from([3, 2003, 9973]))
+@settings(max_examples=200, deadline=None)
+def test_stack_mul_matches_per_row_convolve(data, k, a, b, p):
+    """Both branches of stack_mul, the outer product of narrow stacks and
+    the per-row calls past ``_NARROW``, on stacks of 0 to 6 rows."""
+    coeffs = st.integers(0, p - 1)
+    u = data.draw(arrays(np.int64, (k, a), elements=coeffs))
+    v = data.draw(arrays(np.int64, (k, b), elements=coeffs))
+    got = fp.stack_mul(u, v, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, convolve_rows(u, v, p))
+
+
+@pytest.mark.parametrize("k, a, b", [(6, 481, 481), (6, 40, 481), (6, 40, 40), (200, 40, 40)])
+def test_stack_mul_at_the_int64_limit(k, a, b):
+    """Every entry p - 1 at p = 9973, so coefficient c sums one (p - 1)^2 per
+    pair i + j = c: up to 481 of them, 4.8e10, in the per-row branch.  The
+    narrow branch takes (6, 40, 40) as one outer product and (200, 40, 40)
+    in three chunks of its buffer."""
+    p = 9973
+    got = fp.stack_mul(np.full((k, a), p - 1), np.full((k, b), p - 1), p)
+    pairs = [min(c, a - 1, b - 1, a + b - 2 - c) + 1 for c in range(a + b - 1)]
+    assert np.array_equal(got, np.tile([n * (p - 1) ** 2 % p for n in pairs], (k, 1)))
 
 
 def test_factor_known_product():
