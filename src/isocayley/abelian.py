@@ -642,13 +642,8 @@ def parse_group_text(text: str) -> GroupFile:
             if name in generators:
                 raise GroupFileError(lineno, f"duplicate subgroup {name!r}")
             rank = len(group.invariants)
-            try:
-                generators[name] = [
-                    group.element(_parse_vector(tok, rank, lineno))
-                    for tok in body.split()
-                ]
-            except InputError as e:
-                raise GroupFileError(lineno, str(e)) from None
+            generators[name] = [group.element(_parse_vector(tok, rank, lineno))
+                                for tok in body.split()]
             continue
         raise GroupFileError(lineno, f"unrecognized line {line!r}")
     if group is None:

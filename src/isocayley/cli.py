@@ -256,31 +256,47 @@ def _digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _items(text: str, what: str) -> list[str]:
+    """The comma-separated items of an argument, at least one of them."""
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    if not items:
+        raise InputError(f"{what}: empty list {text!r}")
+    return items
+
+
 def _ints(text: str, what: str) -> list[int]:
     """Comma-separated integers, at least one of them."""
+    items = _items(text, what)
     try:
-        out = [int(x) for x in text.split(",") if x.strip() != ""]
+        return [int(x) for x in items]
     except ValueError:
         raise InputError(f"{what}: expected comma-separated integers, got {text!r}") from None
-    if not out:
-        raise InputError(f"{what}: empty list {text!r}")
-    return out
 
 
-def _vector_items(text: str, what: str) -> list[tuple[int, ...]]:
-    """Comma-separated items, each a colon-separated integer tuple."""
-    out = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
+def _element(group, item: str, what: str):
+    """The element that one item spells: a form triple a:b:c of a class
+    group, reduced to its class, or a coordinate vector c1:c2:... of an
+    abstract group.  Errors start with ``what`` and quote the item as given."""
+    try:
+        coords = [int(x) for x in item.split(":")]
+    except ValueError:
+        raise InputError(f"{what} {item!r}: expected integers separated by ':'") from None
+    if isinstance(group, quadform.ClassGroup):
+        if len(coords) != 3:
+            raise InputError(f"{what} {item!r}: expected a form triple a:b:c")
+        a, b, c = coords
+        disc, d = b * b - 4 * a * c, group.discriminant.value
+        if a <= 0 and disc < 0:
+            raise InputError(f"{what} {item!r} is not positive definite")
+        if disc != d:
+            raise InputError(f"{what} {item!r} has discriminant {disc}, expected {d}")
         try:
-            out.append(tuple(int(x) for x in item.split(":")))
-        except ValueError:
-            raise InputError(f"{what}: bad item {item!r} in {text!r}") from None
-    if not out:
-        raise InputError(f"{what}: empty list {text!r}")
-    return out
+            return group.element_of(quadform.reduce_form(coords))
+        except InputError:
+            raise InputError(f"{what} {item!r} is not a primitive form") from None
+    if len(coords) != len(group.invariants):
+        raise InputError(f"{what} {item!r}: expected {len(group.invariants)} coordinates")
+    return group.element(coords)
 
 
 class _Graph:
@@ -294,55 +310,16 @@ class _Graph:
     def resolve(self, spec: str):
         """A vertex from its CLI spelling ('id', 'a:b:c' or 'c1:c2:...'),
         checked to be a vertex of the graph; errors quote the spec."""
+        ambient = self.graph.subgroup.ambient
         if spec == "id":
-            return self.graph.subgroup.ambient.identity
-        items = _vector_items(spec, "vertex")
+            return ambient.identity
+        items = _items(spec, "vertex")
         if len(items) != 1:
             raise InputError(f"vertex {spec!r}: expected one vertex, got {len(items)}")
-        coords = items[0]
-        if self.cls_group is not None:
-            if len(coords) != 3:
-                raise InputError(f"vertex {spec!r}: expected a form triple a:b:c")
-            a, b, c = coords
-            disc, d = b * b - 4 * a * c, self.cls_group.discriminant.value
-            if a <= 0 and disc < 0:
-                raise InputError(f"vertex {spec!r} is not positive definite")
-            if disc != d:
-                raise InputError(f"vertex {spec!r} has discriminant {disc}, expected {d}")
-            try:
-                e = self.cls_group.element_of(quadform.reduce_form(coords))
-            except InputError:
-                raise InputError(f"vertex {spec!r} is not a primitive form") from None
-        else:
-            ambient = self.graph.subgroup.ambient
-            if len(coords) != len(ambient.invariants):
-                raise InputError(f"vertex {spec!r}: expected {len(ambient.invariants)} coordinates")
-            e = ambient.element(coords)
+        e = _element(self.cls_group or ambient, items[0], "vertex")
         if e not in self.graph.subgroup:
             raise InputError(f"vertex {spec!r} lies outside the graph's subgroup")
         return e
-
-
-def _form_generators(cls_group, text: str) -> list:
-    """The class group elements of the --gens forms, checked in the order
-    :meth:`_Graph.resolve` checks a vertex; errors quote the form as given."""
-    d = cls_group.discriminant.value
-    specs = [item.strip() for item in text.split(",") if item.strip()]
-    gens = []
-    for spec, triple in zip(specs, _vector_items(text, "--gens")):
-        if len(triple) != 3:
-            raise InputError(f"--gens: {':'.join(map(str, triple))} is not a form triple")
-        a, b, c = triple
-        disc = b * b - 4 * a * c
-        if a <= 0 and disc < 0:
-            raise InputError(f"--gens: form {spec!r} is not positive definite")
-        if disc != d:
-            raise InputError(f"--gens: form {triple} has discriminant {disc}, expected {d}")
-        try:
-            gens.append(cls_group.element_of(quadform.reduce_form(triple)))
-        except InputError:
-            raise InputError(f"--gens: form {spec!r} is not a primitive form") from None
-    return gens
 
 
 def _closed_under_inversion(gens):
@@ -392,7 +369,8 @@ def _build_graph(args) -> _Graph:
     if args.disc is not None:
         cls = quadform.class_group(_disc_source(args))
         if args.gens:
-            sub = abelian.subgroup_generated(cls.group, _form_generators(cls, args.gens))
+            gens = [_element(cls, item, "--gens: form") for item in _items(args.gens, "--gens")]
+            sub = abelian.subgroup_generated(cls.group, gens)
         else:
             sub = cls.whole
         s_b = quadform.generating_multiset(cls, args.bound, sub)
@@ -405,20 +383,10 @@ def _build_graph(args) -> _Graph:
         if args.bound is not None:
             raise InputError("--bound needs -D; group-file graphs take their edges from --gens")
         gf = abelian.load_group_file(args.group_file)
-        if args.gens:
-            rank = len(gf.group.invariants)
-            elems = []
-            for vec in _vector_items(args.gens, "--gens"):
-                if len(vec) != rank:
-                    raise InputError(
-                        f"--gens: vector {vec} has {len(vec)} coordinates, expected {rank}"
-                    )
-                elems.append(gf.group.element(vec))
-            labeled = [(":".join(str(x) for x in e.coords), e) for e in elems]
-        elif args.subgroup:
-            raise InputError("group-file graphs still need --gens for the edge set")
-        else:
-            raise InputError("group-file graphs need --gens")
+        if not args.gens:
+            raise InputError("group-file graphs need --gens for the edge set")
+        elems = [_element(gf.group, item, "--gens: vector") for item in _items(args.gens, "--gens")]
+        labeled = [(":".join(str(x) for x in e.coords), e) for e in elems]
         gens = _closed_under_inversion(labeled)
         if args.subgroup and args.subgroup not in gf.generators:
             raise InputError(f"the group file defines no subgroup named {args.subgroup!r}")
@@ -496,8 +464,7 @@ def cmd_spectrum(args):
 
 def cmd_mix(args):
     ctx = _build_graph(args)
-    target_specs = [t.strip() for t in args.target.split(",") if t.strip()]
-    target = tuple(ctx.resolve(t) for t in target_specs)
+    target = tuple(ctx.resolve(t) for t in _items(args.target, "--target"))
     start = ctx.resolve(args.start)
     cfg = walks.WalkConfig(
         length=args.length, trials=args.trials, seed=args.seed, target=target

@@ -417,14 +417,19 @@ def _split_endpoints(graph: CayleyGraph, start_idx: int, length: int, trials: in
 
 
 def exact_distribution(graph: CayleyGraph, start, length: int) -> np.ndarray:
-    """Exact end-vertex distribution via dense transition-matrix powering."""
+    """Exact end-vertex distribution, one gather over the step table a step.
+
+    Every slot is paired with its inverse, so the adjacency matrix is
+    symmetric and ``row @ (adjacency / k)`` at vertex j is the sum of
+    ``row`` over j's k neighbours, divided by k.  That sum is numpy's own
+    row-by-row reduction, not a BLAS product, so the bytes do not depend on
+    the BLAS kernel."""
     if graph.degree == 0:
         raise PreconditionError("walk on an edgeless graph")
-    p = graph.adjacency().astype(np.float64) / graph.degree
     row = np.zeros(graph.order)
     row[graph.vertex_index(start)] = 1.0
     for _ in range(length):
-        row = row @ p
+        row = row[graph.step_table].sum(axis=0) / graph.degree
     return row
 
 

@@ -340,25 +340,25 @@ def test_criterion_8_dlp_transfer():
 # 9. CLI runs are byte-identical under identical seeds
 # ---------------------------------------------------------------------------
 
-def _run_cli(argv, out_dir):
+def _run_cli(argv, out_dir, env):
     r = subprocess.run(
         [sys.executable, "-m", "isocayley.cli", *argv, "--out", str(out_dir)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     files = {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
     assert "manifest.json" in files
     return files
 
 
-def test_criterion_9_cli_reproducibility(tmp_path):
+def test_criterion_9_cli_reproducibility(tmp_path, subprocess_env):
     cases = {
         "spectrum": ["spectrum", "-D", "-23", "--bound", "3", "--seed", "7"],
         "dlpdemo": ["dlpdemo", "-p", "31", "-t", "3", "-L", "7", "--seed", "3"],
     }
     total = 0
     for name, argv in cases.items():
-        first = _run_cli(argv, tmp_path / f"{name}-a")
-        second = _run_cli(argv, tmp_path / f"{name}-b")
+        first = _run_cli(argv, tmp_path / f"{name}-a", subprocess_env)
+        second = _run_cli(argv, tmp_path / f"{name}-b", subprocess_env)
         assert first.keys() == second.keys()
         for fname in first:
             assert first[fname] == second[fname], f"{name}/{fname} differs"

@@ -299,8 +299,12 @@ def test_unreadable_input_files_exit_2(capsys, tmp_path, command, text, want):
      "vertex '0:0:0': expected 2 coordinates"),
     (None, ["path", "-D", "-23", "--bound", "10", "-A=-1:1:-6", "-B", "id"],
      "vertex '-1:1:-6' is not positive definite"),
+    ("invariants: 4 12\n", ["path", "--gens", "0:0:0", "-A", "id", "-B", "id"],
+     "--gens: vector '0:0:0': expected 2 coordinates"),
+    (None, ["path", "-D", "-23", "--bound", "10", "-A", "1:y:6", "-B", "id"],
+     "vertex '1:y:6': expected integers separated by ':'"),
 ], ids=["wrong-discriminant", "outside-subgroup", "mix-start", "outside-form-subgroup",
-        "imprimitive", "wrong-rank", "negative-definite"])
+        "imprimitive", "wrong-rank", "negative-definite", "gens-wrong-rank", "not-integers"])
 def test_vertex_spec_naming_no_vertex_is_quoted(capsys, tmp_path, source, argv, want):
     """A vertex spec that names no vertex of the graph exits 2 with the
     spec quoted as given, not a QuadForm or GroupElement repr."""
@@ -321,7 +325,12 @@ def test_vertex_spec_naming_no_vertex_is_quoted(capsys, tmp_path, source, argv, 
      "--gens: form '2:2:2' is not a primitive form"),
     (["path", "-D", "-23", "--bound", "10", "--gens=-1:1:-6", "-A", "id", "-B", "id"],
      "--gens: form '-1:1:-6' is not positive definite"),
-], ids=["path-imprimitive", "mix-imprimitive", "negative-definite"])
+    (["path", "-D", "-23", "--bound", "10", "--gens", "1:1:1", "-A", "id", "-B", "id"],
+     "--gens: form '1:1:1' has discriminant -3, expected -23"),
+    (["path", "-D", "-23", "--bound", "10", "--gens", "1:x:1", "-A", "id", "-B", "id"],
+     "--gens: form '1:x:1': expected integers separated by ':'"),
+], ids=["path-imprimitive", "mix-imprimitive", "negative-definite", "wrong-discriminant",
+        "not-integers"])
 def test_gens_form_naming_no_class_is_quoted(capsys, argv, want):
     """A --gens form of the right discriminant that names no class exits 2
     with the form quoted as given, not a form or element repr."""
@@ -621,7 +630,7 @@ def test_dlpdemo_transcript(capsys):
     assert data["recovered_r"] == data["planted_r"]
 
 
-def test_dlpdemo_never_imports_numpy_random(tmp_path):
+def test_dlpdemo_never_imports_numpy_random(tmp_path, subprocess_env):
     """dlpdemo draws from walks.PhiloxGenerator, so a fresh interpreter that
     runs README's dlpdemo never loads numpy.random."""
     code = (
@@ -630,7 +639,8 @@ def test_dlpdemo_never_imports_numpy_random(tmp_path):
         f"rc = cli.main(['dlpdemo', '-p', '2003', '-t', '1', '-L', '5,7', '--out', {str(tmp_path)!r}])\n"
         "print(rc, 'numpy.random' in sys.modules)\n"
     )
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=subprocess_env)
     assert r.stdout.split() == ["0", "False"], r.stderr
     assert json.loads((tmp_path / "dlpdemo.json").read_text())["verified"] is True
 
@@ -642,14 +652,14 @@ def test_dlpdemo_planted_override(capsys):
     assert json.loads(out)["planted_r"] == 11
 
 
-def test_reruns_are_byte_identical(tmp_path):
+def test_reruns_are_byte_identical(tmp_path, subprocess_env):
     dirs = []
     for name in ("a", "b"):
         d = tmp_path / name
         r = subprocess.run(
             [sys.executable, "-m", "isocayley.cli", "dlpdemo", "-p", "31", "-t", "3",
              "-L", "7", "--seed", "9", "--out", str(d)],
-            capture_output=True,
+            capture_output=True, env=subprocess_env,
         )
         assert r.returncode == 0, r.stderr
         dirs.append(d)
@@ -885,11 +895,11 @@ def test_both_sources_rejected(capsys, z9):
     assert "not both" in err
 
 
-def test_seed_must_be_u64():
+def test_seed_must_be_u64(subprocess_env):
     r = subprocess.run(
         [sys.executable, "-m", "isocayley.cli", "dlpdemo", "-p", "31", "-t", "3",
          "-L", "7", "--seed", "-1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=subprocess_env,
     )
     assert r.returncode == 2
     assert "64-bit" in r.stderr
@@ -903,10 +913,10 @@ def test_delta_must_be_finite(capsys, delta):
     assert "delta must be a finite number" in capsys.readouterr().err
 
 
-def test_version_flag():
+def test_version_flag(subprocess_env):
     r = subprocess.run(
         [sys.executable, "-m", "isocayley.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=subprocess_env,
     )
     assert r.returncode == 0
     assert r.stdout.startswith("isocayley ")
@@ -1044,3 +1054,134 @@ def test_form_inputs_exit_cleanly(argv):
         assert len(err.getvalue().splitlines()) == 1, (argv, text)
     for word in ("Traceback", "QuadForm(", "GroupElement("):
         assert word not in text, (argv, text)
+
+
+def _assert_exits_cleanly(argv):
+    """argv exits 0-3; a failure is one stderr line, and no traceback or
+    internal repr reaches either stream."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    text = out.getvalue() + err.getvalue()
+    assert rc in (0, 1, 2, 3), (argv, text)
+    if rc:
+        assert len(err.getvalue().splitlines()) == 1, (argv, text)
+    for word in ("Traceback", "QuadForm(", "GroupElement("):
+        assert word not in text, (argv, text)
+
+
+_ODD_VALUES = [None, True, 0, -1, 2**64, 1.5, "", "x", "false", [], {}, ["2", True], [[]]]
+
+
+@st.composite
+def _mutated_certificate(draw, text):
+    """A good certificate's text after up to three mutations, each a key
+    dropped, a field retyped, a flag flipped, a step label or a vertex name
+    changed, then perhaps truncated."""
+    cert = json.loads(text)
+    labels = sorted({label for label, _ in cert["steps"]})
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["drop", "retype", "flip", "label", "vertex"]))
+        steps = cert.get("steps")
+        if kind == "drop" and cert:
+            del cert[draw(st.sampled_from(sorted(cert)))]
+        elif kind == "retype":
+            key = draw(st.sampled_from(["start", "end", "length", "steps", "step", "flag"]))
+            value = draw(st.sampled_from(_ODD_VALUES))
+            if key in ("step", "flag") and isinstance(steps, list) and steps:
+                i = draw(st.integers(0, len(steps) - 1))
+                if key == "step":
+                    steps[i] = value
+                elif isinstance(steps[i], list) and steps[i]:
+                    steps[i][-1] = value
+            else:
+                cert[key] = value
+        elif kind == "flip" and isinstance(steps, list) and steps:
+            i = draw(st.integers(0, len(steps) - 1))
+            if isinstance(steps[i], list) and len(steps[i]) == 2:
+                steps[i] = [steps[i][0], not steps[i][1]]
+        elif kind == "label" and isinstance(steps, list) and steps:
+            label = draw(st.sampled_from(labels + ["", "x", "1^-1^-1", "0", "19", "2:1"]))
+            spelled = draw(st.sampled_from(["{}", "{}^-1", " {}", "{}:0", "-{}"])).format(label)
+            steps[draw(st.integers(0, len(steps) - 1))] = [spelled, draw(st.booleans())]
+        elif kind == "vertex":
+            cert[draw(st.sampled_from(["start", "end"]))] = draw(st.sampled_from(
+                ["id", "", "0", "5", "9", "-1", "1:0", "1:1:2003", "5:3:401", "5:13:409",
+                 "1:1:1", "2:2:2", "x", "1:x:1"]))
+    text = json.dumps(cert)
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+def test_mutated_certificates_exit_cleanly(tmp_path_factory, readme_cert):
+    """A good certificate, mutated, replays on both verify routes (-D alone,
+    and a group file with --gens) with exit 0-3 and one stderr line."""
+    root = tmp_path_factory.mktemp("certs")
+    (root / "z9.grp").write_text(Z9)
+    by_graph = ["--group-file", str(root / "z9.grp"), "--gens", "1,2"]
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["path", *by_graph, "-A", "id", "-B", "5", "--seed", "3",
+                     "--out", str(root / "run")]) == 0
+    routes = [(["-D", "-8011", "--bound", "20"], readme_cert),
+              (by_graph, (root / "run" / "certificate.json").read_text())]
+    path = root / "cert.json"
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([0, 1]).flatmap(
+        lambda r: st.tuples(st.just(r), _mutated_certificate(routes[r][1]))))
+    def check(case):
+        route, text = case
+        path.write_text(text)
+        _assert_exits_cleanly(["verify", *routes[route][0], str(path)])
+
+    check()
+
+
+_GROUP_TOKENS = ["", "0", "1", "-1", "2", "3", "6", "24", str(10**30), "x", "1.5", "1,2",
+                 "0,3,5", "1,", ",", ":", "invariants:", "subgroup", "H:", "H", "K:", "#",
+                 "é", "\t", "\x00"]
+_GROUP_LINES = ["", "# note", "subgroup H: 1,2", "subgroup K: 2,0 1,1", "invariants: 4 12",
+                "subgroup : 1,1", "subgroup H 1,1", "garbage"]
+
+
+@st.composite
+def _mutated_group_text(draw):
+    """Golden's group file after up to three mutations, each a token
+    replaced, dropped or doubled, or a line inserted, then perhaps truncated."""
+    lines = [line.split(" ") for line in "invariants: 4 12\nsubgroup H: 1,2 0,3".splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["replace", "drop", "double", "line"]))
+        if kind == "line" or not any(lines):
+            lines.insert(draw(st.integers(0, len(lines))),
+                         draw(st.sampled_from(_GROUP_LINES)).split(" "))
+            continue
+        tokens = draw(st.sampled_from([line for line in lines if line]))
+        i = draw(st.integers(0, len(tokens) - 1))
+        if kind == "replace":
+            tokens[i] = draw(st.sampled_from(_GROUP_TOKENS))
+        elif kind == "drop":
+            del tokens[i]
+        else:
+            tokens.insert(i, tokens[i])
+    text = "".join(" ".join(tokens) + "\n" for tokens in lines)
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+def test_mutated_group_files_exit_cleanly(tmp_path_factory):
+    """A good group file, mutated, read by spectrum or path with --gens and
+    perhaps --subgroup, exits 0-3 with one stderr line on failure."""
+    path = tmp_path_factory.mktemp("groups") / "g.grp"
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_mutated_group_text(), st.sampled_from(["1:0", "1:0,0:1", "2", "1:2:3"]),
+           st.sampled_from([[], ["--subgroup", "H"]]),
+           st.sampled_from([["spectrum"], ["path", "-A", "id", "-B", "1:1"]]))
+    def check(text, gens, subgroup, command):
+        path.write_text(text, encoding="utf-8")
+        _assert_exits_cleanly([command[0], "--group-file", str(path), "--gens", gens,
+                               *subgroup, *command[1:]])
+
+    check()

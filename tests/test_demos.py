@@ -1,20 +1,15 @@
 """Every narrative script under demos/ runs to completion."""
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_exits_zero(demo):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+def test_demo_exits_zero(demo, subprocess_env):
     r = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                       env=env, timeout=120)
+                       env=subprocess_env, timeout=120)
     assert r.returncode == 0, r.stderr

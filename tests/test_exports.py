@@ -317,7 +317,7 @@ BENCH_SCALE_MIX = {
     ("mix", "--group-file", "group48.txt", "--gens", "1:0,0:1,1:5",
      "--trials", "100000", "--target", "1:9,0:4,1:4",
      "--seed", "2992820390107800472"):
-        "291d0bf3a6180d66703af1e1c5fec10833c8cd6da9a7107aa421dd4a1e20743d",
+        "0f6c2f78e3ed36ad18f58c0ea1216837df5a917c586ac32c561ab9dd4c3cbd19",
 }
 
 

@@ -8,6 +8,11 @@ digests in the same commit.
 """
 import hashlib
 import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
 
 from isocayley.cli import main
 
@@ -55,13 +60,13 @@ GOLDEN = {
     "spectrum_g/spectrum.json":
         "4ff20fb3c398098863ec6752eda989d58312ea1c01d416cecf89d1a3d67e42d5",
     "mix_d/manifest.json":
-        "0a4cb1d7110fafb3430d3820aa035efd24b1a468ea3fae8db10f42a84bb5c776",
+        "b0c12587b192fa9275033edc51accb55fd0a7093f6d1ab8a4601e472c3fbf23d",
     "mix_d/mix.json":
-        "2247504100ef86b5ee4c6c624a875dc0471cba319dc205f210f9b6aed269275e",
+        "f83656ba12ec9510e06dee699e1b23c7867dd74741bca7303d9b33b729e11ff6",
     "mix_g/manifest.json":
-        "66440cd98979ef50f4d919e87e2bdce53860a19c6801d4c90b718009cdb1927b",
+        "5cd2d2845f8606b77f911f9db4f8358bd006b8a42148db6f39f00cd3eda44108",
     "mix_g/mix.json":
-        "48a4cc52bb70bc618ff0ca27bae794929dc2c32ec616e4497ca8b7414c821b55",
+        "c3429591dfbb1561652c8f7a0508750224047198d4b4028aba806586b10af221",
     "path_d/certificate.json":
         "9a6e6ddbee4c3bf426f2c1ab5cbf75f669bb8bc6f5e35f75e6c3623173572ae6",
     "path_d/manifest.json":
@@ -101,3 +106,53 @@ def test_artifact_digests(tmp_path, monkeypatch, capsys):
             with open(os.path.join(out, name), "rb") as fh:
                 got[f"{out}/{name}"] = hashlib.sha256(fh.read()).hexdigest()
     assert got == GOLDEN
+
+
+# OpenBLAS kernels, each with the instruction set it needs
+KERNELS = {"Prescott": "SSE3", "Nehalem": "SSE42", "SandyBridge": "AVX", "Haswell": "AVX2",
+           "SkylakeX": "AVX512_SKX"}
+MIX_RUNS = [(out, argv) for out, argv in MATRIX if argv[0] == "mix"]
+
+
+def _openblas_config() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["openblas configuration"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints, and returns None
+        return ""
+
+
+def _cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+def test_mix_bytes_do_not_depend_on_the_blas_kernel(tmp_path, subprocess_env):
+    """Golden's mix commands, run in one child process per OpenBLAS kernel
+    (picked by OPENBLAS_CORETYPE), give one digest per artifact."""
+    if "DYNAMIC_ARCH" not in _openblas_config():
+        pytest.skip("numpy's BLAS is not OpenBLAS built with DYNAMIC_ARCH, "
+                    "so OPENBLAS_CORETYPE cannot pick a kernel")
+    features = _cpu_features()
+    ran = [kernel for kernel, needs in KERNELS.items() if features.get(needs)]
+    script = ("from isocayley.cli import main\n"
+              f"for out, argv in {MIX_RUNS!r}:\n"
+              "    assert main(argv + ['--out', out]) == 0, out\n")
+    digests: dict = {}
+    for kernel in ran:
+        cwd = tmp_path / kernel
+        cwd.mkdir()
+        (cwd / GROUP_FILE).write_text(GROUP_TEXT, encoding="utf-8")
+        r = subprocess.run([sys.executable, "-c", script], cwd=cwd, capture_output=True,
+                           text=True, env=subprocess_env | {"OPENBLAS_CORETYPE": kernel})
+        assert r.returncode == 0, (kernel, r.stderr)
+        for out, _ in MIX_RUNS:
+            for name in os.listdir(cwd / out):
+                digest = hashlib.sha256((cwd / out / name).read_bytes()).hexdigest()
+                digests.setdefault(f"{out}/{name}", {}).setdefault(digest, []).append(kernel)
+    assert all(len(by_digest) == 1 for by_digest in digests.values()), digests
+    if len(ran) < len(KERNELS):
+        pytest.skip(f"checked {', '.join(ran) or 'no kernel'} only: this CPU lacks the "
+                    f"instructions of {', '.join(k for k in KERNELS if k not in ran)}")

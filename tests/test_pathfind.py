@@ -290,12 +290,13 @@ print(json.dumps({"ends": ends, "bulk": bulk, "path": redone[len(bulk):],
 """
 
 
-def test_forced_rejections_redraw_without_numpy_random():
+def test_forced_rejections_redraw_without_numpy_random(subprocess_env):
     """Trials whose bulk draws numpy would reject are redone from the
     in-house Philox core: the end vertices of _endpoints, and both walks
     that find_path records, equal the trial_rng oracle, and the process
     never imports numpy.random."""
-    r = subprocess.run([sys.executable, "-c", _SPOILED_RUN], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-c", _SPOILED_RUN], capture_output=True, text=True,
+                       env=subprocess_env)
     assert r.returncode == 0, r.stderr
     got = json.loads(r.stdout)
     assert got["numpy.random"] is False
