@@ -622,11 +622,11 @@ def parse_group_text(text: str) -> GroupFile:
         if group is None:
             if not line.startswith("invariants:"):
                 raise GroupFileError(lineno, "first line must be 'invariants: ...'")
-            body = line[len("invariants:"):].split()
+            body = line[len("invariants:"):].strip()
             try:
-                inv = [int(x) for x in body]
+                inv = [int(x) for x in body.split()]
             except ValueError:
-                raise GroupFileError(lineno, f"bad invariant list {body}") from None
+                raise GroupFileError(lineno, f"bad invariant list {body!r}") from None
             try:
                 group = FiniteAbelianGroup(tuple(inv))
             except InputError as e:

@@ -4,10 +4,9 @@
 DOT/JSON exports run on; :class:`CayleyGraph` and the isogeny graph of
 :mod:`isocayley.ecgraph` both build it.  The adjacency operator of
 Cay(H, S) is diagonalized exactly by the characters of H (lambda_chi = sum
-of chi over S), and numerically by a dense symmetric eigensolver as a
-cross-check.  On top of that sit the expansion measure and
-the scan that finds the smallest prime-norm bound B making the class-group
-graph a two-sided delta-expander, with the scan table kept for the
+of chi over S).  On top of that sit the expansion measure and the scan
+that finds the smallest prime-norm bound B making the class-group graph a
+two-sided delta-expander, with the scan table kept for the
 main-term/error-term study.  The spectrum and every scan row are sums of
 one kernel, ``_character_sums``, which adds one angle column at a time.
 
@@ -58,7 +57,6 @@ __all__ = [
     "build",
     "spell_rows",
     "spectrum_by_characters",
-    "spectrum_numeric",
     "expansion",
     "find_expander_bound",
     "log_integral",
@@ -73,7 +71,6 @@ __all__ = [
 ]
 
 _IMAG_TOL = 1e-9
-_NUMERIC_LIMIT = 4096
 # adjacency slots (order x degree) of one graph: the step table, the
 # character table and the artifacts all grow with this product
 MAX_SLOTS = 4 * 10**6
@@ -136,12 +133,6 @@ class StepGraph:
             return self._slot[label]
         except KeyError:
             raise InputError(f"step label {label!r} is not a generator of the graph") from None
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.order, self.order), dtype=np.int64)
-        rows = np.tile(np.arange(self.order), self.degree)
-        np.add.at(a, (rows, self.step_table.ravel()), 1)
-        return a
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(order={self.order}, degree={self.degree})"
@@ -305,16 +296,6 @@ def spectrum_by_characters(graph: CayleyGraph, sums: np.ndarray | None = None) -
     lam.flags.writeable = False
     c = float(np.abs(lam[1:]).max()) if graph.order > 1 else 0.0
     return Spectrum(lam, float(lam[0]), c)
-
-
-def spectrum_numeric(graph: StepGraph) -> list[float]:
-    """Eigenvalues of the explicit adjacency matrix, sorted descending."""
-    if graph.order > _NUMERIC_LIMIT:
-        raise PreconditionError(
-            f"numeric spectrum limited to order {_NUMERIC_LIMIT}, got {graph.order}"
-        )
-    vals = np.linalg.eigvalsh(graph.adjacency().astype(np.float64))
-    return [float(x) for x in vals[::-1]]
 
 
 def expansion(spec: Spectrum) -> tuple[float, float, float]:

@@ -77,8 +77,6 @@ __all__ = [
 
 FIELD_CAP = 10**4
 DEGREE_CAP = 31
-# largest gap between the sorted isogeny and Cayley spectra that compare_to_cayley accepts
-SPECTRUM_TOL = 1e-6
 # reduction-table entries (int64) that one stack of the kernel search may hold
 _STACK_ENTRIES = 2**18
 
@@ -721,70 +719,80 @@ def build_isogeny_graph(p: int, t: int, ells) -> IsogenyGraph:
 @dataclass(frozen=True)
 class ComparisonReport:
     vertices_ok: bool
-    spectrum_ok: bool
+    isomorphism_ok: bool
     degrees_ok: bool
     verdict: str
     failed: tuple[str, ...]
     isogeny_order: int
     cayley_order: int
-    spectrum_gap: float
+
+
+def _labeled_isomorphism(graph: StepGraph, cay: StepGraph) -> bool:
+    """Whether a bijection phi of vertex indices carries each step of
+    ``graph`` to the step of ``cay`` through the same slot, that is
+    phi[graph.step_table] == cay.step_table[:, phi].
+
+    phi is grown by a breadth-first search, one frontier per numpy step as
+    in :func:`~isocayley.cayley.component_of`, deduplicated by a sort: the
+    first vertex no search has reached goes to the lowest class not yet
+    used, and a vertex first reached from v through slot s to cay's step
+    from phi(v) through s.  Then phi must be a permutation, and every step
+    is checked, not only those the search took.
+    """
+    n = graph.order
+    phi = np.full(n, -1, dtype=np.int64)
+    used = np.zeros(cay.order, dtype=bool)
+    while (unseen := np.flatnonzero(phi < 0)).size and not used.all():
+        frontier = unseen[:1]
+        phi[frontier] = used.argmin()
+        while frontier.size:
+            used[phi[frontier]] = True
+            reached = graph.step_table[:, frontier].ravel()
+            images = cay.step_table[:, phi[frontier]].ravel()
+            by_vertex = np.argsort(reached, kind="stable")
+            reached, images = reached[by_vertex], images[by_vertex]
+            keep = phi[reached] < 0
+            keep[1:] &= reached[1:] != reached[:-1]
+            frontier = reached[keep]
+            phi[frontier] = images[keep]
+    return (cay.order == n and np.array_equal(np.sort(phi), np.arange(n))
+            and np.array_equal(phi[graph.step_table], cay.step_table[:, phi]))
 
 
 def compare_to_cayley(graph: IsogenyGraph) -> ComparisonReport:
     """Check the isogeny graph against Cay(Cl(D), prime forms above L).
 
-    Three checks: equal vertex counts, equal sorted adjacency spectra
-    (within SPECTRUM_TOL), and the per-ell local degree law
-    1 + Kronecker(D, ell) together with dual-edge symmetry.
+    Slot (ell, lam) of the isogeny graph is the prime ideal (ell, pi - lam),
+    with pi = (t + sqrt D)/2 the Frobenius, so its class is the form
+    (ell, b, .) with b = 2 lam - t (mod ell) and b = D (mod 2).  The Cayley
+    graph is built on those classes in slot order.  Three checks: equal
+    vertex counts, a labeled isomorphism of the two step tables, and, read
+    off the edge list, the per-ell local degree law 1 + Kronecker(D, ell)
+    together with dual-edge symmetry.
     """
-    from .quadform import class_group, generating_multiset
+    from .quadform import class_group, reduce_form
 
-    cl = class_group(graph.disc)
-    gens = [(g.label, g.element)
-            for g in generating_multiset(cl, max(graph.ells, default=1) + 1, cl.whole)
-            if g.ell in graph.ells]
-    cayley_order = cl.order
-    if gens:
-        cg = build_cayley(cl.whole, gens)
-        cayley_spec = np.sort(np.linalg.eigvalsh(cg.adjacency().astype(float)))
-    else:
-        cayley_spec = np.zeros(cayley_order)
+    d = graph.disc
+    cl = class_group(d)
+    gens = []
+    for label, (ell, lam) in graph.generators:
+        b = (2 * lam - graph.t) % ell
+        b += ell * ((b - d) % 2)  # ell is odd, so this fixes the parity
+        gens.append((label, cl.element_of(reduce_form((ell, b, (b * b - d) // (4 * ell))))))
+    cay = build_cayley(cl.whole, gens)
 
-    failed = []
-    vertices_ok = graph.order == cayley_order
-    if not vertices_ok:
-        failed.append("vertices")
-
-    mat = graph.adjacency()
-    symmetric = bool((mat == mat.T).all())
-    iso_spec = np.sort(np.linalg.eigvalsh(((mat + mat.T) / 2).astype(float)))
-    if vertices_ok:
-        gap = float(np.max(np.abs(iso_spec - cayley_spec))) if graph.order else 0.0
-    else:
-        gap = float("inf")
-    spectrum_ok = gap <= SPECTRUM_TOL
-    if not spectrum_ok:
-        failed.append("spectrum")
-
+    directed = Counter((e.source_j, e.target_j, e.ell) for e in graph.edges)
     out_degree = Counter((e.source_j, e.ell) for e in graph.edges)
-    want = {ell: 1 + kronecker(graph.disc, ell) for ell in graph.ells}
-    degrees_ok = symmetric and all(
-        out_degree[(j, ell)] == want[ell] for j in graph.vertices for ell in graph.ells
-    )
-    if not degrees_ok:
-        failed.append("degrees")
-
-    verdict = "PASS" if not failed else "FAIL"
-    return ComparisonReport(
-        vertices_ok=vertices_ok,
-        spectrum_ok=spectrum_ok,
-        degrees_ok=degrees_ok,
-        verdict=verdict,
-        failed=tuple(failed),
-        isogeny_order=graph.order,
-        cayley_order=cayley_order,
-        spectrum_gap=gap,
-    )
+    want = {ell: 1 + kronecker(d, ell) for ell in graph.ells}
+    ok = {
+        "vertices": graph.order == cl.order,
+        "isomorphism": _labeled_isomorphism(graph, cay),
+        "degrees": all(directed[(tgt, src, ell)] == n for (src, tgt, ell), n in directed.items())
+        and all(out_degree[(j, ell)] == want[ell] for j in graph.vertices for ell in graph.ells),
+    }
+    failed = tuple(name for name, passed in ok.items() if not passed)
+    return ComparisonReport(ok["vertices"], ok["isomorphism"], ok["degrees"],
+                            "FAIL" if failed else "PASS", failed, graph.order, cl.order)
 
 
 def comparison_to_json(report: ComparisonReport) -> dict:
@@ -796,7 +804,7 @@ def comparison_to_json(report: ComparisonReport) -> dict:
             "isogeny": report.isogeny_order,
             "cayley": report.cayley_order,
         },
-        "spectrum": {"ok": report.spectrum_ok, "max_gap": report.spectrum_gap},
+        "isomorphism": {"ok": report.isomorphism_ok},
         "degrees": {"ok": report.degrees_ok},
     }
 

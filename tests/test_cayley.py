@@ -25,7 +25,6 @@ from isocayley.cayley import (
     log_integral,
     scan_table_csv,
     spectrum_by_characters,
-    spectrum_numeric,
     to_dot,
     to_json_adjacency,
 )
@@ -77,17 +76,17 @@ def random_graph(rng):
 
 
 class TestBuild:
-    def test_triangle(self):
+    def test_triangle(self, adjacency):
         g, h = cyclic(3)
         tri = build(h, [("1", g.element((1,))), ("2", g.element((2,)))])
         assert tri.order == 3 and tri.degree == 2
-        a = tri.adjacency()
+        a = adjacency(tri)
         assert (a == np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])).all()
 
-    def test_double_identity_gives_two_loops(self):
+    def test_double_identity_gives_two_loops(self, adjacency):
         g, h = cyclic(3)
         loops = build(h, [("e", g.identity), ("e", g.identity)])
-        a = loops.adjacency()
+        a = adjacency(loops)
         assert (a == 2 * np.eye(3, dtype=int)).all()
 
     def test_class_group_three_cycle(self):
@@ -139,13 +138,13 @@ class TestBuild:
 
 
 class TestSpectrum:
-    def test_triangle_values(self):
+    def test_triangle_values(self, numeric_spectrum):
         g, h = cyclic(3)
         tri = build(h, [("1", g.element((1,))), ("2", g.element((2,)))])
         spec = spectrum_by_characters(tri)
         assert spec.lambda_triv == pytest.approx(2.0, abs=1e-12)
         assert sorted(spec.sorted_values()) == pytest.approx([-1.0, -1.0, 2.0], abs=1e-9)
-        assert spectrum_numeric(tri) == pytest.approx([2.0, -1.0, -1.0], abs=1e-9)
+        assert numeric_spectrum(tri) == pytest.approx([2.0, -1.0, -1.0], abs=1e-9)
 
     def test_z4_values(self):
         g, h = cyclic(4)
@@ -154,14 +153,14 @@ class TestSpectrum:
             [2.0, 0.0, 0.0, -2.0], abs=1e-9
         )
 
-    def test_char_vs_numeric_random(self):
+    def test_char_vs_numeric_random(self, numeric_spectrum):
         rng = random.Random(20260815)
         for _ in range(50):
             graph = random_graph(rng)
             if graph.order > 512:
                 continue
             exact = spectrum_by_characters(graph).sorted_values()
-            numeric = spectrum_numeric(graph)
+            numeric = numeric_spectrum(graph)
             assert len(exact) == graph.order
             assert exact == pytest.approx(numeric, abs=1e-9)
 
@@ -219,12 +218,6 @@ class TestSpectrum:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20, peak / 2**20
-
-    def test_numeric_size_limit(self):
-        g, h = cyclic(4192)
-        big = build(h, pair_gens(g, (1,)))
-        with pytest.raises(PreconditionError):
-            spectrum_numeric(big)
 
 
 class TestExpansion:

@@ -1058,7 +1058,7 @@ def test_form_inputs_exit_cleanly(argv):
 
 def _assert_exits_cleanly(argv):
     """argv exits 0-3; a failure is one stderr line, and no traceback or
-    internal repr reaches either stream."""
+    internal repr reaches either stream.  Returns the stderr text."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
@@ -1068,6 +1068,7 @@ def _assert_exits_cleanly(argv):
         assert len(err.getvalue().splitlines()) == 1, (argv, text)
     for word in ("Traceback", "QuadForm(", "GroupElement("):
         assert word not in text, (argv, text)
+    return err.getvalue()
 
 
 _ODD_VALUES = [None, True, 0, -1, 2**64, 1.5, "", "x", "false", [], {}, ["2", True], [[]]]
@@ -1172,7 +1173,8 @@ def _mutated_group_text(draw):
 
 def test_mutated_group_files_exit_cleanly(tmp_path_factory):
     """A good group file, mutated, read by spectrum or path with --gens and
-    perhaps --subgroup, exits 0-3 with one stderr line on failure."""
+    perhaps --subgroup, exits 0-3 with one stderr line on failure, which
+    quotes the text as given and never a Python list of its tokens."""
     path = tmp_path_factory.mktemp("groups") / "g.grp"
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -1181,7 +1183,8 @@ def test_mutated_group_files_exit_cleanly(tmp_path_factory):
            st.sampled_from([["spectrum"], ["path", "-A", "id", "-B", "1:1"]]))
     def check(text, gens, subgroup, command):
         path.write_text(text, encoding="utf-8")
-        _assert_exits_cleanly([command[0], "--group-file", str(path), "--gens", gens,
-                               *subgroup, *command[1:]])
+        err = _assert_exits_cleanly([command[0], "--group-file", str(path), "--gens", gens,
+                                     *subgroup, *command[1:]])
+        assert "['" not in err, (text, err)
 
     check()

@@ -1,5 +1,6 @@
 """Ordinary isogeny graphs: construction, the class-group comparison, and DLP transfer."""
 
+import copy
 import hashlib
 from functools import lru_cache
 from math import isqrt
@@ -326,8 +327,8 @@ def test_graph_dual_symmetry():
     assert fwd == rev
 
 
-def test_adjacency_is_symmetric():
-    mat = graph(101, 3, (3, 7)).adjacency()
+def test_adjacency_is_symmetric(adjacency):
+    mat = adjacency(graph(101, 3, (3, 7)))
     assert np.array_equal(mat, mat.T)
 
 
@@ -339,13 +340,13 @@ CRITERION_7 = [
 
 
 @pytest.mark.parametrize("p, t", CRITERION_7)
-def test_adjacency_counts_the_edge_list(p, t):
-    # the step table yields adjacency(); every isogeny edge must fill one slot
+def test_adjacency_counts_the_edge_list(p, t, adjacency):
+    # the step table yields the adjacency matrix; every isogeny edge must fill one slot
     g = graph(p, t, tuple(ell for ell in (3, 5, 7, 11, 13) if ell != p))
     mat = np.zeros((g.order, g.order), dtype=np.int64)
     for e in g.edges:
         mat[g.vertex_index(e.source_j), g.vertex_index(e.target_j)] += 1
-    assert np.array_equal(g.adjacency(), mat)
+    assert np.array_equal(adjacency(g), mat)
 
 
 def test_psi_search_finds_exactly_the_frobenius_eigenvalues():
@@ -554,7 +555,7 @@ def test_compare_pass_on_verified_instances():
     for p, t, ells in [(31, 3, (7,)), (31, 3, (5, 7)), (23, 3, (3, 7)), (101, 3, (3, 7))]:
         rep = eg.compare_to_cayley(graph(p, t, ells))
         assert rep.verdict == "PASS" and rep.failed == ()
-        assert rep.spectrum_gap < 1e-9
+        assert rep.isomorphism_ok
 
 
 def test_compare_pass_edgeless():
@@ -567,27 +568,68 @@ def test_compare_fail_names_checks():
     from dataclasses import replace
 
     g = graph(31, 3, (7,))
-    # turn every edge into a loop; steps stay consistent but the spectrum
-    # becomes {2, 2} instead of {2, -2}
+    # turn every edge into a loop; steps stay consistent and the local
+    # degrees hold, but no step of the Cayley graph is a loop
     loops = [replace(e, target_j=e.source_j) for e in g.edges]
     bad = eg.IsogenyGraph(g.p, g.t, g.disc, g.vertices, g.curves, loops, g.ells)
     rep = eg.compare_to_cayley(bad)
     assert rep.verdict == "FAIL"
-    assert "spectrum" in rep.failed
+    assert rep.failed == ("isomorphism",)
     assert eg.comparison_to_json(rep)["verdict"] == "FAIL"
 
 
 def test_compare_reports_a_broken_degree_law():
-    import copy
-
     g = graph(101, 3, (3, 7))
-    # one edge listed twice: the step table, and so the spectrum, is unchanged
+    # one edge listed twice: the step table, and so the isomorphism, is unchanged
     bad = copy.copy(g)
     bad.edges = g.edges + [g.edges[0]]
     rep = eg.compare_to_cayley(bad)
     assert rep.verdict == "FAIL"
     assert rep.failed == ("degrees",)
-    assert rep.vertices_ok and rep.spectrum_ok and not rep.degrees_ok
+    assert rep.vertices_ok and rep.isomorphism_ok and not rep.degrees_ok
+
+
+def test_compare_finds_an_isomorphism_on_every_class_below_100():
+    """Every class with 5 <= p < 100 and a fundamental Frobenius
+    discriminant, at L = {3, 5, 7} and L = {11, 13} without p, is labeled
+    isomorphic to its Cayley graph: 692 graphs, 514 of them with slots."""
+    graphs = slotted = 0
+    for p in sympy.primerange(5, 100):
+        for t in fundamental_traces(p):
+            for ells in ((3, 5, 7), (11, 13)):
+                g = graph(p, t, tuple(ell for ell in ells if ell != p))
+                rep = eg.compare_to_cayley(g)
+                assert rep.verdict == "PASS", (p, t, ells, rep.failed)
+                graphs += 1
+                slotted += g.degree > 0
+    assert (graphs, slotted) == (692, 514)
+
+
+def _with_step_table(g, table):
+    bad = copy.copy(g)
+    bad.step_table = table
+    return bad
+
+
+def test_compare_fails_when_two_targets_of_a_slot_are_permuted():
+    g = graph(2003, 1, (5, 7))
+    table = g.step_table.copy()
+    table[0, [0, 1]] = table[0, [1, 0]]
+    rep = eg.compare_to_cayley(_with_step_table(g, table))
+    assert rep.verdict == "FAIL" and rep.failed == ("isomorphism",)
+
+
+def test_compare_fails_when_the_eigenvalue_slots_of_one_degree_are_exchanged():
+    """At (2003, 1) the class of 5 has order above 2 and L = {5, 7} has two
+    split degrees, so stepping each 5-slot as its conjugate is no
+    automorphism of the Cayley graph."""
+    g = graph(2003, 1, (5, 7))
+    fives = [s for s, (_, (ell, _)) in enumerate(g.generators) if ell == 5]
+    assert len(fives) == 2
+    table = g.step_table.copy()
+    table[fives] = table[fives[::-1]]
+    rep = eg.compare_to_cayley(_with_step_table(g, table))
+    assert rep.verdict == "FAIL" and rep.failed == ("isomorphism",)
 
 
 def test_compare_json_serializable():
@@ -596,7 +638,7 @@ def test_compare_json_serializable():
     rep = eg.compare_to_cayley(graph(31, 3, (7,)))
     data = json.loads(json.dumps(eg.comparison_to_json(rep)))
     assert data["verdict"] == "PASS"
-    assert data["spectrum"]["ok"] is True
+    assert data["isomorphism"] == {"ok": True}
     assert data["failed_checks"] == []
 
 
@@ -887,10 +929,8 @@ def test_isogeny_graph_supports_find_path():
     assert stats.step1_trials >= 1
 
 
-def test_isogeny_graph_expansion():
-    from isocayley import cayley
-
-    values = cayley.spectrum_numeric(graph(2003, 1, (5, 7)))
+def test_isogeny_graph_expansion(numeric_spectrum):
+    values = numeric_spectrum(graph(2003, 1, (5, 7)))
     k, c = values[0], max(abs(lam) for lam in values[1:])
     assert 1 - c / k > 0.1  # wide two-sided gap; the instance was chosen for this
     assert c < 4
@@ -916,7 +956,7 @@ def test_every_edge_below_100_is_pinned():
             if t % p == 0:
                 continue
             try:
-                g = eg.build_isogeny_graph(p, t, ells)
+                g = graph(p, t, tuple(ells))
             except (PreconditionError, InputError):
                 continue
             graphs += 1

@@ -84,11 +84,11 @@ GOLDEN = {
     "verify_g/verify.json":
         "1d7084ca8967b31610da15fea0175c8cceec40f39b9074e432c8a2c27609e768",
     "ecgraph/ecgraph.json":
-        "61d3578db4c17a1b8b284976dc0cb73c87aec0cc2001f578d6e74ced7e780c1b",
+        "05850fbbd1f2fd41a6671bd8847e75d51a689e904fdcc8d1fe70d4ba83b4ca6f",
     "ecgraph/graph.dot":
         "ffa7e8544cb05e9cc9f5877843bd5243676ea847f834790c34415bf42e535246",
     "ecgraph/manifest.json":
-        "6ce20ea6990a1048327a06f8ed77eb474810dbf2e40ddb23ec0bd0b1b9f12dda",
+        "f3bef3a6a3358671c299d367262fe433e8f50ef41b1322a5c1b4f9d0952ffea2",
     "dlpdemo/dlpdemo.json":
         "82870195915f8413611da065b1dc29b28bfe730f218963beac80cdd61753375c",
     "dlpdemo/manifest.json":
@@ -129,16 +129,17 @@ def _cpu_features() -> dict:
     return __cpu_features__
 
 
-def test_mix_bytes_do_not_depend_on_the_blas_kernel(tmp_path, subprocess_env):
-    """Golden's mix commands, run in one child process per OpenBLAS kernel
-    (picked by OPENBLAS_CORETYPE), give one digest per artifact."""
+def _assert_one_digest_per_kernel(tmp_path, env, runs):
+    """Run ``runs``, (output directory, argv) pairs, in one child process per
+    OpenBLAS kernel (picked by OPENBLAS_CORETYPE) that this CPU can run, and
+    require one digest per artifact across them."""
     if "DYNAMIC_ARCH" not in _openblas_config():
         pytest.skip("numpy's BLAS is not OpenBLAS built with DYNAMIC_ARCH, "
                     "so OPENBLAS_CORETYPE cannot pick a kernel")
     features = _cpu_features()
     ran = [kernel for kernel, needs in KERNELS.items() if features.get(needs)]
     script = ("from isocayley.cli import main\n"
-              f"for out, argv in {MIX_RUNS!r}:\n"
+              f"for out, argv in {runs!r}:\n"
               "    assert main(argv + ['--out', out]) == 0, out\n")
     digests: dict = {}
     for kernel in ran:
@@ -146,9 +147,9 @@ def test_mix_bytes_do_not_depend_on_the_blas_kernel(tmp_path, subprocess_env):
         cwd.mkdir()
         (cwd / GROUP_FILE).write_text(GROUP_TEXT, encoding="utf-8")
         r = subprocess.run([sys.executable, "-c", script], cwd=cwd, capture_output=True,
-                           text=True, env=subprocess_env | {"OPENBLAS_CORETYPE": kernel})
+                           text=True, env=env | {"OPENBLAS_CORETYPE": kernel})
         assert r.returncode == 0, (kernel, r.stderr)
-        for out, _ in MIX_RUNS:
+        for out, _ in runs:
             for name in os.listdir(cwd / out):
                 digest = hashlib.sha256((cwd / out / name).read_bytes()).hexdigest()
                 digests.setdefault(f"{out}/{name}", {}).setdefault(digest, []).append(kernel)
@@ -156,3 +157,15 @@ def test_mix_bytes_do_not_depend_on_the_blas_kernel(tmp_path, subprocess_env):
     if len(ran) < len(KERNELS):
         pytest.skip(f"checked {', '.join(ran) or 'no kernel'} only: this CPU lacks the "
                     f"instructions of {', '.join(k for k in KERNELS if k not in ran)}")
+
+
+def test_mix_bytes_do_not_depend_on_the_blas_kernel(tmp_path, subprocess_env):
+    """Golden's mix commands give one digest per artifact under every kernel."""
+    _assert_one_digest_per_kernel(tmp_path, subprocess_env, MIX_RUNS)
+
+
+def test_ecgraph_bytes_do_not_depend_on_the_blas_kernel(tmp_path, subprocess_env):
+    """The bench-scale isogeny graph, h = 56 over F_9973 at L = {3, ..., 13},
+    gives one digest per artifact under every kernel."""
+    _assert_one_digest_per_kernel(tmp_path, subprocess_env,
+                        [("ecgraph", ["ecgraph", "-p", "9973", "-t", "1", "-L", "3,5,7,11,13"])])
