@@ -213,11 +213,6 @@ class FiniteAbelianGroup:
             )
         return GroupElement(self, tuple(x % d for x, d in zip(c, self.invariants)))
 
-    def elements(self) -> Iterator["GroupElement"]:
-        """All elements in lexicographic coordinate order."""
-        for coords in itertools.product(*(range(d) for d in self.invariants)):
-            yield GroupElement(self, coords)
-
     def generators(self) -> list["GroupElement"]:
         """The k standard generators (unit coordinate vectors)."""
         k = len(self.invariants)
@@ -245,9 +240,6 @@ class GroupElement:
     @property
     def order(self) -> int:
         return lcm(1, *(d // gcd(d, c) for c, d in zip(self.coords, self.group.invariants)))
-
-    def is_identity(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def __repr__(self) -> str:
         return f"GroupElement{self.coords}"
@@ -526,10 +518,6 @@ class Character:
         self.domain = domain
         self.invariants = invariants
         self.coords = coords
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def angle(self, g: GroupElement) -> Fraction:
         """Exact angle at g, as a fraction of a full turn in [0, 1)."""

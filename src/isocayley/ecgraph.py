@@ -18,14 +18,15 @@ Seeds come from a scan of j in increasing order that skips what a search
 has already reached and stops once h(D) vertices are known.  A component
 grows by degree sweeps: each sweep runs every ell once, in increasing
 order, as one batch on all the curves that ell has not searched yet, until
-a sweep finds no new curve.  A batch's division polynomials, reduction
-tables and Frobenius powers are stacked arrays, built one table stack at
-a time; its kernel gcds are one lockstep Euclid over every stack, and only
-Velu and the model checks run curve by curve.  A degree ell inert in
-Q(sqrt(D)) has no rational kernel, so its division polynomial is never
-built.  Point images (``isogeny_eval``, which carries a discrete log along
-a path) need no polynomial arithmetic: Kohel's closed form of Velu's map
-reads them off the kernel polynomial and its first three derivatives at x.
+a sweep finds no new curve.  A batch's division polynomials are built
+once, as stacked arrays with one row per curve; its reduction tables and
+Frobenius powers are built one table stack at a time; its kernel gcds are
+one lockstep Euclid over the whole batch, and only Velu and the model
+checks run curve by curve.  A degree ell inert in Q(sqrt(D)) has no
+rational kernel, so its division polynomial is never built.  Point
+images (``isogeny_eval``, which carries a discrete log along a path) need
+no polynomial arithmetic: Kohel's closed form of Velu's map reads them off
+the kernel polynomial and its first three derivatives at x.
 """
 
 from __future__ import annotations
@@ -86,12 +87,14 @@ def _check_degree(ell: int, p: int) -> None:
 
     The kernel search works modulo psi_ell, of degree n = (ell^2 - 1) / 2,
     through an n x (n - 1) int64 reduction table per curve, so time grows
-    faster than ell^4.  Curves are searched in stacks whose tables hold at
-    most ``_STACK_ENTRIES`` entries (2 MiB), so the tables' memory does not
-    grow with the class (only the gcd rows do, n entries per curve and
-    eigenvalue); from ell = 29 on a stack is one curve.  The cap 31 (n = 480,
-    a 1.8 MB table) sits far above every degree the demos use, and keeps
-    the table's sums exact: n * p^2 < 2^63 at the field cap.
+    faster than ell^4.  The tables are built in stacks of at most
+    ``_STACK_ENTRIES`` entries (2 MiB), so their memory does not grow with
+    the class; from ell = 29 on a stack is one curve.  The division
+    polynomials are built once per batch and grow with it, as the gcd rows
+    do: about ell^3 / 6 entries per curve (40 KB at ell = 31), and n per
+    curve and eigenvalue for the rows.  The cap 31 (n = 480, a 1.8 MB
+    table) sits far above every degree the demos use, and keeps the table's
+    sums exact: n * p^2 < 2^63 at the field cap.
     """
     if ell > DEGREE_CAP:
         raise PreconditionError(f"degree {ell} exceeds the isogeny-degree cap {DEGREE_CAP}")
@@ -342,63 +345,22 @@ def velu_codomain(c: Curve, kernel: np.ndarray) -> tuple[int, int]:
     return (c.a - 5 * t_tot) % p, (c.b - 7 * w_tot) % p
 
 
-def _kernel_conditions(curves, ell: int, eigenvalues):
-    """The conditions phase of ``_psi_kernel_search`` on one table stack.
-
-    Returns psi_ell of each curve, made monic, as a (k, n + 1) array for
-    n = deg psi_ell; the x-condition of every (lam, curve) pair as a
-    (len(eigenvalues), k, n) array of residues mod psi_ell; and the
-    y-conditions, a (k, *) array per index of an eigenvalue that needs
-    one.  The reduction tables live only here, so a stack's tables are
-    freed before the next stack's are built.
-    """
-    p, t = curves[0].p, curves[0].t
-    w = division_polys(p, [c.a for c in curves], [c.b for c in curves], ell)
-    # the leading coefficient of psi_ell is ell, whatever the model
-    psi = w[ell] * pow(int(w[ell][0, -1]), -1, p) % p
-    rows = fp._reduction_rows(psi, p)
-
-    def mul(u, v):
-        return fp.poly_mulmod(u, v, p, rows)
-
-    f = np.array([[c.b, c.a, 0, 1] for c in curves], dtype=np.int64)
-    xs = np.tile(fp.X, (len(curves), 1))
-    x_shift = fp.stack_sub(xs, fp.poly_powmod(xs, p, psi, p, rows), p)  # x - x^p
-    frob_y = None  # y^p / y, built on first need
-    x_conds = np.empty((len(eigenvalues), len(curves), psi.shape[1] - 1), dtype=np.int64)
-    y_conds = {}  # y_conds[k]: the y-condition of eigenvalues[k], if needed
-    for k, lam in enumerate(eigenvalues):
-        m = min(lam, ell - lam)
-        num, den = mul(w[m - 1], w[m + 1]), mul(w[m], w[m])
-        if m % 2:
-            num = mul(f, num)
-        else:
-            den = mul(f, den)
-        x_cond = fp.stack_sub(mul(x_shift, den), num, p)
-        # a residue mod psi_ell, narrower than deg psi_ell when x^p is (p < deg psi_ell)
-        x_conds[k] = fp._widen(x_cond, x_conds.shape[2])
-        if (lam * lam + t * lam + p) % ell == 0:  # -lam is an eigenvalue as well
-            if frob_y is None:
-                frob_y = fp.poly_powmod(f, (p - 1) // 2, psi, p, rows)
-            sign = 1 if lam == m else -1
-            y_conds[k] = fp.stack_sub(2 * mul(frob_y, mul(den, den)), sign * w[2 * m], p)
-    return psi, x_conds, y_conds
-
-
 def _psi_kernel_search(curves, ell: int, eigenvalues) -> list[list[IsogenyEdge]]:
     """Per curve, the rational ell-kernel on which Frobenius acts as lam, per lam.
 
     ``curves`` is a batch of models of one class (one p, one trace t),
-    searched at once in two phases.  The conditions phase
-    (``_kernel_conditions``) builds the division polynomials, psi_ell, its
-    reduction tables, x^p and the conditions below as stacked arrays with
-    one row per curve, one table stack at a time: a stack holds as many
-    curves as keep its tables, k n^2 int64 entries for n = deg psi_ell,
-    within ``_STACK_ENTRIES`` (at least one curve: at ell = 29 or 31 a stack
-    is one curve).  Then the gcds of every stack's psi_ell rows with their
-    x-conditions run as one ``fp.stack_gcd``, the y-condition gcds of every
-    (lam, curve) pair that needs one as a second lockstep, and Velu per
-    curve.
+    searched at once.  The division polynomials, psi_ell made monic and f
+    are built once for the batch, as stacked arrays with one row per curve.
+    The reduction tables modulo psi_ell, x^p and the conditions below are
+    built one table stack at a time: a stack holds as many curves as keep
+    its tables, k n^2 int64 entries for n = deg psi_ell, within
+    ``_STACK_ENTRIES`` (at least one curve: at ell = 29 or 31 a stack is one
+    curve), and its tables are freed before the next stack's are built.
+    Every condition is a residue mod psi_ell, written into one
+    (eigenvalue, curve, n) array per kind.  Then the gcds of psi_ell with
+    every x-condition run as one ``fp.stack_gcd``, the y-condition gcds of
+    every (lam, curve) pair that needs one as a second lockstep, and Velu
+    per curve.
 
     The kernel is E[ell] meet ker(pi - lam), and pi(P) = (x^p, y^p) with
     y^p = y * f^((p-1)/2) for f = x^3 + ax + b.  For m = min(lam, ell - lam),
@@ -419,28 +381,53 @@ def _psi_kernel_search(curves, ell: int, eigenvalues) -> list[list[IsogenyEdge]]
     to a counted model and ``rational_l_isogenies`` by a recount.
     ``_isogenies_of`` passes the roots of x^2 - t x + p mod ell.
     """
-    p = curves[0].p
+    p, t = curves[0].p, curves[0].t
     d = (ell - 1) // 2
     n = (ell * ell - 1) // 2
+    w = division_polys(p, [c.a for c in curves], [c.b for c in curves], ell)
+    # the leading coefficient of psi_ell is ell, whatever the model
+    psi = w[ell] * pow(int(w[ell][0, -1]), -1, p) % p
+    f = np.array([[c.b, c.a, 0, 1] for c in curves], dtype=np.int64)
+    needs_y = [k for k, lam in enumerate(eigenvalues) if (lam * lam + t * lam + p) % ell == 0]
+    # residues mod psi_ell: narrower than n when x^p is (p < n), and the
+    # y-conditions too, since deg w_2m = 2 m^2 - 2 < n
+    x_conds = np.zeros((len(eigenvalues), len(curves), n), dtype=np.int64)
+    y_conds = np.zeros(x_conds.shape, dtype=np.int64)
     size = max(1, _STACK_ENTRIES // (n * n))
-    stacks = [_kernel_conditions(curves[s : s + size], ell, eigenvalues)
-              for s in range(0, len(curves), size)]
-    psi = np.concatenate([psi for psi, _, _ in stacks])
-    x_conds = np.concatenate([x for _, x, _ in stacks], axis=1)
+    for s in range(0, len(curves), size):
+        part = slice(s, s + size)
+        ws, fs, psis = [wm[part] for wm in w], f[part], psi[part]
+        rows = fp._reduction_rows(psis, p)
+
+        def mul(u, v):
+            return fp.poly_mulmod(u, v, p, rows)
+
+        xs = np.tile(fp.X, (len(fs), 1))
+        x_shift = fp.stack_sub(xs, fp.poly_powmod(xs, p, psis, p, rows), p)  # x - x^p
+        if needs_y:
+            frob_y = fp.poly_powmod(fs, (p - 1) // 2, psis, p, rows)  # y^p / y
+        for k, lam in enumerate(eigenvalues):
+            m = min(lam, ell - lam)
+            num, den = mul(ws[m - 1], ws[m + 1]), mul(ws[m], ws[m])
+            if m % 2:
+                num = mul(fs, num)
+            else:
+                den = mul(fs, den)
+            x_cond = fp.stack_sub(mul(x_shift, den), num, p)
+            x_conds[k, part, : x_cond.shape[1]] = x_cond
+            if k in needs_y:
+                sign = 1 if lam == m else -1
+                y_cond = fp.stack_sub(2 * mul(frob_y, mul(den, den)), sign * ws[2 * m], p)
+                y_conds[k, part, : y_cond.shape[1]] = y_cond
+        del rows
     # one lockstep Euclid of psi_ell against the x-condition of every (lam, curve)
-    kernels = fp.stack_gcd(
-        np.tile(psi, (len(eigenvalues), 1)), x_conds.reshape(-1, x_conds.shape[2]), p
-    )
+    kernels = fp.stack_gcd(np.tile(psi, (len(eigenvalues), 1)), x_conds.reshape(-1, n), p)
     # and one more of each x-kernel against its y-condition, where it has one
-    needs_y = list(stacks[0][2])  # the same eigenvalue indices in every stack
     cut = [k * len(curves) + i for k in needs_y for i in range(len(curves))]
     if cut:
-        y_conds = [y[k] for k in needs_y for _, _, y in stacks]
         x_width = max(len(kernels[j]) for j in cut)
-        y_width = max(y.shape[1] for y in y_conds)
         x_kernels = np.array([fp._pad(kernels[j], x_width) for j in cut])
-        y_stack = np.concatenate([fp._widen(y, y_width) for y in y_conds])
-        for j, kernel in zip(cut, fp.stack_gcd(x_kernels, y_stack, p)):
+        for j, kernel in zip(cut, fp.stack_gcd(x_kernels, y_conds[needs_y].reshape(-1, n), p)):
             kernels[j] = kernel
     found = [[] for _ in curves]
     for k, lam in enumerate(eigenvalues):

@@ -27,7 +27,6 @@ from .errors import InputError, InternalConsistencyError
 __all__ = [
     "X",
     "ONE",
-    "poly",
     "trim",
     "degree",
     "poly_sub",
@@ -65,10 +64,6 @@ def trim(u) -> np.ndarray:
     while n > 0 and u[n - 1] == 0:
         n -= 1
     return u[:n]
-
-
-def poly(coeffs, p: int) -> np.ndarray:
-    return trim(np.asarray(list(coeffs), dtype=np.int64) % p)
 
 
 def degree(u) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import random
 import unittest
 import unittest.mock
@@ -26,6 +27,11 @@ from isocayley.abelian import (
 )
 from isocayley.errors import InputError, PreconditionError
 from isocayley.quadform import class_group
+
+
+def all_elements(g):
+    """Every element of G in lexicographic coordinate order."""
+    return [g.element(c) for c in itertools.product(*(range(d) for d in g.invariants))]
 
 
 def op_pow(g, e):
@@ -95,7 +101,7 @@ class GroupFromRelationsTest(unittest.TestCase):
     def test_trivial_quotient(self):
         group, images = group_from_relations(1, [[1]])
         self.assertEqual(group.order, 1)
-        self.assertTrue(images[0].is_identity())
+        self.assertFalse(any(images[0].coords))
 
     def test_infinite_quotient_rejected(self):
         with self.assertRaises(InputError):
@@ -204,7 +210,7 @@ class SubgroupTest(unittest.TestCase):
             self.assertTrue(np.array_equal(codes, h.codes))
             self.assertTrue(np.all(codes[1:] > codes[:-1]))
             self.assertEqual({tuple(x) for x in xs.tolist()}, {x.coords for x in h})
-            self.assertEqual(sorted(map(tuple, ys.tolist())), [e.coords for e in abstract.elements()])
+            self.assertEqual(sorted(map(tuple, ys.tolist())), [e.coords for e in all_elements(abstract)])
             # all pairs at once: x + y located by its mixed-radix code
             amb = np.array(g.invariants, dtype=np.int64)
             sums = (xs[:, None, :] + xs[None, :, :]) % amb
@@ -237,9 +243,9 @@ class SubgroupTest(unittest.TestCase):
                   FiniteAbelianGroup(()), FiniteAbelianGroup((1, 6))]
         for g in groups:
             got = full_subgroup(g)
-            lex = [e.coords for e in g.elements()]
+            lex = [e.coords for e in all_elements(g)]
             # the elements of G, each once, in lexicographic coordinate order
-            self.assertEqual(list(got.elements), list(g.elements()))
+            self.assertEqual(list(got.elements), list(all_elements(g)))
             self.assertEqual(list(map(tuple, got.coords.tolist())), lex)
             self.assertTrue(np.array_equal(got.codes, np.arange(g.order)))
             self.assertEqual(got.generators, tuple(g.generators()))
@@ -307,8 +313,8 @@ class CharacterTest(unittest.TestCase):
         chars = characters_of(full_subgroup(g))
         self.assertEqual(len(chars), 6)
         for chi in chars:
-            total = sum(chi.value(x) for x in g.elements())
-            if chi.is_trivial:
+            total = sum(chi.value(x) for x in all_elements(g))
+            if not any(chi.coords):
                 self.assertAlmostEqual(abs(total - 6), 0, places=9)
             else:
                 self.assertAlmostEqual(abs(total), 0, places=9)
@@ -326,7 +332,7 @@ class CharacterTest(unittest.TestCase):
         chars = characters_of(full_subgroup(g))
         self.assertEqual(len(chars), 16)
         rng = random.Random(3)
-        elems = list(g.elements())
+        elems = list(all_elements(g))
         some = rng.sample(list(chars), 5)
         for chi in some:
             for _ in range(10):
@@ -361,7 +367,7 @@ class FilterSumTest(unittest.TestCase):
     def test_bracket_identity_exhaustive(self):
         g = FiniteAbelianGroup((2, 12))
         h = subgroup_generated(g, [g.element((0, 3)), g.element((1, 0))])
-        for x in g.elements():
+        for x in all_elements(g):
             want = h.index if x in h else 0
             self.assertEqual(filter_sum(g, h, x), want)
 

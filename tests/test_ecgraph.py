@@ -458,16 +458,17 @@ def test_isogeny_search_reaches_the_enumerated_class(p, t, ells, generated):
 def test_stacks_match_the_per_curve_oracle(monkeypatch, entries):
     """Stacks of one curve, and sweep batches of 3, 12 and 10 curves split
     into stacks of at most 3 at ell = 7 (n = 24), find the edges that
-    rational_l_isogenies finds curve by curve."""
+    rational_l_isogenies finds curve by curve.  Each stack builds its
+    reduction tables once, so the tables count the stacks."""
     sizes = []
-    conditions = eg._kernel_conditions
+    tables = eg.fp._reduction_rows
 
-    def recorded(curves, ell, eigenvalues):
-        sizes.append((ell, len(curves)))
-        return conditions(curves, ell, eigenvalues)
+    def recorded(g, p):
+        sizes.append((isqrt(2 * g.shape[1] - 1), len(g)))  # n = (ell^2 - 1) / 2
+        return tables(g, p)
 
     monkeypatch.setattr(eg, "_STACK_ENTRIES", entries)
-    monkeypatch.setattr(eg, "_kernel_conditions", recorded)
+    monkeypatch.setattr(eg.fp, "_reduction_rows", recorded)
     g = eg.build_isogeny_graph(2003, 1, (5, 7))
     assert max(k for ell, k in sizes if ell == 7) == (1 if entries == 1 else 3)
     assert len(sizes) > 10  # one stack per batch would be 6
@@ -475,6 +476,42 @@ def test_stacks_match_the_per_curve_oracle(monkeypatch, entries):
            for e in g.edges]
     assert got == reference_edges(2003, 1, (5, 7))
     assert list(g.vertices) == eg.enumerate_isogeny_class(2003, 1)
+
+
+@pytest.mark.parametrize("p, t, ells", [
+    (2003, 1, (5, 7)),  # both split
+    (67, 2, (3, 11)),  # both ramified
+    (41, 3, (3,)),  # split, with y-conditions
+])
+def test_division_polynomials_once_per_batch(monkeypatch, p, t, ells):
+    """With one curve per table stack, every batch of a split or ramified
+    ell still builds its division polynomials once, for all its curves,
+    and finds the edges that rational_l_isogenies finds curve by curve."""
+    batches = []  # per batch: [curves, division_polys calls, table stacks]
+    search, polys, tables = eg._isogenies_of, eg.division_polys, eg.fp._reduction_rows
+
+    def batch(curves, ell):
+        batches.append([len(curves), 0, 0])
+        return search(curves, ell)
+
+    def build_polys(*args):
+        batches[-1][1] += 1
+        return polys(*args)
+
+    def build_tables(*args):
+        batches[-1][2] += 1
+        return tables(*args)
+
+    monkeypatch.setattr(eg, "_STACK_ENTRIES", 1)
+    monkeypatch.setattr(eg, "_isogenies_of", batch)
+    monkeypatch.setattr(eg, "division_polys", build_polys)
+    monkeypatch.setattr(eg.fp, "_reduction_rows", build_tables)
+    g = eg.build_isogeny_graph(p, t, ells)
+    assert max(k for k, _, _ in batches) > 1
+    assert all((polys_built, stacks) == (1, k) for k, polys_built, stacks in batches)
+    got = [(e.source_j, e.ell, e.target_j, e.kernel, e.eigenvalue, e.source_model, e.velu_model)
+           for e in g.edges]
+    assert got == reference_edges(p, t, ells)
 
 
 @pytest.mark.parametrize("p, t, ells, most", [

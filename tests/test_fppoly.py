@@ -15,6 +15,11 @@ PRIMES = [3, 5, 7, 11, 13, 101]
 x = sympy.symbols("x")
 
 
+def poly(coeffs, p):
+    """The coefficients, lowest degree first, reduced mod p and trimmed."""
+    return fp.trim(np.asarray(list(coeffs), dtype=np.int64) % p)
+
+
 def to_sympy(u, p):
     return sympy.Poly(list(reversed([int(c) for c in u])) or [0], x, modulus=p)
 
@@ -36,7 +41,7 @@ coeff_lists = st.lists(st.integers(min_value=0, max_value=200), min_size=0, max_
 @given(coeff_lists, coeff_lists, st.sampled_from(PRIMES))
 @settings(max_examples=150, deadline=None)
 def test_divmod_round_trip(u_c, v_c, p):
-    u, v = fp.poly(u_c, p), fp.poly(v_c, p)
+    u, v = poly(u_c, p), poly(v_c, p)
     if len(v) == 0:
         with pytest.raises(InputError):
             fp.poly_divmod(u, v, p)
@@ -49,7 +54,7 @@ def test_divmod_round_trip(u_c, v_c, p):
 @given(coeff_lists, coeff_lists, st.sampled_from(PRIMES))
 @settings(max_examples=100, deadline=None)
 def test_gcd_matches_sympy(u_c, v_c, p):
-    u, v = fp.poly(u_c, p), fp.poly(v_c, p)
+    u, v = poly(u_c, p), poly(v_c, p)
     assert gcd(u, v, p).tolist() == sympy_gcd(u, v, p)
 
 
@@ -67,7 +72,7 @@ def test_gcd_matches_sympy(u_c, v_c, p):
     ],
 )
 def test_gcd_pinned_cases_match_sympy(u_c, v_c, p):
-    u, v = fp.poly(u_c, p), fp.poly(v_c, p)
+    u, v = poly(u_c, p), poly(v_c, p)
     got = gcd(u, v, p)
     assert got.dtype == np.int64
     assert got.tolist() == sympy_gcd(u, v, p)
@@ -80,8 +85,8 @@ def powmod(u, e, g, p):
 
 def test_powmod_matches_repeated_multiplication():
     p = 101
-    g = fp.poly([2, 0, 1], p)
-    u = fp.poly([3, 5], p)
+    g = poly([2, 0, 1], p)
+    u = poly([3, 5], p)
     acc = fp.ONE
     for e in range(40):
         assert np.array_equal(acc, powmod(u, e, g, p))
@@ -101,7 +106,7 @@ def test_powmod_matches_repeated_multiplication():
 def test_powmod_matches_repeated_mulmod(u_c, e, g_c, p):
     """Zero bases, e = 0, constant and linear moduli, and non-monic moduli
     all agree with multiplying e times from ONE."""
-    u, g = fp.poly(u_c, p), fp.poly(g_c, p)
+    u, g = poly(u_c, p), poly(g_c, p)
     if len(g) == 0:
         with pytest.raises(InputError):
             powmod(u, e, g, p)
@@ -129,7 +134,7 @@ def test_stacked_powmod_matches_each_row(data, k, n, e, p):
                          np.array(gs, dtype=np.int64), p)
     assert len(got) == k
     for u_c, g_c, row in zip(us, gs, got):
-        u, g = fp.poly(u_c, p), fp.poly(g_c, p)
+        u, g = poly(u_c, p), poly(g_c, p)
         acc = fp.ONE
         for _ in range(e):
             acc = fp.poly_mod(fp.poly_mul(acc, u, p), g, p)
@@ -144,7 +149,7 @@ def test_stacked_powmod_matches_each_row(data, k, n, e, p):
 @settings(max_examples=60, deadline=None)
 def test_powmod_large_exponent_matches_sympy(u_c, g_c, e):
     p = 9973
-    u, g = fp.poly(u_c, p), fp.poly(g_c, p)
+    u, g = poly(u_c, p), poly(g_c, p)
     if len(g) == 0:
         return
     want = gf_pow_mod(
@@ -194,8 +199,8 @@ def test_stack_mul_at_the_int64_limit(k, a, b):
 
 def test_factor_known_product():
     p = 7
-    f = fp.poly_mul(fp.poly([6, 1], p), fp.poly([5, 1], p), p)
-    f = fp.poly_mul(f, fp.poly([1, 0, 1], p), p)  # x^2 + 1 is irreducible mod 7
+    f = fp.poly_mul(poly([6, 1], p), poly([5, 1], p), p)
+    f = fp.poly_mul(f, poly([1, 0, 1], p), p)  # x^2 + 1 is irreducible mod 7
     fac = fp.low_degree_factors(f, p, 2, seed=9)
     assert [[int(c) for c in g] for g in fac] == [[5, 1], [6, 1], [1, 0, 1]]
 
@@ -206,8 +211,8 @@ def test_factorization_deterministic_and_complete():
     while done < 15:
         p = int(rng.choice([5, 7, 11, 31]))
         coeffs = [int(c) for c in rng.integers(0, p, size=6)] + [1]
-        f = fp.poly(coeffs, p)
-        derivative = fp.poly([i * c for i, c in enumerate(coeffs)][1:], p)
+        f = poly(coeffs, p)
+        derivative = poly([i * c for i, c in enumerate(coeffs)][1:], p)
         if fp.degree(gcd(f, derivative, p)) > 0:
             continue  # squarefree inputs only
         first = fp.low_degree_factors(f, p, 6, seed=done)
@@ -228,7 +233,7 @@ def test_factorization_deterministic_and_complete():
 def test_distinct_degree_respects_cap():
     p = 5
     # x^6 - 1 over F_5: roots of unity structure, factors of degree 1 and 2
-    f = fp.poly([-1, 0, 0, 0, 0, 0, 1], p)
+    f = poly([-1, 0, 0, 0, 0, 0, 1], p)
     blocks, rest = fp.distinct_degree_split(f, p, 1)
     assert all(d == 1 for d, _ in blocks)
     assert fp.degree(rest) > 0  # the quadratic part stays unsplit
@@ -243,9 +248,9 @@ def gcd_stacks(draw):
     rows = draw(st.lists(st.tuples(coeffs, coeffs, coeffs), min_size=1, max_size=8))
     us, vs = [], []
     for common, cu, cv in rows:
-        g = fp.poly([1] if not common else common, p)
-        us.append(fp.poly_mul(g, fp.poly(cu, p), p))
-        vs.append(fp.poly_mul(g, fp.poly(cv, p), p))
+        g = poly([1] if not common else common, p)
+        us.append(fp.poly_mul(g, poly(cu, p), p))
+        vs.append(fp.poly_mul(g, poly(cv, p), p))
     width = max(len(w) for w in us + vs)
     return p, np.array([fp._pad(u, width) for u in us]), np.array([fp._pad(v, width) for v in vs])
 
@@ -286,7 +291,7 @@ def test_stack_gcd_rows_leave_the_lockstep(steps):
     def mul(*factors):
         out = fp.ONE
         for f in factors:
-            out = fp.poly_mul(out, fp.poly(f, p), p)
+            out = fp.poly_mul(out, poly(f, p), p)
         return out
 
     u = [[2, 0, 0, 0, 1], mul([1, 0, 1], [3, 0, 1]), mul([0, 2, 0, 4], [1, 1]), [1, 1, 0, 0, 1]]
